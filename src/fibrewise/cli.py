@@ -129,6 +129,16 @@ def _cmd_perturb(args) -> int:
     return OK
 
 
+def _truncation_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"truncation degree {value} is below 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibrewise",
@@ -139,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a model document")
     p.add_argument("model")
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_truncation_arg, default=None,
                    help="override the truncation degree for this run")
     p.set_defaults(func=_cmd_check)
 

@@ -6,6 +6,15 @@ else is the graded Leibniz extension.  Cohomology is computed one degree at
 a time by exact Gaussian elimination, producing the cycle splitting
 Z = E + N (boundaries plus a deterministically chosen complement) that the
 odd-length normalization steps rely on.
+
+Each degree is eliminated once.  The cycle basis is the kernel basis read
+off the reduced row echelon form of d, one vector per free column, equal to
+1 at its own free column and 0 at every other one.  So the coordinates of a
+cycle in that basis are simply its entries at the free columns: boundaries
+and decomposed cycles are written in cycle coordinates by a read-off and a
+sparse rebuild that checks it, never by a further solve.  The differential
+of a monomial is the graded Leibniz rule peeled off its first factor, with
+the differential of the remaining factors served from a cache.
 """
 
 from __future__ import annotations
@@ -59,7 +68,9 @@ class CohomologySlice:
     E is the space of boundaries, N the chosen complement (so N is a model
     for the cohomology in this degree).  The choice of N is deterministic:
     cycle basis vectors at the non-pivot coordinates of the boundary space
-    written in cycle coordinates.
+    written in cycle coordinates.  Cycle coordinates are the entries at the
+    free columns of d (`linalg.kernel_coordinates`), so placing a boundary
+    or splitting a cycle costs a read-off and a sparse sum, not a solve.
     """
 
     degree: int
@@ -68,9 +79,11 @@ class CohomologySlice:
     complement: list[Polynomial]
     _basis: tuple[Monomial, ...]
     _index: dict[Monomial, int]
+    _free: list[int]
     _cycle_vecs: list[linalg.Vector]
-    _boundary_vecs: list[linalg.Vector]
-    _complement_vecs: list[linalg.Vector]
+    # reduced row echelon form of the boundaries in cycle coordinates
+    _boundary_pivots: list[int]
+    _boundary_coords: list[linalg.Vector]
 
     @property
     def dim_cohomology(self) -> int:
@@ -78,25 +91,18 @@ class CohomologySlice:
 
     def decompose(self, cycle: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Write a cycle as (boundary part, complement part), exactly."""
-        vec = _to_vector(cycle, self._index)
-        columns = self._boundary_vecs + self._complement_vecs
-        rows: list[linalg.Vector] = [{} for _ in range(len(self._basis))]
-        for j, col in enumerate(columns):
-            for i, val in col.items():
-                rows[i][j] = val
-        solution = linalg.solve(rows, vec, len(columns))
-        if solution is None:
+        coords = linalg.kernel_coordinates(
+            self._free, self._cycle_vecs, _to_vector(cycle, self._index)
+        )
+        if coords is None:
             raise AlgebraError("polynomial is not a cycle in this degree")
-        nb = len(self._boundary_vecs)
-        exact = Polynomial.zero()
-        rest = Polynomial.zero()
-        for j, val in solution.items():
-            part = (self.boundaries[j] if j < nb else self.complement[j - nb]).scale(val)
-            if j < nb:
-                exact = exact + part
-            else:
-                rest = rest + part
-        return exact, rest
+        # clearing the boundary pivots leaves the complement coordinates
+        for pivot, row in zip(self._boundary_pivots, self._boundary_coords):
+            val = coords.get(pivot)
+            if val:
+                coords = linalg.vec_add(coords, row, -val)
+        rest = _from_vector(linalg.combine(self._cycle_vecs, coords), self._basis)
+        return cycle - rest, rest
 
     def reduce(self, cycle: Polynomial) -> Polynomial:
         """The complement-part of a cycle: its canonical reduced form."""
@@ -151,18 +157,19 @@ class FreeCDGA:
         cached = self._d_mono_cache.get(mono)
         if cached is not None:
             return cached
-        total = Polynomial.zero()
-        sign = 1
-        for i, (gen, exp) in enumerate(mono):
-            dg = self.diff.get(gen.id)
-            if dg:
-                # d(g^e) = e g^(e-1) dg; odd generators have e = 1.
-                prefix = Polynomial({mono[:i]: Fraction(sign)})
-                middle = Polynomial({((gen, exp - 1),) if exp > 1 else (): Fraction(exp)})
-                suffix = Polynomial({mono[i + 1:]: Fraction(1)})
-                total = total + prefix * middle * dg * suffix
-            if gen.is_odd:
-                sign = -sign
+        if not mono:
+            return Polynomial.zero()
+        # d(g^e rest) = e g^(e-1) dg rest + (-1)^(e|g|) g^e d(rest); odd
+        # generators have e = 1 and even powers g^(e-1) commute with dg.
+        (gen, exp), rest = mono[0], mono[1:]
+        total = self._d_monomial(rest)
+        if total:
+            sign = -1 if gen.is_odd else 1
+            total = Polynomial({mono[:1]: Fraction(sign)}) * total
+        dg = self.diff.get(gen.id)
+        if dg:
+            lowered = ((gen, exp - 1),) + rest if exp > 1 else rest
+            total = total + dg * Polynomial({lowered: Fraction(exp)})
         self._d_mono_cache[mono] = total
         return total
 
@@ -240,22 +247,16 @@ class FreeCDGA:
         if cached is not None:
             return cached
         basis = self.basis(degree)
-        ncols = len(basis)
-        cycle_vecs = linalg.nullspace(self._equation_rows(degree), ncols)
+        free, cycle_vecs = linalg.nullspace(self._equation_rows(degree), len(basis))
         boundary_vecs = self._image_rows(degree) if degree >= 1 else []
         # boundaries in cycle coordinates, then the complement at non-pivots
         coord_rows: list[linalg.Vector] = []
-        if boundary_vecs:
-            matrix: list[linalg.Vector] = [{} for _ in range(ncols)]
-            for j, cvec in enumerate(cycle_vecs):
-                for i, val in cvec.items():
-                    matrix[i][j] = val
-            for bvec in boundary_vecs:
-                coords = linalg.solve(matrix, bvec, len(cycle_vecs))
-                if coords is None:
-                    raise EngineError("boundary vector outside the cycle space")
-                coord_rows.append(coords)
-        pivots, _ = linalg.rref(coord_rows, len(cycle_vecs))
+        for bvec in boundary_vecs:
+            coords = linalg.kernel_coordinates(free, cycle_vecs, bvec)
+            if coords is None:
+                raise EngineError("boundary vector outside the cycle space")
+            coord_rows.append(coords)
+        pivots, reduced = linalg.rref(coord_rows, len(cycle_vecs))
         pivot_set = set(pivots)
         complement_vecs = [
             cvec for j, cvec in enumerate(cycle_vecs) if j not in pivot_set
@@ -267,9 +268,10 @@ class FreeCDGA:
             complement=[_from_vector(v, basis) for v in complement_vecs],
             _basis=basis,
             _index={m: i for i, m in enumerate(basis)},
+            _free=free,
             _cycle_vecs=cycle_vecs,
-            _boundary_vecs=boundary_vecs,
-            _complement_vecs=complement_vecs,
+            _boundary_pivots=pivots,
+            _boundary_coords=reduced,
         )
         self._slice_cache[degree] = slice_
         return slice_
@@ -288,14 +290,9 @@ class FreeCDGA:
             raise AlgebraError("preimage target is not a cycle")
         if degree == 0:
             return None
-        index = self._index(degree)
-        rhs = _to_vector(target, index)
+        rhs = _to_vector(target, self._index(degree))
         source = self.basis(degree - 1)
-        rows: list[linalg.Vector] = [{} for _ in index]
-        for j, mono in enumerate(source):
-            for m, coeff in self._d_monomial(mono).terms.items():
-                rows[index[m]][j] = coeff
-        solution = linalg.solve(rows, rhs, len(source))
+        solution = linalg.solve(self._equation_rows(degree - 1), rhs, len(source))
         if solution is None:
             return None
         return _from_vector(solution, source)

@@ -58,6 +58,29 @@ def parse_rational(text: Any, location: str) -> Fraction:
         raise ParseError(location, f"malformed rational {text!r} (zero denominator)")
 
 
+def _is_positive_int(value: Any) -> bool:
+    """A JSON integer >= 1; `true` and `false` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _object(doc: Mapping, key: str, location: str) -> Mapping:
+    """The object `doc[key]`, or {} when the key is absent or null."""
+    node = doc.get(key)
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ParseError(location, "expected an object")
+    return node
+
+
+def _list(doc: Mapping, key: str, location: str) -> list:
+    """The list `doc[key]`, or [] when the key is absent."""
+    node = doc.get(key, [])
+    if not isinstance(node, list):
+        raise ParseError(location, "expected a list")
+    return node
+
+
 def polynomial_to_doc(p: Polynomial) -> list[dict]:
     doc = []
     for mono, coeff in sorted(p.terms.items(), key=lambda kv: monomial_key(kv[0])):
@@ -80,12 +103,14 @@ def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polyn
             raise ParseError(where, "term must be an object with 'coeff' and 'factors'")
         coeff = parse_rational(term["coeff"], where + ".coeff")
         factors = []
-        for j, factor in enumerate(term.get("factors", [])):
+        for j, factor in enumerate(_list(term, "factors", where + ".factors")):
             fwhere = f"{where}.factors[{j}]"
             if not (isinstance(factor, (list, tuple)) and len(factor) == 3):
                 raise ParseError(fwhere, "factor must be [space, name, exponent]")
             space, name, exp = factor
-            if not isinstance(exp, int) or exp < 1:
+            if not (isinstance(space, str) and isinstance(name, str)):
+                raise ParseError(fwhere, "space and name must be strings")
+            if not _is_positive_int(exp):
                 raise ParseError(fwhere, f"exponent must be a positive integer, got {exp!r}")
             try:
                 gen = table.generator(space, name)
@@ -122,8 +147,8 @@ def _generator_spec(doc: Any, location: str) -> list[tuple[str, int]]:
         name, degree = item["name"], item["degree"]
         if not isinstance(name, str) or not name:
             raise ParseError(where, f"bad generator name {name!r}")
-        if not isinstance(degree, int) or degree < 1:
-            raise ParseError(where, f"generator degree must be a positive integer")
+        if not _is_positive_int(degree):
+            raise ParseError(where, "generator degree must be a positive integer")
         spec.append((name, degree))
     return spec
 
@@ -132,9 +157,12 @@ def default_truncation_for(spec_degrees: list[int]) -> int:
     env = os.environ.get(TRUNCATION_ENV)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ParseError(TRUNCATION_ENV, f"environment override {env!r} is not an integer")
+        if value < 1:
+            raise ParseError(TRUNCATION_ENV, f"environment override {env!r} is below 1")
+        return value
     return 2 * max(spec_degrees, default=1) + 2
 
 
@@ -144,8 +172,8 @@ def parse_model(
     """Build and (by default) validate a model and comultiplication."""
     if not isinstance(doc, dict):
         raise ParseError("$", "model document must be an object")
-    base_doc = doc.get("base", {})
-    fiber_doc = doc.get("fiber", {})
+    base_doc = _object(doc, "base", "base")
+    fiber_doc = _object(doc, "fiber", "fiber")
     base_spec = _generator_spec(base_doc.get("generators", []), "base.generators")
     fiber_spec = _generator_spec(fiber_doc.get("generators", []), "fiber.generators")
     try:
@@ -155,8 +183,8 @@ def parse_model(
     truncation = truncation_override
     if truncation is None:
         truncation = doc.get("truncation_degree")
-        if truncation is not None and (not isinstance(truncation, int) or truncation < 1):
-            raise ParseError("truncation_degree", f"must be a positive integer")
+        if truncation is not None and not _is_positive_int(truncation):
+            raise ParseError("truncation_degree", "must be a positive integer")
     if truncation is None:
         truncation = default_truncation_for(
             [deg for _, deg in base_spec + fiber_spec]
@@ -271,47 +299,58 @@ def certificate_from_document(doc: Any) -> EquivalenceCertificate:
         raise ParseError("$", "certificate document must be an object")
     if "certificate" in doc:  # accept a result wrapper
         doc = doc["certificate"]
-    model_doc = doc.get("model", {})
-    base_spec = _generator_spec(
-        model_doc.get("base", {}).get("generators", []), "model.base.generators"
-    )
+        if not isinstance(doc, dict):
+            raise ParseError("certificate", "certificate document must be an object")
+    model_doc = _object(doc, "model", "model")
+    base_doc = _object(model_doc, "base", "model.base")
+    base_spec = _generator_spec(base_doc.get("generators", []), "model.base.generators")
     fiber_spec = _generator_spec(
-        model_doc.get("fiber", {}).get("generators", []), "model.fiber.generators"
+        _object(model_doc, "fiber", "model.fiber").get("generators", []),
+        "model.fiber.generators",
     )
     try:
         table = GeneratorTable(base_spec, fiber_spec)
     except AlgebraError as exc:
         raise ParseError("model", str(exc))
     truncation = doc.get("truncation_degree")
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")
-    d_base = _images_from_doc(
-        table, model_doc.get("base", {}).get("differential"), "model.base.differential"
-    )
+    d_base = _images_from_doc(table, base_doc.get("differential"), "model.base.differential")
+    source = _object(doc, "source", "source")
+    target = _object(doc, "target", "target")
     cert = EquivalenceCertificate(
         table=table,
         base_spec=base_spec,
         fiber_spec=fiber_spec,
         d_base=d_base,
         truncation=truncation,
-        source_d=_images_from_doc(table, doc.get("source", {}).get("differential"), "source.differential"),
-        source_c=_images_from_doc(table, doc.get("source", {}).get("comultiplication"), "source.comultiplication"),
-        target_d=_images_from_doc(table, doc.get("target", {}).get("differential"), "target.differential"),
-        target_c=_images_from_doc(table, doc.get("target", {}).get("comultiplication"), "target.comultiplication"),
+        source_d=_images_from_doc(table, source.get("differential"), "source.differential"),
+        source_c=_images_from_doc(table, source.get("comultiplication"), "source.comultiplication"),
+        target_d=_images_from_doc(table, target.get("differential"), "target.differential"),
+        target_c=_images_from_doc(table, target.get("comultiplication"), "target.comultiplication"),
     )
-    for i, entry in enumerate(doc.get("steps", [])):
+    for i, entry in enumerate(_list(doc, "steps", "steps")):
         where = f"steps[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(where, "step must be an object")
         kind = entry.get("kind")
-        result = entry.get("result", {})
+        for key in ("note", "stage"):
+            if not isinstance(entry.get(key, ""), str):
+                raise ParseError(f"{where}.{key}", "expected a string")
+        result = _object(entry, "result", where + ".result")
         d_after = _images_from_doc(table, result.get("differential"), where + ".result.differential")
         c_after = _images_from_doc(table, result.get("comultiplication"), where + ".result.comultiplication")
         named = _images_from_doc(table, entry.get("images"), where + ".images")
+        images = {}
+        for name, image in named.items():
+            try:
+                images[table.generator("w0", name).id] = image
+            except AlgebraError as exc:
+                raise ParseError(f"{where}.images.{name}", str(exc))
         if kind == "change_of_generators":
-            images = {table.generator("w0", n).id: p for n, p in named.items()}
             step = CertificateStep(kind, ChangeOfGenerators(images), None, d_after, c_after,
                                    entry.get("note", ""), entry.get("stage", ""))
         elif kind == "homotopy":
-            images = {table.generator("w0", n).id: p for n, p in named.items()}
             homotopy = DGHomotopy(
                 images,
                 _images_from_doc(table, entry.get("start"), where + ".start"),

@@ -72,11 +72,13 @@ def rank(rows: Iterable[Vector], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def nullspace(rows: Iterable[Vector], ncols: int) -> list[Vector]:
+def nullspace(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
     """Deterministic kernel basis of the linear map with the given equation
-    rows: one vector per free column, ascending, with a 1 at that column."""
+    rows, with its free columns (ascending): vector j has a 1 at free column
+    j and a 0 at every other free column."""
     pivots, reduced = rref(rows, ncols)
     pivot_set = set(pivots)
+    free_cols: list[int] = []
     basis: list[Vector] = []
     for free in range(ncols):
         if free in pivot_set:
@@ -86,8 +88,35 @@ def nullspace(rows: Iterable[Vector], ncols: int) -> list[Vector]:
             val = row.get(free)
             if val:
                 vec[pivot] = -val
+        free_cols.append(free)
         basis.append(vec)
-    return basis
+    return free_cols, basis
+
+
+def kernel_coordinates(free_cols: list[int], basis: list[Vector], vec: Vector) -> Vector | None:
+    """Coordinates of `vec` in a kernel basis from `nullspace`, or None when
+    `vec` is outside its span.
+
+    The coordinates are the entries of `vec` at the free columns; the
+    membership test rebuilds `vec` from them by a sparse sum, no elimination.
+    """
+    coords: Vector = {}
+    for j, free in enumerate(free_cols):
+        val = vec.get(free)
+        if val:
+            coords[j] = val
+    if combine(basis, coords) != vec:
+        return None
+    return coords
+
+
+def combine(basis: list[Vector], coords: Vector) -> Vector:
+    """The linear combination sum_j coords[j] * basis[j]."""
+    out: Vector = {}
+    for j, coeff in coords.items():
+        for col, val in basis[j].items():
+            out[col] = out.get(col, 0) + coeff * val
+    return {col: val for col, val in out.items() if val}
 
 
 def solve(rows: list[Vector], rhs: Vector, ncols: int) -> Vector | None:
@@ -110,15 +139,3 @@ def solve(rows: list[Vector], rhs: Vector, ncols: int) -> Vector | None:
         if val:
             solution[pivot] = val
     return solution
-
-
-def in_span(rows: list[Vector], vec: Vector, ncols: int) -> bool:
-    """Whether `vec` lies in the row span of `rows`."""
-    base_rank = rank(rows, ncols)
-    return rank(rows + [vec], ncols) == base_rank
-
-
-def same_span(a: list[Vector], b: list[Vector], ncols: int) -> bool:
-    ra = rank(a, ncols)
-    rb = rank(b, ncols)
-    return ra == rb == rank(a + b, ncols)

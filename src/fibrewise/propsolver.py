@@ -254,7 +254,7 @@ def _kernel_of_condition(
     for j, image in enumerate(images):
         for mono, coeff in image.terms.items():
             rows[cube_monos[mono]][j] = coeff
-    kernel = linalg.nullspace(rows, len(span))
+    _, kernel = linalg.nullspace(rows, len(span))
     out = []
     for vec in kernel:
         combo = Polynomial.zero()

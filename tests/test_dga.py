@@ -6,9 +6,11 @@ import pytest
 
 from fibrewise import (
     AlgebraError,
+    EngineError,
     FreeCDGA,
     GeneratorTable,
     Morphism,
+    PerturbationSpec,
     Polynomial,
     check_d_squared,
     check_dg_map,
@@ -19,6 +21,9 @@ from fibrewise import (
     extend_leibniz,
     solve_preimage,
     split_cycles,
+    linalg,
+    normalize_monomial,
+    perturb,
 )
 
 import util
@@ -210,3 +215,103 @@ def test_check_dg_map_between_conjugated_differentials():
     g = Morphism(conjugated.total_cdga(), model.total_cdga(), broken,
                  under_over_base=True)
     assert not check_dg_map(g).ok
+
+
+# -- the recursive Leibniz rule against the per-factor sum ---------------------------
+
+
+def perturbed_contractible_model():
+    """A round-trip model whose perturbed fiber differential is nonzero."""
+    model = util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)], truncation=20
+    )
+    perturbed, _ = perturb(
+        model, Comultiplication.standard(model.table),
+        PerturbationSpec(seed=0, mode="change-of-generators"),
+    )
+    assert perturbed.d_fiber
+    return perturbed
+
+
+def test_d_monomial_matches_oracle_on_wide_base():
+    base = util.wide_base_model().base_cdga()
+    for degree in range(base.truncation + 1):
+        for mono in base.basis(degree):
+            assert base._d_monomial(mono) == util.leibniz_by_factors(base, mono)
+
+
+def test_d_monomial_matches_oracle_on_tensor_square_and_cube():
+    model = perturbed_contractible_model()
+    for copies in (2, 3):
+        cdga = model.tensor_cdga(copies)
+        for degree in range(model.truncation + 1):
+            for mono in cdga.basis(degree):
+                assert cdga._d_monomial(mono) == util.leibniz_by_factors(cdga, mono)
+
+
+def test_d_monomial_matches_oracle_on_powers_of_t():
+    model = perturbed_contractible_model()
+    table = model.table
+    square, homotopy = model.tensor_cdga(2), model.homotopy_cdga()
+    for degree in range(9):
+        for mono in square.basis(degree):
+            for power in (1, 2, 3):
+                for extra in ([(table.t, power)], [(table.t, power), (table.dt, 1)]):
+                    full, sign = normalize_monomial(list(mono) + extra)
+                    assert sign
+                    expected = util.leibniz_by_factors(homotopy, full)
+                    assert homotopy._d_monomial(full) == expected
+
+
+# -- free-column read-off against exact solves ------------------------------------
+
+
+READOFF_ALGEBRAS = {
+    "wide-base": lambda: util.wide_base_model().base_cdga(),
+    "fixture-a": lambda: util.fixture_a()[0].base_cdga(),
+    "fixture-b": lambda: util.fixture_b()[0].base_cdga(),
+    "fixture-c": lambda: util.fixture_c()[0].base_cdga(),
+    "tensor-square": lambda: perturbed_contractible_model().tensor_cdga(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READOFF_ALGEBRAS))
+def test_cycle_coordinates_read_off_equal_solve(name):
+    cdga = READOFF_ALGEBRAS[name]()
+    for degree in range(cdga.truncation):
+        ncols = len(cdga.basis(degree))
+        free, kernel = linalg.nullspace(cdga._equation_rows(degree), ncols)
+        for j, vec in enumerate(kernel):
+            assert [vec.get(f, 0) for f in free] == [int(f == free[j]) for f in free]
+            assert linalg.kernel_coordinates(free, kernel, vec) == {j: 1}
+        matrix = util.columns_matrix(kernel, ncols)
+        for bvec in cdga._image_rows(degree) if degree >= 1 else []:
+            coords = linalg.kernel_coordinates(free, kernel, bvec)
+            assert coords is not None
+            assert coords == linalg.solve(matrix, bvec, len(kernel))
+        slice_ = cdga.cohomology_slice(degree)
+        generic = Polynomial.zero()
+        for j, cycle in enumerate(slice_.cycles):
+            generic = generic + cycle.scale(j + 1)
+        assert slice_.decompose(generic) == util.decompose_by_solve(slice_, generic)
+
+
+def test_kernel_coordinates_reject_vectors_outside_the_kernel():
+    free, kernel = linalg.nullspace([{0: 1, 1: 1}], 2)
+    assert free == [1] and kernel == [{1: 1, 0: -1}]
+    assert linalg.kernel_coordinates(free, kernel, {0: 2, 1: -2}) == {0: -2}
+    assert linalg.kernel_coordinates(free, kernel, {0: 1}) is None
+    assert linalg.kernel_coordinates(free, kernel, {1: 1}) is None
+
+
+def test_cohomology_slice_raises_when_d_squared_is_nonzero():
+    # du = v, dv = u^2: the boundary u^2 = d(v) is not a cycle (d(u^2) = 2uv)
+    table = GeneratorTable(base=[("u", 2), ("v", 3)], fiber=[])
+    bad = FreeCDGA(
+        table, table.base,
+        {table.generator("base", "u").id: table.poly("v"),
+         table.generator("base", "v").id: table.poly("u") ** 2},
+        truncation=10,
+    )
+    with pytest.raises(EngineError, match="outside the cycle space"):
+        bad.cohomology_slice(4)

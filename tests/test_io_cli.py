@@ -298,3 +298,95 @@ def test_certificates_with_homotopy_steps_round_trip():
         kinds = {step.kind for step in parsed.steps}
         homotopy_seen = homotopy_seen or "homotopy" in kinds
     assert homotopy_seen
+
+
+# -- malformed document nodes exit 4 with their location ---------------------------
+
+
+def fixture_a_certificate_doc():
+    """A structurally valid, step-free certificate over fixture a's table."""
+    return {
+        "truncation_degree": 12,
+        "model": {
+            "base": {"generators": [{"name": "b3", "degree": 3}]},
+            "fiber": {"generators": [{"name": "w3", "degree": 3},
+                                     {"name": "w5", "degree": 5}]},
+        },
+        "steps": [],
+    }
+
+
+def _with(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+MALFORMED_MODELS = {
+    "base": (["base"], 5),
+    "fiber": (["fiber"], []),
+    "base.differential": (["base", "differential"], 5),
+    "differential": (["differential"], [1]),
+    "differential.w5[0].factors": (["differential", "w5", 0, "factors"], 5),
+    "differential.w5[0].factors[0]": (
+        ["differential", "w5", 0, "factors", 0], [["base"], "b3", 1]),
+    "base.generators[0]": (["base", "generators", 0, "degree"], True),
+    "truncation_degree": (["truncation_degree"], True),
+}
+
+
+@pytest.mark.parametrize("location", sorted(MALFORMED_MODELS))
+def test_cli_malformed_model_node_exits_4(tmp_path, capsys, location):
+    path, value = MALFORMED_MODELS[location]
+    doc = _with(fixture_a_doc(), path, value)
+    with pytest.raises(fio.ParseError) as err:
+        fio.parse_model(doc)
+    assert err.value.location == location
+    assert run_command(["check", write(tmp_path, "bad.json", doc)]) == 4
+    assert f"ERROR: {location}:" in capsys.readouterr().err
+
+
+MALFORMED_CERTIFICATES = {
+    "model": (["model"], 5),
+    "model.base": (["model", "base"], []),
+    "source": (["source"], "x"),
+    "steps": (["steps"], 5),
+    "steps[0]": (["steps"], [5]),
+    "steps[0].result": (["steps"], [{"kind": "homotopy", "result": 5}]),
+    "steps[0].images.nope": (
+        ["steps"], [{"kind": "homotopy", "images": {"nope": []}}]),
+    "truncation_degree": (["truncation_degree"], True),
+}
+
+
+@pytest.mark.parametrize("location", sorted(MALFORMED_CERTIFICATES))
+def test_cli_malformed_certificate_node_exits_4(tmp_path, capsys, location):
+    path, value = MALFORMED_CERTIFICATES[location]
+    doc = _with(fixture_a_certificate_doc(), path, value)
+    with pytest.raises(fio.ParseError) as err:
+        fio.certificate_from_document(doc)
+    assert err.value.location == location
+    model = write(tmp_path, "a.json", fixture_a_doc())
+    cert = write(tmp_path, "cert.json", doc)
+    assert run_command(["verify", model, cert]) == 4
+    assert f"ERROR: {location}:" in capsys.readouterr().err
+
+
+def test_truncation_below_one_exits_4(tmp_path, monkeypatch, capsys):
+    doc = fixture_a_doc()
+    del doc["truncation_degree"]
+    path = write(tmp_path, "a.json", doc)
+    monkeypatch.setenv(fio.TRUNCATION_ENV, "-3")
+    with pytest.raises(fio.ParseError) as err:
+        fio.parse_model(doc)
+    assert err.value.location == fio.TRUNCATION_ENV
+    assert run_command(["check", path]) == 4
+    assert f"ERROR: {fio.TRUNCATION_ENV}:" in capsys.readouterr().err
+    monkeypatch.delenv(fio.TRUNCATION_ENV)
+    assert run_command(["check", path, "--max-degree", "0"]) == 4
+    assert run_command(["check", path, "--max-degree", "1"]) == 0
+    for value in (0, -3):
+        with pytest.raises(fio.ParseError):
+            fio.parse_model(_with(fixture_a_doc(), ["truncation_degree"], value))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from fibrewise import linalg
 from fibrewise import (
     ChangeOfGenerators,
     Comultiplication,
@@ -58,6 +59,22 @@ def contractible_base_model(fiber=(), truncation=None):
     table = GeneratorTable(base=[("p", 2), ("q", 3)], fiber=list(fiber))
     return RelativeModel(
         table, d_base={"p": table.poly("q")}, truncation=truncation
+    )
+
+
+def wide_base_model():
+    """The wide base of the `basescan` benchmark workload, even cohomology
+    only: Lambda(x2, y3, p2, q3, r2, s3, a4, b7) with dy = x^2, dp = q,
+    dr = s, db = a^2, truncation 18."""
+    base = [("x", 2), ("y", 3), ("p", 2), ("q", 3), ("r", 2), ("s", 3),
+            ("a", 4), ("b", 7)]
+    table = GeneratorTable(base=base, fiber=[])
+    poly = table.poly
+    return RelativeModel(
+        table,
+        d_base={"y": poly("x") ** 2, "p": poly("q"), "r": poly("s"),
+                "b": poly("a") ** 2},
+        truncation=18,
     )
 
 
@@ -180,3 +197,48 @@ def random_homogeneous(rng, table, gens, degree, max_terms=3):
             rng.randint(-4, 4), rng.choice([1, 2, 3])
         )
     return Polynomial(terms)
+
+
+def leibniz_by_factors(cdga, mono):
+    """d of a monomial as the per-factor Leibniz sum: for each factor g^e,
+    (+-) prefix * e g^(e-1) * dg * suffix, the sign counting the odd factors
+    before it (oracle for the recursive FreeCDGA._d_monomial)."""
+    total = Polynomial.zero()
+    sign = 1
+    for i, (gen, exp) in enumerate(mono):
+        dg = cdga.diff.get(gen.id)
+        if dg:
+            prefix = Polynomial({mono[:i]: Fraction(sign)})
+            middle = Polynomial({((gen, exp - 1),) if exp > 1 else (): Fraction(exp)})
+            suffix = Polynomial({mono[i + 1:]: Fraction(1)})
+            total = total + prefix * middle * dg * suffix
+        if gen.is_odd:
+            sign = -sign
+    return total
+
+
+def columns_matrix(vectors, nrows):
+    """Equation rows of the matrix whose columns are `vectors`."""
+    rows = [{} for _ in range(nrows)]
+    for j, vec in enumerate(vectors):
+        for i, val in vec.items():
+            rows[i][j] = val
+    return rows
+
+
+def decompose_by_solve(slice_, cycle):
+    """(boundary part, complement part) of a cycle by one exact solve
+    against the boundary and complement bases (oracle for decompose)."""
+    index = slice_._index
+    parts = slice_.boundaries + slice_.complement
+    columns = [{index[m]: c for m, c in p.terms.items()} for p in parts]
+    rhs = {index[m]: c for m, c in cycle.terms.items()}
+    solution = linalg.solve(columns_matrix(columns, len(index)), rhs, len(columns))
+    assert solution is not None
+    exact, rest = Polynomial.zero(), Polynomial.zero()
+    for j, val in solution.items():
+        if j < len(slice_.boundaries):
+            exact = exact + parts[j].scale(val)
+        else:
+            rest = rest + parts[j].scale(val)
+    return exact, rest
