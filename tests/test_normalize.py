@@ -386,24 +386,15 @@ def test_multi_generator_compound_round_trip():
 def test_full_ladder_every_stage_in_one_run():
     # one seeded model whose normalization needs the linear stage, the
     # higher stage, an even homotopy and an odd absorption, in that order
-    table = GeneratorTable(base=[("p", 2), ("q", 3)],
-                           fiber=[("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)])
-    p, q = table.poly("p"), table.poly("q")
-    u, v, z, s, w = (table.poly(n) for n in "uvzsw")
-    model = RelativeModel(table, d_base={"p": q}, truncation=24)
-    comul = Comultiplication.standard(table)
-    phi = ChangeOfGenerators({
-        table.generator("w0", "s").id: s + p * u,
-        table.generator("w0", "w").id: w + p * u * v * z + s * u * v + q * u * s,
-    })
-    m2, c2 = conjugate(model, comul, phi)
-    assert m2.d_fiber["s"] == q * u
+    m2, c2 = util.full_ladder_model()
+    table = m2.table
+    assert m2.d_fiber["s"] == table.poly("q") * table.poly("u")
     result = ls_normalize(m2, c2)
     assert result.outcome == "normalized"
     stages = [step.stage for step in result.certificate.steps]
     assert stages == ["hopf-linear", "hopf-higher", "ls-even", "ls-odd"]
     assert result.certificate.target_d == {}
-    assert result.certificate.target_c == comul.images
+    assert result.certificate.target_c == Comultiplication.standard(table).images
     assert verify_equivalence(result.certificate).ok
 
 

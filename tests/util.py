@@ -93,6 +93,24 @@ def rt_tables():
     return configs
 
 
+def full_ladder_model():
+    """A perturbed model whose `ls` normalization needs the linear stage,
+    the higher stage, an even homotopy and an odd absorption, in that
+    order: base Lambda(p2, q3; dp = q), fiber (u3, v3, z3, s5, w11)."""
+    from fibrewise import conjugate
+
+    table = GeneratorTable(base=[("p", 2), ("q", 3)],
+                           fiber=[("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)])
+    p, q = table.poly("p"), table.poly("q")
+    u, v, z, s, w = (table.poly(n) for n in "uvzsw")
+    model = RelativeModel(table, d_base={"p": q}, truncation=24)
+    phi = ChangeOfGenerators({
+        table.generator("w0", "s").id: s + p * u,
+        table.generator("w0", "w").id: w + p * u * v * z + s * u * v + q * u * s,
+    })
+    return conjugate(model, Comultiplication.standard(table), phi)
+
+
 def seeded_unipotent(model, rng, max_terms=2):
     """A random unipotent change of generators respecting the basis order."""
     table = model.table
