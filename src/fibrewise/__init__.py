@@ -11,12 +11,9 @@ machine-checkable equivalence certificate or a precise obstruction class.
 from .algebra import (
     AlgebraError,
     GeneratorTable,
-    GradedBasis,
     Generator,
     Monomial,
     Polynomial,
-    basis_of_degree,
-    multiply,
     normalize_monomial,
 )
 from .certify import (
@@ -35,14 +32,8 @@ from .dga import (
     CohomologySlice,
     EngineError,
     FreeCDGA,
-    Morphism,
     Verdict,
-    check_d_squared,
-    check_dg_map,
     cohomology_in_degree,
-    extend_leibniz,
-    solve_preimage,
-    split_cycles,
 )
 from .model import (
     AssociativityReport,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SPACES = ("base", "w0", "w1", "w2", "interval")
 _SPACE_RANK = {space: rank for rank, space in enumerate(SPACES)}
@@ -107,6 +107,13 @@ def monomial_degree(mono: Monomial) -> int:
 def monomial_word_length(mono: Monomial) -> int:
     """Number of fiber-copy factors (with multiplicity)."""
     return sum(exp for gen, exp in mono if gen.space in W_SPACES)
+
+
+def is_mixed_square_monomial(mono: Iterable[tuple[Generator, int]]) -> bool:
+    """In the tensor square over the base (factors from the base and the
+    first two fiber copies only) and using both fiber copies."""
+    spaces = {gen.space for gen, _ in mono}
+    return {"w0", "w1"} <= spaces <= {"base", "w0", "w1"}
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -325,11 +332,6 @@ class Polynomial:
         return out
 
 
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Graded-commutative product (bilinear extension with Koszul signs)."""
-    return p * q
-
-
 def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
     """Extend a generator-image map to an algebra map and apply it.
 
@@ -348,20 +350,6 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
                 term = term * image**exp
         out = out + term
     return out
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    """All canonical monomials of one degree inside a named sub-algebra."""
-
-    degree: int
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.monomials)
 
 
 class GeneratorTable:
@@ -504,19 +492,3 @@ class GeneratorTable:
     def spaces_gens(self, spaces: Iterable[str]) -> tuple[Generator, ...]:
         wanted = set(spaces)
         return tuple(g for g in self.all_generators if g.space in wanted)
-
-
-def basis_of_degree(
-    table: GeneratorTable,
-    spaces: Iterable[str],
-    degree: int,
-    truncation: int | None = None,
-    min_counts: Mapping[str, int] | None = None,
-) -> GradedBasis:
-    """Complete monomial basis of one degree in a tensor-factor combination."""
-    if truncation is not None and degree > truncation:
-        raise AlgebraError(
-            f"degree {degree} exceeds the truncation degree {truncation}"
-        )
-    gens = table.spaces_gens(spaces)
-    return GradedBasis(degree, table.monomial_basis(degree, gens, min_counts))

@@ -26,6 +26,7 @@ from .dga import EngineError, Verdict
 from .model import (
     Comultiplication,
     RelativeModel,
+    tail_shape_verdict,
     validate_comultiplication,
     validate_relative_model,
 )
@@ -48,29 +49,16 @@ class ChangeOfGenerators:
         return apply_images(self.images, p)
 
     def shape_verdict(self, model: RelativeModel) -> Verdict:
-        table = model.table
-        for position, gen in enumerate(table.fiber):
+        for position, gen in enumerate(model.table.fiber):
             image = self.images.get(gen.id)
             if image is None:
                 continue
-            if not image.is_homogeneous_of_degree(gen.degree):
-                return Verdict.failed(
-                    f"image of {gen.display()} is not homogeneous of its degree", image
-                )
-            tail = image - Polynomial.from_generator(gen)
-            allowed = {g.id for g in model.fiber_prefix_gens(position)}
-            for mono, _ in tail.terms.items():
-                if not mono or all(g.space == "base" for g, _ in mono):
-                    return Verdict.failed(
-                        f"image of {gen.display()} has a pure-base tail", tail
-                    )
-                for g, _ in mono:
-                    if g.id not in allowed:
-                        return Verdict.failed(
-                            f"tail of {gen.display()} involves {g.display()}, "
-                            "not an earlier generator (shape violation)",
-                            tail,
-                        )
+            verdict = tail_shape_verdict(
+                model, position, f"tail of {gen.display()}",
+                image - Polynomial.from_generator(gen), gen.degree,
+            )
+            if not verdict.ok:
+                return verdict
         return Verdict.passed()
 
 

@@ -30,7 +30,7 @@ from .algebra import (
     GeneratorTable,
     Monomial,
     Polynomial,
-    apply_images,
+    apply_images,  # unused here, kept bound: perfbench/layertrace.py wraps it
 )
 
 
@@ -301,15 +301,6 @@ class FreeCDGA:
 # -- spec-level operation wrappers ------------------------------------------------
 
 
-def extend_leibniz(algebra: FreeCDGA, p: Polynomial) -> Polynomial:
-    """The differential of an arbitrary element by the graded Leibniz rule."""
-    return algebra.d(p)
-
-
-def check_d_squared(algebra: FreeCDGA) -> Verdict:
-    return algebra.check_d_squared()
-
-
 def cohomology_in_degree(algebra: FreeCDGA, degree: int) -> CohomologySlice:
     if not 0 <= degree <= algebra.truncation - 1:
         raise AlgebraError(
@@ -317,72 +308,3 @@ def cohomology_in_degree(algebra: FreeCDGA, degree: int) -> CohomologySlice:
             f"[0, {algebra.truncation - 1}]"
         )
     return algebra.cohomology_slice(degree)
-
-
-def split_cycles(algebra: FreeCDGA, degree: int) -> CohomologySlice:
-    if not 0 <= degree <= algebra.truncation:
-        raise AlgebraError(
-            f"degree {degree} outside the truncated range [0, {algebra.truncation}]"
-        )
-    return algebra.cohomology_slice(degree)
-
-
-def solve_preimage(algebra: FreeCDGA, target: Polynomial) -> Polynomial | None:
-    return algebra.solve_preimage(target)
-
-
-@dataclass
-class Morphism:
-    """An algebra map given by generator images (identity where omitted)."""
-
-    source: FreeCDGA
-    target: FreeCDGA
-    images: dict[int, Polynomial]
-    dg: bool = True
-    under_over_base: bool = False
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        return apply_images(self.images, p)
-
-    def check(self) -> Verdict:
-        for gen in self.source.gens:
-            image = self.images.get(gen.id)
-            if image is None:
-                continue
-            if not image.is_homogeneous_of_degree(gen.degree):
-                return Verdict.failed(
-                    f"image of {gen.display()} is not homogeneous of degree "
-                    f"{gen.degree}", image
-                )
-        if self.under_over_base:
-            for gen in self.source.gens:
-                image = self.images.get(gen.id)
-                if gen.space == "base":
-                    if image is not None and image != Polynomial.from_generator(gen):
-                        return Verdict.failed(
-                            f"map is not the identity on base generator {gen.display()}"
-                        )
-                elif image is not None:
-                    pure = Polynomial(
-                        {m: c for m, c in image.terms.items()
-                         if all(g.space == "base" for g, _ in m)}
-                    )
-                    if pure:
-                        return Verdict.failed(
-                            f"image of {gen.display()} has a pure-base component "
-                            "(map does not commute with the projections)", pure
-                        )
-        if self.dg:
-            for gen in self.source.gens:
-                lhs = self.apply(self.source.d_generator(gen))
-                rhs = self.target.d(self.apply(Polynomial.from_generator(gen)))
-                if lhs != rhs:
-                    return Verdict.failed(
-                        f"map does not commute with differentials at {gen.display()}",
-                        lhs - rhs,
-                    )
-        return Verdict.passed()
-
-
-def check_dg_map(f: Morphism) -> Verdict:
-    return f.check()

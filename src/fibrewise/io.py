@@ -29,6 +29,7 @@ from .certify import (
 from .model import (
     Comultiplication,
     RelativeModel,
+    default_truncation,
     validate_comultiplication,
     validate_relative_model,
 )
@@ -153,7 +154,8 @@ def _generator_spec(doc: Any, location: str) -> list[tuple[str, int]]:
     return spec
 
 
-def default_truncation_for(spec_degrees: list[int]) -> int:
+def default_truncation_for(table: GeneratorTable) -> int:
+    """The environment override, else `model.default_truncation`."""
     env = os.environ.get(TRUNCATION_ENV)
     if env is not None:
         try:
@@ -163,7 +165,7 @@ def default_truncation_for(spec_degrees: list[int]) -> int:
         if value < 1:
             raise ParseError(TRUNCATION_ENV, f"environment override {env!r} is below 1")
         return value
-    return 2 * max(spec_degrees, default=1) + 2
+    return default_truncation(table)
 
 
 def parse_model(
@@ -186,9 +188,7 @@ def parse_model(
         if truncation is not None and not _is_positive_int(truncation):
             raise ParseError("truncation_degree", "must be a positive integer")
     if truncation is None:
-        truncation = default_truncation_for(
-            [deg for _, deg in base_spec + fiber_spec]
-        )
+        truncation = default_truncation_for(table)
     d_base = _images_from_doc(table, base_doc.get("differential"), "base.differential")
     for name in d_base:
         try:

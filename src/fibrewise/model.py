@@ -20,6 +20,7 @@ from .algebra import (
     GeneratorTable,
     Polynomial,
     apply_images,
+    is_mixed_square_monomial,
 )
 from .dga import EngineError, FreeCDGA, Verdict
 
@@ -224,35 +225,37 @@ class HypothesisReport:
         return lines
 
 
+def tail_shape_verdict(
+    model: RelativeModel, position: int, label: str, tail: Polynomial, degree: int
+) -> Verdict:
+    """The shape of `tail` (D(w) or phi(w) - w for the fiber generator at
+    `position`, shown as `label`): homogeneous of `degree`, no pure-base
+    term, and only earlier fiber generators (the ordered-basis condition)."""
+    if not tail.is_homogeneous_of_degree(degree):
+        return Verdict.failed(f"{label} is not homogeneous of degree {degree}", tail)
+    allowed = {g.id for g in model.fiber_prefix_gens(position)}
+    for mono in tail.terms:
+        if all(g.space == "base" for g, _ in mono):
+            return Verdict.failed(f"{label} has a pure-base component", tail)
+        for g, _ in mono:
+            if g.id not in allowed:
+                return Verdict.failed(
+                    f"{label} involves {g.display()}, which is not an earlier "
+                    "fiber generator (ordered-basis violation)",
+                    tail,
+                )
+    return Verdict.passed()
+
+
 def validate_relative_model(model: RelativeModel) -> Verdict:
     """Ordered-basis condition, no pure-base components, and d*d = 0."""
-    table = model.table
-    for position, gen in enumerate(table.fiber):
-        image = model.D(gen)
-        if not image:
-            continue
-        if not image.is_homogeneous_of_degree(gen.degree + 1):
-            return Verdict.failed(
-                f"D({gen.display()}) is not homogeneous of degree {gen.degree + 1}",
-                image,
-            )
-        allowed = {g.id for g in model.fiber_prefix_gens(position)}
-        for mono, _ in image.terms.items():
-            if not mono or all(g.space == "base" for g, _ in mono):
-                return Verdict.failed(
-                    f"D({gen.display()}) has a pure-base component", image
-                )
-            for g, _ in mono:
-                if g.id not in allowed:
-                    return Verdict.failed(
-                        f"D({gen.display()}) involves {g.display()}, which is not "
-                        "an earlier fiber generator (ordered-basis violation)",
-                        image,
-                    )
-    verdict = model.total_cdga().check_d_squared()
-    if not verdict.ok:
-        return verdict
-    return Verdict.passed()
+    for position, gen in enumerate(model.table.fiber):
+        verdict = tail_shape_verdict(
+            model, position, f"D({gen.display()})", model.D(gen), gen.degree + 1
+        )
+        if not verdict.ok:
+            return verdict
+    return model.total_cdga().check_d_squared()
 
 
 def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> Verdict:
@@ -268,25 +271,13 @@ def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> 
             return Verdict.failed(
                 f"C({gen.display()}) is not homogeneous of degree {gen.degree}", image
             )
-        excess = (
-            image
-            - Polynomial.from_generator(gen)
-            - Polynomial.from_generator(table.copy(gen, 1))
-        )
-        for mono, _ in excess.terms.items():
-            counts = {"w0": 0, "w1": 0}
-            bad = False
-            for g, e in mono:
-                if g.space in counts:
-                    counts[g.space] += e
-                elif g.space != "base":
-                    bad = True
-            if bad or counts["w0"] < 1 or counts["w1"] < 1:
-                return Verdict.failed(
-                    f"C({gen.display()}) - {gen.display()} - {gen.display()}' has a term "
-                    "outside the mixed tensor part (counit shape violation)",
-                    excess,
-                )
+        excess = comul.excess(gen)
+        if not all(is_mixed_square_monomial(mono) for mono in excess.terms):
+            return Verdict.failed(
+                f"C({gen.display()}) - {gen.display()} - {gen.display()}' has a term "
+                "outside the mixed tensor part (counit shape violation)",
+                excess,
+            )
     for gen in table.fiber:
         lhs = square.d(comul.images[gen.name])
         rhs = apply_images(images, model.D(gen))

@@ -4,16 +4,21 @@ The first (hopf) removes the differential from the fiber generators: a
 linear stage solves each length-one coefficient of D(w_k) as a base
 boundary and absorbs it into a change of generators, then a higher stage
 extracts preimages from the comultiplication coefficients, raising the
-lowest word length of D(w_k) until it vanishes.  The second (ls) then
-standardizes the comultiplication: even-length excess terms are removed by
-DG homotopies whose coefficients are solved base boundaries; odd-length
+lowest word length of D(w_k) until it vanishes.  The second (ls) runs the
+same prefix (after a homotopy-associativity check) and then standardizes
+the comultiplication: even-length excess terms are removed by DG
+homotopies whose coefficients are solved base boundaries; odd-length
 excess splits along the cycle decomposition Z = E + N, the complement part
 is forced into the shape sum b_I (S_I - w_I - w'_I) and absorbed by a
 change of generators, and the exact part is removed by a homotopy.
 
-Both pipelines emit certificates that the independent verifier replays, or
-stop with an obstruction: a non-exact cycle reduced against the boundary
-space, so equal classes always report equal witnesses.
+Every stage reduces to one move, `_solve_coefficients`: solve each
+fiber-monomial coefficient as a base boundary, or reduce it against the
+boundary space when it is not one.  Both pipelines emit certificates that
+the independent verifier replays, or stop with an obstruction: a non-exact
+cycle reduced against the boundary space, so equal classes always report
+equal witnesses.  They require a truncation degree above every fiber
+degree, since they solve in all degrees up to the largest one.
 """
 
 from __future__ import annotations
@@ -88,6 +93,12 @@ def _processing_order(model: RelativeModel) -> list[Generator]:
 
 
 def _require_valid(model: RelativeModel, comul: Comultiplication) -> None:
+    fiber_degree = max((g.degree for g in model.table.fiber), default=0)
+    if model.truncation <= fiber_degree:
+        raise InvalidModelError(
+            f"truncation degree {model.truncation} must exceed the largest fiber "
+            f"degree {fiber_degree}: the pipelines solve in every degree up to it"
+        )
     verdict = validate_relative_model(model)
     if not verdict.ok:
         raise InvalidModelError("invalid relative model: " + verdict.failures[0])
@@ -96,30 +107,49 @@ def _require_valid(model: RelativeModel, comul: Comultiplication) -> None:
         raise InvalidModelError("invalid comultiplication: " + verdict.failures[0])
 
 
-def _record_cog_step(
-    steps: list[CertificateStep],
-    phi: ChangeOfGenerators,
-    model: RelativeModel,
-    comul: Comultiplication,
-    note: str,
-    stage: str,
-) -> None:
+def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
+    """The certificate step of `action` (a change of generators or a DG
+    homotopy), recording the state it leads to."""
     d_after, c_after = snapshot(model, comul)
-    steps.append(CertificateStep("change_of_generators", phi, None, d_after,
-                                 c_after, note, stage))
+    if isinstance(action, ChangeOfGenerators):
+        return CertificateStep("change_of_generators", action, None, d_after, c_after,
+                               note, stage)
+    return CertificateStep("homotopy", None, action, d_after, c_after, note, stage)
 
 
-def _record_homotopy_step(
-    steps: list[CertificateStep],
-    homotopy: DGHomotopy,
-    model: RelativeModel,
-    comul: Comultiplication,
-    note: str,
-    stage: str,
-) -> None:
-    d_after, c_after = snapshot(model, comul)
-    steps.append(CertificateStep("homotopy", None, homotopy, d_after, c_after,
-                                 note, stage))
+def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):
+    """Solve each fiber-monomial coefficient of `poly` as a base boundary.
+
+    Yields (fiber monomial as a polynomial, eta, witness) in monomial order:
+    eta with d(eta) = coefficient, or eta None and the coefficient reduced
+    against the boundaries.  `guess(fiber_mono)` may offer a candidate eta,
+    taken only when its differential is the coefficient.
+    """
+    for fiber_mono, coeff in sorted(
+        poly.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
+    ):
+        if base.d(coeff):
+            raise EngineError(f"coefficient of {label} is not a cycle")
+        eta = guess(fiber_mono) if guess else None
+        if eta is None or base.d(eta) != coeff:
+            eta = base.solve_preimage(coeff)
+        mono_poly = Polynomial({fiber_mono: Fraction(1)})
+        if eta is None:
+            degree = coeff.homogeneous_degree()
+            yield mono_poly, None, base.cohomology_slice(degree).reduce(coeff)
+        else:
+            yield mono_poly, eta, None
+
+
+def _solve_tail(base, poly: Polynomial, label: str, guess=None):
+    """(sum of eta times fiber monomial, None), or (None, witness) for the
+    first coefficient that is not a boundary."""
+    tail = Polynomial.zero()
+    for mono_poly, eta, witness in _solve_coefficients(base, poly, label, guess):
+        if eta is None:
+            return None, witness
+        tail = tail + eta * mono_poly
+    return tail, None
 
 
 # -- the Hopf pipeline -----------------------------------------------------------
@@ -138,42 +168,31 @@ def hopf_stage_linear(model, comul):
         linear = model.D(gen).word_length_parts().get(1)
         if not linear:
             continue
-        tail = Polynomial.zero()
-        for fiber_mono, coeff in sorted(
-            linear.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
-        ):
-            if base.d(coeff):
-                raise EngineError(
-                    f"linear coefficient of D({gen.display()}) is not a cycle; "
-                    "the differential does not square to zero"
-                )
-            eta = base.solve_preimage(coeff)
-            if eta is None:
-                degree = coeff.homogeneous_degree()
-                witness = base.cohomology_slice(degree).reduce(coeff)
-                return model, comul, steps, Obstruction(
-                    "hopf-linear", gen, 1, witness,
-                    f"linear coefficient of D({gen.display()}) represents a "
-                    f"nonzero class in degree {degree}",
-                )
-            tail = tail + eta * Polynomial({fiber_mono: Fraction(1)})
+        tail, witness = _solve_tail(base, linear, f"the linear part of D({gen.display()})")
+        if tail is None:
+            return model, comul, steps, Obstruction(
+                "hopf-linear", gen, 1, witness,
+                f"linear coefficient of D({gen.display()}) represents a "
+                f"nonzero class in degree {witness.homogeneous_degree()}",
+            )
         phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
         model, comul = conjugate(model, comul, phi)
-        _record_cog_step(steps, phi, model, comul,
-                         f"remove linear differential of {gen.display()}",
-                         "hopf-linear")
+        steps.append(_step(phi, model, comul,
+                           f"remove linear differential of {gen.display()}",
+                           "hopf-linear"))
     for gen in model.table.fiber:
         if 1 in model.D(gen).word_length_parts():
             raise EngineError("linear stage left a length-one differential term")
     return model, comul, steps, None
 
 
-def _extract_eta(model, comul, gen, seq_gens):
-    """The preimage candidate for the coefficient of w_I in D(w_k), read
-    off the comultiplication coefficients: the coefficient of
+def _extract_eta(model, comul, gen, fiber_mono):
+    """The preimage candidate for the coefficient of w_I = `fiber_mono` in
+    D(w_k), read off the comultiplication coefficients: the coefficient of
     w'_{i1} w_{i2} ... w_{ir}, divided by the leading multiplicity when the
     leading index repeats."""
     table = model.table
+    seq_gens = [table.copy(g, 0) for g, e in fiber_mono for _ in range(e)]
     leading = seq_gens[0]
     repeats = sum(1 for g in seq_gens if g.id == leading.id)
     factors = []
@@ -200,7 +219,6 @@ def hopf_stage_higher(model, comul):
     """
     steps: list[CertificateStep] = []
     base = model.base_cdga()
-    table = model.table
     for gen in model.table.fiber:
         parts = model.D(gen).word_length_parts()
         if parts and min(parts) < 2:
@@ -216,31 +234,16 @@ def hopf_stage_higher(model, comul):
                 raise EngineError("word length failed to increase")
             parts = model.D(gen).word_length_parts()
             r = min(parts)
-            lowest = parts[r]
-            tail = Polynomial.zero()
-            for fiber_mono, b in sorted(
-                lowest.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
-            ):
-                if base.d(b):
-                    raise EngineError(
-                        f"coefficient of D({gen.display()}) in word length {r} "
-                        "is not a cycle"
-                    )
-                seq_gens = []
-                for g, e in fiber_mono:
-                    seq_gens.extend([table.copy(g, 0)] * e)
-                eta = _extract_eta(model, comul, gen, seq_gens)
-                if eta is None or base.d(eta) != b:
-                    eta = base.solve_preimage(b)
-                if eta is None:
-                    degree = b.homogeneous_degree()
-                    witness = base.cohomology_slice(degree).reduce(b)
-                    return model, comul, steps, Obstruction(
-                        "hopf-higher", gen, r, witness,
-                        f"coefficient of D({gen.display()}) at word length {r} "
-                        f"represents a nonzero class in degree {degree}",
-                    )
-                tail = tail + eta * Polynomial({fiber_mono: Fraction(1)})
+            tail, witness = _solve_tail(
+                base, parts[r], f"D({gen.display()}) in word length {r}",
+                guess=lambda fiber_mono: _extract_eta(model, comul, gen, fiber_mono),
+            )
+            if tail is None:
+                return model, comul, steps, Obstruction(
+                    "hopf-higher", gen, r, witness,
+                    f"coefficient of D({gen.display()}) at word length {r} "
+                    f"represents a nonzero class in degree {witness.homogeneous_degree()}",
+                )
             phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
             new_model, new_comul = conjugate(model, comul, phi)
             new_parts = new_model.D(gen).word_length_parts()
@@ -249,32 +252,55 @@ def hopf_stage_higher(model, comul):
                     f"lowest word length of D({gen.display()}) did not increase"
                 )
             model, comul = new_model, new_comul
-            _record_cog_step(
-                steps, phi, model, comul,
+            steps.append(_step(
+                phi, model, comul,
                 f"raise differential word length of {gen.display()} past {r}",
                 "hopf-higher",
-            )
+            ))
     return model, comul, steps, None
+
+
+def _normalize_differential(model, comul, force: bool, associative: bool):
+    """The prefix both pipelines share: validate, scan the hypotheses, check
+    homotopy associativity when `associative` (after the scan, so invalid
+    input outranks an obstruction), then run both Hopf stages.
+
+    Returns (result, model, comul).  The result is final unless it is
+    "normalized": then its certificate holds the Hopf steps and still needs
+    its target.
+    """
+    _require_valid(model, comul)
+    report = check_hypotheses(model)
+    if not report.satisfied and not force:
+        return NormalizationResult("hypothesis-violation", report), model, comul
+    if associative:
+        assoc = check_homotopy_associative(model, comul)
+        if not assoc.ok:
+            witnesses = ", ".join(
+                f"{name}: {cls!r}" for name, cls in sorted(assoc.failures.items())
+            )
+            raise InvalidModelError(
+                "comultiplication is not homotopy associative; non-exact defect "
+                f"classes: {witnesses}"
+            )
+    cert = new_certificate(model, comul)
+    for stage in (hopf_stage_linear, hopf_stage_higher):
+        model, comul, steps, obstruction = stage(model, comul)
+        cert.steps.extend(steps)
+        if obstruction is not None:
+            return (NormalizationResult("obstructed", report, obstruction=obstruction),
+                    model, comul)
+    return NormalizationResult("normalized", report, certificate=cert), model, comul
 
 
 def hopf_normalize(
     model: RelativeModel, comul: Comultiplication, force: bool = False
 ) -> NormalizationResult:
     """Full differential removal: hypotheses, linear stage, higher stage."""
-    _require_valid(model, comul)
-    report = check_hypotheses(model)
-    if not report.satisfied and not force:
-        return NormalizationResult("hypothesis-violation", report)
-    cert = new_certificate(model, comul)
-    model, comul, steps, obstruction = hopf_stage_linear(model, comul)
-    cert.steps.extend(steps)
-    if obstruction is None:
-        model, comul, steps, obstruction = hopf_stage_higher(model, comul)
-        cert.steps.extend(steps)
-    if obstruction is not None:
-        return NormalizationResult("obstructed", report, obstruction=obstruction)
-    cert.target_d, cert.target_c = snapshot(model, comul)
-    return NormalizationResult("normalized", report, certificate=cert)
+    result, model, comul = _normalize_differential(model, comul, force, associative=False)
+    if result.normalized:
+        result.certificate.target_d, result.certificate.target_c = snapshot(model, comul)
+    return result
 
 
 # -- the Leray-Samelson pipeline ---------------------------------------------------
@@ -284,19 +310,35 @@ def _excess_parts(comul: Comultiplication, gen: Generator) -> dict[int, Polynomi
     return comul.excess(gen).word_length_parts()
 
 
-def _even_homotopy(model, comul, gen, removed, eta_poly):
-    """H(w_k) = C(w_k) - P t - eta dt, constant on the other generators."""
+def _remove_by_homotopy(model, comul, gen, part, r, note, stage):
+    """Remove `part` from C(w_k) by one DG homotopy
+
+        H(w_k) = C(w_k) - P t - eta dt,  constant on the other generators,
+
+    where eta solves the coefficients of P = `part` as base boundaries.
+    Returns (comul, steps, witness): when a coefficient is not a boundary,
+    nothing is removed and the witness is the sum of the reduced non-exact
+    coefficients times their fiber monomials.
+    """
     table = model.table
-    images: dict[int, Polynomial] = {}
-    t = Polynomial.from_generator(table.t)
-    dt = Polynomial.from_generator(table.dt)
-    for other in table.fiber:
-        images[other.id] = comul.image(other)
-    images[gen.id] = comul.image(gen) - removed * t - eta_poly * dt
-    psi0 = dict(comul.images)
+    eta_poly = witness = Polynomial.zero()
+    for mono_poly, eta, reduced in _solve_coefficients(
+        model.base_cdga(), part, f"the word-length-{r} excess of C({gen.display()})"
+    ):
+        if eta is None:
+            witness = witness + reduced * mono_poly
+        else:
+            eta_poly = eta_poly + eta * mono_poly
+    if witness:
+        return comul, [], witness
+    images = {other.id: comul.image(other) for other in table.fiber}
+    images[gen.id] = (comul.image(gen) - part * Polynomial.from_generator(table.t)
+                      - eta_poly * Polynomial.from_generator(table.dt))
     psi1 = dict(comul.images)
-    psi1[gen.name] = comul.image(gen) - removed
-    return DGHomotopy(images, psi0, psi1)
+    psi1[gen.name] = comul.image(gen) - part
+    homotopy = DGHomotopy(images, dict(comul.images), psi1)
+    new_comul = Comultiplication(table, psi1)
+    return new_comul, [_step(homotopy, model, new_comul, note, stage)], None
 
 
 def ls_even_step(model, comul, gen, r):
@@ -309,40 +351,17 @@ def ls_even_step(model, comul, gen, r):
     part = _excess_parts(comul, gen).get(r)
     if not part:
         return comul, [], None
-    base = model.base_cdga()
-    eta_poly = Polynomial.zero()
-    witness = Polynomial.zero()
-    failed = False
-    for fiber_mono, coeff in sorted(part.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])):
-        if base.d(coeff):
-            raise EngineError(
-                f"excess coefficient of C({gen.display()}) is not a cycle"
-            )
-        eta = base.solve_preimage(coeff)
-        mono_poly = Polynomial({fiber_mono: Fraction(1)})
-        if eta is None:
-            failed = True
-            degree = coeff.homogeneous_degree()
-            witness = witness + base.cohomology_slice(degree).reduce(coeff) * mono_poly
-        else:
-            eta_poly = eta_poly + eta * mono_poly
-    if failed:
+    comul, steps, witness = _remove_by_homotopy(
+        model, comul, gen, part, r,
+        f"remove even excess of length {r} from C({gen.display()})", "ls-even",
+    )
+    if witness:
         return comul, [], Obstruction(
             "ls-even", gen, r, witness,
             f"word-length-{r} excess of C({gen.display()}) has non-exact "
             "coefficients",
         )
-    homotopy = _even_homotopy(model, comul, gen, part, eta_poly)
-    new_images = dict(comul.images)
-    new_images[gen.name] = comul.image(gen) - part
-    new_comul = Comultiplication(model.table, new_images)
-    steps: list[CertificateStep] = []
-    _record_homotopy_step(
-        steps, homotopy, model, new_comul,
-        f"remove even excess of length {r} from C({gen.display()})",
-        "ls-even",
-    )
-    return new_comul, steps, None
+    return comul, steps, None
 
 
 def ls_odd_step(model, comul, gen, r):
@@ -400,30 +419,17 @@ def ls_odd_step(model, comul, gen, r):
             raise EngineError("odd-step change of generators did not absorb the "
                               "complement part")
         model, comul = model2, comul2
-        _record_cog_step(
-            steps, phi, model, comul,
-            f"absorb complement part of length {r} into {gen.display()}",
-            "ls-odd",
-        )
-    # remove the exact part by a homotopy
+        steps.append(_step(phi, model, comul,
+                           f"absorb complement part of length {r} into {gen.display()}",
+                           "ls-odd"))
     if exact_part:
-        eta_poly = Polynomial.zero()
-        for fiber_mono, coeff in sorted(
-            exact_part.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
-        ):
-            eta = base.solve_preimage(coeff)
-            if eta is None:
-                raise EngineError("exact part of the odd excess failed to solve")
-            eta_poly = eta_poly + eta * Polynomial({fiber_mono: Fraction(1)})
-        homotopy = _even_homotopy(model, comul, gen, exact_part, eta_poly)
-        new_images = dict(comul.images)
-        new_images[gen.name] = comul.image(gen) - exact_part
-        comul = Comultiplication(table, new_images)
-        _record_homotopy_step(
-            steps, homotopy, model, comul,
-            f"remove exact part of length {r} from C({gen.display()})",
-            "ls-odd",
+        comul, removed, witness = _remove_by_homotopy(
+            model, comul, gen, exact_part, r,
+            f"remove exact part of length {r} from C({gen.display()})", "ls-odd",
         )
+        if witness:
+            raise EngineError("exact part of the odd excess failed to solve")
+        steps.extend(removed)
     return comul, steps, None
 
 
@@ -436,27 +442,10 @@ def ls_normalize(
     then per generator and ascending word length the even/odd steps until
     every image is standard.
     """
-    _require_valid(model, comul)
-    report = check_hypotheses(model)
-    if not report.satisfied and not force:
-        return NormalizationResult("hypothesis-violation", report)
-    assoc = check_homotopy_associative(model, comul)
-    if not assoc.ok:
-        witnesses = ", ".join(
-            f"{name}: {cls!r}" for name, cls in sorted(assoc.failures.items())
-        )
-        raise InvalidModelError(
-            "comultiplication is not homotopy associative; non-exact defect "
-            f"classes: {witnesses}"
-        )
-    cert = new_certificate(model, comul)
-    model, comul, steps, obstruction = hopf_stage_linear(model, comul)
-    cert.steps.extend(steps)
-    if obstruction is None:
-        model, comul, steps, obstruction = hopf_stage_higher(model, comul)
-        cert.steps.extend(steps)
-    if obstruction is not None:
-        return NormalizationResult("obstructed", report, obstruction=obstruction)
+    result, model, comul = _normalize_differential(model, comul, force, associative=True)
+    if not result.normalized:
+        return result
+    cert = result.certificate
     for gen in _processing_order(model):
         guard = 0
         while True:
@@ -467,18 +456,16 @@ def ls_normalize(
             if not parts:
                 break
             r = min(parts)
-            before = r
-            if r % 2 == 0:
-                comul, steps, obstruction = ls_even_step(model, comul, gen, r)
-            else:
-                comul, steps, obstruction = ls_odd_step(model, comul, gen, r)
+            step = ls_even_step if r % 2 == 0 else ls_odd_step
+            comul, steps, obstruction = step(model, comul, gen, r)
             if obstruction is not None:
-                return NormalizationResult("obstructed", report, obstruction=obstruction)
+                return NormalizationResult("obstructed", result.report,
+                                           obstruction=obstruction)
             cert.steps.extend(steps)
             parts = _excess_parts(comul, gen)
-            if parts and min(parts) <= before:
+            if parts and min(parts) <= r:
                 raise EngineError("excess word length did not increase")
     if not comul.is_standard():
         raise EngineError("pipeline finished with a non-standard comultiplication")
     cert.target_d, cert.target_c = snapshot(model, comul)
-    return NormalizationResult("normalized", report, certificate=cert)
+    return result

@@ -29,6 +29,7 @@ from .algebra import (
     Monomial,
     Polynomial,
     apply_images,
+    is_mixed_square_monomial,
     monomial_word_length,
     normalize_monomial,
 )
@@ -120,15 +121,10 @@ class MixedTensor:
         if len(lengths) != 1:
             raise AlgebraError(f"mixed word lengths {sorted(lengths)}")
         self.word_length = lengths.pop()
-        for mono in value.terms:
-            counts = {"w0": 0, "w1": 0}
-            for gen, exp in mono:
-                if gen.space in counts:
-                    counts[gen.space] += exp
-                elif gen.space != "base":
-                    raise AlgebraError("term outside the tensor square")
-            if counts["w0"] < 1 or counts["w1"] < 1:
-                raise AlgebraError("term is not mixed between the two copies")
+        if not all(is_mixed_square_monomial(mono) for mono in value.terms):
+            raise AlgebraError(
+                "term outside the tensor square or not mixed between the two copies"
+            )
         self.value = value
 
 
@@ -372,10 +368,7 @@ def brute_force_solution_space(
     # exponent (0/1 for odd generators)
     def extend(index: int, length: int, factors: list[tuple[Generator, int]]):
         if length == r:
-            counts = {"w0": 0, "w1": 0}
-            for g, e in factors:
-                counts[g.space] = counts.get(g.space, 0) + e
-            if counts.get("w0", 0) >= 1 and counts.get("w1", 0) >= 1:
+            if is_mixed_square_monomial(factors):
                 mono, sign = normalize_monomial(list(factors))
                 if sign:
                     span.append(Polynomial({mono: Fraction(sign)}))

@@ -9,22 +9,17 @@ from fibrewise import (
     EngineError,
     FreeCDGA,
     GeneratorTable,
-    Morphism,
     PerturbationSpec,
     Polynomial,
-    check_d_squared,
-    check_dg_map,
     cohomology_in_degree,
     conjugate,
     Comultiplication,
     ChangeOfGenerators,
-    extend_leibniz,
-    solve_preimage,
-    split_cycles,
     linalg,
     normalize_monomial,
     perturb,
 )
+from fibrewise.algebra import apply_images
 
 import util
 
@@ -34,14 +29,14 @@ def test_leibniz_on_fixture_a():
     w5, w3 = model.table.poly("w5"), model.table.poly("w3")
     total = model.total_cdga()
     # d(w5 w3) = (b3 w3) w3 = 0 because the odd square vanishes
-    assert extend_leibniz(total, w5 * w3) == Polynomial.zero()
-    assert extend_leibniz(total, Polynomial.one()) == Polynomial.zero()
+    assert total.d(w5 * w3) == Polynomial.zero()
+    assert total.d(Polynomial.one()) == Polynomial.zero()
 
 
 def test_leibniz_hand_value_on_s2_base():
     model = util.s2_base_model()
     x, y = model.table.poly("x"), model.table.poly("y")
-    assert extend_leibniz(model.base_cdga(), x * y) == x ** 3
+    assert model.base_cdga().d(x * y) == x ** 3
 
 
 def test_leibniz_powers():
@@ -68,9 +63,9 @@ def test_d_squared_vanishes_on_random_elements():
 
 def test_check_d_squared_pass_and_fail():
     model, _ = util.fixture_a()
-    assert check_d_squared(model.total_cdga()).ok
+    assert model.total_cdga().check_d_squared().ok
     s2 = util.s2_base_model()
-    assert check_d_squared(s2.base_cdga()).ok
+    assert s2.base_cdga().check_d_squared().ok
     bad_table = GeneratorTable(base=[("u", 2), ("v", 3)], fiber=[])
     u, v = bad_table.poly("u"), bad_table.poly("v")
     bad = FreeCDGA(
@@ -98,7 +93,7 @@ def test_cohomology_s2_base_degree_4_vanishes():
     assert len(slice_.complement) == 0
     # x^2 is the boundary of y, verified by the solver
     x, y = model.table.poly("x"), model.table.poly("y")
-    assert solve_preimage(model.base_cdga(), x * x) == y
+    assert model.base_cdga().solve_preimage(x * x) == y
 
 
 def test_cohomology_degree_zero_is_constants():
@@ -142,31 +137,31 @@ def test_solve_preimage_deterministic_and_exact():
     model = util.s2_base_model()
     base = model.base_cdga()
     x = model.table.poly("x")
-    eta = solve_preimage(base, x ** 2)
+    eta = base.solve_preimage(x ** 2)
     assert base.d(eta) == x ** 2
-    assert solve_preimage(base, Polynomial.zero()) == Polynomial.zero()
+    assert base.solve_preimage(Polynomial.zero()) == Polynomial.zero()
     modelA, _ = util.fixture_a()
-    assert solve_preimage(modelA.base_cdga(), modelA.table.poly("b3")) is None
+    assert modelA.base_cdga().solve_preimage(modelA.table.poly("b3")) is None
 
 
 def test_solve_preimage_rejects_non_cycles():
     model = util.s2_base_model()
     y = model.table.poly("y")
     with pytest.raises(AlgebraError):
-        solve_preimage(model.base_cdga(), y)
+        model.base_cdga().solve_preimage(y)
 
 
 def test_split_cycles_fixture_and_acyclic():
     model, _ = util.fixture_a()
-    slice_ = split_cycles(model.base_cdga(), 3)
+    slice_ = model.base_cdga().cohomology_slice(3)
     assert slice_.complement == [model.table.poly("b3")]
     table = GeneratorTable(base=[("u", 1), ("v", 2)], fiber=[])
     cdga = FreeCDGA(table, table.base,
                     {table.generator("base", "u").id: table.poly("v")}, 10)
-    slice2 = split_cycles(cdga, 2)
+    slice2 = cdga.cohomology_slice(2)
     assert slice2.boundaries == [table.poly("v")]
     assert slice2.complement == []
-    slice3 = split_cycles(cdga, 1)
+    slice3 = cdga.cohomology_slice(1)
     assert slice3.cycles == [] and slice3.boundaries == [] and slice3.complement == []
 
 
@@ -182,14 +177,24 @@ def test_split_cycles_decompose_is_exact():
     assert exact == Polynomial.zero() and rest == 3 * x
 
 
+def _commutes_with_d(source, target, images):
+    """f(d(g)) = d(f(g)) on every generator g of `source`, for the algebra map
+    f given by generator images (identity where omitted)."""
+    return all(
+        apply_images(images, source.d_generator(gen))
+        == target.d(apply_images(images, Polynomial.from_generator(gen)))
+        for gen in source.gens
+    )
+
+
 def test_check_dg_map_identity_and_failure():
     model, _ = util.fixture_a()
     total = model.total_cdga()
-    identity = Morphism(total, total, {}, under_over_base=True)
-    assert check_dg_map(identity).ok
+    assert _commutes_with_d(total, total, {})
     w3 = model.table.generator("w0", "w3")
-    degree_breaking = Morphism(total, total, {w3.id: model.table.poly("w5")})
-    assert not check_dg_map(degree_breaking).ok
+    degree_breaking = {w3.id: model.table.poly("w5")}
+    assert not degree_breaking[w3.id].is_homogeneous_of_degree(w3.degree)
+    assert not _commutes_with_d(total, total, degree_breaking)
 
 
 def test_check_dg_map_between_conjugated_differentials():
@@ -201,20 +206,14 @@ def test_check_dg_map_between_conjugated_differentials():
         {table.generator("w0", "w").id: table.poly("w") - table.poly("p") * table.poly("u")}
     )
     conjugated, _ = conjugate(model, comul, psi)
-    f = Morphism(
-        conjugated.total_cdga(),
-        model.total_cdga(),
-        dict(psi.images),
-        under_over_base=True,
-    )
-    assert check_dg_map(f).ok
-    # breaking the image must break the check
+    assert _commutes_with_d(conjugated.total_cdga(), model.total_cdga(), psi.images)
+    assert psi.shape_verdict(model).ok
+    # breaking the image with a pure-base term must break the check
     broken = dict(psi.images)
     wid = table.generator("w0", "w").id
     broken[wid] = broken[wid] + table.poly("q") * table.poly("p")
-    g = Morphism(conjugated.total_cdga(), model.total_cdga(), broken,
-                 under_over_base=True)
-    assert not check_dg_map(g).ok
+    verdict = ChangeOfGenerators(broken).shape_verdict(model)
+    assert not verdict.ok and "pure-base" in verdict.failures[0]
 
 
 # -- the recursive Leibniz rule against the per-factor sum ---------------------------

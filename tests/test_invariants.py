@@ -15,7 +15,6 @@ from fibrewise import (
     hopf_normalize,
     ls_normalize,
     perturb,
-    solve_preimage,
     verify_equivalence,
 )
 
@@ -31,7 +30,7 @@ def test_satisfied_hypotheses_imply_odd_cycles_are_exact():
     for degree in range(1, model.truncation, 2):
         slice_ = base.cohomology_slice(degree)
         for cycle in slice_.cycles:
-            assert solve_preimage(base, cycle) is not None
+            assert base.solve_preimage(cycle) is not None
         for _ in range(3):
             if not slice_.cycles:
                 break
@@ -39,7 +38,7 @@ def test_satisfied_hypotheses_imply_odd_cycles_are_exact():
             for c in slice_.cycles:
                 combo = combo + c.scale(rng.randint(-3, 3))
             if combo:
-                assert solve_preimage(base, combo) is not None
+                assert base.solve_preimage(combo) is not None
 
 
 def test_preimage_solutions_satisfy_the_equation_exactly():

@@ -390,3 +390,17 @@ def test_truncation_below_one_exits_4(tmp_path, monkeypatch, capsys):
     for value in (0, -3):
         with pytest.raises(fio.ParseError):
             fio.parse_model(_with(fixture_a_doc(), ["truncation_degree"], value))
+
+
+@pytest.mark.parametrize("pipeline", ["hopf", "ls"])
+def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipeline):
+    # fixture a's largest fiber degree is 5: at truncation 2 or 5 the
+    # hypothesis scan would miss degrees the pipelines solve in
+    for truncation, code in ((2, 4), (5, 4), (6, 2)):
+        doc = _with(fixture_a_doc(), ["truncation_degree"], truncation)
+        path = write(tmp_path, f"a{truncation}.json", doc)
+        assert run_command([pipeline, path]) == code, truncation
+        assert run_command(["check", path]) == 0
+    err = capsys.readouterr().err
+    assert "ERROR: truncation degree 2 must exceed the largest fiber degree 5" in err
+    assert "ERROR: truncation degree 5 must exceed the largest fiber degree 5" in err

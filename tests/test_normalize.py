@@ -428,17 +428,15 @@ def test_classical_hopf_over_a_point():
 
 
 def test_obstruction_witnesses_are_reduced_and_non_exact():
-    from fibrewise import solve_preimage
-
     model, comul = util.fixture_a()
     forced = hopf_normalize(model, comul, force=True)
     witness = forced.obstruction.class_witness
     base = model.base_cdga()
     assert base.d(witness) == Polynomial.zero()
-    assert solve_preimage(base, witness) is None
+    assert base.solve_preimage(witness) is None
     modelC, comulC = util.fixture_c()
     forcedC = ls_normalize(modelC, comulC, force=True)
     witnessC = forcedC.obstruction.class_witness
     square = modelC.tensor_cdga(2)
     assert square.d(witnessC) == Polynomial.zero()
-    assert solve_preimage(square, witnessC) is None
+    assert square.solve_preimage(witnessC) is None
