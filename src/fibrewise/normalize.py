@@ -310,7 +310,7 @@ def _excess_parts(comul: Comultiplication, gen: Generator) -> dict[int, Polynomi
     return comul.excess(gen).word_length_parts()
 
 
-def _remove_by_homotopy(model, comul, gen, part, r, note, stage):
+def _remove_by_homotopy(model, comul, gen, part, note, stage):
     """Remove `part` from C(w_k) by one DG homotopy
 
         H(w_k) = C(w_k) - P t - eta dt,  constant on the other generators,
@@ -323,7 +323,7 @@ def _remove_by_homotopy(model, comul, gen, part, r, note, stage):
     table = model.table
     eta_poly = witness = Polynomial.zero()
     for mono_poly, eta, reduced in _solve_coefficients(
-        model.base_cdga(), part, f"the word-length-{r} excess of C({gen.display()})"
+        model.base_cdga(), part, f"the excess of C({gen.display()})"
     ):
         if eta is None:
             witness = witness + reduced * mono_poly
@@ -352,7 +352,7 @@ def ls_even_step(model, comul, gen, r):
     if not part:
         return comul, [], None
     comul, steps, witness = _remove_by_homotopy(
-        model, comul, gen, part, r,
+        model, comul, gen, part,
         f"remove even excess of length {r} from C({gen.display()})", "ls-even",
     )
     if witness:
@@ -424,7 +424,7 @@ def ls_odd_step(model, comul, gen, r):
                            "ls-odd"))
     if exact_part:
         comul, removed, witness = _remove_by_homotopy(
-            model, comul, gen, exact_part, r,
+            model, comul, gen, exact_part,
             f"remove exact part of length {r} from C({gen.display()})", "ls-odd",
         )
         if witness:
