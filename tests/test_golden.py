@@ -9,12 +9,16 @@ The cases: fixtures a, b and c, each pipeline with and without `--force`
 (the `hopf-linear` and `ls-even` obstruction witnesses); the model whose
 normalization passes through all four stages; and ten models of the
 round-trip family (`util.rt_tables()`, seeds 0-4, both perturbation modes).
+`tests/golden/demos/` holds the standard output of each script in `demos/`.
 
 After an intended change of output, regenerate the documents with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,8 @@ from test_io_cli import fixture_a_doc, fixture_b_doc, fixture_c_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "exit_codes.json"
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 RT_MODES = {"cog": "change-of-generators", "both": "both"}
 
 
@@ -83,6 +89,19 @@ def test_golden_documents(name, tmp_path):
         assert code == expected_codes[file_name], file_name
 
 
+def _run_demo(demo: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, str(demo)], cwd=REPO, env=env,
+                          capture_output=True, check=False)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_output(demo):
+    run = _run_demo(demo)
+    assert run.returncode == 0, run.stderr.decode()
+    assert run.stdout == (GOLDEN / "demos" / f"{demo.stem}.txt").read_bytes()
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -96,6 +115,11 @@ def regenerate() -> None:
             all_codes.update(codes)
     EXIT_CODES.write_text(json.dumps(all_codes, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+    (GOLDEN / "demos").mkdir(exist_ok=True)
+    for demo in DEMOS:
+        run = _run_demo(demo)
+        run.check_returncode()
+        (GOLDEN / "demos" / f"{demo.stem}.txt").write_bytes(run.stdout)
 
 
 if __name__ == "__main__":
