@@ -283,11 +283,6 @@ class Polynomial:
     def is_homogeneous_of_degree(self, degree: int) -> bool:
         return all(monomial_degree(mono) == degree for mono in self.terms)
 
-    def homogeneous_part(self, degree: int) -> Polynomial:
-        return Polynomial(
-            {m: c for m, c in self.terms.items() if monomial_degree(m) == degree}
-        )
-
     def word_length_parts(self) -> dict[int, Polynomial]:
         """Split by total fiber word length (number of w-copy factors)."""
         parts: dict[int, dict[Monomial, Fraction]] = {}

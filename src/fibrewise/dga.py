@@ -7,14 +7,22 @@ a time by exact Gaussian elimination, producing the cycle splitting
 Z = E + N (boundaries plus a deterministically chosen complement) that the
 odd-length normalization steps rely on.
 
+The matrix of d from one degree to the next is assembled in one place, by
+columns: d of each basis monomial in the coordinates of the target basis.
+Its transpose is the equation system that the kernel (cycles) and the
+preimage solve eliminate.
+
 Each degree is eliminated once.  The cycle basis is the kernel basis read
 off the reduced row echelon form of d, one vector per free column, equal to
 1 at its own free column and 0 at every other one.  So the coordinates of a
-cycle in that basis are simply its entries at the free columns: boundaries
-and decomposed cycles are written in cycle coordinates by a read-off and a
-sparse rebuild that checks it, never by a further solve.  The differential
-of a monomial is the graded Leibniz rule peeled off its first factor, with
-the differential of the remaining factors served from a cache.
+cycle in that basis are simply its entries at the free columns: the raw
+columns of d from the degree below (the boundaries) and decomposed cycles
+are written in cycle coordinates by a read-off and a sparse rebuild that
+checks it, never by a further solve.  One reduction of the boundaries in
+cycle coordinates then yields both the basis of E and the complement N.
+The differential of a monomial is the graded Leibniz rule peeled off its
+first factor, with the differential of the remaining factors served from a
+cache.
 """
 
 from __future__ import annotations
@@ -66,11 +74,13 @@ class CohomologySlice:
     """One degree of the cycle decomposition Z = E + N.
 
     E is the space of boundaries, N the chosen complement (so N is a model
-    for the cohomology in this degree).  The choice of N is deterministic:
-    cycle basis vectors at the non-pivot coordinates of the boundary space
-    written in cycle coordinates.  Cycle coordinates are the entries at the
-    free columns of d (`linalg.kernel_coordinates`), so placing a boundary
-    or splitting a cycle costs a read-off and a sparse sum, not a solve.
+    for the cohomology in this degree).  Cycle coordinates are the entries
+    at the free columns of d (`linalg.kernel_coordinates`), so placing a
+    boundary or splitting a cycle costs a read-off and a sparse sum, not a
+    solve.  `boundaries` is the basis of E whose cycle coordinates are the
+    rows of the reduced row echelon form of E; N is spanned by the cycle
+    basis vectors at the non-pivot coordinates of that form.  Both choices
+    are deterministic.
     """
 
     degree: int
@@ -84,10 +94,6 @@ class CohomologySlice:
     # reduced row echelon form of the boundaries in cycle coordinates
     _boundary_pivots: list[int]
     _boundary_coords: list[linalg.Vector]
-
-    @property
-    def dim_cohomology(self) -> int:
-        return len(self.complement)
 
     def decompose(self, cycle: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Write a cycle as (boundary part, complement part), exactly."""
@@ -140,12 +146,8 @@ class FreeCDGA:
         self._gen_ids = {g.id for g in self.gens}
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._slice_cache: dict[int, CohomologySlice] = {}
-        self._image_rows_cache: dict[int, list[linalg.Vector]] = {}
 
     # -- differential --------------------------------------------------------
-
-    def d_generator(self, gen: Generator) -> Polynomial:
-        return self.diff.get(gen.id, Polynomial.zero())
 
     def d(self, p: Polynomial) -> Polynomial:
         out = Polynomial.zero()
@@ -215,44 +217,24 @@ class FreeCDGA:
 
     # -- degreewise linear algebra ----------------------------------------------
 
-    def _equation_rows(self, degree: int) -> list[linalg.Vector]:
-        """Rows of the matrix of d: degree -> degree+1 (rows are indexed by
-        the target basis, columns by the source basis)."""
-        source = self.basis(degree)
-        target_index = self._index(degree + 1)
-        rows: list[linalg.Vector] = [{} for _ in target_index]
-        for j, mono in enumerate(source):
-            image = self._d_monomial(mono)
-            for m, coeff in image.terms.items():
-                rows[target_index[m]][j] = coeff
-        return rows
-
-    def _image_rows(self, degree: int) -> list[linalg.Vector]:
-        """Reduced row basis of d(degree-1 slice) inside the degree slice."""
-        cached = self._image_rows_cache.get(degree)
-        if cached is not None:
-            return cached
-        index = self._index(degree)
-        vectors = []
-        for mono in self.basis(degree - 1):
-            image = self._d_monomial(mono)
-            if image:
-                vectors.append(_to_vector(image, index))
-        _, reduced = linalg.rref(vectors, len(index))
-        self._image_rows_cache[degree] = reduced
-        return reduced
+    def _d_columns(self, degree: int) -> list[linalg.Vector]:
+        """The matrix of d: degree -> degree+1 by columns, one per source
+        basis monomial, in the coordinates of the target basis."""
+        index = self._index(degree + 1)
+        return [_to_vector(self._d_monomial(mono), index) for mono in self.basis(degree)]
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
         cached = self._slice_cache.get(degree)
         if cached is not None:
             return cached
         basis = self.basis(degree)
-        free, cycle_vecs = linalg.nullspace(self._equation_rows(degree), len(basis))
-        boundary_vecs = self._image_rows(degree) if degree >= 1 else []
-        # boundaries in cycle coordinates, then the complement at non-pivots
+        rows = linalg.transpose(self._d_columns(degree), len(self.basis(degree + 1)))
+        free, cycle_vecs = linalg.nullspace(rows, len(basis))
+        # the boundaries in cycle coordinates, then one reduction gives the
+        # basis of E and the complement at its non-pivots
         coord_rows: list[linalg.Vector] = []
-        for bvec in boundary_vecs:
-            coords = linalg.kernel_coordinates(free, cycle_vecs, bvec)
+        for column in self._d_columns(degree - 1):
+            coords = linalg.kernel_coordinates(free, cycle_vecs, column)
             if coords is None:
                 raise EngineError("boundary vector outside the cycle space")
             coord_rows.append(coords)
@@ -264,7 +246,9 @@ class FreeCDGA:
         slice_ = CohomologySlice(
             degree=degree,
             cycles=[_from_vector(v, basis) for v in cycle_vecs],
-            boundaries=[_from_vector(v, basis) for v in boundary_vecs],
+            boundaries=[
+                _from_vector(linalg.combine(cycle_vecs, row), basis) for row in reduced
+            ],
             complement=[_from_vector(v, basis) for v in complement_vecs],
             _basis=basis,
             _index={m: i for i, m in enumerate(basis)},
@@ -275,9 +259,6 @@ class FreeCDGA:
         )
         self._slice_cache[degree] = slice_
         return slice_
-
-    def is_cycle(self, p: Polynomial) -> bool:
-        return not self.d(p)
 
     def solve_preimage(self, target: Polynomial) -> Polynomial | None:
         """A deterministic eta with d(eta) = target (free variables zero),
@@ -290,9 +271,10 @@ class FreeCDGA:
             raise AlgebraError("preimage target is not a cycle")
         if degree == 0:
             return None
-        rhs = _to_vector(target, self._index(degree))
+        index = self._index(degree)
+        rows = linalg.transpose(self._d_columns(degree - 1), len(index))
         source = self.basis(degree - 1)
-        solution = linalg.solve(self._equation_rows(degree - 1), rhs, len(source))
+        solution = linalg.solve(rows, _to_vector(target, index), len(source))
         if solution is None:
             return None
         return _from_vector(solution, source)

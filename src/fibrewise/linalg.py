@@ -31,6 +31,15 @@ def vec_scale(a: Vector, scale: Fraction) -> Vector:
     return {col: val * scale for col, val in a.items()}
 
 
+def transpose(columns: list[Vector], nrows: int) -> list[Vector]:
+    """Equation rows of the matrix whose columns are `columns`."""
+    rows: list[Vector] = [{} for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, val in column.items():
+            rows[i][j] = val
+    return rows
+
+
 def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
     """Reduced row echelon form.
 

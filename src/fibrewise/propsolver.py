@@ -241,16 +241,10 @@ def _kernel_of_condition(
 ) -> list[Polynomial]:
     """Kernel of a map-condition restricted to the span of given elements,
     by exact elimination in cube coordinates."""
-    images = [_condition_image(table, condition, p) for p in span]
-    cube_monos: dict[Monomial, int] = {}
-    for image in images:
-        for mono in image.terms:
-            cube_monos.setdefault(mono, len(cube_monos))
-    rows: list[linalg.Vector] = [{} for _ in cube_monos]
-    for j, image in enumerate(images):
-        for mono, coeff in image.terms.items():
-            rows[cube_monos[mono]][j] = coeff
-    _, kernel = linalg.nullspace(rows, len(span))
+    columns, ncube = _polynomial_span_matrix(
+        [_condition_image(table, condition, p) for p in span]
+    )
+    _, kernel = linalg.nullspace(linalg.transpose(columns, ncube), len(span))
     out = []
     for vec in kernel:
         combo = Polynomial.zero()
@@ -342,8 +336,7 @@ def _same_polynomial_span(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> b
 def polynomial_span_contains(
     span: Sequence[Polynomial], element: Polynomial
 ) -> bool:
-    rows, ncols = _polynomial_span_matrix(list(span) + [element])
-    return linalg.rank(rows[:-1], ncols) == linalg.rank(rows, ncols)
+    return _same_polynomial_span(span, list(span) + [element])
 
 
 BRUTE_FORCE_LIMIT = 4000

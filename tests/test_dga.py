@@ -1,6 +1,7 @@
 """Leibniz differentials, cohomology slices, preimage solving."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -109,26 +110,26 @@ def test_cohomology_respects_truncation():
         cohomology_in_degree(model.base_cdga(), model.truncation)
 
 
+def d_columns(cdga, degree):
+    """The matrix of d: degree -> degree+1 by columns, built from `cdga.d` of
+    each basis monomial (oracle for the assembly inside FreeCDGA)."""
+    index = {m: i for i, m in enumerate(cdga.basis(degree + 1))}
+    return [
+        {index[m]: c for m, c in cdga.d(Polynomial({mono: Fraction(1)})).terms.items()}
+        for mono in cdga.basis(degree)
+    ]
+
+
 def test_cohomology_dims_match_dense_rank_oracle():
     model = util.s2_base_model(fiber=[("u", 1), ("e", 2)])
     total = model.total_cdga()
     for degree in range(0, 8):
         slice_ = total.cohomology_slice(degree)
         source = total.basis(degree)
-        rows_n = total._equation_rows(degree)
-        rank_n = util.dense_rank(rows_n, len(source))
+        rank_n = util.dense_rank(d_columns(total, degree), len(total.basis(degree + 1)))
         dim_z = len(source) - rank_n
         assert len(slice_.cycles) == dim_z
-        prev = total.basis(degree - 1)
-        index = {m: i for i, m in enumerate(source)}
-        image_vecs = []
-        for mono in prev:
-            img = total.d(Polynomial({mono: 1}))
-            if img:
-                image_vecs.append(
-                    {index[m]: c for m, c in img.terms.items()}
-                )
-        rank_e = util.dense_rank(image_vecs, len(source))
+        rank_e = util.dense_rank(d_columns(total, degree - 1), len(source))
         assert len(slice_.boundaries) == rank_e
         assert len(slice_.complement) == dim_z - rank_e
 
@@ -181,7 +182,7 @@ def _commutes_with_d(source, target, images):
     """f(d(g)) = d(f(g)) on every generator g of `source`, for the algebra map
     f given by generator images (identity where omitted)."""
     return all(
-        apply_images(images, source.d_generator(gen))
+        apply_images(images, source.diff.get(gen.id, Polynomial.zero()))
         == target.d(apply_images(images, Polynomial.from_generator(gen)))
         for gen in source.gens
     )
@@ -279,12 +280,13 @@ def test_cycle_coordinates_read_off_equal_solve(name):
     cdga = READOFF_ALGEBRAS[name]()
     for degree in range(cdga.truncation):
         ncols = len(cdga.basis(degree))
-        free, kernel = linalg.nullspace(cdga._equation_rows(degree), ncols)
+        rows = linalg.transpose(d_columns(cdga, degree), len(cdga.basis(degree + 1)))
+        free, kernel = linalg.nullspace(rows, ncols)
         for j, vec in enumerate(kernel):
             assert [vec.get(f, 0) for f in free] == [int(f == free[j]) for f in free]
             assert linalg.kernel_coordinates(free, kernel, vec) == {j: 1}
-        matrix = util.columns_matrix(kernel, ncols)
-        for bvec in cdga._image_rows(degree) if degree >= 1 else []:
+        matrix = linalg.transpose(kernel, ncols)
+        for bvec in d_columns(cdga, degree - 1):
             coords = linalg.kernel_coordinates(free, kernel, bvec)
             assert coords is not None
             assert coords == linalg.solve(matrix, bvec, len(kernel))
@@ -293,6 +295,48 @@ def test_cycle_coordinates_read_off_equal_solve(name):
         for j, cycle in enumerate(slice_.cycles):
             generic = generic + cycle.scale(j + 1)
         assert slice_.decompose(generic) == util.decompose_by_solve(slice_, generic)
+
+
+PREIMAGE_ALGEBRAS = dict(
+    READOFF_ALGEBRAS, **{"rt-tensor-cube": lambda: util.rt_tables()[1].tensor_cdga(3)}
+)
+
+
+@pytest.mark.parametrize("name", sorted(PREIMAGE_ALGEBRAS))
+def test_preimages_and_boundaries_match_the_assembled_matrix(name):
+    cdga = PREIMAGE_ALGEBRAS[name]()
+    rng = random.Random(11)
+    for degree in range(1, cdga.truncation):
+        source, target_basis = cdga.basis(degree - 1), cdga.basis(degree)
+        index = {m: i for i, m in enumerate(target_basis)}
+        columns = d_columns(cdga, degree - 1)
+        rows = linalg.transpose(columns, len(target_basis))
+        image_rank = util.dense_rank(columns, len(target_basis))
+        slice_ = cdga.cohomology_slice(degree)
+        assert len(slice_.boundaries) == image_rank
+        for boundary in slice_.boundaries:
+            assert not cdga.d(boundary)
+            eta = cdga.solve_preimage(boundary)
+            assert eta is not None and cdga.d(eta) == boundary
+        # a random boundary, then random boundaries plus cycle combinations
+        for mixed in (False, True, True):
+            target = cdga.d(util.random_homogeneous(rng, cdga.table, cdga.gens, degree - 1))
+            if mixed:
+                for cycle in rng.sample(slice_.cycles, min(2, len(slice_.cycles))):
+                    target = target + cycle.scale(Fraction(rng.randint(-3, 3)))
+            rhs = {index[m]: c for m, c in target.terms.items()}
+            exact = util.dense_rank(columns + [rhs], len(target_basis)) == image_rank
+            solution = linalg.solve(rows, rhs, len(source))
+            assert (solution is not None) == exact
+            expected = None if solution is None else Polynomial(
+                {source[j]: val for j, val in solution.items()}
+            )
+            assert cdga.solve_preimage(target) == expected
+
+
+def test_transpose_swaps_rows_and_columns():
+    assert linalg.transpose([{0: 1, 2: 3}, {}, {1: 5}], 3) == [{0: 1}, {2: 5}, {0: 3}]
+    assert linalg.transpose([], 2) == [{}, {}]
 
 
 def test_kernel_coordinates_reject_vectors_outside_the_kernel():

@@ -235,15 +235,6 @@ def leibniz_by_factors(cdga, mono):
     return total
 
 
-def columns_matrix(vectors, nrows):
-    """Equation rows of the matrix whose columns are `vectors`."""
-    rows = [{} for _ in range(nrows)]
-    for j, vec in enumerate(vectors):
-        for i, val in vec.items():
-            rows[i][j] = val
-    return rows
-
-
 def decompose_by_solve(slice_, cycle):
     """(boundary part, complement part) of a cycle by one exact solve
     against the boundary and complement bases (oracle for decompose)."""
@@ -251,7 +242,7 @@ def decompose_by_solve(slice_, cycle):
     parts = slice_.boundaries + slice_.complement
     columns = [{index[m]: c for m, c in p.terms.items()} for p in parts]
     rhs = {index[m]: c for m, c in cycle.terms.items()}
-    solution = linalg.solve(columns_matrix(columns, len(index)), rhs, len(columns))
+    solution = linalg.solve(linalg.transpose(columns, len(index)), rhs, len(columns))
     assert solution is not None
     exact, rest = Polynomial.zero(), Polynomial.zero()
     for j, val in solution.items():
