@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,11 +169,11 @@ def test_cli_fixture_a_hopf(tmp_path):
     path = write(tmp_path, "a.json", fixture_a_doc())
     out = str(tmp_path / "res.json")
     assert run_command(["hopf", path, "-o", out]) == 2
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["outcome"] == "hypothesis-violation"
     assert doc["hypothesis_report"]["odd_cohomology"][0]["degree"] == 3
     assert run_command(["hopf", path, "--force", "-o", out]) == 3
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["outcome"] == "obstructed"
     assert doc["obstruction"]["stage"] == "hopf-linear"
     assert doc["obstruction"]["class_witness"] == [
@@ -184,7 +185,7 @@ def test_cli_fixture_c_ls(tmp_path):
     path = write(tmp_path, "c.json", fixture_c_doc())
     out = str(tmp_path / "res.json")
     assert run_command(["ls", path, "--force", "-o", out]) == 3
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     ob = doc["obstruction"]
     assert (ob["stage"], ob["generator"], ob["word_length"]) == ("ls-even", "w9", 2)
     assert ob["class_witness"] == [
@@ -200,22 +201,22 @@ def test_cli_round_trip_with_verify(tmp_path):
                         "change-of-generators", "-o", pert]) == 0
     res = str(tmp_path / "res.json")
     assert run_command(["ls", pert, "-o", res]) == 0
-    doc = json.loads(open(res).read())
+    doc = json.loads(Path(res).read_text())
     assert doc["outcome"] == "normalized"
     cert = str(tmp_path / "cert.json")
-    open(cert, "w").write(json.dumps(doc["certificate"]))
+    Path(cert).write_text(json.dumps(doc["certificate"]))
     assert run_command(["verify", pert, cert]) == 0
     # verifying against a model with different generators fails
     other = write(tmp_path, "other.json", fixture_a_doc())
     assert run_command(["verify", other, cert]) == 4
     # a tampered certificate fails
-    mangled = json.loads(open(cert).read())
+    mangled = json.loads(Path(cert).read_text())
     if mangled["steps"]:
         mangled["steps"][0]["result"]["comultiplication"]["w"].append(
             {"coeff": "1", "factors": [["w0", "u", 1], ["w0", "v", 1], ["w0", "z", 1]]}
         )
         bad = str(tmp_path / "bad.json")
-        open(bad, "w").write(json.dumps(mangled))
+        Path(bad).write_text(json.dumps(mangled))
         assert run_command(["verify", pert, bad]) == 4
 
 
@@ -224,11 +225,11 @@ def test_cli_output_determinism(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     for target in (a, b):
         assert run_command(["perturb", std, "--seed", "9", "-o", target]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     ra, rb = str(tmp_path / "ra.json"), str(tmp_path / "rb.json")
     for target in (ra, rb):
         assert run_command(["ls", a, "-o", target]) == 0
-    assert open(ra, "rb").read() == open(rb, "rb").read()
+    assert Path(ra).read_bytes() == Path(rb).read_bytes()
 
 
 def test_cli_cohomology(tmp_path, capsys):
