@@ -9,13 +9,23 @@ always "positive" and two polynomials are equal iff their term maps are
 equal.  Odd generators square to zero; coefficients are fractions.Fraction
 (never floats: several normalization steps divide by word counts and need
 exactness).
+
+Every stored monomial is canonical, so a product never re-sorts: it merges
+two canonical monomials in `sort_key` order.  A generator in both factors
+gives zero when it is odd and adds its exponents when it is even, and the
+sign is (-1)^k for k the odd-odd pairs the merge moves past each other (an
+odd factor of the right monomial passes every odd factor of the left one
+with a larger key).  `normalize_monomial` is still required wherever the
+factors arrive unordered: `Polynomial.term` (and so parsing), the
+coefficient lookup of `normalize._extract_eta` and the factor lists of
+`propsolver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 SPACES = ("base", "w0", "w1", "w2", "interval")
 _SPACE_RANK = {space: rank for rank, space in enumerate(SPACES)}
@@ -49,14 +59,13 @@ class Generator:
             raise AlgebraError(f"generator {self.name!r} has negative degree")
         if self.degree == 0 and self.space != "interval":
             raise AlgebraError(f"generator {self.name!r} must have degree >= 1")
+        # plain attributes, read on every step of a product merge
+        object.__setattr__(self, "is_odd", self.degree % 2 == 1)
+        object.__setattr__(self, "sort_key", (_SPACE_RANK[self.space], self.id))
 
-    @property
-    def is_odd(self) -> bool:
-        return self.degree % 2 == 1
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_SPACE_RANK[self.space], self.id)
+    def __hash__(self) -> int:
+        # ids are unique within a table; equality still compares every field
+        return hash(self.id)
 
     def display(self) -> str:
         if self.space == "w1":
@@ -98,6 +107,47 @@ def normalize_monomial(
                 inversions += 1
     mono = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key))
     return mono, (-1 if inversions % 2 else 1)
+
+
+def _merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
+    """The product of two canonical monomials, as (monomial, sign) or
+    (None, 0) when an odd generator repeats; see the module docstring."""
+    if not a:
+        return b, 1
+    if not b or a[-1][0].sort_key < b[0][0].sort_key:
+        return a + b, 1
+    odd_left = 0  # odd factors of `a` not yet placed
+    for gen, _ in a:
+        if gen.is_odd:
+            odd_left += 1
+    out: list[tuple[Generator, int]] = []
+    swaps = i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        gen_a, exp_a = factor_a = a[i]
+        gen_b, exp_b = factor_b = b[j]
+        key_a, key_b = gen_a.sort_key, gen_b.sort_key
+        if key_a < key_b:
+            out.append(factor_a)
+            i += 1
+            if gen_a.is_odd:
+                odd_left -= 1
+        elif key_b < key_a:
+            out.append(factor_b)
+            j += 1
+            if gen_b.is_odd:
+                swaps += odd_left
+        elif gen_a.is_odd:
+            return None, 0
+        else:
+            out.append((gen_a, exp_a + exp_b))
+            i += 1
+            j += 1
+    if i < len_a:
+        out.extend(a[i:])
+    elif j < len_b:
+        out.extend(b[j:])
+    return tuple(out), (-1 if swaps & 1 else 1)
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -154,10 +204,18 @@ class Polynomial:
         cleaned: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
                     cleaned[mono] = coeff
         self.terms = cleaned
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Wrap an already clean term dict (Fraction values, no zeros)."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -184,6 +242,14 @@ class Polynomial:
             return cls.zero()
         return cls({mono: Fraction(coeff) * sign})
 
+    @classmethod
+    def sum(cls, polys: Iterable[Polynomial]) -> Polynomial:
+        """The sum of many polynomials, accumulated in one term dict."""
+        terms: dict[Monomial, Fraction] = {}
+        for poly in polys:
+            _add_terms(terms, poly.terms.items())
+        return cls._of(terms)
+
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -203,20 +269,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = terms.get(mono, 0) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = terms
-        return result
+        _add_terms(terms, other.terms.items())
+        return Polynomial._of(terms)
 
     def __neg__(self) -> Polynomial:
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return result
+        return Polynomial._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         return self + (-other)
@@ -227,20 +284,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         terms: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in self.terms.items():
-            for mono_b, coeff_b in other.terms.items():
-                mono, sign = normalize_monomial(mono_a + mono_b)
-                if sign == 0:
-                    continue
-                coeff = coeff_a * coeff_b * sign
-                total = terms.get(mono, 0) + coeff
-                if total:
-                    terms[mono] = total
-                else:
-                    terms.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.terms = terms
-        return result
+        _add_terms(terms, _products(self.terms, other.terms))
+        return Polynomial._of(terms)
 
     def __rmul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -250,18 +295,19 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
             raise AlgebraError("negative polynomial powers are not defined")
-        result = Polynomial.one()
-        for _ in range(exponent):
+        if exponent == 0:
+            return Polynomial.one()
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
     def scale(self, value) -> Polynomial:
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         if not value:
             return Polynomial.zero()
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {mono: coeff * value for mono, coeff in self.terms.items()}
-        return result
+        return Polynomial._of({mono: coeff * value for mono, coeff in self.terms.items()})
 
     # -- inspection --------------------------------------------------------
 
@@ -332,19 +378,58 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
 
     Generators absent from `images` map to themselves.  Images must be
     degree-homogeneous for the result to be graded; this is not re-checked
-    here.
+    here.  Each power image**exp is computed once per call, and the terms
+    are summed in one dict.
     """
-    out = Polynomial.zero()
+    powers: dict[tuple[Generator, int], Polynomial] = {}
+    terms: dict[Monomial, Fraction] = {}
     for mono, coeff in p.terms.items():
-        term = Polynomial.constant(coeff)
-        for gen, exp in mono:
-            image = images.get(gen.id)
-            if image is None:
-                term = term * Polynomial({((gen, exp),): ONE})
+        term = None
+        for factor in mono:
+            power = powers.get(factor)
+            if power is None:
+                gen, exp = factor
+                image = images.get(gen.id)
+                if image is None:
+                    power = Polynomial._of({(factor,): ONE})
+                else:
+                    power = image**exp
+                powers[factor] = power
+            term = power if term is None else term * power
+        if term is None:  # the constant monomial
+            term = Polynomial.one()
+        _add_terms(terms, ((m, c * coeff) for m, c in term.terms.items()))
+    return Polynomial._of(terms)
+
+
+def _products(
+    left: dict[Monomial, Fraction], right: dict[Monomial, Fraction]
+) -> Iterator[tuple[Monomial, Fraction]]:
+    """The nonzero products of each left term with each right term."""
+    for mono_a, coeff_a in left.items():
+        for mono_b, coeff_b in right.items():
+            mono, sign = _merge_monomials(mono_a, mono_b)
+            if sign:
+                coeff = coeff_a * coeff_b
+                yield mono, (coeff if sign > 0 else -coeff)
+
+
+def _add_terms(
+    terms: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]
+) -> None:
+    """Add (monomial, nonzero coefficient) pairs into `terms` in place,
+    dropping a monomial whose coefficient cancels to zero."""
+    get = terms.get
+    for mono, coeff in items:
+        old = get(mono)
+        if old is None:
+            terms[mono] = coeff
+        else:
+            coeff += old
+            if coeff:
+                terms[mono] = coeff
             else:
-                term = term * image**exp
-        out = out + term
-    return out
+                del terms[mono]
 
 
 class GeneratorTable:

@@ -112,6 +112,11 @@ def _cmd_verify(args) -> int:
     verdict = verify_equivalence(cert)
     if not verdict.ok:
         print("FAIL:", verdict.failures[0])
+        if verdict.failed_step is not None:
+            step = cert.steps[verdict.failed_step]
+            print(f"failed step: {verdict.failed_step} ({step.kind})")
+        if verdict.witness is not None:
+            print("witness:", repr(verdict.witness))
         return INVALID_INPUT
     print(f"certificate verified: {len(cert.steps)} steps replayed "
           f"(up to degree {cert.truncation})")

@@ -146,14 +146,14 @@ class FreeCDGA:
         self._gen_ids = {g.id for g in self.gens}
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._slice_cache: dict[int, CohomologySlice] = {}
+        self._index_cache: dict[int, dict[Monomial, int]] = {}
 
     # -- differential --------------------------------------------------------
 
     def d(self, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero()
-        for mono, coeff in p.terms.items():
-            out = out + self._d_monomial(mono).scale(coeff)
-        return out
+        return Polynomial.sum(
+            self._d_monomial(mono).scale(coeff) for mono, coeff in p.terms.items()
+        )
 
     def _d_monomial(self, mono: Monomial) -> Polynomial:
         cached = self._d_mono_cache.get(mono)
@@ -183,7 +183,12 @@ class FreeCDGA:
         return self.table.monomial_basis(degree, self.gens)
 
     def _index(self, degree: int) -> dict[Monomial, int]:
-        return {mono: i for i, mono in enumerate(self.basis(degree))}
+        """Position of each basis monomial of `degree`, built once."""
+        index = self._index_cache.get(degree)
+        if index is None:
+            index = {mono: i for i, mono in enumerate(self.basis(degree))}
+            self._index_cache[degree] = index
+        return index
 
     def contains(self, p: Polynomial) -> bool:
         return all(
@@ -251,7 +256,7 @@ class FreeCDGA:
             ],
             complement=[_from_vector(v, basis) for v in complement_vecs],
             _basis=basis,
-            _index={m: i for i, m in enumerate(basis)},
+            _index=self._index(degree),
             _free=free,
             _cycle_vecs=cycle_vecs,
             _boundary_pivots=pivots,

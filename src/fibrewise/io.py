@@ -97,7 +97,7 @@ def polynomial_to_doc(p: Polynomial) -> list[dict]:
 def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polynomial:
     if not isinstance(doc, list):
         raise ParseError(location, "polynomial must be a list of terms")
-    total = Polynomial.zero()
+    terms = []
     for i, term in enumerate(doc):
         where = f"{location}[{i}]"
         if not isinstance(term, dict) or "coeff" not in term:
@@ -118,8 +118,8 @@ def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polyn
             except AlgebraError as exc:
                 raise ParseError(fwhere, str(exc))
             factors.append((gen, exp))
-        total = total + Polynomial.term(coeff, factors)
-    return total
+        terms.append(Polynomial.term(coeff, factors))
+    return Polynomial.sum(terms)
 
 
 def _images_to_doc(images: Mapping[str, Polynomial]) -> dict:

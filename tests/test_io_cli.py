@@ -301,6 +301,36 @@ def test_certificates_with_homotopy_steps_round_trip():
     assert homotopy_seen
 
 
+def test_cli_verify_prints_the_failing_step_and_its_witness(tmp_path, capsys):
+    from fibrewise import PerturbationSpec, ls_normalize, perturb
+
+    model = util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)], truncation=20
+    )
+    comul = Comultiplication.standard(model.table)
+    for seed in range(6):
+        m2, c2 = perturb(model, comul, PerturbationSpec(seed=seed, mode="both"))
+        doc = fio.certificate_to_document(ls_normalize(m2, c2).certificate)
+        kinds = [step["kind"] for step in doc["steps"]]
+        if "homotopy" in kinds:
+            break
+    index = kinds.index("homotopy")
+    # t*u*v*z vanishes at t = 0 and moves the image of w at t = 1 only
+    doc["steps"][index]["images"]["w"].append(
+        {"coeff": "1", "factors": [["interval", "t", 1], ["w0", "u", 1],
+                                   ["w0", "v", 1], ["w0", "z", 1]]}
+    )
+    model_path = write(tmp_path, "model.json", fio.model_to_document(m2, c2))
+    cert_path = write(tmp_path, "cert.json", doc)
+    capsys.readouterr()
+    assert run_command(["verify", model_path, cert_path]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL: step {index}: endpoint at t=1 differs from declaration at w",
+        f"failed step: {index} (homotopy)",
+        "witness: u*v*z",
+    ]
+
+
 # -- malformed document nodes exit 4 with their location ---------------------------
 
 

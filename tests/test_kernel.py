@@ -1,0 +1,179 @@
+"""The exact product and substitution kernel against re-normalizing oracles.
+
+`Polynomial.__mul__` merges canonical monomials and `apply_images` reuses
+each image power; `tests/util.py` keeps the products that concatenate and
+sort again (`product_by_normalize`, `apply_images_by_products`).  Results
+must agree term by term and in the order of their term dicts.
+"""
+
+import random
+from fractions import Fraction
+
+from fibrewise import Generator, Polynomial
+from fibrewise import io as fio
+from fibrewise.algebra import apply_images, monomial_degree
+
+import util
+
+
+def _pairs_within(monos, limit):
+    for a in monos:
+        for b in monos:
+            if monomial_degree(a) + monomial_degree(b) <= limit:
+                yield a, b
+
+
+def _assert_products(pairs):
+    count = 0
+    for a, b in pairs:
+        p, q = Polynomial({a: Fraction(1)}), Polynomial({b: Fraction(-2, 3)})
+        util.assert_same_terms(p * q, util.product_by_normalize(p, q))
+        count += 1
+    return count
+
+
+def test_merge_product_matches_oracle_on_the_tensor_cube():
+    model = util.rt_tables()[1]
+    cube = model.tensor_cdga(3)
+    # every pair of basis monomials whose product lies within the
+    # truncation: 20,121 of the 1009^2 pairs, with every shape of merge
+    monos = [m for d in range(model.truncation + 1) for m in cube.basis(d)]
+    count = _assert_products(_pairs_within(monos, model.truncation))
+    assert count == 20121
+    # the pairs include odd repeats (zero) and sums of even exponents
+    x = model.table.generator("base", "x")
+    u1 = model.table.generator("w1", "u")
+    assert Polynomial({((u1, 1),): Fraction(1)}) ** 2 == Polynomial.zero()
+    square = Polynomial({((x, 2),): Fraction(1)}) * Polynomial({((x, 3),): Fraction(1)})
+    assert square == Polynomial({((x, 5),): Fraction(1)})
+
+
+def test_merge_product_matches_oracle_with_t_and_dt():
+    model = util.rt_tables()[1]
+    table = model.table
+    # basis monomials of the tensor square times powers of t and dt, the
+    # monomials of homotopy_cdga
+    square = model.tensor_cdga(2)
+    monos = []
+    for degree in range(8):
+        for mono in square.basis(degree):
+            for power in (0, 1, 2):
+                for dt in (0, 1):
+                    extra = ((table.t, power),) if power else ()
+                    extra += ((table.dt, 1),) if dt else ()
+                    monos.append(mono + extra)
+    assert _assert_products(_pairs_within(monos, 14)) > 10000
+
+
+def test_sums_of_polynomials_match_the_oracle():
+    rng = random.Random(11)
+    model = util.rt_tables()[1]
+    cube = model.tensor_cdga(3)
+    for _ in range(60):
+        da, db = rng.randint(0, 7), rng.randint(0, 7)
+        p = util.random_homogeneous(rng, model.table, cube.gens, da, max_terms=4)
+        q = util.random_homogeneous(rng, model.table, cube.gens, db, max_terms=4)
+        util.assert_same_terms(p * q, util.product_by_normalize(p, q))
+        util.assert_same_terms(q * p, util.product_by_normalize(q, p))
+
+
+def _random_map(rng, table, gens):
+    """Images for a random subset of `gens`, each a random element of the
+    generator's degree over all of `gens` (so odd images land out of the
+    factor order); generators left out map to themselves."""
+    images = {}
+    for gen in gens:
+        if gen.degree and rng.random() < 0.6:
+            image = util.random_homogeneous(rng, table, gens, gen.degree, max_terms=3)
+            if image:
+                images[gen.id] = image
+    return images
+
+
+def test_apply_images_matches_oracle_on_random_maps():
+    rng = random.Random(5)
+    model = util.rt_tables()[1]
+    table = model.table
+    gens = model.tensor_cdga(3).gens
+    x = table.generator("base", "x")
+    # one generator at several exponents in one polynomial: each power has
+    # its own entry in the per-call cache
+    powers = Polynomial({((x, e),): Fraction(e) for e in (1, 2, 3, 4)})
+    swap = table.shift_images({0: 1, 1: 0})
+    for trial in range(40):
+        images = _random_map(rng, table, gens)
+        if trial % 4 == 0:
+            images.update(swap)
+        for degree in (3, 6, 9, 12):
+            p = util.random_homogeneous(rng, table, gens, degree, max_terms=4)
+            util.assert_same_terms(
+                apply_images(images, p), util.apply_images_by_products(images, p)
+            )
+        util.assert_same_terms(
+            apply_images(images, powers), util.apply_images_by_products(images, powers)
+        )
+
+
+def test_apply_images_handles_constants_and_the_empty_map():
+    model = util.rt_tables()[0]
+    table = model.table
+    u, v = table.poly("u"), table.poly("v")
+    p = Polynomial.constant(Fraction(3, 2)) + u * v
+    assert apply_images({}, p) == p
+    # u -> v, v -> u reverses the odd factors: u v -> v u = -u v
+    images = {table.generator("w0", "u").id: v, table.generator("w0", "v").id: u}
+    assert apply_images(images, p) == Polynomial.constant(Fraction(3, 2)) - u * v
+
+
+def _term(coeff, *factors):
+    return {"coeff": coeff, "factors": [list(f) for f in factors]}
+
+
+def test_polynomial_from_doc_matches_summed_terms():
+    model = util.rt_tables()[1]
+    table = model.table
+    docs = [
+        # duplicated terms
+        [_term("1", ("w0", "u", 1), ("w0", "v", 1))] * 3,
+        # terms that cancel, first to zero and then back
+        [_term("2", ("base", "x", 1), ("w0", "w", 1)),
+         _term("-2", ("w0", "w", 1), ("base", "x", 1)),
+         _term("1/3", ("w1", "u", 1)),
+         _term("5", ("base", "x", 1), ("w0", "w", 1))],
+        # unsorted factors, odd reorderings with sign, an odd square
+        [_term("1", ("w1", "z", 1), ("w0", "u", 1), ("base", "x", 2)),
+         _term("1", ("w0", "u", 1), ("w1", "z", 1), ("base", "x", 2)),
+         _term("7", ("w0", "v", 1), ("w0", "v", 1)),
+         _term("-1/2", ("w0", "v", 1), ("w0", "u", 1), ("base", "y", 1)),
+         _term("3", ("base", "x", 1), ("base", "x", 2))],
+        [],
+    ]
+    for doc in docs:
+        expected = Polynomial.zero()
+        for term in doc:
+            factors = [(table.generator(space, name), exp) for space, name, exp in term["factors"]]
+            expected = expected + Polynomial.term(Fraction(term["coeff"]), factors)
+        util.assert_same_terms(fio.polynomial_from_doc(table, doc, "p"), expected)
+
+
+def test_generators_and_polynomials_of_two_parses_agree():
+    doc = fio.model_to_document(*util.fixture_b())
+    (m1, c1), (m2, c2) = fio.parse_model(doc), fio.parse_model(doc)
+    assert m1.table is not m2.table
+    for g1, g2 in zip(m1.table.all_generators, m2.table.all_generators):
+        assert g1 is not g2
+        assert g1 == g2 and hash(g1) == hash(g2)
+    assert m1.d_fiber == m2.d_fiber and c1.images == c2.images
+    for name, poly in c1.images.items():
+        other = c2.images[name]
+        for mono, coeff in poly.terms.items():
+            assert hash(mono) == hash(next(m for m in other.terms if m == mono))
+            assert other.terms[mono] == coeff
+
+
+def test_generator_equality_compares_every_field():
+    u = Generator(0, "u", 3, "w0")
+    assert Generator(0, "u", 3, "w0") == u
+    assert Generator(0, "v", 3, "w0") != u
+    assert Generator(0, "u", 5, "w0") != u
+    assert hash(Generator(0, "v", 3, "w0")) == hash(u)

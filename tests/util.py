@@ -11,6 +11,7 @@ from fibrewise import (
     GeneratorTable,
     Polynomial,
     RelativeModel,
+    normalize_monomial,
 )
 
 
@@ -233,6 +234,51 @@ def leibniz_by_factors(cdga, mono):
         if gen.is_odd:
             sign = -sign
     return total
+
+
+def product_by_normalize(p, q):
+    """The product with each pair of monomials concatenated and sorted again
+    by `normalize_monomial` (oracle for the merge in Polynomial.__mul__)."""
+    terms = {}
+    for mono_a, coeff_a in p.terms.items():
+        for mono_b, coeff_b in q.terms.items():
+            mono, sign = normalize_monomial(mono_a + mono_b)
+            if sign == 0:
+                continue
+            total = terms.get(mono, 0) + coeff_a * coeff_b * sign
+            if total:
+                terms[mono] = total
+            else:
+                terms.pop(mono, None)
+    return Polynomial(terms)
+
+
+def apply_images_by_products(images, p):
+    """A generator-image map applied term by term: the coefficient times
+    each factor's image power, every product and power by
+    `product_by_normalize`, the terms summed one `+` at a time (oracle for
+    algebra.apply_images)."""
+    out = Polynomial.zero()
+    for mono, coeff in p.terms.items():
+        term = Polynomial.constant(coeff)
+        for gen, exp in mono:
+            image = images.get(gen.id)
+            if image is None:
+                factor = Polynomial({((gen, exp),): Fraction(1)})
+            else:
+                factor = Polynomial.one()
+                for _ in range(exp):
+                    factor = product_by_normalize(factor, image)
+            term = product_by_normalize(term, factor)
+        out = out + term
+    return out
+
+
+def assert_same_terms(got, expected):
+    """Equal polynomials whose term dicts also list their monomials in the
+    same order, so that nothing iterating the terms can tell them apart."""
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
 
 
 def decompose_by_solve(slice_, cycle):
