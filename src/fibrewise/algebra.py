@@ -517,20 +517,10 @@ class GeneratorTable:
 
     # -- degreewise bases ----------------------------------------------------
 
-    def monomial_basis(
-        self,
-        degree: int,
-        gens: Sequence[Generator],
-        min_counts: Mapping[str, int] | None = None,
-    ) -> tuple[Monomial, ...]:
-        """Deterministic basis of all degree-`degree` monomials over `gens`.
-
-        `min_counts` demands a minimum number of factors from given spaces
-        (e.g. {"w0": 1, "w1": 1} for the mixed part of a tensor square).
-        """
+    def monomial_basis(self, degree: int, gens: Sequence[Generator]) -> tuple[Monomial, ...]:
+        """Deterministic basis of all degree-`degree` monomials over `gens`."""
         ordered = tuple(sorted(gens, key=lambda g: g.sort_key))
-        constraints = tuple(sorted((min_counts or {}).items()))
-        key = (degree, tuple(g.id for g in ordered), constraints)
+        key = (degree, tuple(g.id for g in ordered))
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
@@ -544,11 +534,7 @@ class GeneratorTable:
 
         def extend(index: int, remaining: int) -> None:
             if remaining == 0 and index <= len(ordered):
-                counts: dict[str, int] = {}
-                for g, e in factors:
-                    counts[g.space] = counts.get(g.space, 0) + e
-                if all(counts.get(space, 0) >= need for space, need in constraints):
-                    results.append(tuple(factors))
+                results.append(tuple(factors))
             if index == len(ordered) or remaining <= 0:
                 return
             gen = ordered[index]
@@ -561,8 +547,7 @@ class GeneratorTable:
             extend(index + 1, remaining)
 
         if degree == 0:
-            if not constraints or all(n <= 0 for _, n in constraints):
-                results.append(())
+            results.append(())
         elif degree > 0:
             extend(0, degree)
         basis = tuple(sorted(results, key=monomial_key))

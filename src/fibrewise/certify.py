@@ -4,9 +4,11 @@ A certificate is a chain of steps, each either a change of generators
 (a unipotent automorphism fixing the base, conjugating the differential and
 the comultiplication) or a DG homotopy through the interval algebra
 Lambda(t, dt).  Every step records the full generator images of its result,
-so the verifier can replay the chain from the source data alone, recompute
-each conjugation, re-check each homotopy, and compare against the recorded
-states exactly.
+so the verifier checks each step against the recorded states alone: a
+change of generators phi by its shape and the intertwining identities
+phi D' = D phi and (phi (x) phi) C' = C phi, which need neither phi^-1 nor
+a recomputed state; a homotopy by its maps and endpoints.  It shares no
+code path with the pipelines' conjugation.
 """
 
 from __future__ import annotations
@@ -232,13 +234,17 @@ def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
 class CertificateStep:
     """One link of the chain, with the full resulting generator images."""
 
-    kind: str  # "change_of_generators" | "homotopy"
-    change: ChangeOfGenerators | None
-    homotopy: DGHomotopy | None
+    action: ChangeOfGenerators | DGHomotopy
     d_after: dict[str, Polynomial]
     c_after: dict[str, Polynomial]
     note: str = ""
     stage: str = ""  # which pipeline pass produced the step (metadata)
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.action, ChangeOfGenerators):
+            return "change_of_generators"
+        return "homotopy"
 
 
 @dataclass
@@ -284,58 +290,81 @@ def new_certificate(
     )
 
 
+def _verify_change(
+    model: RelativeModel, comul: Comultiplication, phi: ChangeOfGenerators,
+    d_after: Mapping[str, Polynomial], c_after: Mapping[str, Polynomial],
+) -> Verdict:
+    """phi is unipotent and fixes the base, phi(D'(w)) = D(phi(w)) in the
+    total algebra and (phi (x) phi)(C'(w)) = C(phi(w)) in the tensor square.
+
+    Since phi is then an automorphism, the identities force D' and C' to be
+    the conjugates of a valid state, so neither needs re-validation."""
+    verdict = phi.shape_verdict(model)
+    if not verdict.ok:
+        return verdict
+    total = model.total_cdga()
+    square = tensor_square_images(model.table, phi.images)
+    for gen in model.table.fiber:
+        lhs = phi.apply(d_after.get(gen.name, Polynomial.zero()))
+        rhs = total.d(phi.image(gen))
+        if lhs != rhs:
+            return Verdict.failed(
+                f"change of generators does not intertwine the differentials at "
+                f"{gen.display()}", lhs - rhs
+            )
+        image = c_after.get(gen.name)
+        if image is None:
+            return Verdict.failed(f"recorded comultiplication image missing for "
+                                  f"{gen.display()}")
+        lhs = apply_images(square, image)
+        rhs = comul.apply(phi.image(gen))
+        if lhs != rhs:
+            return Verdict.failed(
+                f"change of generators does not intertwine the comultiplications "
+                f"at {gen.display()}", lhs - rhs
+            )
+    return Verdict.passed()
+
+
+def _verify_homotopy_step(
+    model: RelativeModel, comul: Comultiplication, homotopy: DGHomotopy,
+    d_after: Mapping[str, Polynomial], c_after: Mapping[str, Polynomial],
+) -> Verdict:
+    """A valid homotopy from the current comultiplication to a valid one,
+    recorded with the differential unchanged."""
+    if homotopy.psi0 != comul.images:
+        return Verdict.failed("homotopy start differs from the current comultiplication")
+    verdict = verify_homotopy(model, homotopy)
+    if not verdict.ok:
+        return verdict
+    check = validate_comultiplication(model, Comultiplication(model.table, homotopy.psi1))
+    if not check.ok:
+        return Verdict.failed("homotopy endpoint is invalid: " + check.failures[0])
+    if d_after != model.d_fiber or c_after != homotopy.psi1:
+        return Verdict.failed("recorded result differs from the homotopy's endpoint")
+    return Verdict.passed()
+
+
 def verify_equivalence(cert: EquivalenceCertificate) -> Verdict:
-    """Replay every step from the certificate's own data: recompute each
-    conjugation, verify each homotopy, and compare the recorded states."""
+    """Validate the source, check every step against its recorded result,
+    and compare the last recorded state with the declared target."""
     model, comul = cert.source_model()
     for check in (validate_relative_model(model), validate_comultiplication(model, comul)):
         if not check.ok:
             return Verdict.failed("invalid source model: " + check.failures[0])
     for index, step in enumerate(cert.steps):
-        if step.kind == "change_of_generators":
-            if step.change is None:
-                return Verdict.failed(
-                    f"step {index} is missing its change of generators", step=index
-                )
-            try:
-                next_model, next_comul = conjugate(model, comul, step.change)
-            except (AlgebraError, EngineError) as exc:
-                return Verdict.failed(f"step {index} failed to replay: {exc}", step=index)
-        elif step.kind == "homotopy":
-            if step.homotopy is None:
-                return Verdict.failed(
-                    f"step {index} is missing its homotopy", step=index
-                )
-            if step.homotopy.psi0 != comul.images:
-                return Verdict.failed(
-                    f"step {index}: homotopy start differs from the current "
-                    "comultiplication", step=index
-                )
-            verdict = verify_homotopy(model, step.homotopy)
-            if not verdict.ok:
-                return Verdict.failed(
-                    f"step {index}: " + verdict.failures[0], verdict.witness, index
-                )
-            next_model = model
-            next_comul = Comultiplication(cert.table, dict(step.homotopy.psi1))
-            check = validate_comultiplication(next_model, next_comul)
-            if not check.ok:
-                return Verdict.failed(
-                    f"step {index}: homotopy endpoint is invalid: " + check.failures[0],
-                    step=index,
-                )
-        else:
-            return Verdict.failed(f"step {index} has unknown kind {step.kind!r}", step=index)
-        got_d, got_c = snapshot(next_model, next_comul)
-        if got_d != step.d_after or got_c != step.c_after:
+        check_step = (_verify_change if isinstance(step.action, ChangeOfGenerators)
+                      else _verify_homotopy_step)
+        verdict = check_step(model, comul, step.action, step.d_after, step.c_after)
+        if not verdict.ok:
             return Verdict.failed(
-                f"step {index}: recorded result differs from the replayed result",
-                step=index,
+                f"step {index}: " + verdict.failures[0], verdict.witness, index
             )
-        model, comul = next_model, next_comul
-    final_d, final_c = snapshot(model, comul)
-    if final_d != cert.target_d or final_c != cert.target_c:
-        return Verdict.failed("replayed chain does not reach the declared target")
+        if step.d_after != model.d_fiber:
+            model = model.with_fiber_differential(step.d_after)
+        comul = Comultiplication(cert.table, step.c_after)
+    if snapshot(model, comul) != (cert.target_d, cert.target_c):
+        return Verdict.failed("the chain does not reach the declared target")
     return Verdict.passed()
 
 

@@ -47,9 +47,7 @@ def _write_output(path: str | None, doc) -> None:
 
 def _cmd_check(args) -> int:
     doc = _load_json(args.model)
-    model, comul = io.parse_model(
-        doc, validate=False, truncation_override=args.max_degree
-    )
+    model, comul = io.parse_model(doc, truncation_override=args.max_degree)
     problems = []
     for verdict in (
         validate_relative_model(model),
@@ -69,7 +67,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     doc = _load_json(args.model)
-    model, _ = io.parse_model(doc)
+    model, comul = io.parse_model(doc)
+    io.require_valid(model, comul)
     slice_ = cohomology_in_degree(model.base_cdga(), args.degree)
     print(f"truncation degree: {model.truncation}")
     print(f"degree {args.degree}: dim Z = {len(slice_.cycles)}, "
@@ -126,6 +125,7 @@ def _cmd_verify(args) -> int:
 def _cmd_perturb(args) -> int:
     doc = _load_json(args.model)
     model, comul = io.parse_model(doc)
+    io.require_valid(model, comul)
     spec = PerturbationSpec(
         seed=args.seed, max_word_length=args.max_word_length, mode=args.mode
     )

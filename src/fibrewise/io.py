@@ -126,13 +126,18 @@ def _images_to_doc(images: Mapping[str, Polynomial]) -> dict:
     return {name: polynomial_to_doc(images[name]) for name in sorted(images)}
 
 
-def _images_from_doc(table, doc: Any, location: str) -> dict[str, Polynomial]:
+def _images_from_doc(table, space: str, doc: Any, location: str) -> dict[str, Polynomial]:
+    """Polynomials keyed by the names of generators of `space`."""
     if doc is None:
         return {}
     if not isinstance(doc, dict):
         raise ParseError(location, "expected an object mapping names to polynomials")
     out = {}
     for name, poly_doc in doc.items():
+        try:
+            table.generator(space, name)
+        except AlgebraError as exc:
+            raise ParseError(f"{location}.{name}", str(exc))
         out[name] = polynomial_from_doc(table, poly_doc, f"{location}.{name}")
     return out
 
@@ -168,20 +173,42 @@ def default_truncation_for(table: GeneratorTable) -> int:
     return default_truncation(table)
 
 
-def parse_model(
-    doc: Any, validate: bool = True, truncation_override: int | None = None
-) -> tuple[RelativeModel, Comultiplication]:
-    """Build and (by default) validate a model and comultiplication."""
-    if not isinstance(doc, dict):
-        raise ParseError("$", "model document must be an object")
-    base_doc = _object(doc, "base", "base")
-    fiber_doc = _object(doc, "fiber", "fiber")
-    base_spec = _generator_spec(base_doc.get("generators", []), "base.generators")
-    fiber_spec = _generator_spec(fiber_doc.get("generators", []), "fiber.generators")
+def _spaces_to_doc(table: GeneratorTable, d_base: Mapping[str, Polynomial]) -> dict:
+    """The base/fiber section that model and certificate documents share."""
+    return {
+        "base": {
+            "generators": [{"name": g.name, "degree": g.degree} for g in table.base],
+            "differential": _images_to_doc(d_base),
+        },
+        "fiber": {
+            "generators": [{"name": g.name, "degree": g.degree} for g in table.fiber],
+        },
+    }
+
+
+def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str):
+    """(table, base spec, fiber spec, base differential) of the shared
+    base/fiber section, with locations under `prefix`."""
+    base_doc = _object(doc, "base", prefix + "base")
+    fiber_doc = _object(doc, "fiber", prefix + "fiber")
+    base_spec = _generator_spec(base_doc.get("generators", []), prefix + "base.generators")
+    fiber_spec = _generator_spec(fiber_doc.get("generators", []), prefix + "fiber.generators")
     try:
         table = GeneratorTable(base_spec, fiber_spec)
     except AlgebraError as exc:
-        raise ParseError("generators", str(exc))
+        raise ParseError(table_location, str(exc))
+    d_base = _images_from_doc(table, "base", base_doc.get("differential"),
+                              prefix + "base.differential")
+    return table, base_spec, fiber_spec, d_base
+
+
+def parse_model(
+    doc: Any, truncation_override: int | None = None
+) -> tuple[RelativeModel, Comultiplication]:
+    """Build a model and comultiplication; `require_valid` checks them."""
+    if not isinstance(doc, dict):
+        raise ParseError("$", "model document must be an object")
+    table, _, _, d_base = _spaces_from_doc(doc, "", "generators")
     truncation = truncation_override
     if truncation is None:
         truncation = doc.get("truncation_degree")
@@ -189,53 +216,30 @@ def parse_model(
             raise ParseError("truncation_degree", "must be a positive integer")
     if truncation is None:
         truncation = default_truncation_for(table)
-    d_base = _images_from_doc(table, base_doc.get("differential"), "base.differential")
-    for name in d_base:
-        try:
-            table.generator("base", name)
-        except AlgebraError as exc:
-            raise ParseError(f"base.differential.{name}", str(exc))
-    d_fiber = _images_from_doc(table, doc.get("differential"), "differential")
-    for name in d_fiber:
-        try:
-            table.generator("w0", name)
-        except AlgebraError as exc:
-            raise ParseError(f"differential.{name}", str(exc))
+    d_fiber = _images_from_doc(table, "w0", doc.get("differential"), "differential")
     model = RelativeModel(table, d_base, d_fiber, truncation)
-    comul_doc = doc.get("comultiplication")
-    if comul_doc is None:
-        comul = Comultiplication.standard(table)
-    else:
-        images = _images_from_doc(table, comul_doc, "comultiplication")
-        standard = Comultiplication.standard(table)
-        for gen in table.fiber:
-            images.setdefault(gen.name, standard.images[gen.name])
-        comul = Comultiplication(table, images)
-    if validate:
-        verdict = validate_relative_model(model)
-        if not verdict.ok:
-            raise ParseError("differential", verdict.failures[0])
-        verdict = validate_comultiplication(model, comul)
-        if not verdict.ok:
-            raise ParseError("comultiplication", verdict.failures[0])
-    return model, comul
+    images = dict(Comultiplication.standard(table).images)
+    images.update(_images_from_doc(table, "w0", doc.get("comultiplication"),
+                                   "comultiplication"))
+    return model, Comultiplication(table, images)
+
+
+def require_valid(model: RelativeModel, comul: Comultiplication) -> None:
+    """Raise a `ParseError` located at the first invalid part of a parsed
+    model: its `differential` or its `comultiplication`."""
+    verdict = validate_relative_model(model)
+    if not verdict.ok:
+        raise ParseError("differential", verdict.failures[0])
+    verdict = validate_comultiplication(model, comul)
+    if not verdict.ok:
+        raise ParseError("comultiplication", verdict.failures[0])
 
 
 def model_to_document(model: RelativeModel, comul: Comultiplication) -> dict:
     return {
         "format": MODEL_FORMAT,
         "truncation_degree": model.truncation,
-        "base": {
-            "generators": [
-                {"name": g.name, "degree": g.degree} for g in model.table.base
-            ],
-            "differential": _images_to_doc(model.d_base),
-        },
-        "fiber": {
-            "generators": [
-                {"name": g.name, "degree": g.degree} for g in model.table.fiber
-            ],
-        },
+        **_spaces_to_doc(model.table, model.d_base),
         "differential": _images_to_doc(model.d_fiber),
         "comultiplication": _images_to_doc(comul.images),
     }
@@ -249,22 +253,13 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
     for step in cert.steps:
         entry: dict[str, Any] = {"kind": step.kind, "stage": step.stage,
                                  "note": step.note}
-        if step.kind == "change_of_generators":
-            named = {
-                cert.table.fiber[i].name: step.change.images[gen.id]
-                for i, gen in enumerate(cert.table.fiber)
-                if gen.id in step.change.images
-            }
-            entry["images"] = _images_to_doc(named)
-        else:
-            named = {
-                gen.name: step.homotopy.images[gen.id]
-                for gen in cert.table.fiber
-                if gen.id in step.homotopy.images
-            }
-            entry["images"] = _images_to_doc(named)
-            entry["start"] = _images_to_doc(step.homotopy.psi0)
-            entry["end"] = _images_to_doc(step.homotopy.psi1)
+        entry["images"] = _images_to_doc({
+            gen.name: step.action.images[gen.id]
+            for gen in cert.table.fiber if gen.id in step.action.images
+        })
+        if isinstance(step.action, DGHomotopy):
+            entry["start"] = _images_to_doc(step.action.psi0)
+            entry["end"] = _images_to_doc(step.action.psi1)
         entry["result"] = {
             "differential": _images_to_doc(step.d_after),
             "comultiplication": _images_to_doc(step.c_after),
@@ -273,15 +268,7 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
         "truncation_degree": cert.truncation,
-        "model": {
-            "base": {
-                "generators": [{"name": n, "degree": d} for n, d in cert.base_spec],
-                "differential": _images_to_doc(cert.d_base),
-            },
-            "fiber": {
-                "generators": [{"name": n, "degree": d} for n, d in cert.fiber_spec],
-            },
-        },
+        "model": _spaces_to_doc(cert.table, cert.d_base),
         "source": {
             "differential": _images_to_doc(cert.source_d),
             "comultiplication": _images_to_doc(cert.source_c),
@@ -294,6 +281,16 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
     }
 
 
+def _state_from_doc(table, doc: Mapping, key: str, location: str):
+    """The (differential, comultiplication) images of a recorded state."""
+    state = _object(doc, key, location)
+    return (
+        _images_from_doc(table, "w0", state.get("differential"), location + ".differential"),
+        _images_from_doc(table, "w0", state.get("comultiplication"),
+                         location + ".comultiplication"),
+    )
+
+
 def certificate_from_document(doc: Any) -> EquivalenceCertificate:
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
@@ -301,66 +298,39 @@ def certificate_from_document(doc: Any) -> EquivalenceCertificate:
         doc = doc["certificate"]
         if not isinstance(doc, dict):
             raise ParseError("certificate", "certificate document must be an object")
-    model_doc = _object(doc, "model", "model")
-    base_doc = _object(model_doc, "base", "model.base")
-    base_spec = _generator_spec(base_doc.get("generators", []), "model.base.generators")
-    fiber_spec = _generator_spec(
-        _object(model_doc, "fiber", "model.fiber").get("generators", []),
-        "model.fiber.generators",
+    table, base_spec, fiber_spec, d_base = _spaces_from_doc(
+        _object(doc, "model", "model"), "model.", "model"
     )
-    try:
-        table = GeneratorTable(base_spec, fiber_spec)
-    except AlgebraError as exc:
-        raise ParseError("model", str(exc))
     truncation = doc.get("truncation_degree")
     if not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")
-    d_base = _images_from_doc(table, base_doc.get("differential"), "model.base.differential")
-    source = _object(doc, "source", "source")
-    target = _object(doc, "target", "target")
-    cert = EquivalenceCertificate(
-        table=table,
-        base_spec=base_spec,
-        fiber_spec=fiber_spec,
-        d_base=d_base,
-        truncation=truncation,
-        source_d=_images_from_doc(table, source.get("differential"), "source.differential"),
-        source_c=_images_from_doc(table, source.get("comultiplication"), "source.comultiplication"),
-        target_d=_images_from_doc(table, target.get("differential"), "target.differential"),
-        target_c=_images_from_doc(table, target.get("comultiplication"), "target.comultiplication"),
-    )
+    source_d, source_c = _state_from_doc(table, doc, "source", "source")
+    target_d, target_c = _state_from_doc(table, doc, "target", "target")
+    cert = EquivalenceCertificate(table, base_spec, fiber_spec, d_base, truncation,
+                                  source_d, source_c, target_d, target_c)
     for i, entry in enumerate(_list(doc, "steps", "steps")):
         where = f"steps[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(where, "step must be an object")
-        kind = entry.get("kind")
         for key in ("note", "stage"):
             if not isinstance(entry.get(key, ""), str):
                 raise ParseError(f"{where}.{key}", "expected a string")
-        result = _object(entry, "result", where + ".result")
-        d_after = _images_from_doc(table, result.get("differential"), where + ".result.differential")
-        c_after = _images_from_doc(table, result.get("comultiplication"), where + ".result.comultiplication")
-        named = _images_from_doc(table, entry.get("images"), where + ".images")
-        images = {}
-        for name, image in named.items():
-            try:
-                images[table.generator("w0", name).id] = image
-            except AlgebraError as exc:
-                raise ParseError(f"{where}.images.{name}", str(exc))
+        d_after, c_after = _state_from_doc(table, entry, "result", where + ".result")
+        named = _images_from_doc(table, "w0", entry.get("images"), where + ".images")
+        images = {table.generator("w0", name).id: image for name, image in named.items()}
+        kind = entry.get("kind")
         if kind == "change_of_generators":
-            step = CertificateStep(kind, ChangeOfGenerators(images), None, d_after, c_after,
-                                   entry.get("note", ""), entry.get("stage", ""))
+            action = ChangeOfGenerators(images)
         elif kind == "homotopy":
-            homotopy = DGHomotopy(
+            action = DGHomotopy(
                 images,
-                _images_from_doc(table, entry.get("start"), where + ".start"),
-                _images_from_doc(table, entry.get("end"), where + ".end"),
+                _images_from_doc(table, "w0", entry.get("start"), where + ".start"),
+                _images_from_doc(table, "w0", entry.get("end"), where + ".end"),
             )
-            step = CertificateStep(kind, None, homotopy, d_after, c_after,
-                                   entry.get("note", ""), entry.get("stage", ""))
         else:
             raise ParseError(where + ".kind", f"unknown step kind {kind!r}")
-        cert.steps.append(step)
+        cert.steps.append(CertificateStep(action, d_after, c_after,
+                                          entry.get("note", ""), entry.get("stage", "")))
     return cert
 
 

@@ -15,7 +15,7 @@ change of generators, and the exact part is removed by a homotopy.
 Every stage reduces to one move, `_solve_coefficients`: solve each
 fiber-monomial coefficient as a base boundary, or reduce it against the
 boundary space when it is not one.  Both pipelines emit certificates that
-the independent verifier replays, or stop with an obstruction: a non-exact
+the independent verifier checks, or stop with an obstruction: a non-exact
 cycle reduced against the boundary space, so equal classes always report
 equal witnesses.  They require a truncation degree above every fiber
 degree, since they solve in all degrees up to the largest one.
@@ -110,11 +110,7 @@ def _require_valid(model: RelativeModel, comul: Comultiplication) -> None:
 def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
     """The certificate step of `action` (a change of generators or a DG
     homotopy), recording the state it leads to."""
-    d_after, c_after = snapshot(model, comul)
-    if isinstance(action, ChangeOfGenerators):
-        return CertificateStep("change_of_generators", action, None, d_after, c_after,
-                               note, stage)
-    return CertificateStep("homotopy", None, action, d_after, c_after, note, stage)
+    return CertificateStep(action, *snapshot(model, comul), note, stage)
 
 
 def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):

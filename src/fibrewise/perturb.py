@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Polynomial, monomial_key
+from .algebra import AlgebraError, Polynomial, is_mixed_square_monomial
 from .certify import ChangeOfGenerators, conjugate
 from .model import (
     Comultiplication,
@@ -58,10 +58,9 @@ def _change_of_generators(model, rng, max_word_length):
         allowed = model.fiber_prefix_gens(position)
         candidates = [
             mono
-            for mono in table.monomial_basis(gen.degree, allowed, {"w0": 1})
-            if sum(e for g, e in mono if g.space == "w0") <= max_word_length
+            for mono in table.monomial_basis(gen.degree, allowed)
+            if 1 <= sum(e for g, e in mono if g.space == "w0") <= max_word_length
         ]
-        candidates.sort(key=monomial_key)
         if not candidates:
             continue
         count = rng.randint(1, min(2, len(candidates)))
@@ -82,9 +81,9 @@ def _exact_additions(model, rng, max_word_length):
     for gen in table.fiber:
         gens = table.spaces_gens(("base", "w0", "w1"))
         candidates = []
-        for mono in table.monomial_basis(gen.degree - 1, gens, {"w0": 1, "w1": 1}):
+        for mono in table.monomial_basis(gen.degree - 1, gens):
             length = sum(e for g, e in mono if g.space in ("w0", "w1"))
-            if length > max_word_length:
+            if not is_mixed_square_monomial(mono) or length > max_word_length:
                 continue
             image = square.d(Polynomial({mono: Fraction(1)}))
             if image:

@@ -37,15 +37,6 @@ from .dga import EngineError
 
 MAP_NAMES = ("alpha", "beta", "gamma", "delta")
 
-KERNEL_CONDITIONS = (
-    "beta=gamma",
-    "beta=0",
-    "beta=delta",
-    "alpha+beta=gamma",
-    "beta=gamma+delta",
-)
-
-
 class BasicFormError(AlgebraError):
     """solve_basic_form rejected its input.
 
@@ -339,6 +330,7 @@ def polynomial_span_contains(
     return _same_polynomial_span(span, list(span) + [element])
 
 
+# the largest monomial basis `brute_force_solution_space` eliminates
 BRUTE_FORCE_LIMIT = 4000
 
 
@@ -346,7 +338,6 @@ def brute_force_solution_space(
     table: GeneratorTable,
     r: int,
     pool: Sequence[Generator],
-    limit: int = BRUTE_FORCE_LIMIT,
 ) -> list[Polynomial]:
     """All mixed word-length-r elements (scalar coefficients over the given
     index pool) satisfying alpha + beta = gamma + delta, by assembling the
@@ -381,9 +372,9 @@ def brute_force_solution_space(
                 extend(index + 1, length + e0 + e1, factors + added)
 
     extend(0, 0, [])
-    if len(span) > limit:
+    if len(span) > BRUTE_FORCE_LIMIT:
         raise AlgebraError(
             f"brute-force basis of {len(span)} monomials exceeds the documented "
-            f"limit of {limit}"
+            f"limit of {BRUTE_FORCE_LIMIT}"
         )
     return _kernel_of_condition(table, "alpha+beta=gamma+delta", span)

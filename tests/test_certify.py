@@ -1,6 +1,10 @@
 """Change-of-generators inversion, conjugation, homotopies, verification."""
 
+import importlib
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,11 @@ from fibrewise import (
     verify_equivalence,
     verify_homotopy,
 )
+from fibrewise import certify
+from fibrewise import io as fio
+from fibrewise.algebra import is_mixed_square_monomial
 from fibrewise.certify import new_certificate, snapshot
+from fibrewise.model import validate_comultiplication
 
 import util
 
@@ -210,3 +218,103 @@ def test_triviality_report_wording():
     res3 = ls_normalize(modelC, comulC, force=True)
     text3 = emit_triviality_report(res3, "ls")
     assert "obstruction" in text3 and "ls-even" in text3
+
+
+# -- the verifier checks identities, it does not replay --------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the verifier must not conjugate or invert")
+
+
+def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
+    monkeypatch.setattr(certify, "conjugate", _refuse)
+    monkeypatch.setattr(certify, "invert", _refuse)
+    names = []
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if "certificate" not in doc:
+            continue
+        verdict = verify_equivalence(fio.certificate_from_document(doc))
+        assert verdict.ok, (path.name, verdict.failures)
+        names.append(path.name)
+    assert "full_ladder.hopf.json" in names and "full_ladder.ls.json" in names
+    assert sum(name.startswith("rt") for name in names) == 20
+
+
+def _conjugate_adding_exact_term(real, mutated):
+    """`conjugate`, then C(w) += d(eta) for the last fiber generator w and the
+    first mixed eta of degree |w| - 1 with d(eta) != 0, whenever phi leaves w
+    fixed.  The result is a valid comultiplication, so every check of the
+    pipeline lets it through, but it is not the conjugate."""
+
+    def mutant(model, comul, phi):
+        new_model, new_comul = real(model, comul, phi)
+        table = model.table
+        last = table.fiber[-1]
+        if last.id in phi.images:
+            return new_model, new_comul
+        square = new_model.tensor_cdga(2)
+        for mono in table.monomial_basis(last.degree - 1,
+                                         table.spaces_gens(("base", "w0", "w1"))):
+            exact = square.d(Polynomial({mono: Fraction(1)}))
+            if is_mixed_square_monomial(mono) and exact:
+                images = dict(new_comul.images)
+                images[last.name] = images[last.name] + exact
+                mutated.append(phi)
+                return new_model, Comultiplication(table, images)
+        return new_model, new_comul
+
+    return mutant
+
+
+def test_verify_catches_a_conjugation_bug_the_pipeline_lets_through(monkeypatch):
+    model, comul = util.full_ladder_model()
+    mutated = []
+    mutant = _conjugate_adding_exact_term(certify.conjugate, mutated)
+    for namespace in ("fibrewise", "fibrewise.certify", "fibrewise.normalize",
+                      "fibrewise.perturb"):
+        monkeypatch.setattr(importlib.import_module(namespace), "conjugate", mutant)
+    result = ls_normalize(model, comul)
+    assert result.outcome == "normalized" and mutated
+    actions = [step.action for step in result.certificate.steps]
+    first = next(i for i, action in enumerate(actions) if action is mutated[0])
+    verdict = verify_equivalence(result.certificate)
+    assert not verdict.ok
+    assert verdict.failed_step == first
+    assert "does not intertwine the comultiplications" in verdict.failures[0]
+
+
+def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
+    from fibrewise.cli import run_command
+
+    model, comul = util.full_ladder_model()
+    cert = ls_normalize(model, comul).certificate
+    index = next(i for i, step in enumerate(cert.steps)
+                 if isinstance(step.action, ChangeOfGenerators))
+    step = cert.steps[index]
+    table = model.table
+    # p^2 u v' is fixed by the step (it moves s), so the witness is d of it
+    after = RelativeModel(table, cert.d_base, step.d_after, cert.truncation)
+    exact = after.tensor_cdga(2).d(
+        table.poly("p") ** 2 * table.poly("u") * table.poly("v", copy=1))
+    assert exact
+    images = dict(step.c_after)
+    images["w"] = images["w"] + exact
+    assert validate_comultiplication(after, Comultiplication(table, images)).ok
+    doc = fio.certificate_to_document(cert)
+    doc["steps"][index]["result"]["comultiplication"]["w"] = fio.polynomial_to_doc(images["w"])
+    model_path = tmp_path / "model.json"
+    model_path.write_text(fio.dumps(fio.model_to_document(model, comul)), encoding="utf-8")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(fio.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run_command(["verify", str(model_path), str(cert_path)]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL: step {index}: change of generators does not intertwine the "
+        "comultiplications at w",
+        f"failed step: {index} (change_of_generators)",
+        f"witness: {exact!r}",
+    ]

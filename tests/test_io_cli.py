@@ -9,6 +9,7 @@ import pytest
 
 from fibrewise import Comultiplication
 from fibrewise import io as fio
+from fibrewise.certify import new_certificate
 from fibrewise.cli import run_command
 
 import util
@@ -141,7 +142,7 @@ def test_parse_rejects_ks_violation():
         "w3": [{"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]
     }
     with pytest.raises(fio.ParseError) as err:
-        fio.parse_model(doc)
+        fio.require_valid(*fio.parse_model(doc))
     assert "ordered-basis" in str(err.value) or "homogeneous" in str(err.value)
 
 
@@ -365,6 +366,12 @@ MALFORMED_MODELS = {
         ["differential", "w5", 0, "factors", 0], [["base"], "b3", 1]),
     "base.generators[0]": (["base", "generators", 0, "degree"], True),
     "truncation_degree": (["truncation_degree"], True),
+    # image maps name generators of their space only
+    "base.differential.nope": (["base", "differential"], {"nope": []}),
+    "base.differential.w3": (["base", "differential"], {"w3": []}),
+    "differential.nope": (["differential"], {"nope": []}),
+    "differential.b3": (["differential"], {"b3": []}),
+    "comultiplication.nope": (["comultiplication"], {"nope": []}),
 }
 
 
@@ -389,6 +396,18 @@ MALFORMED_CERTIFICATES = {
     "steps[0].images.nope": (
         ["steps"], [{"kind": "homotopy", "images": {"nope": []}}]),
     "truncation_degree": (["truncation_degree"], True),
+    "model.base.differential.nope": (["model", "base", "differential"], {"nope": []}),
+    "source.differential.nope": (["source"], {"differential": {"nope": []}}),
+    "source.comultiplication.nope": (["source"], {"comultiplication": {"nope": []}}),
+    "target.differential.nope": (["target"], {"differential": {"nope": []}}),
+    "target.comultiplication.b3": (["target"], {"comultiplication": {"b3": []}}),
+    "steps[0].start.nope": (["steps"], [{"kind": "homotopy", "start": {"nope": []}}]),
+    "steps[0].end.nope": (["steps"], [{"kind": "homotopy", "end": {"nope": []}}]),
+    "steps[0].result.differential.nope": (
+        ["steps"], [{"kind": "homotopy", "result": {"differential": {"nope": []}}}]),
+    "steps[0].result.comultiplication.nope": (
+        ["steps"],
+        [{"kind": "change_of_generators", "result": {"comultiplication": {"nope": []}}}]),
 }
 
 
@@ -435,3 +454,49 @@ def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipelin
     err = capsys.readouterr().err
     assert "ERROR: truncation degree 2 must exceed the largest fiber degree 5" in err
     assert "ERROR: truncation degree 5 must exceed the largest fiber degree 5" in err
+
+
+INVALID_MODELS = {
+    # w3 depends on the later w5 (ordered-basis violation)
+    "differential": (["differential"], {"w3": [
+        {"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]}),
+    # C(w3) has a term in one fiber copy only (counit violation)
+    "comultiplication": (["comultiplication"], {"w3": [
+        {"coeff": "1", "factors": [["w0", "w3", 1]]},
+        {"coeff": "1", "factors": [["w1", "w3", 1]]},
+        {"coeff": "1", "factors": [["base", "b3", 1]]}]}),
+}
+
+
+@pytest.mark.parametrize("part", sorted(INVALID_MODELS))
+def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys, part):
+    path, value = INVALID_MODELS[part]
+    doc = _with(fixture_a_doc(), path, value)
+    model_path = write(tmp_path, "bad.json", doc)
+    # parsing alone accepts the document; the consuming command rejects it
+    model, comul = fio.parse_model(doc)
+    cert_path = write(tmp_path, "cert.json",
+                      fio.certificate_to_document(new_certificate(model, comul)))
+    label = {"differential": "relative model", "comultiplication": "comultiplication"}[part]
+    expected = {
+        "check": ("out", "FAIL: "),
+        "cohomology": ("err", f"ERROR: {part}: "),
+        "hopf": ("err", f"ERROR: invalid {label}: "),
+        "ls": ("err", f"ERROR: invalid {label}: "),
+        "verify": ("out", "FAIL: invalid source model: "),
+        "perturb": ("err", f"ERROR: {part}: "),
+    }
+    argv = {
+        "check": ["check", model_path],
+        "cohomology": ["cohomology", model_path, "-n", "3"],
+        "hopf": ["hopf", model_path],
+        "ls": ["ls", model_path],
+        "verify": ["verify", model_path, cert_path],
+        "perturb": ["perturb", model_path, "--seed", "1"],
+    }
+    capsys.readouterr()
+    for command, (stream, prefix) in expected.items():
+        assert run_command(argv[command]) == 4, command
+        captured = capsys.readouterr()
+        lines = {"out": captured.out, "err": captured.err}[stream].splitlines()
+        assert any(line.startswith(prefix) for line in lines), (command, lines)

@@ -62,7 +62,7 @@ def test_linear_stage_round_trip_recovers_seeded_change():
     assert obstruction is None
     assert len(steps) == 1
     # the recovered change undoes the seeded one exactly
-    assert steps[0].change.images[wid] == table.poly("w") + table.poly("p") * table.poly("u")
+    assert steps[0].action.images[wid] == table.poly("w") + table.poly("p") * table.poly("u")
     assert m3.d_fiber == {}
     assert c3.images == comul.images
 
@@ -106,7 +106,7 @@ def test_higher_stage_round_trip():
     assert obstruction is None
     assert m3.d_fiber == {}
     assert len(steps) == 1
-    assert steps[0].change.images[wid] == table.poly("w") - y * table.poly("u") * table.poly("v")
+    assert steps[0].action.images[wid] == table.poly("w") - y * table.poly("u") * table.poly("v")
     assert c3.images == comul.images
 
 
@@ -127,7 +127,7 @@ def test_higher_stage_repeated_leading_index():
     m3, c3, steps, obstruction = hopf_stage_higher(m2, c2)
     assert obstruction is None
     assert m3.d_fiber == {}
-    assert steps[0].change.images[wid] == w - y * e * e
+    assert steps[0].action.images[wid] == w - y * e * e
     assert c3.images == comul.images
 
 
@@ -170,7 +170,7 @@ def test_ls_even_step_removes_seeded_exact_excess():
     assert len(steps) == 1 and steps[0].kind == "homotopy"
     assert c2.images == Comultiplication.standard(table).images
     from fibrewise import verify_homotopy
-    assert verify_homotopy(model, steps[0].homotopy).ok
+    assert verify_homotopy(model, steps[0].action).ok
 
 
 def test_ls_even_step_obstruction_fixture_c():
@@ -210,7 +210,7 @@ def test_ls_odd_step_absorbs_complement_part():
     assert [s.kind for s in steps] == ["change_of_generators"]
     wid = gen.id
     expected = table.poly("w") - 2 * table.poly("u") * table.poly("v") * table.poly("z")
-    assert steps[0].change.images[wid] == expected
+    assert steps[0].action.images[wid] == expected
     assert c2.images == comul0.images
 
 

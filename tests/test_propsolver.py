@@ -16,6 +16,7 @@ from fibrewise import (
     lemma_kernel,
     solve_basic_form,
 )
+from fibrewise import propsolver
 from fibrewise.propsolver import (
     _same_polynomial_span,
     binomial_product,
@@ -155,6 +156,18 @@ def test_brute_force_r2_is_strictly_larger():
     chi = table.poly("w1") * table.poly("w2", copy=1)
     assert polynomial_span_contains(space, chi)
     assert identity_residual(table, chi) == Polynomial.zero()
+
+
+def test_brute_force_refuses_a_basis_above_the_limit(monkeypatch):
+    # r = 2 over two odd generators: the four monomials w_i w'_j
+    table = scalar_table()
+    gens = [table.generator("w0", f"w{i}") for i in (1, 2)]
+    monkeypatch.setattr(propsolver, "BRUTE_FORCE_LIMIT", 3)
+    with pytest.raises(AlgebraError, match="basis of 4 monomials exceeds the "
+                                           "documented limit of 3"):
+        brute_force_solution_space(table, 2, gens)
+    monkeypatch.setattr(propsolver, "BRUTE_FORCE_LIMIT", 4)
+    assert len(brute_force_solution_space(table, 2, gens)) == 4
 
 
 def test_brute_force_matches_basic_span_r3_r4():

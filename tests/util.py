@@ -117,9 +117,10 @@ def seeded_unipotent(model, rng, max_terms=2):
     table = model.table
     images = {}
     for position, gen in enumerate(table.fiber):
-        candidates = list(
-            table.monomial_basis(gen.degree, model.fiber_prefix_gens(position), {"w0": 1})
-        )
+        candidates = [
+            mono for mono in table.monomial_basis(gen.degree, model.fiber_prefix_gens(position))
+            if any(g.space == "w0" for g, _ in mono)
+        ]
         if not candidates:
             continue
         count = rng.randint(0, min(max_terms, len(candidates)))
