@@ -60,7 +60,6 @@ from .normalize import (
 from .perturb import PerturbationError, PerturbationSpec, perturb
 from .propsolver import (
     BasicFormError,
-    MixedTensor,
     apply_map,
     basic_form_element,
     brute_force_solution_space,

@@ -17,8 +17,8 @@ sign is (-1)^k for k the odd-odd pairs the merge moves past each other (an
 odd factor of the right monomial passes every odd factor of the left one
 with a larger key).  `normalize_monomial` is still required wherever the
 factors arrive unordered: `Polynomial.term` (and so parsing), the
-coefficient lookup of `normalize._extract_eta` and the factor lists of
-`propsolver`.
+coefficient lookup `propsolver.leading_prime_coefficient` and the other
+factor lists of `propsolver`.
 """
 
 from __future__ import annotations
@@ -310,9 +310,6 @@ class Polynomial:
         return Polynomial._of({mono: coeff * value for mono, coeff in self.terms.items()})
 
     # -- inspection --------------------------------------------------------
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))

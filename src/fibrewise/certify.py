@@ -5,10 +5,11 @@ A certificate is a chain of steps, each either a change of generators
 the comultiplication) or a DG homotopy through the interval algebra
 Lambda(t, dt).  Every step records the full generator images of its result,
 so the verifier checks each step against the recorded states alone: a
-change of generators phi by its shape and the intertwining identities
+change of generators phi by its shape, the degrees of the recorded images
+(before anything is substituted into them) and the intertwining identities
 phi D' = D phi and (phi (x) phi) C' = C phi, which need neither phi^-1 nor
-a recomputed state; a homotopy by its maps and endpoints.  It shares no
-code path with the pipelines' conjugation.
+a recomputed state; a homotopy by its maps, its projection condition and
+its endpoints.  It shares no code path with the pipelines' conjugation.
 """
 
 from __future__ import annotations
@@ -182,7 +183,9 @@ class DGHomotopy:
 
 def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
     """A DG map to the interval-extended tensor square, fixing the base,
-    compatible with the projections, with the declared endpoints."""
+    with the declared endpoints, and compatible with the projections: no
+    image has a component over the base and the interval alone (a condition
+    of its own, not the tail shape of `model.tail_shape_verdict`)."""
     table = model.table
     target = model.homotopy_cdga()
     allowed = {"base", "w0", "w1", "interval"}
@@ -252,8 +255,6 @@ class EquivalenceCertificate:
     """Everything needed to replay a chain of equivalences from scratch."""
 
     table: GeneratorTable
-    base_spec: list[tuple[str, int]]
-    fiber_spec: list[tuple[str, int]]
     d_base: dict[str, Polynomial]
     truncation: int
     source_d: dict[str, Polynomial]
@@ -279,8 +280,6 @@ def new_certificate(
     d_images, c_images = snapshot(model, comul)
     return EquivalenceCertificate(
         table=model.table,
-        base_spec=[(g.name, g.degree) for g in model.table.base],
-        fiber_spec=[(g.name, g.degree) for g in model.table.fiber],
         d_base=dict(model.d_base),
         truncation=model.truncation,
         source_d=d_images,
@@ -298,10 +297,19 @@ def _verify_change(
     total algebra and (phi (x) phi)(C'(w)) = C(phi(w)) in the tensor square.
 
     Since phi is then an automorphism, the identities force D' and C' to be
-    the conjugates of a valid state, so neither needs re-validation."""
+    the conjugates of a valid state, so neither needs re-validation.  They
+    also force the degrees of D'(w) and C'(w), which are checked first: a
+    substitution into an image of unchecked degree has no bound."""
     verdict = phi.shape_verdict(model)
     if not verdict.ok:
         return verdict
+    for gen in model.table.fiber:
+        for label, recorded, degree in (("D", d_after, gen.degree + 1),
+                                        ("C", c_after, gen.degree)):
+            image = recorded.get(gen.name, Polynomial.zero())
+            if not image.is_homogeneous_of_degree(degree):
+                return Verdict.failed(f"recorded {label}({gen.display()}) is not "
+                                      f"homogeneous of degree {degree}", image)
     total = model.total_cdga()
     square = tensor_square_images(model.table, phi.images)
     for gen in model.table.fiber:

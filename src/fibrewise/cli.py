@@ -97,9 +97,7 @@ def _cmd_verify(args) -> int:
     model_doc = _load_json(args.model)
     model, comul = io.parse_model(model_doc)
     cert = io.certificate_from_document(_load_json(args.certificate))
-    if [(g.name, g.degree) for g in model.table.base] != cert.base_spec or [
-        (g.name, g.degree) for g in model.table.fiber
-    ] != cert.fiber_spec:
+    if model.table.base + model.table.fiber != cert.table.base + cert.table.fiber:
         print("FAIL: certificate is for a different generator table")
         return INVALID_INPUT
     if cert.d_base != model.d_base:

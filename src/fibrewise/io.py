@@ -187,8 +187,8 @@ def _spaces_to_doc(table: GeneratorTable, d_base: Mapping[str, Polynomial]) -> d
 
 
 def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str):
-    """(table, base spec, fiber spec, base differential) of the shared
-    base/fiber section, with locations under `prefix`."""
+    """(table, base differential) of the shared base/fiber section, with
+    locations under `prefix`."""
     base_doc = _object(doc, "base", prefix + "base")
     fiber_doc = _object(doc, "fiber", prefix + "fiber")
     base_spec = _generator_spec(base_doc.get("generators", []), prefix + "base.generators")
@@ -199,7 +199,7 @@ def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str):
         raise ParseError(table_location, str(exc))
     d_base = _images_from_doc(table, "base", base_doc.get("differential"),
                               prefix + "base.differential")
-    return table, base_spec, fiber_spec, d_base
+    return table, d_base
 
 
 def parse_model(
@@ -208,7 +208,7 @@ def parse_model(
     """Build a model and comultiplication; `require_valid` checks them."""
     if not isinstance(doc, dict):
         raise ParseError("$", "model document must be an object")
-    table, _, _, d_base = _spaces_from_doc(doc, "", "generators")
+    table, d_base = _spaces_from_doc(doc, "", "generators")
     truncation = truncation_override
     if truncation is None:
         truncation = doc.get("truncation_degree")
@@ -298,16 +298,14 @@ def certificate_from_document(doc: Any) -> EquivalenceCertificate:
         doc = doc["certificate"]
         if not isinstance(doc, dict):
             raise ParseError("certificate", "certificate document must be an object")
-    table, base_spec, fiber_spec, d_base = _spaces_from_doc(
-        _object(doc, "model", "model"), "model.", "model"
-    )
+    table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model")
     truncation = doc.get("truncation_degree")
     if not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")
     source_d, source_c = _state_from_doc(table, doc, "source", "source")
     target_d, target_c = _state_from_doc(table, doc, "target", "target")
-    cert = EquivalenceCertificate(table, base_spec, fiber_spec, d_base, truncation,
-                                  source_d, source_c, target_d, target_c)
+    cert = EquivalenceCertificate(table, d_base, truncation, source_d, source_c,
+                                  target_d, target_c)
     for i, entry in enumerate(_list(doc, "steps", "steps")):
         where = f"steps[{i}]"
         if not isinstance(entry, dict):

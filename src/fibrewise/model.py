@@ -184,11 +184,7 @@ class Comultiplication:
         return images
 
     def is_standard(self) -> bool:
-        return all(
-            self.images.get(g.name, Polynomial.zero())
-            == Polynomial.from_generator(g) + Polynomial.from_generator(self.table.copy(g, 1))
-            for g in self.table.fiber
-        )
+        return self.images == Comultiplication.standard(self.table).images
 
     def excess(self, gen: Generator) -> Polynomial:
         """C(w) - w - w' (the mixed part when the counit shape holds)."""

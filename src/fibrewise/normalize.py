@@ -31,7 +31,6 @@ from .algebra import (
     Generator,
     Polynomial,
     monomial_key,
-    normalize_monomial,
 )
 from .certify import (
     CertificateStep,
@@ -52,6 +51,7 @@ from .model import (
     validate_comultiplication,
     validate_relative_model,
 )
+from .propsolver import leading_prime_coefficient
 
 
 class InvalidModelError(AlgebraError):
@@ -187,22 +187,9 @@ def _extract_eta(model, comul, gen, fiber_mono):
     D(w_k), read off the comultiplication coefficients: the coefficient of
     w'_{i1} w_{i2} ... w_{ir}, divided by the leading multiplicity when the
     leading index repeats."""
-    table = model.table
-    seq_gens = [table.copy(g, 0) for g, e in fiber_mono for _ in range(e)]
-    leading = seq_gens[0]
-    repeats = sum(1 for g in seq_gens if g.id == leading.id)
-    factors = []
-    if repeats > 1:
-        factors.append((table.copy(leading, 0), repeats - 1))
-    factors.append((table.copy(leading, 1), 1))
-    factors.extend((table.copy(g, 0), 1) for g in seq_gens[repeats:])
-    mono, sign = normalize_monomial(factors)
-    if sign == 0:
-        return None
-    coeff = comul.image(gen).group_by_fiber_part().get(mono)
-    if coeff is None:
-        return None
-    return coeff.scale(Fraction(sign, repeats))
+    seq_gens = [g for g, e in fiber_mono for _ in range(e)]
+    grouped = comul.image(gen).group_by_fiber_part()
+    return leading_prime_coefficient(model.table, grouped, seq_gens)
 
 
 def hopf_stage_higher(model, comul):

@@ -127,7 +127,7 @@ def perturb(
     if spec.mode in ("change-of-generators", "both"):
         phi = _change_of_generators(model, rng, spec.max_word_length)
         if phi is not None:
-            model, comul = conjugate(model, comul, phi)
+            return conjugate(model, comul, phi)  # which validates its result
     for verdict in (
         validate_relative_model(model),
         validate_comultiplication(model, comul),

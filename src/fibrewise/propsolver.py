@@ -1,19 +1,20 @@
 """The four comparison maps into the tensor cube and the structure theorem
 for solutions of alpha(chi) + beta(chi) = gamma(chi) + delta(chi).
 
-All maps fix the base algebra and act on the two fiber copies by
+All maps fix the base algebra: the inclusion, the extensions of the
+standard comultiplication C0(w) = w + w', and the copy shift.
 
-    alpha: w -> w         w' -> w'
-    beta:  w -> w + w'    w' -> w''
-    gamma: w -> w         w' -> w' + w''
-    delta: w -> w'        w' -> w''
+    alpha: w -> w         w' -> w'           (the inclusion)
+    beta:  w -> w + w'    w' -> w''          (C0 (x) 1)
+    gamma: w -> w         w' -> w' + w''     (1 (x) C0)
+    delta: w -> w'        w' -> w''          (the copy shift)
 
 For mixed elements of homogeneous word length r >= 3 the identity above
 forces the shape  chi = sum b_I (S_I - w_I - w'_I)  over strictly
-increasing index sequences I, where S_I is the product of the binomials
-w_i + w'_i.  Every closed-form claim here is double-checked against a
-brute-force kernel computation; disagreement raises, it is never a
-warning.
+increasing index sequences I, where S_I = C0(w_I) is the product of the
+binomials w_i + w'_i.  Every closed-form claim here is double-checked
+against a brute-force kernel computation; disagreement raises, it is never
+a warning.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .algebra import (
     normalize_monomial,
 )
 from .dga import EngineError
+from .model import Comultiplication
 
 MAP_NAMES = ("alpha", "beta", "gamma", "delta")
 
@@ -55,22 +57,14 @@ class BasicFormError(AlgebraError):
 def map_images(table: GeneratorTable, which: str) -> dict[int, Polynomial]:
     if which not in MAP_NAMES:
         raise AlgebraError(f"unknown comparison map {which!r}")
-    images: dict[int, Polynomial] = {}
-    for gen in table.fiber:
-        w0 = Polynomial.from_generator(gen)
-        w1 = Polynomial.from_generator(table.copy(gen, 1))
-        w2 = Polynomial.from_generator(table.copy(gen, 2))
-        if which == "alpha":
-            continue  # the identity inclusion
-        if which == "beta":
-            images[gen.id] = w0 + w1
-            images[table.copy(gen, 1).id] = w2
-        elif which == "gamma":
-            images[table.copy(gen, 1).id] = w1 + w2
-        elif which == "delta":
-            images[gen.id] = w1
-            images[table.copy(gen, 1).id] = w2
-    return images
+    if which == "alpha":
+        return {}
+    if which == "delta":
+        return table.shift_images({0: 1, 1: 2})
+    standard = Comultiplication.standard(table)
+    if which == "beta":
+        return standard.left_extension_images()
+    return standard.right_extension_images()
 
 
 def apply_map(table: GeneratorTable, which: str, chi: Polynomial) -> Polynomial:
@@ -101,41 +95,17 @@ def subscript_sequence(table: GeneratorTable, mono: Monomial) -> tuple[int, ...]
     return tuple(sorted(indices))
 
 
-class MixedTensor:
-    """A nonzero element of the tensor square that is homogeneous of one
-    word length r and mixed (every term uses both copies)."""
-
-    def __init__(self, value: Polynomial):
-        if not value:
-            raise AlgebraError("mixed tensor must be nonzero")
-        lengths = {monomial_word_length(m) for m in value.terms}
-        if len(lengths) != 1:
-            raise AlgebraError(f"mixed word lengths {sorted(lengths)}")
-        self.word_length = lengths.pop()
-        if not all(is_mixed_square_monomial(mono) for mono in value.terms):
-            raise AlgebraError(
-                "term outside the tensor square or not mixed between the two copies"
-            )
-        self.value = value
-
-
-def binomial_product(table: GeneratorTable, fiber_gens: Sequence[Generator]) -> Polynomial:
-    """S_I: the ordered product of (w_i + w'_i) over the given generators."""
-    out = Polynomial.one()
-    for gen in fiber_gens:
-        w0 = table.copy(gen, 0)
-        out = out * (
-            Polynomial.from_generator(w0)
-            + Polynomial.from_generator(table.copy(gen, 1))
-        )
-    return out
-
-
 def copy_product(table: GeneratorTable, fiber_gens: Sequence[Generator], copy: int) -> Polynomial:
     out = Polynomial.one()
     for gen in fiber_gens:
         out = out * Polynomial.from_generator(table.copy(gen, copy))
     return out
+
+
+def binomial_product(table: GeneratorTable, fiber_gens: Sequence[Generator]) -> Polynomial:
+    """S_I = C0(w_I): the ordered product of (w_i + w'_i) over the given
+    generators."""
+    return Comultiplication.standard(table).apply(copy_product(table, fiber_gens, 0))
 
 
 def basic_form_element(table: GeneratorTable, fiber_gens: Sequence[Generator]) -> Polynomial:
@@ -147,57 +117,72 @@ def basic_form_element(table: GeneratorTable, fiber_gens: Sequence[Generator]) -
     )
 
 
+def leading_prime_coefficient(
+    table: GeneratorTable,
+    grouped: dict[Monomial, Polynomial],
+    seq_gens: Sequence[Generator],
+) -> Polynomial | None:
+    """The coefficient of w'_{i1} w_{i2} ... w_{ir} in a polynomial grouped
+    by `group_by_fiber_part`, for the first-copy generators `seq_gens` in
+    index order, divided by the multiplicity N of the leading index; when
+    it repeats, the monomial is w_{i1}^(N-1) w'_{i1} w_{i(N+1)} ... w_{ir}.
+    None when that monomial vanishes or does not occur."""
+    leading = seq_gens[0]
+    repeats = seq_gens.count(leading)
+    factors = [(leading, repeats - 1), (table.copy(leading, 1), 1)]
+    factors.extend((gen, 1) for gen in seq_gens[repeats:])
+    mono, sign = normalize_monomial(factors)
+    coeff = grouped.get(mono) if sign else None
+    return None if coeff is None else coeff.scale(Fraction(sign, repeats))
+
+
 def solve_basic_form(
-    table: GeneratorTable, chi: Polynomial | MixedTensor
+    table: GeneratorTable, chi: Polynomial
 ) -> dict[tuple[str, ...], Polynomial]:
-    """Write a mixed tensor satisfying the four-map identity in the shape
-    sum b_I (S_I - w_I - w'_I), I strictly increasing.
+    """Write a nonzero mixed tensor of one word length r >= 3 satisfying
+    the four-map identity in the shape sum b_I (S_I - w_I - w'_I), I
+    strictly increasing, with b_I read at w'_{i1} w_{i2} ... w_{ir}.
 
     Returns {I as a tuple of fiber names: coefficient in the base algebra}.
     The reconstruction is re-checked exactly before returning; a repeated
-    index in the input forces its coefficient block to zero.
+    index in the input forces its coefficient block to zero.  Only when the
+    reconstruction fails is the identity evaluated, to tell which failed:
+    every element of the basic form satisfies it.
     """
-    mixed = chi if isinstance(chi, MixedTensor) else MixedTensor(chi)
-    chi_poly = mixed.value
-    r = mixed.word_length
+    if not chi:
+        raise AlgebraError("mixed tensor must be nonzero")
+    lengths = {monomial_word_length(m) for m in chi.terms}
+    if len(lengths) != 1:
+        raise AlgebraError(f"mixed word lengths {sorted(lengths)}")
+    if not all(is_mixed_square_monomial(mono) for mono in chi.terms):
+        raise AlgebraError(
+            "term outside the tensor square or not mixed between the two copies"
+        )
+    r = lengths.pop()
     if r < 3:
         raise AlgebraError(f"basic-form solving needs word length >= 3, got {r}")
-    residual = identity_residual(table, chi_poly)
-    if residual:
-        raise BasicFormError(
-            "identity",
-            "alpha + beta != gamma + delta on this element",
-            residual,
-        )
-    # group terms by the index multiset of their fiber part
-    by_sequence: dict[tuple[int, ...], Polynomial] = {}
-    for fiber_mono, coeff_poly in chi_poly.group_by_fiber_part().items():
-        seq = subscript_sequence(table, fiber_mono)
-        mono_poly = Polynomial({fiber_mono: Fraction(1)})
-        prev = by_sequence.get(seq, Polynomial.zero())
-        by_sequence[seq] = prev + coeff_poly * mono_poly
+    grouped = chi.group_by_fiber_part()
     coefficients: dict[tuple[str, ...], Polynomial] = {}
     reconstruction = Polynomial.zero()
-    for seq in sorted(by_sequence):
+    for seq in sorted({subscript_sequence(table, mono) for mono in grouped}):
         if len(set(seq)) != len(seq):
             continue  # repeated index: forced zero, checked by reconstruction
         gens = [table.fiber[pos] for pos in seq]
-        # b_I is the coefficient of the monomial w'_{i1} w_{i2} ... w_{ir}
-        factors = [(table.copy(gens[0], 1), 1)] + [(table.copy(g, 0), 1) for g in gens[1:]]
-        mono, sign = normalize_monomial(factors)
-        if sign == 0:
-            raise EngineError("strictly increasing sequence produced a vanishing monomial")
-        coeff = by_sequence[seq].group_by_fiber_part().get(mono, Polynomial.zero())
-        b = coeff.scale(sign)
-        if not b:
+        b = leading_prime_coefficient(table, grouped, gens)
+        if b is None:
             continue
         coefficients[tuple(g.name for g in gens)] = b
         reconstruction = reconstruction + b * basic_form_element(table, gens)
-    if reconstruction != chi_poly:
+    if reconstruction != chi:
+        residual = identity_residual(table, chi)
+        if residual:
+            raise BasicFormError(
+                "identity", "alpha + beta != gamma + delta on this element", residual
+            )
         raise BasicFormError(
             "reconstruction",
             "identity holds but the element is not of the basic form",
-            chi_poly - reconstruction,
+            chi - reconstruction,
         )
     return coefficients
 
@@ -246,7 +231,7 @@ def _kernel_of_condition(
 
 
 def _sequence_span(
-    table: GeneratorTable, fiber_gens: Sequence[Generator], mixed_only: bool
+    table: GeneratorTable, fiber_gens: Sequence[Generator]
 ) -> list[Polynomial]:
     """All tensor-square monomials with the exact index multiset of
     `fiber_gens` (one copy-0/copy-1 assignment per factor)."""
@@ -254,8 +239,6 @@ def _sequence_span(
     n = len(fiber_gens)
     for mask in range(2**n):
         bits = [(mask >> i) & 1 for i in range(n)]
-        if mixed_only and (sum(bits) == 0 or sum(bits) == n):
-            continue
         factors = [(table.copy(g, bits[i]), 1) for i, g in enumerate(fiber_gens)]
         mono, sign = normalize_monomial(factors)
         if sign == 0:
@@ -295,7 +278,7 @@ def lemma_kernel(
         closed = [binomial_product(table, fiber_gens) - copy_product(table, fiber_gens, 0)]
     else:  # beta=gamma+delta
         closed = [binomial_product(table, fiber_gens) - copy_product(table, fiber_gens, 1)]
-    span = _sequence_span(table, fiber_gens, mixed_only=False)
+    span = _sequence_span(table, fiber_gens)
     brute = _kernel_of_condition(table, condition, span)
     if not _same_polynomial_span(closed, brute):
         raise EngineError(

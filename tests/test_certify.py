@@ -3,6 +3,8 @@
 import importlib
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -317,4 +319,137 @@ def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
         "comultiplications at w",
         f"failed step: {index} (change_of_generators)",
         f"witness: {exact!r}",
+    ]
+
+
+# -- every failure branch of the verifier, through `fibrewise verify` --------------
+
+
+def _term(coeff, *factors):
+    return {"coeff": coeff, "factors": [list(factor) for factor in factors]}
+
+
+def _edit(doc, op, path, value=None):
+    """Apply one edit to a document: "add" appends a term to the polynomial
+    at `path`, "set" replaces the node there, "del" removes it."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if op == "add":
+        node[path[-1]].append(value)
+    elif op == "set":
+        node[path[-1]] = value
+    else:
+        del node[path[-1]]
+
+
+# X' = u' s' is a second-copy monomial with d(X') = 0 once D vanishes, so over
+# dp = q the term t q X' + dt p X' is a cycle; at t = 1 it leaves q X', which
+# breaks the counit shape of the declared endpoint
+_X = (("w1", "u", 1), ("w1", "s", 1))
+
+# name: (edits of full_ladder.ls.json's certificate, whose steps are change,
+# change, homotopy, change; failed step; the verifier's message)
+LADDER_MUTATIONS = {
+    "change shape": (
+        [("add", ["steps", 0, "images", "s"], _term("1", ("base", "p", 1), ("base", "q", 1)))],
+        0, "tail of s has a pure-base component"),
+    "recorded D degree": (
+        [("add", ["steps", 0, "result", "differential", "w"],
+          _term("1", ("base", "p", 1), ("base", "q", 1), ("w0", "u", 1), ("w0", "v", 1),
+                ("w0", "z", 1)))],
+        0, "recorded D(w) is not homogeneous of degree 12"),
+    "recorded C degree": (
+        [("add", ["steps", 0, "result", "comultiplication", "u"],
+          _term("1", ("w0", "u", 1), ("w1", "v", 1)))],
+        0, "recorded C(u) is not homogeneous of degree 3"),
+    "change differential": (
+        [("set", ["steps", 0, "result", "differential", "w", 0, "coeff"], "2")],
+        0, "change of generators does not intertwine the differentials at w"),
+    "change missing C": (
+        [("del", ["steps", 0, "result", "comultiplication", "u"])],
+        0, "recorded comultiplication image missing for u"),
+    "homotopy start": (
+        [("set", ["steps", 2, "start", "u", 0, "coeff"], "2")],
+        2, "homotopy start differs from the current comultiplication"),
+    "homotopy endpoint invalid": (
+        [("add", ["steps", 2, "images", "w"], _term("1", ("base", "q", 1), *_X,
+                                                   ("interval", "t", 1))),
+         ("add", ["steps", 2, "images", "w"], _term("1", ("base", "p", 1), *_X,
+                                                   ("interval", "dt", 1))),
+         ("add", ["steps", 2, "end", "w"], _term("1", ("base", "q", 1), *_X))],
+        2, "homotopy endpoint is invalid: C(w) - w - w' has a term outside the "
+           "mixed tensor part (counit shape violation)"),
+    "homotopy result": (
+        [("set", ["steps", 2, "result", "comultiplication", "u", 0, "coeff"], "2")],
+        2, "recorded result differs from the homotopy's endpoint"),
+    "homotopy image missing": (
+        [("del", ["steps", 2, "images", "u"])],
+        2, "homotopy image missing for u"),
+    "homotopy degree": (
+        [("add", ["steps", 2, "images", "u"], _term("1", ("w0", "u", 1), ("w1", "v", 1)))],
+        2, "homotopy image of u is not degree-preserving"),
+    "homotopy target": (
+        [("add", ["steps", 2, "images", "u"], _term("1", ("w2", "u", 1)))],
+        2, "homotopy image of u leaves the target algebra"),
+    "homotopy projection": (
+        [("add", ["steps", 2, "images", "u"], _term("1", ("base", "p", 1),
+                                                   ("interval", "dt", 1)))],
+        2, "homotopy image of u has a component over the base (projection "
+           "compatibility fails)"),
+    "homotopy endpoint missing": (
+        [("del", ["steps", 2, "end", "u"])],
+        2, "declared endpoint at t=1 missing for u"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_MUTATIONS))
+def test_cli_verify_reports_each_failure_branch(tmp_path, capsys, name):
+    from fibrewise.cli import run_command
+
+    edits, index, message = LADDER_MUTATIONS[name]
+    doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    cert = doc["certificate"]
+    for edit in edits:
+        _edit(cert, *edit)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    capsys.readouterr()
+    code = run_command(["verify", str(GOLDEN / "full_ladder.model.json"), str(cert_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert lines[:2] == [f"FAIL: step {index}: {message}",
+                         f"failed step: {index} ({cert['steps'][index]['kind']})"]
+
+
+def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
+    # C'(u) = u + u' + u^(10^9): substituting phi (x) phi into it would take
+    # 10^9 - 1 products, so the degree check must come first
+    generators = [{"name": "a", "degree": 2}, {"name": "u", "degree": 2}]
+    model = {"base": {"generators": []}, "fiber": {"generators": generators}}
+
+    def standard(name):
+        return [_term("1", ("w0", name, 1)), _term("1", ("w1", name, 1))]
+
+    source = {"differential": {}, "comultiplication": {"a": standard("a"),
+                                                       "u": standard("u")}}
+    result = {"differential": {}, "comultiplication": {
+        "a": standard("a"), "u": standard("u") + [_term("1", ("w0", "u", 10**9))]}}
+    cert = {
+        "truncation_degree": 6, "model": model, "source": source, "target": result,
+        "steps": [{"kind": "change_of_generators", "stage": "", "note": "",
+                   "images": {"u": [_term("1", ("w0", "u", 1)), _term("1", ("w0", "a", 1))]},
+                   "result": result}],
+    }
+    model_path, cert_path = tmp_path / "model.json", tmp_path / "cert.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibrewise", "verify", str(model_path), str(cert_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout.splitlines()[:2] == [
+        "FAIL: step 0: recorded C(u) is not homogeneous of degree 2",
+        "failed step: 0 (change_of_generators)",
     ]

@@ -1,5 +1,6 @@
 """Cross-cutting invariants tying the modules together."""
 
+import importlib
 import random
 
 import pytest
@@ -111,6 +112,28 @@ def test_perturb_preconditions():
     )
     with pytest.raises(PerturbationError):
         perturb(clean, nonstandard, PerturbationSpec(seed=1))
+
+
+@pytest.mark.parametrize("mode", ["change-of-generators", "exact-homotopy", "both"])
+def test_perturb_validates_its_output_once(monkeypatch, mode):
+    # conjugate validates the state it returns; perturb checks only the
+    # states conjugate did not produce
+    calls = []
+    for namespace in ("fibrewise.certify", "fibrewise.perturb"):
+        namespace = importlib.import_module(namespace)
+        for name in ("validate_relative_model", "validate_comultiplication"):
+            real = getattr(namespace, name)
+
+            def counted(*args, _real=real):
+                calls.append(_real.__name__)
+                return _real(*args)
+
+            monkeypatch.setattr(namespace, name, counted)
+    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
+                                         truncation=20)
+    perturb(model, Comultiplication.standard(model.table),
+            PerturbationSpec(seed=4, mode=mode))
+    assert sorted(calls) == ["validate_comultiplication", "validate_relative_model"]
 
 
 def test_perturb_exact_homotopy_mode_with_real_candidates():

@@ -156,7 +156,7 @@ def test_default_truncation_and_env_override(monkeypatch):
     assert model.truncation == 16
 
 
-def test_cli_check_exit_codes(tmp_path):
+def test_cli_check_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "a.json", fixture_a_doc())
     assert run_command(["check", path]) == 0
     bad = fixture_a_doc()
@@ -164,6 +164,11 @@ def test_cli_check_exit_codes(tmp_path):
     bad_path = write(tmp_path, "bad.json", bad)
     assert run_command(["check", bad_path]) == 4
     assert run_command(["check", str(tmp_path / "missing.json")]) == 4
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    capsys.readouterr()
+    assert run_command(["check", str(broken)]) == 4
+    assert f"ERROR: {broken}: not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_fixture_a_hopf(tmp_path):
@@ -349,6 +354,8 @@ def fixture_a_certificate_doc():
 
 
 def _with(doc, path, value):
+    if not path:
+        return value
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -357,6 +364,7 @@ def _with(doc, path, value):
 
 
 MALFORMED_MODELS = {
+    "$": ([], 5),
     "base": (["base"], 5),
     "fiber": (["fiber"], []),
     "base.differential": (["base", "differential"], 5),
@@ -365,6 +373,16 @@ MALFORMED_MODELS = {
     "differential.w5[0].factors[0]": (
         ["differential", "w5", 0, "factors", 0], [["base"], "b3", 1]),
     "base.generators[0]": (["base", "generators", 0, "degree"], True),
+    "differential.w5": (["differential", "w5"], 5),
+    "differential.w5[0]": (["differential", "w5", 0], 5),
+    "differential.w5[0].factors[1]": (
+        ["differential", "w5", 0, "factors"], [["base", "b3", 1], 5]),
+    "base.differential.b3[0].factors[0]": (
+        ["base", "differential"], {"b3": [{"coeff": "1", "factors": [["base", "b3", 0]]}]}),
+    "base.generators": (["base", "generators"], 5),
+    "fiber.generators[0]": (["fiber", "generators", 0], {"name": "w3"}),
+    "fiber.generators[1]": (["fiber", "generators", 1, "name"], ""),
+    "generators": (["fiber", "generators", 0, "name"], "t"),
     "truncation_degree": (["truncation_degree"], True),
     # image maps name generators of their space only
     "base.differential.nope": (["base", "differential"], {"nope": []}),
@@ -387,6 +405,10 @@ def test_cli_malformed_model_node_exits_4(tmp_path, capsys, location):
 
 
 MALFORMED_CERTIFICATES = {
+    "$": ([], 5),
+    "certificate": (["certificate"], 5),
+    "steps[0].note": (["steps"], [{"kind": "homotopy", "note": 5}]),
+    "steps[0].kind": (["steps"], [{"kind": "nope"}]),
     "model": (["model"], 5),
     "model.base": (["model", "base"], []),
     "source": (["source"], "x"),
@@ -440,6 +462,37 @@ def test_truncation_below_one_exits_4(tmp_path, monkeypatch, capsys):
     for value in (0, -3):
         with pytest.raises(fio.ParseError):
             fio.parse_model(_with(fixture_a_doc(), ["truncation_degree"], value))
+
+
+def test_non_integer_truncation_override_exits_4(tmp_path, monkeypatch, capsys):
+    doc = fixture_a_doc()
+    del doc["truncation_degree"]
+    path = write(tmp_path, "a.json", doc)
+    monkeypatch.setenv(fio.TRUNCATION_ENV, "ten")
+    assert run_command(["check", path]) == 4
+    assert f"ERROR: {fio.TRUNCATION_ENV}: environment override 'ten' is not an integer" \
+        in capsys.readouterr().err
+    monkeypatch.delenv(fio.TRUNCATION_ENV)
+    assert run_command(["check", path, "--max-degree", "ten"]) == 4
+    assert "'ten' is not an integer" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path, message", [
+    (["model", "base", "differential", "p", 0, "coeff"],
+     "certificate base differential differs from the model"),
+    (["source", "differential", "s", 0, "coeff"],
+     "certificate source does not match the model"),
+])
+def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, path,
+                                                            message):
+    doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    cert = write(tmp_path, "cert.json", _with(doc["certificate"], path, "2"))
+    capsys.readouterr()
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert]) == 4
+    assert capsys.readouterr().out.splitlines() == [f"FAIL: {message}"]
 
 
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])

@@ -1,6 +1,7 @@
 """Comparison maps, the basic-form solver and its brute-force oracles."""
 
 import itertools
+import re
 
 import pytest
 
@@ -8,7 +9,6 @@ from fibrewise import (
     AlgebraError,
     BasicFormError,
     GeneratorTable,
-    MixedTensor,
     Polynomial,
     apply_map,
     basic_form_element,
@@ -100,10 +100,15 @@ def test_solve_basic_form_requires_length_three(table):
 
 
 def test_mixed_tensor_validation(table):
-    with pytest.raises(AlgebraError):
-        MixedTensor(table.poly("w1") * table.poly("w2"))  # not mixed
-    with pytest.raises(AlgebraError):
-        MixedTensor(Polynomial.zero())
+    w1, w2, w3 = (table.poly(f"w{i}") for i in (1, 2, 3))
+    w1p = table.poly("w1", copy=1)
+    for chi, message in (
+        (w1 * w2 * w3, "not mixed"),
+        (Polynomial.zero(), "must be nonzero"),
+        (w1 * w2 * w1p + w2 * w1p, "mixed word lengths [2, 3]"),
+    ):
+        with pytest.raises(AlgebraError, match=re.escape(message)):
+            solve_basic_form(table, chi)
 
 
 def test_lemma_kernels_closed_forms(table):
