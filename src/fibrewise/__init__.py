@@ -36,7 +36,6 @@ from .dga import (
     cohomology_in_degree,
 )
 from .model import (
-    AssociativityReport,
     Comultiplication,
     HypothesisReport,
     RelativeModel,

@@ -512,6 +512,18 @@ class GeneratorTable:
                 images[gen.id] = Polynomial.from_generator(self.copy(gen, dst))
         return images
 
+    def on_copy(self, images: Mapping[int, Polynomial], copy: int) -> dict[int, Polynomial]:
+        """A map given on first-copy fiber generators (keyed by id), placed
+        on tensor copy `copy`: each copy-`copy` generator goes to its image
+        with every fiber copy tag moved up by `copy`."""
+        if copy == 0:
+            return dict(images)
+        shift = self.shift_images({src: src + copy for src in range(len(W_SPACES) - copy)})
+        return {
+            self._copies[copy][self._fiber_pos[gid]].id: apply_images(shift, image)
+            for gid, image in images.items()
+        }
+
     # -- degreewise bases ----------------------------------------------------
 
     def monomial_basis(self, degree: int, gens: Sequence[Generator]) -> tuple[Monomial, ...]:

@@ -94,16 +94,8 @@ def tensor_square_images(
     table: GeneratorTable, images: Mapping[int, Polynomial]
 ) -> dict[int, Polynomial]:
     """(phi (x) phi) on the tensor square: first-copy generators through phi
-    and second-copy generators through the shifted phi."""
-    shift = table.shift_images({0: 1})
-    out: dict[int, Polynomial] = {}
-    for gen in table.fiber:
-        image = images.get(gen.id)
-        if image is None:
-            continue
-        out[gen.id] = image
-        out[table.copy(gen, 1).id] = apply_images(shift, image)
-    return out
+    and second-copy generators through phi placed on the second copy."""
+    return {**images, **table.on_copy(images, 1)}
 
 
 def conjugate(

@@ -178,8 +178,13 @@ class FreeCDGA:
     # -- bases and vectors -----------------------------------------------------
 
     def basis(self, degree: int) -> tuple[Monomial, ...]:
+        """The monomial basis in `degree`, refused above the truncation."""
         if degree < 0:
             return ()
+        if degree > self.truncation:
+            raise AlgebraError(
+                f"degree {degree} is above the truncation degree {self.truncation}"
+            )
         return self.table.monomial_basis(degree, self.gens)
 
     def _index(self, degree: int) -> dict[Monomial, int]:

@@ -5,8 +5,14 @@ with a differential that extends d_B, respects the ordered fiber basis
 (each D(w) involves only earlier fiber generators) and has no pure-base
 component on fiber generators.  A Comultiplication sends each fiber
 generator w to w + w' + (mixed terms) in the tensor square over B and
-commutes with the differentials.  The tensor square, cube, and the target
-of homotopies are all built over the same generator table via space tags.
+commutes with the differentials.
+
+Every algebra here is a tensor power over B of one model, built over one
+generator table by `RelativeModel.tensor_cdga(n)`: B for n = 0, B (x)
+Lambda(W) for 1, the square (the target of C) for 2, the cube (where
+associativity is decided) for 3; homotopies land in the square (x)
+Lambda(t, dt).  `GeneratorTable.on_copy` places a map given on W on a
+tensor copy by shifting copy tags.
 """
 
 from __future__ import annotations
@@ -52,81 +58,50 @@ class RelativeModel:
             table.generator("base", name)
         for name in self.d_fiber:
             table.generator("w0", name)
-        self._base_cdga: FreeCDGA | None = None
-        self._total_cdga: FreeCDGA | None = None
-        self._tensor_cdga: dict[int, FreeCDGA] = {}
+        self._powers: dict[int, FreeCDGA] = {}
         self._homotopy_cdga: FreeCDGA | None = None
 
     # -- differentials -----------------------------------------------------
-
-    def _base_diff(self) -> dict[int, Polynomial]:
-        return {
-            self.table.generator("base", name).id: p
-            for name, p in self.d_base.items()
-        }
 
     def D(self, gen: Generator) -> Polynomial:
         """Differential of a first-copy fiber generator."""
         return self.d_fiber.get(gen.name, Polynomial.zero())
 
     def base_cdga(self) -> FreeCDGA:
-        if self._base_cdga is None:
-            self._base_cdga = FreeCDGA(
-                self.table, self.table.base, self._base_diff(), self.truncation
-            )
-        return self._base_cdga
+        return self.tensor_cdga(0)
 
     def total_cdga(self) -> FreeCDGA:
         """B (x) Lambda(W) with the full differential."""
-        if self._total_cdga is None:
-            diff = self._base_diff()
-            for name, p in self.d_fiber.items():
-                diff[self.table.generator("w0", name).id] = p
-            self._total_cdga = FreeCDGA(
-                self.table,
-                self.table.base + self.table.fiber,
-                diff,
-                self.truncation,
-            )
-        return self._total_cdga
+        return self.tensor_cdga(1)
 
     def tensor_cdga(self, copies: int = 2) -> FreeCDGA:
-        """The tensor power over B with `copies` fiber copies; the
-        differential acts on each copy by the tag-shifted images of D."""
-        cached = self._tensor_cdga.get(copies)
-        if cached is not None:
-            return cached
-        diff = self._base_diff()
-        gens = list(self.table.base)
-        for copy in range(copies):
-            shift = self.table.shift_images({0: copy}) if copy else {}
-            for w0 in self.table.fiber:
-                gen = self.table.copy(w0, copy)
-                gens.append(gen)
-                image = self.D(w0)
-                if image:
-                    diff[gen.id] = apply_images(shift, image) if copy else image
-        cdga = FreeCDGA(self.table, gens, diff, self.truncation)
-        self._tensor_cdga[copies] = cdga
+        """B (x) Lambda(W)^(x copies): the base for 0, the total algebra for
+        1, the square for 2, the cube for 3; D acts on each fiber copy."""
+        cdga = self._powers.get(copies)
+        if cdga is None:
+            table = self.table
+            diff = {table.generator("base", name).id: p for name, p in self.d_base.items()}
+            d_fiber = {table.generator("w0", name).id: p for name, p in self.d_fiber.items()}
+            gens = list(table.base)
+            for copy in range(copies):
+                gens.extend(table.copy(gen, copy) for gen in table.fiber)
+                diff.update(table.on_copy(d_fiber, copy))
+            cdga = self._powers[copies] = FreeCDGA(table, gens, diff, self.truncation)
         return cdga
 
     def homotopy_cdga(self) -> FreeCDGA:
         """Tensor square extended by the interval algebra (t, dt)."""
         if self._homotopy_cdga is None:
-            square = self.tensor_cdga(2)
-            diff = dict(square.diff)
-            diff[self.table.t.id] = Polynomial.from_generator(self.table.dt)
+            square, table = self.tensor_cdga(2), self.table
+            diff = {**square.diff, table.t.id: Polynomial.from_generator(table.dt)}
             self._homotopy_cdga = FreeCDGA(
-                self.table,
-                square.gens + (self.table.t, self.table.dt),
-                diff,
-                self.truncation,
+                table, square.gens + (table.t, table.dt), diff, self.truncation
             )
         return self._homotopy_cdga
 
     def with_fiber_differential(self, d_fiber: Mapping[str, Polynomial]) -> RelativeModel:
         new = RelativeModel(self.table, self.d_base, d_fiber, self.truncation)
-        new._base_cdga = self.base_cdga()  # base cohomology is unaffected
+        new._powers[0] = self.tensor_cdga(0)  # base cohomology is unaffected
         return new
 
     def fiber_prefix_gens(self, position: int) -> tuple[Generator, ...]:
@@ -170,18 +145,11 @@ class Comultiplication:
 
     def left_extension_images(self) -> dict[int, Polynomial]:
         """(C (x) 1): first copy through C, second copy shifted to the third."""
-        images = self.as_images()
-        images.update(self.table.shift_images({1: 2}))
-        return images
+        return {**self.as_images(), **self.table.shift_images({1: 2})}
 
     def right_extension_images(self) -> dict[int, Polynomial]:
         """(1 (x) C): second copy through C placed in copies two and three."""
-        shift = self.table.shift_images({0: 1, 1: 2})
-        images: dict[int, Polynomial] = {}
-        for name, p in self.images.items():
-            w1 = self.table.generator("w1", name)
-            images[w1.id] = apply_images(shift, p)
-        return images
+        return self.table.on_copy(self.as_images(), 1)
 
     def is_standard(self) -> bool:
         return self.images == Comultiplication.standard(self.table).images
@@ -309,41 +277,23 @@ def associativity_defect(
     return left - right
 
 
-@dataclass
-class AssociativityReport:
-    ok: bool
-    witnesses: dict[str, Polynomial] = field(default_factory=dict)
-    failures: dict[str, Polynomial] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def check_homotopy_associative(
     model: RelativeModel, comul: Comultiplication
-) -> AssociativityReport:
-    """Exactness of every associativity defect in the tensor cube.
-
-    The witness for each generator is a deterministic preimage of its
-    defect under the cube differential; a failure carries the defect
-    reduced against the boundary space.
-    """
+) -> dict[str, Polynomial]:
+    """The associativity defects that are not exact in the tensor cube, by
+    generator name, each reduced against the boundary space: empty exactly
+    when C is homotopy associative."""
     cube = model.tensor_cdga(3)
-    report = AssociativityReport(True)
+    failures: dict[str, Polynomial] = {}
     for gen in model.table.fiber:
         defect = associativity_defect(model, comul, gen)
         if not defect:
-            report.witnesses[gen.name] = Polynomial.zero()
             continue
         if cube.d(defect):
             raise EngineError(
                 f"associativity defect of {gen.display()} is not a cycle"
             )
-        preimage = cube.solve_preimage(defect)
-        if preimage is None:
-            report.ok = False
+        if cube.solve_preimage(defect) is None:
             slice_ = cube.cohomology_slice(defect.homogeneous_degree())
-            report.failures[gen.name] = slice_.reduce(defect)
-        else:
-            report.witnesses[gen.name] = preimage
-    return report
+            failures[gen.name] = slice_.reduce(defect)
+    return failures

@@ -257,10 +257,10 @@ def _normalize_differential(model, comul, force: bool, associative: bool):
     if not report.satisfied and not force:
         return NormalizationResult("hypothesis-violation", report), model, comul
     if associative:
-        assoc = check_homotopy_associative(model, comul)
-        if not assoc.ok:
+        failures = check_homotopy_associative(model, comul)
+        if failures:
             witnesses = ", ".join(
-                f"{name}: {cls!r}" for name, cls in sorted(assoc.failures.items())
+                f"{name}: {cls!r}" for name, cls in sorted(failures.items())
             )
             raise InvalidModelError(
                 "comultiplication is not homotopy associative; non-exact defect "
@@ -356,7 +356,7 @@ def ls_odd_step(model, comul, gen, r):
     part is removed by a homotopy as in the even case.  Returns
     (comul, steps, obstruction).
     """
-    from .propsolver import BasicFormError, solve_basic_form
+    from .propsolver import BasicFormError, copy_product, solve_basic_form
 
     part = _excess_parts(comul, gen).get(r)
     if not part:
@@ -389,10 +389,8 @@ def ls_odd_step(model, comul, gen, r):
         for names, b in sorted(coefficients.items()):
             if base.d(b):
                 raise EngineError("basic-form coefficient is not a cycle")
-            w_I = Polynomial.one()
-            for name in names:
-                w_I = w_I * table.poly(name, copy=0)
-            absorb = absorb + b * w_I
+            gens = [table.generator("w0", name) for name in names]
+            absorb = absorb + b * copy_product(table, gens, 0)
         phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - absorb})
         model2, comul2 = conjugate(model, comul, phi)
         if snapshot(model2, comul2)[0] != snapshot(model, comul)[0]:

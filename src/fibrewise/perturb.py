@@ -15,7 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Polynomial, is_mixed_square_monomial
+from .algebra import (
+    AlgebraError,
+    Polynomial,
+    is_mixed_square_monomial,
+    monomial_word_length,
+)
 from .certify import ChangeOfGenerators, conjugate
 from .model import (
     Comultiplication,
@@ -59,7 +64,7 @@ def _change_of_generators(model, rng, max_word_length):
         candidates = [
             mono
             for mono in table.monomial_basis(gen.degree, allowed)
-            if 1 <= sum(e for g, e in mono if g.space == "w0") <= max_word_length
+            if 1 <= monomial_word_length(mono) <= max_word_length
         ]
         if not candidates:
             continue
@@ -79,11 +84,10 @@ def _exact_additions(model, rng, max_word_length):
     square = model.tensor_cdga(2)
     additions = {}
     for gen in table.fiber:
-        gens = table.spaces_gens(("base", "w0", "w1"))
         candidates = []
-        for mono in table.monomial_basis(gen.degree - 1, gens):
-            length = sum(e for g, e in mono if g.space in ("w0", "w1"))
-            if not is_mixed_square_monomial(mono) or length > max_word_length:
+        for mono in table.monomial_basis(gen.degree - 1, square.gens):
+            if (not is_mixed_square_monomial(mono)
+                    or monomial_word_length(mono) > max_word_length):
                 continue
             image = square.d(Polynomial({mono: Fraction(1)}))
             if image:

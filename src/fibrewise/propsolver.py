@@ -75,12 +75,7 @@ def apply_map(table: GeneratorTable, which: str, chi: Polynomial) -> Polynomial:
 
 def identity_residual(table: GeneratorTable, chi: Polynomial) -> Polynomial:
     """alpha(chi) + beta(chi) - gamma(chi) - delta(chi)."""
-    return (
-        apply_map(table, "alpha", chi)
-        + apply_map(table, "beta", chi)
-        - apply_map(table, "gamma", chi)
-        - apply_map(table, "delta", chi)
-    )
+    return _condition_image(table, "alpha+beta=gamma+delta", chi)
 
 
 def subscript_sequence(table: GeneratorTable, mono: Monomial) -> tuple[int, ...]:

@@ -110,6 +110,18 @@ def test_cohomology_respects_truncation():
         cohomology_in_degree(model.base_cdga(), model.truncation)
 
 
+def test_basis_and_preimage_refuse_degrees_above_the_truncation():
+    model = util.s2_base_model(truncation=4)
+    base = model.base_cdga()
+    x = model.table.poly("x")
+    assert base.basis(4) == (((model.table.generator("base", "x"), 2),),)
+    with pytest.raises(AlgebraError, match="above the truncation degree 4"):
+        base.basis(5)
+    # x^3 = d(x y) is a cycle of degree 6, whose preimage lies in degree 5
+    with pytest.raises(AlgebraError, match="above the truncation degree 4"):
+        base.solve_preimage(x ** 3)
+
+
 def d_columns(cdga, degree):
     """The matrix of d: degree -> degree+1 by columns, built from `cdga.d` of
     each basis monomial (oracle for the assembly inside FreeCDGA)."""

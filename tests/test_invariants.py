@@ -43,7 +43,7 @@ def test_satisfied_hypotheses_imply_odd_cycles_are_exact():
 
 
 def test_preimage_solutions_satisfy_the_equation_exactly():
-    model = util.s2_base_model(fiber=[("u", 1), ("e", 2)])
+    model = util.s2_base_model(fiber=[("u", 1), ("e", 2)], truncation=9)
     total = model.total_cdga()
     rng = random.Random(29)
     gens = model.table.base + model.table.fiber

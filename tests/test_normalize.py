@@ -295,6 +295,33 @@ def test_ls_pipeline_seeded_round_trips():
             assert verify_equivalence(result.certificate).ok
 
 
+@pytest.mark.parametrize("mode", ["change-of-generators", "both"])
+def test_round_trips_that_move_the_differential(mode):
+    # over Lambda(p2, q3; dp = q) a change of generators with non-closed
+    # coefficients moves D, so hopf has work on every model; no seed is skipped
+    from fibrewise import PerturbationSpec, perturb
+
+    model = util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)], truncation=14
+    )
+    comul = Comultiplication.standard(model.table)
+    stages = set()
+    for seed in range(27):
+        m2, c2 = perturb(model, comul, PerturbationSpec(seed=seed, mode=mode))
+        assert m2.d_fiber
+        hopf = hopf_normalize(m2, c2)
+        assert hopf.normalized and hopf.certificate.steps
+        assert hopf.certificate.target_d == {}
+        assert verify_equivalence(hopf.certificate).ok
+        ls = ls_normalize(m2, c2)
+        assert ls.normalized
+        assert ls.certificate.target_d == {}
+        assert ls.certificate.target_c == comul.images
+        assert verify_equivalence(ls.certificate).ok
+        stages.update(step.stage for step in ls.certificate.steps)
+    assert stages == {"hopf-linear", "hopf-higher", "ls-even", "ls-odd"}
+
+
 def test_ls_pipeline_homotopy_associative_but_not_strict_input():
     table = GeneratorTable(base=[("x", 2), ("y", 5)],
                            fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 15)])
