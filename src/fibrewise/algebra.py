@@ -473,6 +473,8 @@ class GeneratorTable:
         for k in (1, 2):
             self._fiber_pos.update({g.id: i for i, g in enumerate(self._copies[k])})
         self._basis_cache: dict[tuple, tuple[Monomial, ...]] = {}
+        # generator ids -> {(suffix start, degree): unsorted monomials}
+        self._suffix_cache: dict[tuple[int, ...], dict[tuple[int, int], list]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -527,9 +529,14 @@ class GeneratorTable:
     # -- degreewise bases ----------------------------------------------------
 
     def monomial_basis(self, degree: int, gens: Sequence[Generator]) -> tuple[Monomial, ...]:
-        """Deterministic basis of all degree-`degree` monomials over `gens`."""
+        """Deterministic basis of all degree-`degree` monomials over `gens`.
+
+        The monomials over each suffix of the ordered generators are
+        enumerated once per generator set and shared by every degree; a
+        degree is sorted only when it is asked for."""
         ordered = tuple(sorted(gens, key=lambda g: g.sort_key))
-        key = (degree, tuple(g.id for g in ordered))
+        ids = tuple(g.id for g in ordered)
+        key = (degree, ids)
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
@@ -538,31 +545,31 @@ class GeneratorTable:
                 raise AlgebraError(
                     "cannot enumerate a basis over the degree-0 generator 't'"
                 )
-        results: list[Monomial] = []
-        factors: list[tuple[Generator, int]] = []
-
-        def extend(index: int, remaining: int) -> None:
-            if remaining == 0 and index <= len(ordered):
-                results.append(tuple(factors))
-            if index == len(ordered) or remaining <= 0:
-                return
-            gen = ordered[index]
-            max_exp = 1 if gen.is_odd else remaining // gen.degree
-            for exp in range(max_exp, 0, -1):
-                if exp * gen.degree <= remaining:
-                    factors.append((gen, exp))
-                    extend(index + 1, remaining - exp * gen.degree)
-                    factors.pop()
-            extend(index + 1, remaining)
-
-        if degree == 0:
-            results.append(())
-        elif degree > 0:
-            extend(0, degree)
-        basis = tuple(sorted(results, key=monomial_key))
+        suffixes = self._suffix_cache.setdefault(ids, {})
+        basis = tuple(sorted(_suffix_monomials(ordered, 0, degree, suffixes),
+                             key=monomial_key))
         self._basis_cache[key] = basis
         return basis
 
-    def spaces_gens(self, spaces: Iterable[str]) -> tuple[Generator, ...]:
-        wanted = set(spaces)
-        return tuple(g for g in self.all_generators if g.space in wanted)
+
+def _suffix_monomials(
+    gens: tuple[Generator, ...], index: int, degree: int,
+    memo: dict[tuple[int, int], list[Monomial]],
+) -> list[Monomial]:
+    """The degree-`degree` monomials over gens[index:], unsorted, memoized by
+    (index, degree)."""
+    if degree == 0:
+        return [()]
+    if degree < 0 or index == len(gens):
+        return []
+    found = memo.get((index, degree))
+    if found is None:
+        gen = gens[index]
+        found = list(_suffix_monomials(gens, index + 1, degree, memo))
+        max_exp = 1 if gen.is_odd else degree // gen.degree
+        for exp in range(1, max_exp + 1):
+            head = ((gen, exp),)
+            found.extend(head + rest for rest in _suffix_monomials(
+                gens, index + 1, degree - exp * gen.degree, memo))
+        memo[(index, degree)] = found
+    return found

@@ -8,9 +8,15 @@ Z = E + N (boundaries plus a deterministically chosen complement) that the
 odd-length normalization steps rely on.
 
 The matrix of d from one degree to the next is assembled in one place, by
-columns: d of each basis monomial in the coordinates of the target basis.
-Its transpose is the equation system that the kernel (cycles) and the
-preimage solve eliminate.
+columns: d of each basis monomial in the coordinates of the target basis,
+once per degree and algebra.  Its transpose is the equation system that the
+kernel (cycles) and the preimage solve eliminate.
+
+Whether a degree has any cohomology at all is decided first from ranks:
+dim H^k = dim Lambda^k - rank d_k - rank d_(k-1) once d_k d_(k-1) = 0 is
+checked exactly, and ranks modulo a prime never exceed the rational ones,
+so a modular count of zero proves H^k = 0 (`cohomology_vanishes`).  Only a
+degree the count cannot clear has its cohomology slice built.
 
 Each degree is eliminated once.  The cycle basis is the kernel basis read
 off the reduced row echelon form of d, one vector per free column, equal to
@@ -147,6 +153,8 @@ class FreeCDGA:
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._slice_cache: dict[int, CohomologySlice] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
+        self._columns_cache: dict[int, list[linalg.Vector]] = {}
+        self._vanishing_cache: dict[int, bool] = {}
 
     # -- differential --------------------------------------------------------
 
@@ -229,9 +237,42 @@ class FreeCDGA:
 
     def _d_columns(self, degree: int) -> list[linalg.Vector]:
         """The matrix of d: degree -> degree+1 by columns, one per source
-        basis monomial, in the coordinates of the target basis."""
-        index = self._index(degree + 1)
-        return [_to_vector(self._d_monomial(mono), index) for mono in self.basis(degree)]
+        basis monomial, in the coordinates of the target basis; built once.
+        Callers share the columns and must not modify them."""
+        columns = self._columns_cache.get(degree)
+        if columns is None:
+            index = self._index(degree + 1)
+            columns = [
+                _to_vector(self._d_monomial(mono), index) for mono in self.basis(degree)
+            ]
+            self._columns_cache[degree] = columns
+        return columns
+
+    def cohomology_vanishes(self, degree: int) -> bool:
+        """Whether H^degree = 0, decided once per degree.
+
+        When the ranks of d_degree and d_(degree-1) modulo `linalg.P` add up
+        to the dimension of the degree, and d_degree d_(degree-1) = 0 holds
+        exactly, the cohomology vanishes; no slice is built.  Any other
+        count, or a denominator divisible by P, falls back to the exact
+        cohomology slice.  Raises `EngineError` when d*d != 0 here.
+        """
+        verdict = self._vanishing_cache.get(degree)
+        if verdict is not None:
+            return verdict
+        here, below = self._d_columns(degree), self._d_columns(degree - 1)
+        rank_here = linalg.rank_mod_p(here)
+        rank_below = linalg.rank_mod_p(below)
+        if (rank_here is not None and rank_below is not None
+                and len(here) == rank_here + rank_below):
+            for column in below:
+                if linalg.combine(here, column):
+                    raise EngineError("boundary vector outside the cycle space")
+            verdict = True
+        else:
+            verdict = not self.cohomology_slice(degree).complement
+        self._vanishing_cache[degree] = verdict
+        return verdict
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
         cached = self._slice_cache.get(degree)

@@ -4,6 +4,12 @@ Vectors and matrix rows are dicts {column index: Fraction} holding only
 nonzero entries.  Everything is deterministic: pivots are chosen as the
 first usable row in index order, so repeated runs produce identical
 echelon forms, kernels and particular solutions.
+
+`rank_mod_p` is the one computation over a finite field: the rank of a
+matrix reduced modulo the prime P, in `int` arithmetic.  When no entry has
+a denominator divisible by P, that rank is a lower bound for the rank over
+the rationals (a minor that is nonzero mod P is nonzero), which is all its
+callers use it for.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from fractions import Fraction
 from typing import Iterable
 
 Vector = dict[int, Fraction]
+
+P = 2**31 - 1  # the Mersenne prime of `rank_mod_p`
 
 
 def vec_add(a: Vector, b: Vector, scale: Fraction = Fraction(1)) -> Vector:
@@ -79,6 +87,40 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
 
 def rank(rows: Iterable[Vector], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
+
+
+def rank_mod_p(columns: Iterable[Vector]) -> int | None:
+    """Rank over F_P of the matrix with these sparse columns, or None when an
+    entry's denominator vanishes mod P (the reduction is then undefined).
+
+    Each column is reduced against the pivot columns met so far by its
+    smallest row index, so every stored pivot column is 1 at its own pivot
+    row and 0 above it.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        vec: dict[int, int] = {}
+        for row, value in column.items():
+            if value.denominator % P == 0:
+                return None
+            entry = value.numerator * pow(value.denominator, -1, P) % P
+            if entry:
+                vec[row] = entry
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(vec[lead], -1, P)
+                pivots[lead] = {row: val * inverse % P for row, val in vec.items()}
+                break
+            factor = vec[lead]
+            for row, val in pivot.items():
+                entry = (vec.get(row, 0) - factor * val) % P
+                if entry:
+                    vec[row] = entry
+                else:
+                    vec.pop(row, None)
+    return len(pivots)
 
 
 def nullspace(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:

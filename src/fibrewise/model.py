@@ -189,6 +189,18 @@ class HypothesisReport:
         return lines
 
 
+def truncation_verdict(model: RelativeModel) -> Verdict:
+    """The truncation must exceed the largest fiber degree: the pipelines,
+    and the perturbations that feed them, work in every degree up to it."""
+    fiber_degree = max((g.degree for g in model.table.fiber), default=0)
+    if model.truncation <= fiber_degree:
+        return Verdict.failed(
+            f"truncation degree {model.truncation} must exceed the largest fiber "
+            f"degree {fiber_degree}: the pipelines solve in every degree up to it"
+        )
+    return Verdict.passed()
+
+
 def tail_shape_verdict(
     model: RelativeModel, position: int, label: str, tail: Polynomial, degree: int
 ) -> Verdict:
@@ -254,13 +266,20 @@ def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> 
 
 
 def check_hypotheses(model: RelativeModel) -> HypothesisReport:
-    """Scan for odd base cohomology and even fiber generators."""
+    """Scan for odd base cohomology and even fiber generators.
+
+    Each odd degree below the truncation is cleared by the base algebra's
+    rank count (`FreeCDGA.cohomology_vanishes`); only a degree it cannot
+    clear has its classes computed, by its cohomology slice.  The verdicts
+    are cached on the base algebra, so a repeated scan of one model is free.
+    """
     report = HypothesisReport()
     base = model.base_cdga()
     for degree in range(1, model.truncation, 2):
-        slice_ = base.cohomology_slice(degree)
-        if slice_.complement:
-            report.odd_cohomology_violations.append((degree, slice_.complement))
+        if not base.cohomology_vanishes(degree):
+            report.odd_cohomology_violations.append(
+                (degree, base.cohomology_slice(degree).complement)
+            )
     for gen in model.table.fiber:
         if not gen.is_odd:
             report.even_fiber_generators.append(gen)

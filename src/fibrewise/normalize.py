@@ -48,6 +48,7 @@ from .model import (
     RelativeModel,
     check_homotopy_associative,
     check_hypotheses,
+    truncation_verdict,
     validate_comultiplication,
     validate_relative_model,
 )
@@ -93,12 +94,9 @@ def _processing_order(model: RelativeModel) -> list[Generator]:
 
 
 def _require_valid(model: RelativeModel, comul: Comultiplication) -> None:
-    fiber_degree = max((g.degree for g in model.table.fiber), default=0)
-    if model.truncation <= fiber_degree:
-        raise InvalidModelError(
-            f"truncation degree {model.truncation} must exceed the largest fiber "
-            f"degree {fiber_degree}: the pipelines solve in every degree up to it"
-        )
+    verdict = truncation_verdict(model)
+    if not verdict.ok:
+        raise InvalidModelError(verdict.failures[0])
     verdict = validate_relative_model(model)
     if not verdict.ok:
         raise InvalidModelError("invalid relative model: " + verdict.failures[0])

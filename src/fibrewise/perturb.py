@@ -26,6 +26,7 @@ from .model import (
     Comultiplication,
     RelativeModel,
     check_hypotheses,
+    truncation_verdict,
     validate_comultiplication,
     validate_relative_model,
 )
@@ -106,6 +107,9 @@ def _exact_additions(model, rng, max_word_length):
 def perturb(
     model: RelativeModel, comul: Comultiplication, spec: PerturbationSpec
 ) -> tuple[RelativeModel, Comultiplication]:
+    verdict = truncation_verdict(model)
+    if not verdict.ok:
+        raise PerturbationError(verdict.failures[0])
     if any(model.D(gen) for gen in model.table.fiber):
         raise PerturbationError("perturbation requires a vanishing fiber differential")
     if not comul.is_standard():

@@ -40,6 +40,7 @@ from fibrewise import (
     Comultiplication,
     GeneratorTable,
     Polynomial,
+    RelativeModel,
     associativity_defect,
     basic_form_element,
     brute_force_solution_space,
@@ -310,7 +311,7 @@ def test_criterion_7_randomized_algebra_laws():
         cases += 1
     # serialization round trip
     ser_table = GeneratorTable(base=[("x", 2)], fiber=[("u", 3), ("v", 3)])
-    ser_gens = ser_table.spaces_gens(("base", "w0", "w1"))
+    ser_gens = RelativeModel(ser_table).tensor_cdga(2).gens
     for _ in range(2000):
         p = util.random_homogeneous(rng, ser_table, ser_gens, rng.randint(1, 9))
         doc = fio.polynomial_to_doc(p)

@@ -1,6 +1,8 @@
 """Canonical form, Koszul signs, products and degreewise bases."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,15 @@ from fibrewise import (
     AlgebraError,
     GeneratorTable,
     Polynomial,
+    RelativeModel,
     normalize_monomial,
 )
+from fibrewise import io as fio
 from fibrewise.algebra import is_mixed_square_monomial, monomial_display
 
 import util
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -49,7 +55,7 @@ def test_three_odd_factors_sign_matches_bubble_sort(table):
 
 def test_normalize_against_bubble_sort_oracle_randomized(table):
     rng = random.Random(41)
-    gens = list(table.base + table.fiber + table.spaces_gens(("w1",)))
+    gens = list(table.base + table.fiber + tuple(table.copy(g, 1) for g in table.fiber))
     for _ in range(400):
         raw = [(rng.choice(gens), 1) for _ in range(rng.randint(1, 6))]
         word, oracle_sign = util.bubble_sort_sign(raw)
@@ -117,18 +123,18 @@ def test_homogeneous_parts(table):
 
 
 def test_basis_of_degree_fixture(table):
-    basis = table.monomial_basis(3, table.spaces_gens(("base",)))
+    basis = table.monomial_basis(3, table.base)
     assert [monomial_display(m) for m in basis] == ["b3"]
 
 
 def test_basis_of_degree_s2_base():
     model = util.s2_base_model()
-    basis = model.table.monomial_basis(4, model.table.spaces_gens(("base",)))
+    basis = model.table.monomial_basis(4, model.table.base)
     assert [monomial_display(m) for m in basis] == ["x^2"]
 
 
 def test_basis_degree_zero(table):
-    basis = table.monomial_basis(0, table.spaces_gens(("base", "w0")))
+    basis = table.monomial_basis(0, table.base + table.fiber)
     assert list(basis) == [()]
 
 
@@ -141,9 +147,38 @@ def test_basis_against_enumeration_oracle():
         assert list(got) == list(expected)
 
 
+def test_basis_equals_recursive_oracle_on_golden_models():
+    # every degree up to the truncation, over the base, total, square and
+    # cube generators, asked in a shuffled order so that the suffix memo is
+    # filled out of degree order
+    rng = random.Random(7)
+    for path in sorted(GOLDEN.glob("*.model.json")):
+        model = fio.parse_model(json.loads(path.read_text(encoding="utf-8")))[0]
+        for copies in range(4):
+            gens = model.tensor_cdga(copies).gens
+            degrees = list(range(model.truncation + 1))
+            rng.shuffle(degrees)
+            for degree in degrees:
+                got = model.table.monomial_basis(degree, gens)
+                assert got == util.basis_by_recursion(gens, degree), (path.name, degree)
+
+
+def test_basis_refuses_the_degree_zero_generator_t():
+    table = GeneratorTable(base=[("x", 2)], fiber=[("u", 3)])
+    gens = RelativeModel(table).tensor_cdga(2).gens
+    assert table.monomial_basis(3, gens)  # a basis over gens alone is fine
+    for degree in (0, 2, 3):
+        with pytest.raises(AlgebraError, match="degree-0 generator"):
+            table.monomial_basis(degree, gens + (table.t,))
+    with pytest.raises(AlgebraError, match="degree-0 generator"):
+        RelativeModel(table, truncation=8).homotopy_cdga().basis(4)
+    with pytest.raises(AlgebraError, match="degree >= 1"):
+        GeneratorTable(base=[("c", 0)], fiber=[])  # t is the only one
+
+
 def test_mixed_minimum_counts():
     table = GeneratorTable(base=[("b3", 3)], fiber=[("w3", 3)])
-    gens = table.spaces_gens(("base", "w0", "w1"))
+    gens = RelativeModel(table).tensor_cdga(2).gens
     mixed = [m for m in table.monomial_basis(6, gens) if is_mixed_square_monomial(m)]
     assert [monomial_display(m) for m in mixed] == ["w3*w3'"]
 
@@ -153,7 +188,7 @@ def test_serialization_roundtrip_is_bit_identical():
 
     table = GeneratorTable(base=[("x", 2)], fiber=[("u", 3), ("v", 3)])
     rng = random.Random(3)
-    gens = table.spaces_gens(("base", "w0", "w1"))
+    gens = RelativeModel(table).tensor_cdga(2).gens
     for _ in range(50):
         p = util.random_homogeneous(rng, table, gens, rng.randint(1, 9))
         doc = fio.polynomial_to_doc(p)

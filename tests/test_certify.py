@@ -259,8 +259,7 @@ def _conjugate_adding_exact_term(real, mutated):
         if last.id in phi.images:
             return new_model, new_comul
         square = new_model.tensor_cdga(2)
-        for mono in table.monomial_basis(last.degree - 1,
-                                         table.spaces_gens(("base", "w0", "w1"))):
+        for mono in table.monomial_basis(last.degree - 1, square.gens):
             exact = square.d(Polynomial({mono: Fraction(1)}))
             if is_mixed_square_monomial(mono) and exact:
                 images = dict(new_comul.images)

@@ -509,6 +509,23 @@ def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipelin
     assert "ERROR: truncation degree 5 must exceed the largest fiber degree 5" in err
 
 
+@pytest.mark.parametrize("mode", ["change-of-generators", "exact-homotopy", "both"])
+def test_perturb_truncation_must_exceed_fiber_degrees(tmp_path, capsys, mode):
+    # the perturbations draw bases in degrees up to the largest fiber degree
+    # 9, which truncation 4 does not reach; the pipelines would refuse the
+    # document they wrote
+    model = util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)], truncation=4)
+    doc = fio.model_to_document(model, Comultiplication.standard(model.table))
+    path = write(tmp_path, "m.json", doc)
+    out = tmp_path / "out.json"
+    assert run_command(["perturb", path, "--seed", "0", "--mode", mode,
+                        "-o", str(out)]) == 4
+    assert not out.exists()
+    assert ("ERROR: truncation degree 4 must exceed the largest fiber degree 9"
+            in capsys.readouterr().err)
+
+
 INVALID_MODELS = {
     # w3 depends on the later w5 (ordered-basis violation)
     "differential": (["differential"], {"w3": [

@@ -1,0 +1,256 @@
+"""The odd-degree hypothesis scan: a modular rank count clears a degree, an
+exact cohomology slice is built only where the count cannot."""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from fibrewise import (
+    EngineError,
+    FreeCDGA,
+    GeneratorTable,
+    Polynomial,
+    RelativeModel,
+    check_hypotheses,
+    linalg,
+)
+from fibrewise import io as fio
+
+import util
+
+GOLDEN = Path(__file__).parent / "golden"
+P = 2**31 - 1
+# the last two vanish mod P, as a denominator and as a numerator
+COEFFICIENTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+                Fraction(-3), Fraction(5, 7), Fraction(1, P), Fraction(P))
+
+
+def _report(report):
+    return [(degree, [repr(c) for c in classes])
+            for degree, classes in report.odd_cohomology_violations]
+
+
+def _oracle(model):
+    return [(degree, [repr(c) for c in classes])
+            for degree, classes in util.scan_by_slices(model)]
+
+
+def _scan(monkeypatch, model):
+    """check_hypotheses on `model`, with the degrees whose slice its base
+    algebra was asked for."""
+    base = model.base_cdga()
+    asked = []
+    real = FreeCDGA.cohomology_slice
+
+    def spy(self, degree):
+        if self is base:
+            asked.append(degree)
+        return real(self, degree)
+
+    monkeypatch.setattr(FreeCDGA, "cohomology_slice", spy)
+    report = check_hypotheses(model)
+    monkeypatch.setattr(FreeCDGA, "cohomology_slice", real)
+    return report, sorted(set(asked))
+
+
+# -- elementary bases and their tensor products ------------------------------------
+
+
+def _odd_sphere(rng, c):
+    return [("e", rng.choice((1, 3, 5, 7)))], {}
+
+
+def _even_sphere(rng, c):
+    k = rng.choice((1, 2))
+    return [("x", 2 * k), ("y", 4 * k - 1)], {"y": (c, [("x", 2)])}
+
+
+def _projective(rng, c):
+    step, n = rng.choice((2, 4)), rng.randint(1, 3)
+    return [("x", step), ("y", step * (n + 1) - 1)], {"y": (c, [("x", n + 1)])}
+
+
+def _contractible(rng, c):
+    k = rng.randint(1, 5)
+    return [("p", k), ("q", k + 1)], {"p": (c, [("q", 1)])}
+
+
+def _heisenberg(rng, c):
+    return [("a", 3), ("b", 3), ("c", 5)], {"c": (c, [("a", 1), ("b", 1)])}
+
+
+def _mixed_product(rng, c):
+    return [("x", 2), ("y", 2), ("z", 3)], {"z": (c, [("x", 1), ("y", 1)])}
+
+
+PIECES = (_odd_sphere, _even_sphere, _projective, _contractible, _heisenberg,
+          _mixed_product)
+
+
+def product_base(pieces, truncation):
+    """The tensor product of elementary bases [(generators, {name: (coeff,
+    factors)})], the generators of piece i renamed with the suffix i."""
+    gens = [(f"{name}{i}", degree)
+            for i, (piece_gens, _) in enumerate(pieces) for name, degree in piece_gens]
+    table = GeneratorTable(base=gens, fiber=[])
+    d_base = {
+        f"{name}{i}": Polynomial.term(
+            c, [(table.generator("base", f"{g}{i}"), e) for g, e in factors])
+        for i, (_, piece_diff) in enumerate(pieces)
+        for name, (c, factors) in piece_diff.items()
+    }
+    return RelativeModel(table, d_base=d_base, truncation=truncation)
+
+
+def seeded_product_bases(count=48):
+    rng = random.Random(2024)
+    models = []
+    for _ in range(count):
+        pieces = [rng.choice(PIECES)(rng, rng.choice(COEFFICIENTS))
+                  for _ in range(rng.randint(2, 3))]
+        models.append(product_base(pieces, rng.randint(6, 12)))
+    return models
+
+
+def ladder_base():
+    """The base of the ladder models: Lambda(x2, y5, p2, q3; dy = x^3, dp = q)."""
+    table = GeneratorTable(base=[("x", 2), ("y", 5), ("p", 2), ("q", 3)], fiber=[])
+    return RelativeModel(
+        table, d_base={"y": table.poly("x") ** 3, "p": table.poly("q")}, truncation=20)
+
+
+def golden_models():
+    return [fio.parse_model(json.loads(path.read_text(encoding="utf-8")))[0]
+            for path in sorted(GOLDEN.glob("*.model.json"))]
+
+
+# -- the scan equals the slice-based oracle ---------------------------------------
+
+
+def test_scan_equals_slice_oracle_on_golden_and_named_bases():
+    models = golden_models() + [
+        util.wide_base_model(), ladder_base(),
+        util.contractible_base_model(truncation=24), util.s2_base_model(truncation=16),
+    ]
+    assert len(models) == 14 + 4
+    violations = 0
+    for model in models:
+        got = _report(check_hypotheses(model))
+        assert got == _oracle(model)
+        violations += bool(got)
+    assert violations == 2  # fixtures a and c, over Lambda(b3)
+
+
+def test_scan_equals_slice_oracle_on_seeded_product_bases(monkeypatch):
+    counts = {"violating": 0, "cleared": 0, "fallback": 0, "denominator P": 0}
+    for model in seeded_product_bases():
+        report, asked = _scan(monkeypatch, model)
+        expected = _oracle(model)
+        assert _report(report) == expected
+        counts["violating" if expected else "cleared"] += 1
+        # a slice is built where a class exists, or where ranks mod P fall short
+        assert {degree for degree, _ in expected} <= set(asked)
+        counts["fallback"] += bool(set(asked) - {degree for degree, _ in expected})
+        counts["denominator P"] += any(
+            c.denominator == P for image in model.d_base.values()
+            for c in image.terms.values())
+    assert counts["violating"] >= 10 and counts["cleared"] >= 10, counts
+    assert counts["fallback"] >= 5 and counts["denominator P"] >= 1, counts
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, P), Fraction(P), Fraction(3, P)])
+def test_scan_falls_back_on_coefficients_that_vanish_mod_p(monkeypatch, coeff):
+    # dy = c x^2 in the 2-sphere factor: a denominator P leaves the matrix
+    # undefined mod P, a numerator P drops its rank; either way the slice
+    # decides, and the classes are those of the exact oracle
+    model = product_base([
+        ([("x", 2), ("y", 3)], {"y": (coeff, [("x", 2)])}),
+        ([("p", 2), ("q", 3)], {"p": (1, [("q", 1)])}),
+        ([("e", 5)], {}),
+    ], truncation=12)
+    report, asked = _scan(monkeypatch, model)
+    assert _report(report) == _oracle(model)
+    assert [degree for degree, _ in report.odd_cohomology_violations] == [5, 7]
+    assert 3 in asked  # H^3 = 0, but only the exact slice can say so here
+
+
+def test_basescan_shaped_scan_builds_no_slice(monkeypatch):
+    model = util.wide_base_model()
+    report, asked = _scan(monkeypatch, model)
+    assert report.satisfied and asked == []
+
+
+def test_fixture_a_scan_builds_only_its_violating_degree(monkeypatch):
+    model, _ = util.fixture_a()
+    report, asked = _scan(monkeypatch, model)
+    assert [degree for degree, _ in report.odd_cohomology_violations] == [3]
+    assert asked == [3]
+
+
+def test_repeated_scan_reuses_every_verdict(monkeypatch):
+    # perturb scans one model once per seed it draws
+    for model in (util.wide_base_model(), util.fixture_a()[0]):
+        first = _report(check_hypotheses(model))
+        calls = []
+        real = linalg.rank_mod_p
+        monkeypatch.setattr(linalg, "rank_mod_p",
+                            lambda columns: calls.append(1) or real(columns))
+        assert _report(check_hypotheses(model)) == first
+        monkeypatch.setattr(linalg, "rank_mod_p", real)
+        assert calls == []
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_vanishing_verdict_in_every_degree_equals_the_slice(order):
+    models = [util.wide_base_model(), ladder_base(), util.fixture_a()[0],
+              util.s2_base_model(truncation=12)] + seeded_product_bases(8)
+    for model in models:
+        base = model.base_cdga()
+        oracle = FreeCDGA(model.table, model.table.base, base.diff, model.truncation)
+        degrees = list(range(model.truncation))
+        if order == "descending":
+            degrees.reverse()
+        for degree in degrees:
+            expected = not oracle.cohomology_slice(degree).complement
+            assert base.cohomology_vanishes(degree) is expected, degree
+
+
+def test_scan_raises_when_d_squared_is_nonzero():
+    # dx = y, dy = x^2, dz = 0: in degree 3 the ranks mod P (1 and 1) fill
+    # the dimension 2, but d(d(x)) = x^2, so the count proves nothing; at
+    # truncation 4 degree 3 is the last one scanned
+    table = GeneratorTable(base=[("x", 2), ("y", 3), ("z", 3)], fiber=[])
+    d_base = {"x": table.poly("y"), "y": table.poly("x") ** 2}
+    with pytest.raises(EngineError, match="outside the cycle space"):
+        check_hypotheses(RelativeModel(table, d_base=d_base, truncation=4))
+    base = RelativeModel(table, d_base=d_base, truncation=8).base_cdga()
+    assert base.cohomology_vanishes(1)
+    with pytest.raises(EngineError, match="outside the cycle space"):
+        base.cohomology_vanishes(3)
+
+
+# -- the modular rank ---------------------------------------------------------------
+
+
+def test_rank_mod_p_equals_the_rational_rank_on_small_integer_matrices():
+    rng = random.Random(11)
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        columns = [{i: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5)))
+                    for i in range(nrows) if rng.random() < 0.5}
+                   for _ in range(ncols)]
+        columns = [{i: v for i, v in c.items() if v} for c in columns]
+        assert linalg.rank_mod_p(columns) == util.dense_rank(
+            linalg.transpose(columns, nrows), ncols)
+
+
+def test_rank_mod_p_bounds_the_rational_rank_from_below():
+    assert linalg.rank_mod_p([{0: Fraction(P)}]) == 0
+    assert linalg.rank_mod_p([{0: Fraction(1), 1: Fraction(1)},
+                              {0: Fraction(1), 1: Fraction(1 + P)}]) == 1
+    assert linalg.rank_mod_p([{0: Fraction(1, P)}]) is None
+    assert linalg.rank_mod_p([{0: Fraction(1)}, {1: Fraction(2, 3 * P)}]) is None
+    assert linalg.rank_mod_p([]) == 0

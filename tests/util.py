@@ -8,11 +8,13 @@ from fibrewise import linalg
 from fibrewise import (
     ChangeOfGenerators,
     Comultiplication,
+    FreeCDGA,
     GeneratorTable,
     Polynomial,
     RelativeModel,
     normalize_monomial,
 )
+from fibrewise.algebra import monomial_key
 
 
 def fixture_a():
@@ -204,6 +206,49 @@ def enumerate_basis_oracle(gens, degree):
 
     rec(0, degree, [])
     return sorted(set(out), key=lambda m: [(g.sort_key, e) for g, e in m])
+
+
+def basis_by_recursion(gens, degree):
+    """The monomial basis by one depth-first recursion per degree, each
+    degree sorted by `monomial_key` (oracle for the memoized suffix
+    enumeration of GeneratorTable.monomial_basis)."""
+    ordered = tuple(sorted(gens, key=lambda g: g.sort_key))
+    results, factors = [], []
+
+    def extend(index, remaining):
+        if remaining == 0 and index <= len(ordered):
+            results.append(tuple(factors))
+        if index == len(ordered) or remaining <= 0:
+            return
+        gen = ordered[index]
+        max_exp = 1 if gen.is_odd else remaining // gen.degree
+        for exp in range(max_exp, 0, -1):
+            if exp * gen.degree <= remaining:
+                factors.append((gen, exp))
+                extend(index + 1, remaining - exp * gen.degree)
+                factors.pop()
+        extend(index + 1, remaining)
+
+    if degree == 0:
+        results.append(())
+    elif degree > 0:
+        extend(0, degree)
+    return tuple(sorted(results, key=monomial_key))
+
+
+def scan_by_slices(model):
+    """The odd-degree hypothesis scan with a cohomology slice built in every
+    odd degree below the truncation, on a fresh base algebra: [(degree,
+    classes)] for each degree with classes (oracle for check_hypotheses,
+    which builds a slice only where the modular rank count fails)."""
+    base = FreeCDGA(model.table, model.table.base,
+                    model.base_cdga().diff, model.truncation)
+    found = []
+    for degree in range(1, model.truncation, 2):
+        complement = base.cohomology_slice(degree).complement
+        if complement:
+            found.append((degree, complement))
+    return found
 
 
 def random_homogeneous(rng, table, gens, degree, max_terms=3):
