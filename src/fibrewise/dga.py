@@ -12,11 +12,19 @@ columns: d of each basis monomial in the coordinates of the target basis,
 once per degree and algebra.  Its transpose is the equation system that the
 kernel (cycles) and the preimage solve eliminate.
 
-Whether a degree has any cohomology at all is decided first from ranks:
-dim H^k = dim Lambda^k - rank d_k - rank d_(k-1) once d_k d_(k-1) = 0 is
-checked exactly, and ranks modulo a prime never exceed the rational ones,
-so a modular count of zero proves H^k = 0 (`cohomology_vanishes`).  Only a
-degree the count cannot clear has its cohomology slice built.
+Whether a degree has any cohomology at all is decided first from ranks,
+one tensor factor at a time.  The generators split into connected
+components, two joined when one occurs in the other's differential; each
+component is a sub-algebra closed under d, and the algebra is their tensor
+product, so H = (x) H(component) by Kuenneth.  On a component, dim H^k =
+dim Lambda^k - rank d_k - rank d_(k-1) once d_k d_(k-1) = 0 is checked
+exactly, and ranks modulo a prime never exceed the rational ones, so that
+count bounds dim H^k from above (the exact slice's complement length
+stands in where a denominator vanishes mod P).  The bound for the algebra
+is the convolution of the component bounds, and a bound of zero proves
+H^k = 0 (`cohomology_vanishes`) without any matrix of the whole algebra.
+Only a degree the bound cannot clear has the algebra's cohomology slice
+built.
 
 Each degree is eliminated once.  The cycle basis is the kernel basis read
 off the reduced row echelon form of d, one vector per free column, equal to
@@ -154,7 +162,8 @@ class FreeCDGA:
         self._slice_cache: dict[int, CohomologySlice] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._columns_cache: dict[int, list[linalg.Vector]] = {}
-        self._vanishing_cache: dict[int, bool] = {}
+        self._bound_cache: dict[int, int] = {}
+        self._components: tuple[FreeCDGA, ...] | None = None
 
     # -- differential --------------------------------------------------------
 
@@ -248,31 +257,93 @@ class FreeCDGA:
             self._columns_cache[degree] = columns
         return columns
 
-    def cohomology_vanishes(self, degree: int) -> bool:
-        """Whether H^degree = 0, decided once per degree.
+    def components(self) -> tuple[FreeCDGA, ...]:
+        """The tensor factors on connected components of the generators, two
+        joined when one occurs in the other's differential, each with the
+        restricted differential and the same truncation; built once.  An
+        algebra with at most one component is its own one factor."""
+        if self._components is None:
+            parent = {g.id: g.id for g in self.gens}
 
-        When the ranks of d_degree and d_(degree-1) modulo `linalg.P` add up
-        to the dimension of the degree, and d_degree d_(degree-1) = 0 holds
-        exactly, the cohomology vanishes; no slice is built.  Any other
-        count, or a denominator divisible by P, falls back to the exact
-        cohomology slice.  Raises `EngineError` when d*d != 0 here.
-        """
-        verdict = self._vanishing_cache.get(degree)
-        if verdict is not None:
-            return verdict
+            def root(gid: int) -> int:
+                while parent[gid] != gid:
+                    parent[gid] = gid = parent[parent[gid]]
+                return gid
+
+            for gid, image in self.diff.items():
+                for mono in image.terms:
+                    for gen, _ in mono:
+                        if gen.id in parent:
+                            parent[root(gen.id)] = root(gid)
+            groups: dict[int, list[Generator]] = {}
+            # self.gens is sorted: so is each group, and the groups follow
+            # their first generators
+            for gen in self.gens:
+                groups.setdefault(root(gen.id), []).append(gen)
+            # one component is stored as () so the algebra holds no cycle
+            self._components = () if len(groups) <= 1 else tuple(
+                FreeCDGA(self.table, group,
+                         {g.id: self.diff[g.id] for g in group if g.id in self.diff},
+                         self.truncation)
+                for group in groups.values()
+            )
+        return self._components or (self,)
+
+    def _rank_bound(self, degree: int) -> int:
+        """dim Lambda^degree - rank d_degree - rank d_(degree-1), the ranks
+        taken modulo `linalg.P` once d_degree d_(degree-1) = 0 is checked
+        exactly: an upper bound on dim H^degree of this algebra alone, equal
+        to it unless a coefficient vanishes mod P.  Where a denominator does,
+        the exact slice's complement length; 0 on an empty basis, where d*d
+        passes through zero.  Cached per degree."""
+        bound = self._bound_cache.get(degree)
+        if bound is not None:
+            return bound
+        if not self.basis(degree):
+            self._bound_cache[degree] = 0
+            return 0
         here, below = self._d_columns(degree), self._d_columns(degree - 1)
         rank_here = linalg.rank_mod_p(here)
         rank_below = linalg.rank_mod_p(below)
-        if (rank_here is not None and rank_below is not None
-                and len(here) == rank_here + rank_below):
+        if rank_here is None or rank_below is None:
+            bound = len(self.cohomology_slice(degree).complement)
+        else:
             for column in below:
                 if linalg.combine(here, column):
                     raise EngineError("boundary vector outside the cycle space")
-            verdict = True
-        else:
-            verdict = not self.cohomology_slice(degree).complement
-        self._vanishing_cache[degree] = verdict
-        return verdict
+            bound = len(here) - rank_here - rank_below
+        self._bound_cache[degree] = bound
+        return bound
+
+    def cohomology_bound(self, degree: int) -> int:
+        """An upper bound on dim H^degree: the degree-`degree` coefficient of
+        the product of the components' bound series (Kuenneth), the last
+        component read only where the others' coefficient is nonzero.  Each
+        factor bounds its component's cohomology, so the product bounds the
+        algebra's once d*d = 0, which validation checks on every generator
+        and each count re-checks exactly in the degree it reads.  With one
+        component this is exactly its `_rank_bound(degree)`."""
+        *factors, last = self.components()
+        series = {0: 1}  # the nonzero coefficients of the factors so far
+        for factor in factors:
+            product: dict[int, int] = {}
+            for j in range(degree + 1):
+                bound = factor._rank_bound(j)
+                if bound:
+                    for i, coeff in series.items():
+                        if i + j <= degree:
+                            product[i + j] = product.get(i + j, 0) + coeff * bound
+            series = product
+        return sum(coeff * last._rank_bound(degree - i) for i, coeff in series.items())
+
+    def cohomology_vanishes(self, degree: int) -> bool:
+        """Whether H^degree = 0: a `cohomology_bound` of zero proves it, and
+        any other bound falls back to the exact cohomology slice of the
+        whole algebra.  Raises `EngineError` when d*d != 0 in a degree the
+        bound reads."""
+        if not self.cohomology_bound(degree):
+            return True
+        return not self.cohomology_slice(degree).complement
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
         cached = self._slice_cache.get(degree)

@@ -268,10 +268,11 @@ def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> 
 def check_hypotheses(model: RelativeModel) -> HypothesisReport:
     """Scan for odd base cohomology and even fiber generators.
 
-    Each odd degree below the truncation is cleared by the base algebra's
-    rank count (`FreeCDGA.cohomology_vanishes`); only a degree it cannot
-    clear has its classes computed, by its cohomology slice.  The verdicts
-    are cached on the base algebra, so a repeated scan of one model is free.
+    Each odd degree below the truncation is cleared by the rank counts of
+    the base algebra's tensor factors, convolved (`FreeCDGA.cohomology_vanishes`);
+    only a degree they cannot clear has its classes computed, by the base's
+    cohomology slice.  The counts are cached on the factors, so a repeated
+    scan of one model is free.
     """
     report = HypothesisReport()
     base = model.base_cdga()

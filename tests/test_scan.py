@@ -38,22 +38,29 @@ def _oracle(model):
             for degree, classes in util.scan_by_slices(model)]
 
 
-def _scan(monkeypatch, model):
-    """check_hypotheses on `model`, with the degrees whose slice its base
-    algebra was asked for."""
-    base = model.base_cdga()
-    asked = []
+def _slices_built(monkeypatch, model):
+    """check_hypotheses on `model`, with the (generator names, degree) of
+    every cohomology slice it built: on the base algebra or on one of its
+    tensor factors."""
+    built = []
     real = FreeCDGA.cohomology_slice
 
     def spy(self, degree):
-        if self is base:
-            asked.append(degree)
+        built.append((frozenset(g.name for g in self.gens), degree))
         return real(self, degree)
 
     monkeypatch.setattr(FreeCDGA, "cohomology_slice", spy)
     report = check_hypotheses(model)
     monkeypatch.setattr(FreeCDGA, "cohomology_slice", real)
-    return report, sorted(set(asked))
+    return report, built
+
+
+def _scan(monkeypatch, model):
+    """check_hypotheses on `model`, with the degrees whose slice its base
+    algebra was asked for."""
+    report, built = _slices_built(monkeypatch, model)
+    base = frozenset(g.name for g in model.table.base)
+    return report, sorted({degree for names, degree in built if names == base})
 
 
 # -- elementary bases and their tensor products ------------------------------------
@@ -163,18 +170,20 @@ def test_scan_equals_slice_oracle_on_seeded_product_bases(monkeypatch):
 
 @pytest.mark.parametrize("coeff", [Fraction(1, P), Fraction(P), Fraction(3, P)])
 def test_scan_falls_back_on_coefficients_that_vanish_mod_p(monkeypatch, coeff):
-    # dy = c x^2 in the 2-sphere factor: a denominator P leaves the matrix
-    # undefined mod P, a numerator P drops its rank; either way the slice
-    # decides, and the classes are those of the exact oracle
+    # dy = c x^2 in the 2-sphere factor: a denominator P leaves its matrix
+    # undefined mod P (the factor's own slice decides), a numerator P drops
+    # its rank (the whole base's slice decides); either way an exact slice
+    # over x0 and y0 decides, and the classes are those of the exact oracle
     model = product_base([
         ([("x", 2), ("y", 3)], {"y": (coeff, [("x", 2)])}),
         ([("p", 2), ("q", 3)], {"p": (1, [("q", 1)])}),
         ([("e", 5)], {}),
     ], truncation=12)
-    report, asked = _scan(monkeypatch, model)
+    report, built = _slices_built(monkeypatch, model)
     assert _report(report) == _oracle(model)
     assert [degree for degree, _ in report.odd_cohomology_violations] == [5, 7]
-    assert 3 in asked  # H^3 = 0, but only the exact slice can say so here
+    # H^3 = 0, but only an exact slice can say so here
+    assert any(degree == 3 and {"x0", "y0"} <= names for names, degree in built)
 
 
 def test_basescan_shaped_scan_builds_no_slice(monkeypatch):
@@ -230,6 +239,115 @@ def test_scan_raises_when_d_squared_is_nonzero():
     assert base.cohomology_vanishes(1)
     with pytest.raises(EngineError, match="outside the cycle space"):
         base.cohomology_vanishes(3)
+
+
+# -- the bound per tensor factor (Kuenneth) ----------------------------------------
+
+
+def _vanishes_mod_p(model):
+    return any(c.numerator % P == 0 or c.denominator % P == 0
+               for image in model.d_base.values() for c in image.terms.values())
+
+
+def _heisenberg_base():
+    """Lambda(a3, b3, c5; dc = ab): one component."""
+    table = GeneratorTable(base=[("a", 3), ("b", 3), ("c", 5)], fiber=[])
+    return RelativeModel(
+        table, d_base={"c": table.poly("a") * table.poly("b")}, truncation=16)
+
+
+def test_bound_is_at_least_the_slice_dimension_in_every_degree():
+    heisenberg = _heisenberg_base()
+    models = seeded_product_bases() + golden_models() + [ladder_base(), heisenberg]
+    exact = above = 0
+    for model in models:
+        base = model.base_cdga()
+        oracle = FreeCDGA(model.table, model.table.base, base.diff, model.truncation)
+        for degree in range(model.truncation):
+            dim = len(oracle.cohomology_slice(degree).complement)
+            bound = base.cohomology_bound(degree)
+            assert bound >= dim, degree
+            if not _vanishes_mod_p(model):
+                assert bound == dim, degree
+                exact += 1
+            above += bound > dim
+    assert heisenberg.base_cdga().components() == (heisenberg.base_cdga(),)
+    assert exact > 400 and above > 0, (exact, above)
+
+
+def test_one_component_bound_raises_when_d_squared_is_nonzero():
+    # dx = y, dy = x^2 joins x and y into one component; in degree 3 the
+    # ranks mod P (1 and 1) exceed the dimension 1, and d(d(x)) = x^2
+    table = GeneratorTable(base=[("x", 2), ("y", 3)], fiber=[])
+    d_base = {"x": table.poly("y"), "y": table.poly("x") ** 2}
+    base = RelativeModel(table, d_base=d_base, truncation=8).base_cdga()
+    assert base.components() == (base,)
+    assert base.cohomology_bound(1) == 0
+    with pytest.raises(EngineError, match="outside the cycle space"):
+        base.cohomology_bound(3)
+    with pytest.raises(EngineError, match="outside the cycle space"):
+        check_hypotheses(RelativeModel(table, d_base=d_base, truncation=4))
+
+
+def test_wide_base_scan_never_assembles_the_whole_base(monkeypatch):
+    model = util.wide_base_model()
+    base = model.base_cdga()
+    assembled, sizes = [], []
+    real_columns, real_basis = FreeCDGA._d_columns, FreeCDGA.basis
+
+    def columns(self, degree):
+        assembled.append(len(self.gens))
+        return real_columns(self, degree)
+
+    def basis(self, degree):
+        found = real_basis(self, degree)
+        sizes.append(len(found))
+        return found
+
+    monkeypatch.setattr(FreeCDGA, "_d_columns", columns)
+    monkeypatch.setattr(FreeCDGA, "basis", basis)
+    report, built = _slices_built(monkeypatch, model)
+    monkeypatch.setattr(FreeCDGA, "_d_columns", real_columns)
+    monkeypatch.setattr(FreeCDGA, "basis", real_basis)
+    assert report.satisfied and built == []
+    components = base.components()
+    assert [[g.name for g in c.gens] for c in components] == [
+        ["x", "y"], ["p", "q"], ["r", "s"], ["a", "b"]]
+    assert assembled and max(assembled) == 2  # never the 8 generators
+    largest = max(len(c.basis(degree)) for c in components
+                  for degree in range(model.truncation + 1))
+    assert max(sizes) <= largest < len(base.basis(model.truncation - 1))
+
+
+def _poincare_series(degrees, top):
+    """Coefficients up to `top` of the Poincare series of the free algebra
+    with d = 0 on generators of these degrees."""
+    series = [1] + [0] * top
+    for degree in degrees:
+        if degree % 2:
+            series = [series[n] + (series[n - degree] if n >= degree else 0)
+                      for n in range(top + 1)]
+        else:
+            for n in range(degree, top + 1):
+                series[n] += series[n - degree]
+    return series
+
+
+@pytest.mark.parametrize("gens, odd_degrees", [
+    ([("c", 4), ("d", 6)], []),                       # BSU(3)
+    ([("p", 4), ("q", 8)], []),                       # BSp(2)
+    ([("x", 2), ("e", 5)], list(range(5, 24, 2))),    # CP^oo x S^5
+])
+def test_classifying_space_bases_read_the_poincare_series(gens, odd_degrees):
+    table = GeneratorTable(base=gens, fiber=[])
+    model = RelativeModel(table, truncation=24)
+    base = model.base_cdga()
+    assert len(base.components()) == len(gens)
+    series = _poincare_series([degree for _, degree in gens], model.truncation)
+    assert [base.cohomology_bound(k) for k in range(model.truncation)] == series[:-1]
+    got = _report(check_hypotheses(model))
+    assert got == _oracle(model)
+    assert [degree for degree, _ in got] == odd_degrees
 
 
 # -- the modular rank ---------------------------------------------------------------
