@@ -3,14 +3,17 @@
 A FreeCDGA is a list of generators from one GeneratorTable together with a
 degree +1 differential given on generators; the differential of anything
 else is the graded Leibniz extension.  Cohomology is computed one degree at
-a time by exact Gaussian elimination, producing the cycle splitting
-Z = E + N (boundaries plus a deterministically chosen complement) that the
-odd-length normalization steps rely on.
+a time by exact elimination, producing the cycle splitting Z = E + N
+(boundaries plus a deterministically chosen complement) that the odd-length
+normalization steps rely on.
 
-The matrix of d from one degree to the next is assembled in one place, by
-columns: d of each basis monomial in the coordinates of the target basis,
-once per degree and algebra.  Its transpose is the equation system that the
-kernel (cycles) and the preimage solve eliminate.
+Each degree k has one record, filled as it is asked for: the basis and its
+index, the matrix of d_k by columns (d of each basis monomial in the degree
+k+1 basis), its exact column elimination (`linalg.eliminate`), the rank
+bound on dim H^k and the cohomology slice.  The elimination of d_k gives
+both the cycles of degree k (its kernel basis, vector j equal to 1 at free
+column j and 0 at the other free columns) and the preimages of degree k+1
+targets, so each degree is eliminated at most once per algebra.
 
 Whether a degree has any cohomology at all is decided first from ranks,
 one tensor factor at a time.  The generators split into connected
@@ -26,14 +29,11 @@ H^k = 0 (`cohomology_vanishes`) without any matrix of the whole algebra.
 Only a degree the bound cannot clear has the algebra's cohomology slice
 built.
 
-Each degree is eliminated once.  The cycle basis is the kernel basis read
-off the reduced row echelon form of d, one vector per free column, equal to
-1 at its own free column and 0 at every other one.  So the coordinates of a
-cycle in that basis are simply its entries at the free columns: the raw
-columns of d from the degree below (the boundaries) and decomposed cycles
-are written in cycle coordinates by a read-off and a sparse rebuild that
-checks it, never by a further solve.  One reduction of the boundaries in
-cycle coordinates then yields both the basis of E and the complement N.
+A cycle's coordinates in the cycle basis are its entries at the free
+columns, so boundaries and decomposed cycles are written in cycle
+coordinates by a read-off and a sparse rebuild that checks it, never by a
+solve.  One reduction of the boundaries in cycle coordinates then yields
+both the basis of E and the complement N.
 The differential of a monomial is the graded Leibniz rule peeled off its
 first factor, with the differential of the remaining factors served from a
 cache.
@@ -88,40 +88,37 @@ class CohomologySlice:
     """One degree of the cycle decomposition Z = E + N.
 
     E is the space of boundaries, N the chosen complement (so N is a model
-    for the cohomology in this degree).  Cycle coordinates are the entries
-    at the free columns of d (`linalg.kernel_coordinates`), so placing a
-    boundary or splitting a cycle costs a read-off and a sparse sum, not a
-    solve.  `boundaries` is the basis of E whose cycle coordinates are the
-    rows of the reduced row echelon form of E; N is spanned by the cycle
-    basis vectors at the non-pivot coordinates of that form.  Both choices
-    are deterministic.
+    for the cohomology in this degree).  The cycles are the kernel basis of
+    the degree's elimination of d, and cycle coordinates are the entries at
+    its free columns (`Elimination.coordinates`), so placing a boundary or
+    splitting a cycle costs a read-off and a sparse sum, not a solve.
+    `boundaries` is the basis of E whose cycle coordinates are the rows of
+    the reduced row echelon form (`linalg.rref`) of E; N is spanned by the
+    cycle basis vectors at the non-pivot coordinates of that form.  Both
+    choices are deterministic.
     """
 
     degree: int
     cycles: list[Polynomial]
     boundaries: list[Polynomial]
     complement: list[Polynomial]
-    _basis: tuple[Monomial, ...]
-    _index: dict[Monomial, int]
-    _free: list[int]
-    _cycle_vecs: list[linalg.Vector]
+    _record: _Degree = field(repr=False, compare=False)  # basis, index, elimination
     # reduced row echelon form of the boundaries in cycle coordinates
     _boundary_pivots: list[int]
     _boundary_coords: list[linalg.Vector]
 
     def decompose(self, cycle: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Write a cycle as (boundary part, complement part), exactly."""
-        coords = linalg.kernel_coordinates(
-            self._free, self._cycle_vecs, _to_vector(cycle, self._index)
-        )
+        record = self._record
+        coords = record.elimination.coordinates(_to_vector(cycle, record.index))
         if coords is None:
             raise AlgebraError("polynomial is not a cycle in this degree")
         # clearing the boundary pivots leaves the complement coordinates
         for pivot, row in zip(self._boundary_pivots, self._boundary_coords):
             val = coords.get(pivot)
             if val:
-                coords = linalg.vec_add(coords, row, -val)
-        rest = _from_vector(linalg.combine(self._cycle_vecs, coords), self._basis)
+                linalg.add_into(coords, row, -val)
+        rest = _from_vector(linalg.combine(record.elimination.kernel, coords), record.basis)
         return cycle - rest, rest
 
     def reduce(self, cycle: Polynomial) -> Polynomial:
@@ -143,6 +140,19 @@ def _from_vector(vec: linalg.Vector, basis: Sequence[Monomial]) -> Polynomial:
     return Polynomial({basis[i]: Fraction(v) for i, v in vec.items()})
 
 
+@dataclass
+class _Degree:
+    """One degree k of a FreeCDGA: basis and index, then, each filled when
+    first asked for, d_k by columns, its elimination, bound and slice."""
+
+    basis: tuple[Monomial, ...]
+    index: dict[Monomial, int]
+    columns: list[linalg.Vector] | None = None
+    elimination: linalg.Elimination | None = None
+    bound: int | None = None
+    slice: CohomologySlice | None = None
+
+
 class FreeCDGA:
     """A free graded-commutative algebra with a Leibniz differential."""
 
@@ -159,10 +169,7 @@ class FreeCDGA:
         self.truncation = truncation
         self._gen_ids = {g.id for g in self.gens}
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
-        self._slice_cache: dict[int, CohomologySlice] = {}
-        self._index_cache: dict[int, dict[Monomial, int]] = {}
-        self._columns_cache: dict[int, list[linalg.Vector]] = {}
-        self._bound_cache: dict[int, int] = {}
+        self._degrees: dict[int, _Degree] = {}
         self._components: tuple[FreeCDGA, ...] | None = None
 
     # -- differential --------------------------------------------------------
@@ -204,13 +211,14 @@ class FreeCDGA:
             )
         return self.table.monomial_basis(degree, self.gens)
 
-    def _index(self, degree: int) -> dict[Monomial, int]:
-        """Position of each basis monomial of `degree`, built once."""
-        index = self._index_cache.get(degree)
-        if index is None:
-            index = {mono: i for i, mono in enumerate(self.basis(degree))}
-            self._index_cache[degree] = index
-        return index
+    def _degree(self, degree: int) -> _Degree:
+        """The record of `degree`, made with its basis and index on first use."""
+        record = self._degrees.get(degree)
+        if record is None:
+            basis = self.basis(degree)
+            record = _Degree(basis, {mono: i for i, mono in enumerate(basis)})
+            self._degrees[degree] = record
+        return record
 
     def contains(self, p: Polynomial) -> bool:
         return all(
@@ -248,14 +256,21 @@ class FreeCDGA:
         """The matrix of d: degree -> degree+1 by columns, one per source
         basis monomial, in the coordinates of the target basis; built once.
         Callers share the columns and must not modify them."""
-        columns = self._columns_cache.get(degree)
-        if columns is None:
-            index = self._index(degree + 1)
-            columns = [
-                _to_vector(self._d_monomial(mono), index) for mono in self.basis(degree)
+        record = self._degree(degree)
+        if record.columns is None:
+            index = self._degree(degree + 1).index
+            record.columns = [
+                _to_vector(self._d_monomial(mono), index) for mono in record.basis
             ]
-            self._columns_cache[degree] = columns
-        return columns
+        return record.columns
+
+    def _elimination(self, degree: int) -> linalg.Elimination:
+        """The exact column elimination of d: degree -> degree+1, built once:
+        the cycles of `degree` and the preimages of degree+1 targets."""
+        record = self._degree(degree)
+        if record.elimination is None:
+            record.elimination = linalg.eliminate(self._d_columns(degree))
+        return record.elimination
 
     def components(self) -> tuple[FreeCDGA, ...]:
         """The tensor factors on connected components of the generators, two
@@ -296,24 +311,23 @@ class FreeCDGA:
         to it unless a coefficient vanishes mod P.  Where a denominator does,
         the exact slice's complement length; 0 on an empty basis, where d*d
         passes through zero.  Cached per degree."""
-        bound = self._bound_cache.get(degree)
-        if bound is not None:
-            return bound
-        if not self.basis(degree):
-            self._bound_cache[degree] = 0
+        record = self._degree(degree)
+        if record.bound is not None:
+            return record.bound
+        if not record.basis:
+            record.bound = 0
             return 0
         here, below = self._d_columns(degree), self._d_columns(degree - 1)
         rank_here = linalg.rank_mod_p(here)
         rank_below = linalg.rank_mod_p(below)
         if rank_here is None or rank_below is None:
-            bound = len(self.cohomology_slice(degree).complement)
+            record.bound = len(self.cohomology_slice(degree).complement)
         else:
             for column in below:
                 if linalg.combine(here, column):
                     raise EngineError("boundary vector outside the cycle space")
-            bound = len(here) - rank_here - rank_below
-        self._bound_cache[degree] = bound
-        return bound
+            record.bound = len(here) - rank_here - rank_below
+        return record.bound
 
     def cohomology_bound(self, degree: int) -> int:
         """An upper bound on dim H^degree: the degree-`degree` coefficient of
@@ -346,41 +360,35 @@ class FreeCDGA:
         return not self.cohomology_slice(degree).complement
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
-        cached = self._slice_cache.get(degree)
-        if cached is not None:
-            return cached
-        basis = self.basis(degree)
-        rows = linalg.transpose(self._d_columns(degree), len(self.basis(degree + 1)))
-        free, cycle_vecs = linalg.nullspace(rows, len(basis))
+        record = self._degree(degree)
+        if record.slice is not None:
+            return record.slice
+        elimination = self._elimination(degree)
+        cycle_vecs = elimination.kernel
         # the boundaries in cycle coordinates, then one reduction gives the
         # basis of E and the complement at its non-pivots
         coord_rows: list[linalg.Vector] = []
         for column in self._d_columns(degree - 1):
-            coords = linalg.kernel_coordinates(free, cycle_vecs, column)
+            coords = elimination.coordinates(column)
             if coords is None:
                 raise EngineError("boundary vector outside the cycle space")
             coord_rows.append(coords)
         pivots, reduced = linalg.rref(coord_rows, len(cycle_vecs))
-        pivot_set = set(pivots)
-        complement_vecs = [
-            cvec for j, cvec in enumerate(cycle_vecs) if j not in pivot_set
-        ]
-        slice_ = CohomologySlice(
+        pivot_set, basis = set(pivots), record.basis
+        record.slice = CohomologySlice(
             degree=degree,
             cycles=[_from_vector(v, basis) for v in cycle_vecs],
             boundaries=[
                 _from_vector(linalg.combine(cycle_vecs, row), basis) for row in reduced
             ],
-            complement=[_from_vector(v, basis) for v in complement_vecs],
-            _basis=basis,
-            _index=self._index(degree),
-            _free=free,
-            _cycle_vecs=cycle_vecs,
+            complement=[
+                _from_vector(v, basis) for j, v in enumerate(cycle_vecs) if j not in pivot_set
+            ],
+            _record=record,
             _boundary_pivots=pivots,
             _boundary_coords=reduced,
         )
-        self._slice_cache[degree] = slice_
-        return slice_
+        return record.slice
 
     def solve_preimage(self, target: Polynomial) -> Polynomial | None:
         """A deterministic eta with d(eta) = target (free variables zero),
@@ -391,15 +399,11 @@ class FreeCDGA:
         degree = target.homogeneous_degree()
         if self.d(target):
             raise AlgebraError("preimage target is not a cycle")
-        if degree == 0:
-            return None
-        index = self._index(degree)
-        rows = linalg.transpose(self._d_columns(degree - 1), len(index))
-        source = self.basis(degree - 1)
-        solution = linalg.solve(rows, _to_vector(target, index), len(source))
+        target_vec = _to_vector(target, self._degree(degree).index)
+        solution = self._elimination(degree - 1).preimage(target_vec)
         if solution is None:
             return None
-        return _from_vector(solution, source)
+        return _from_vector(solution, self._degree(degree - 1).basis)
 
 
 # -- spec-level operation wrappers ------------------------------------------------

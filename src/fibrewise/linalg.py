@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors and matrix rows are dicts {column index: Fraction} holding only
-nonzero entries.  Everything is deterministic: pivots are chosen as the
-first usable row in index order, so repeated runs produce identical
-echelon forms, kernels and particular solutions.
+Vectors, matrix rows and columns are dicts {index: Fraction} holding only
+nonzero entries.  Everything is deterministic.
 
-`rank_mod_p` is the one computation over a finite field: the rank of a
-matrix reduced modulo the prime P, in `int` arithmetic.  When no entry has
-a denominator divisible by P, that rank is a lower bound for the rank over
-the rationals (a minor that is nonzero mod P is nonzero), which is all its
-callers use it for.
+`eliminate` is the one exact elimination: it reduces a matrix's columns,
+left to right, against the pivot columns met so far by their smallest row
+index.  That gives the rank, the kernel basis on the free columns and the
+preimage with the free variables zero, each unique given the free columns.
+`rank_mod_p` follows the same pivot rule modulo the prime P, in `int`
+arithmetic: with no denominator divisible by P, its rank bounds the
+rational one from below (a minor nonzero mod P is nonzero), which is all
+its callers use it for.  `rref` reduces equation rows; `solve` is the
+row-wise reference solver.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,30 +25,18 @@ Vector = dict[int, Fraction]
 P = 2**31 - 1  # the Mersenne prime of `rank_mod_p`
 
 
-def vec_add(a: Vector, b: Vector, scale: Fraction = Fraction(1)) -> Vector:
-    out = dict(a)
+def add_into(out: Vector, b: Vector, scale: Fraction) -> None:
+    """out += scale * b in place, dropping the entries that cancel."""
     for col, val in b.items():
         total = out.get(col, 0) + val * scale
         if total:
             out[col] = total
         else:
             out.pop(col, None)
-    return out
 
 
 def vec_scale(a: Vector, scale: Fraction) -> Vector:
-    if not scale:
-        return {}
     return {col: val * scale for col, val in a.items()}
-
-
-def transpose(columns: list[Vector], nrows: int) -> list[Vector]:
-    """Equation rows of the matrix whose columns are `columns`."""
-    rows: list[Vector] = [{} for _ in range(nrows)]
-    for j, column in enumerate(columns):
-        for i, val in column.items():
-            rows[i][j] = val
-    return rows
 
 
 def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
@@ -67,36 +58,20 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
             continue
         row = work.pop(pivot_row)
         row = vec_scale(row, Fraction(1) / row[col])
-        for other in work:
+        for other in work + reduced:
             val = other.get(col)
             if val:
-                updated = vec_add(other, row, -val)
-                other.clear()
-                other.update(updated)
-        for other in reduced:
-            val = other.get(col)
-            if val:
-                updated = vec_add(other, row, -val)
-                other.clear()
-                other.update(updated)
+                add_into(other, row, -val)
         work = [r for r in work if r]
         pivots.append(col)
         reduced.append(row)
     return pivots, reduced
 
 
-def rank(rows: Iterable[Vector], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
-
-
 def rank_mod_p(columns: Iterable[Vector]) -> int | None:
-    """Rank over F_P of the matrix with these sparse columns, or None when an
-    entry's denominator vanishes mod P (the reduction is then undefined).
-
-    Each column is reduced against the pivot columns met so far by its
-    smallest row index, so every stored pivot column is 1 at its own pivot
-    row and 0 above it.
-    """
+    """Rank over F_P of the matrix with these sparse columns, by the pivot
+    rule of `eliminate`, or None when an entry's denominator vanishes mod P
+    (the reduction is then undefined)."""
     pivots: dict[int, dict[int, int]] = {}
     for column in columns:
         vec: dict[int, int] = {}
@@ -123,42 +98,66 @@ def rank_mod_p(columns: Iterable[Vector]) -> int | None:
     return len(pivots)
 
 
-def nullspace(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
-    """Deterministic kernel basis of the linear map with the given equation
-    rows, with its free columns (ascending): vector j has a 1 at free column
-    j and a 0 at every other free column."""
-    pivots, reduced = rref(rows, ncols)
-    pivot_set = set(pivots)
-    free_cols: list[int] = []
-    basis: list[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec: Vector = {free: Fraction(1)}
-        for pivot, row in zip(pivots, reduced):
-            val = row.get(free)
-            if val:
-                vec[pivot] = -val
-        free_cols.append(free)
-        basis.append(vec)
-    return free_cols, basis
+@dataclass
+class Elimination:
+    """The column elimination of a matrix A, from `eliminate`.  `pivots`
+    maps a leading row to (its reduced column, 1 there and 0 above; the
+    combination of source columns giving it).  `kernel[j]` is 1 at free
+    column `free[j]` and 0 at the other free columns, its entries listed
+    free column first, then pivot columns ascending."""
 
+    pivots: dict[int, tuple[Vector, Vector]]
+    free: list[int]
+    kernel: list[Vector]
 
-def kernel_coordinates(free_cols: list[int], basis: list[Vector], vec: Vector) -> Vector | None:
-    """Coordinates of `vec` in a kernel basis from `nullspace`, or None when
-    `vec` is outside its span.
-
-    The coordinates are the entries of `vec` at the free columns; the
-    membership test rebuilds `vec` from them by a sparse sum, no elimination.
-    """
-    coords: Vector = {}
-    for j, free in enumerate(free_cols):
-        val = vec.get(free)
-        if val:
-            coords[j] = val
-    if combine(basis, coords) != vec:
+    def _reduce(self, vec: Vector, spent: Vector) -> int | None:
+        """Reduce `vec` in place by its smallest row until that row has no
+        pivot (returned; None once `vec` is zero), adding the source
+        combination taken off to `spent`: old vec = new vec + A . spent."""
+        while vec:
+            lead = min(vec)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                return lead
+            column, source = pivot
+            factor = vec[lead]
+            add_into(vec, column, -factor)
+            add_into(spent, source, factor)
         return None
-    return coords
+
+    def coordinates(self, vec: Vector) -> Vector | None:
+        """The coordinates of `vec` in the kernel basis, its entries at the
+        free columns; None when their sparse sum is not `vec`."""
+        coords = {j: vec[free] for j, free in enumerate(self.free) if vec.get(free)}
+        return coords if combine(self.kernel, coords) == vec else None
+
+    def preimage(self, target: Vector) -> Vector | None:
+        """x with A x = target, zero at the free columns, keys ascending;
+        None when the target is outside the column space."""
+        spent: Vector = {}
+        if self._reduce(dict(target), spent) is not None:
+            return None
+        return dict(sorted(spent.items()))
+
+
+def eliminate(columns: Iterable[Vector]) -> Elimination:
+    """The exact column elimination of the matrix with these columns: a
+    column that reduces to zero is free and gives a kernel vector, any other
+    becomes the pivot of its remainder's smallest row."""
+    elimination = Elimination({}, [], [])
+    for j, column in enumerate(columns):
+        vec, spent = dict(column), {}
+        lead = elimination._reduce(vec, spent)
+        if lead is None:
+            elimination.free.append(j)
+            elimination.kernel.append(
+                {j: Fraction(1), **{col: -val for col, val in sorted(spent.items())}})
+            continue
+        inverse = Fraction(1) / vec[lead]
+        source = {col: -val * inverse for col, val in spent.items()}
+        source[j] = inverse
+        elimination.pivots[lead] = (vec_scale(vec, inverse), source)
+    return elimination
 
 
 def combine(basis: list[Vector], coords: Vector) -> Vector:

@@ -212,12 +212,11 @@ def _kernel_of_condition(
 ) -> list[Polynomial]:
     """Kernel of a map-condition restricted to the span of given elements,
     by exact elimination in cube coordinates."""
-    columns, ncube = _polynomial_span_matrix(
+    columns = _polynomial_span_matrix(
         [_condition_image(table, condition, p) for p in span]
     )
-    _, kernel = linalg.nullspace(linalg.transpose(columns, ncube), len(span))
     out = []
-    for vec in kernel:
+    for vec in linalg.eliminate(columns).kernel:
         combo = Polynomial.zero()
         for j, val in vec.items():
             combo = combo + span[j].scale(val)
@@ -282,24 +281,21 @@ def lemma_kernel(
     return closed
 
 
-def _polynomial_span_matrix(
-    polys: Sequence[Polynomial],
-) -> tuple[list[linalg.Vector], int]:
+def _polynomial_span_matrix(polys: Sequence[Polynomial]) -> list[linalg.Vector]:
+    """The polynomials as columns, in the coordinates of the monomials they
+    use, numbered in order of first appearance."""
     monos: dict[Monomial, int] = {}
     for p in polys:
         for mono in p.terms:
             monos.setdefault(mono, len(monos))
-    rows = []
-    for p in polys:
-        rows.append({monos[m]: c for m, c in p.terms.items()})
-    return rows, len(monos)
+    return [{monos[m]: c for m, c in p.terms.items()} for p in polys]
 
 
 def _same_polynomial_span(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> bool:
-    rows, ncols = _polynomial_span_matrix(list(a) + list(b))
-    ra = linalg.rank(rows[: len(a)], ncols)
-    rb = linalg.rank(rows[len(a):], ncols)
-    return ra == rb == linalg.rank(rows, ncols)
+    columns = _polynomial_span_matrix(list(a) + list(b))
+    ra = len(linalg.eliminate(columns[: len(a)]).pivots)
+    rb = len(linalg.eliminate(columns[len(a):]).pivots)
+    return ra == rb == len(linalg.eliminate(columns).pivots)
 
 
 def polynomial_span_contains(

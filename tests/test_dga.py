@@ -12,6 +12,8 @@ from fibrewise import (
     GeneratorTable,
     PerturbationSpec,
     Polynomial,
+    RelativeModel,
+    check_homotopy_associative,
     cohomology_in_degree,
     conjugate,
     Comultiplication,
@@ -291,22 +293,28 @@ READOFF_ALGEBRAS = {
 def test_cycle_coordinates_read_off_equal_solve(name):
     cdga = READOFF_ALGEBRAS[name]()
     for degree in range(cdga.truncation):
-        ncols = len(cdga.basis(degree))
-        rows = linalg.transpose(d_columns(cdga, degree), len(cdga.basis(degree + 1)))
-        free, kernel = linalg.nullspace(rows, ncols)
+        basis = cdga.basis(degree)
+        free, kernel = util.kernel_by_rref(d_columns(cdga, degree), len(cdga.basis(degree + 1)))
+        elimination = cdga._elimination(degree)
+        assert (elimination.free, elimination.kernel) == (free, kernel)
         for j, vec in enumerate(kernel):
             assert [vec.get(f, 0) for f in free] == [int(f == free[j]) for f in free]
-            assert linalg.kernel_coordinates(free, kernel, vec) == {j: 1}
-        matrix = linalg.transpose(kernel, ncols)
+            assert elimination.coordinates(vec) == {j: 1}
+        matrix = util.transpose(kernel, len(basis))
         for bvec in d_columns(cdga, degree - 1):
-            coords = linalg.kernel_coordinates(free, kernel, bvec)
+            coords = elimination.coordinates(bvec)
             assert coords is not None
             assert coords == linalg.solve(matrix, bvec, len(kernel))
         slice_ = cdga.cohomology_slice(degree)
+        assert len(slice_.cycles) == len(kernel)
+        for cycle, vec in zip(slice_.cycles, kernel):
+            util.assert_same_terms(cycle, Polynomial({basis[i]: v for i, v in vec.items()}))
         generic = Polynomial.zero()
         for j, cycle in enumerate(slice_.cycles):
             generic = generic + cycle.scale(j + 1)
-        assert slice_.decompose(generic) == util.decompose_by_solve(slice_, generic)
+        for got, expected in zip(slice_.decompose(generic),
+                                 util.decompose_by_solve(slice_, generic)):
+            util.assert_same_terms(got, expected)
 
 
 PREIMAGE_ALGEBRAS = dict(
@@ -322,7 +330,7 @@ def test_preimages_and_boundaries_match_the_assembled_matrix(name):
         source, target_basis = cdga.basis(degree - 1), cdga.basis(degree)
         index = {m: i for i, m in enumerate(target_basis)}
         columns = d_columns(cdga, degree - 1)
-        rows = linalg.transpose(columns, len(target_basis))
+        rows = util.transpose(columns, len(target_basis))
         image_rank = util.dense_rank(columns, len(target_basis))
         slice_ = cdga.cohomology_slice(degree)
         assert len(slice_.boundaries) == image_rank
@@ -343,20 +351,107 @@ def test_preimages_and_boundaries_match_the_assembled_matrix(name):
             expected = None if solution is None else Polynomial(
                 {source[j]: val for j, val in solution.items()}
             )
-            assert cdga.solve_preimage(target) == expected
+            got = cdga.solve_preimage(target)
+            if expected is None:
+                assert got is None
+            else:
+                util.assert_same_terms(got, expected)
+
+
+def test_preimages_match_solve_on_the_ladder_cube():
+    # L(5)'s tensor cube, d from degree 12 (2,511 monomials) to degree 13
+    # (2,855): exact and non-exact targets against the row-wise solve
+    model = util.ladder_model(5)
+    cube, poly = model.tensor_cdga(3), model.table.poly
+    source, target_basis = cube.basis(12), cube.basis(13)
+    assert (len(source), len(target_basis)) == (2511, 2855)
+    index = {m: i for i, m in enumerate(target_basis)}
+    rows = util.transpose(d_columns(cube, 12), len(target_basis))
+    moving = [mono for mono in source if cube.d(Polynomial({mono: Fraction(1)}))]
+    # fiber cycles times a base class that is not exact: nonzero classes
+    classes = [poly("a1") * poly("a2", copy=1) * poly("a3", copy=2) * poly("x") ** 2,
+               poly("v") * poly("a1", copy=1) * poly("a5", copy=2) * poly("x")]
+    rng = random.Random(13)
+    outcomes = []
+    for n in range(6):
+        eta = Polynomial({mono: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2)))
+                          for mono in rng.sample(moving, 4)})
+        target = cube.d(eta) + classes[n % 2].scale(n % 3)
+        solution = linalg.solve(rows, {index[m]: c for m, c in target.terms.items()},
+                                len(source))
+        got = cube.solve_preimage(target)
+        outcomes.append(solution is not None)
+        if solution is None:
+            assert got is None
+        else:
+            expected = Polynomial({source[j]: val for j, val in solution.items()})
+            util.assert_same_terms(got, expected)
+    assert True in outcomes and False in outcomes
+
+
+def _spy_eliminations(monkeypatch):
+    """The column lists handed to `linalg.eliminate`, in call order."""
+    calls = []
+    real = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda columns: calls.append(columns) or real(columns))
+    return calls
+
+
+def test_preimages_and_the_slice_below_share_one_elimination(monkeypatch):
+    model = util.ladder_model(3)
+    cdga, poly = model.tensor_cdga(2), model.table.poly
+    degree = 10
+    calls = _spy_eliminations(monkeypatch)
+    targets = [cdga.d(Polynomial({mono: Fraction(1)})) for mono in cdga.basis(degree - 1)]
+    targets = [target for target in targets if target]
+    # cycles whose class is nonzero: x^2 is not exact in the base
+    targets += [poly("a1") * poly(name, copy=1) * poly("x") ** 2 for name in ("a1", "a2")]
+    assert len(targets) > 3
+    solved = [cdga.solve_preimage(target) for target in targets]
+    assert solved[-2:] == [None, None]
+    for target, eta in zip(targets, solved):
+        assert eta is None or cdga.d(eta) == target
+    assert len(calls) == 1 and calls[0] is cdga._d_columns(degree - 1)
+    # the slice one degree down has its cycles from that same elimination
+    slice_ = cdga.cohomology_slice(degree - 1)
+    assert len(calls) == 1 and len(slice_.cycles) == len(calls[0]) - util.dense_rank(
+        calls[0], len(cdga.basis(degree)))
+
+
+def test_associativity_check_eliminates_each_cube_degree_once(monkeypatch):
+    # two defects in degree 15 that are exact (x^3 = dy), one in degree 9
+    # that is not: the check reduces it against the slice of degree 9
+    table = GeneratorTable(base=[("x", 2), ("y", 5)],
+                           fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9), ("s", 15),
+                                  ("r", 15)])
+    x, u, v, z = (table.poly(name) for name in "xuvz")
+    up, vp, zp = (table.poly(name, copy=1) for name in "uvz")
+    model = RelativeModel(table, d_base={"y": x ** 3}, truncation=20)
+    images = dict(Comultiplication.standard(table).images)
+    for name, extra in (("w", u * v * up), ("s", x ** 3 * u * v * zp),
+                        ("r", x ** 3 * u * z * vp)):
+        images[name] = table.poly(name) + table.poly(name, copy=1) + extra
+    comul = Comultiplication(table, images)
+    calls = _spy_eliminations(monkeypatch)
+    assert list(check_homotopy_associative(model, comul)) == ["w"]
+    cube = model.tensor_cdga(3)
+    degrees = [[k for k in range(model.truncation) if cube._d_columns(k) is columns]
+               for columns in calls]
+    assert degrees == [[8], [9], [14]]
 
 
 def test_transpose_swaps_rows_and_columns():
-    assert linalg.transpose([{0: 1, 2: 3}, {}, {1: 5}], 3) == [{0: 1}, {2: 5}, {0: 3}]
-    assert linalg.transpose([], 2) == [{}, {}]
+    assert util.transpose([{0: 1, 2: 3}, {}, {1: 5}], 3) == [{0: 1}, {2: 5}, {0: 3}]
+    assert util.transpose([], 2) == [{}, {}]
 
 
 def test_kernel_coordinates_reject_vectors_outside_the_kernel():
-    free, kernel = linalg.nullspace([{0: 1, 1: 1}], 2)
-    assert free == [1] and kernel == [{1: 1, 0: -1}]
-    assert linalg.kernel_coordinates(free, kernel, {0: 2, 1: -2}) == {0: -2}
-    assert linalg.kernel_coordinates(free, kernel, {0: 1}) is None
-    assert linalg.kernel_coordinates(free, kernel, {1: 1}) is None
+    elimination = linalg.eliminate([{0: Fraction(1)}, {0: Fraction(1)}])
+    assert elimination.free == [1] and elimination.kernel == [{1: 1, 0: -1}]
+    assert elimination.coordinates({0: 2, 1: -2}) == {0: -2}
+    assert elimination.coordinates({0: 1}) is None
+    assert elimination.coordinates({1: 1}) is None
 
 
 def test_cohomology_slice_raises_when_d_squared_is_nonzero():

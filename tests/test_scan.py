@@ -361,8 +361,7 @@ def test_rank_mod_p_equals_the_rational_rank_on_small_integer_matrices():
                     for i in range(nrows) if rng.random() < 0.5}
                    for _ in range(ncols)]
         columns = [{i: v for i, v in c.items() if v} for c in columns]
-        assert linalg.rank_mod_p(columns) == util.dense_rank(
-            linalg.transpose(columns, nrows), ncols)
+        assert linalg.rank_mod_p(columns) == util.dense_rank(columns, nrows)
 
 
 def test_rank_mod_p_bounds_the_rational_rank_from_below():

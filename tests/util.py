@@ -114,6 +114,17 @@ def full_ladder_model():
     return conjugate(model, Comultiplication.standard(table), phi)
 
 
+def ladder_model(n):
+    """The ladder L(n): base Lambda(x2, y5, p2, q3; dy = x^3, dp = q), fiber
+    a1..an of degree 3, then v5, then w of degree 2n + 3, truncated at
+    2n + 8."""
+    fiber = [(f"a{i}", 3) for i in range(1, n + 1)] + [("v", 5), ("w", 2 * n + 3)]
+    table = GeneratorTable(base=[("x", 2), ("y", 5), ("p", 2), ("q", 3)], fiber=fiber)
+    return RelativeModel(
+        table, d_base={"y": table.poly("x") ** 3, "p": table.poly("q")},
+        truncation=2 * n + 8)
+
+
 def seeded_unipotent(model, rng, max_terms=2):
     """A random unipotent change of generators respecting the basis order."""
     table = model.table
@@ -183,6 +194,34 @@ def dense_rank(rows, ncols):
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
     return rank
+
+
+def transpose(columns, nrows):
+    """Equation rows of the matrix whose columns are `columns`."""
+    rows = [{} for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, val in column.items():
+            rows[i][j] = val
+    return rows
+
+
+def kernel_by_rref(columns, nrows):
+    """(free columns, kernel basis) of the matrix with these columns, read
+    off the reduced row echelon form of its rows: vector j is 1 at free
+    column j, 0 at the other free columns, and lists its free column first,
+    then its pivots ascending (oracle for `linalg.eliminate`)."""
+    pivots, reduced = linalg.rref(transpose(columns, nrows), len(columns))
+    pivot_set, free, kernel = set(pivots), [], []
+    for col in range(len(columns)):
+        if col in pivot_set:
+            continue
+        vec = {col: Fraction(1)}
+        for pivot, row in zip(pivots, reduced):
+            if row.get(col):
+                vec[pivot] = -row[col]
+        free.append(col)
+        kernel.append(vec)
+    return free, kernel
 
 
 def enumerate_basis_oracle(gens, degree):
@@ -330,11 +369,11 @@ def assert_same_terms(got, expected):
 def decompose_by_solve(slice_, cycle):
     """(boundary part, complement part) of a cycle by one exact solve
     against the boundary and complement bases (oracle for decompose)."""
-    index = slice_._index
+    index = slice_._record.index
     parts = slice_.boundaries + slice_.complement
     columns = [{index[m]: c for m, c in p.terms.items()} for p in parts]
     rhs = {index[m]: c for m, c in cycle.terms.items()}
-    solution = linalg.solve(linalg.transpose(columns, len(index)), rhs, len(columns))
+    solution = linalg.solve(transpose(columns, len(index)), rhs, len(columns))
     assert solution is not None
     exact, rest = Polynomial.zero(), Polynomial.zero()
     for j, val in solution.items():
