@@ -33,14 +33,19 @@ def _load_json(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise io.ParseError(path, "file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise io.ParseError(path, f"cannot read: {exc.strerror}")
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
         raise io.ParseError(path, f"not valid JSON: {exc}")
 
 
 def _write_output(path: str | None, doc) -> None:
     text = io.dumps(doc)
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise io.ParseError(path, f"cannot write: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -9,25 +9,21 @@ normalization steps rely on.
 
 Each degree k has one record, filled as it is asked for: the basis and its
 index, the matrix of d_k by columns (d of each basis monomial in the degree
-k+1 basis), its exact column elimination (`linalg.eliminate`), the rank
-bound on dim H^k and the cohomology slice.  The elimination of d_k gives
-both the cycles of degree k (its kernel basis, vector j equal to 1 at free
-column j and 0 at the other free columns) and the preimages of degree k+1
-targets, so each degree is eliminated at most once per algebra.
+k+1 basis), its exact column elimination (`linalg.eliminate`), dim H^k and
+the cohomology slice.  The elimination of d_k gives the rank of d_k, the
+cycles of degree k (its kernel basis, vector j equal to 1 at free column j
+and 0 at the other free columns) and the preimages of degree k+1 targets,
+so each degree is eliminated at most once per algebra.
 
-Whether a degree has any cohomology at all is decided first from ranks,
-one tensor factor at a time.  The generators split into connected
-components, two joined when one occurs in the other's differential; each
-component is a sub-algebra closed under d, and the algebra is their tensor
-product, so H = (x) H(component) by Kuenneth.  On a component, dim H^k =
-dim Lambda^k - rank d_k - rank d_(k-1) once d_k d_(k-1) = 0 is checked
-exactly, and ranks modulo a prime never exceed the rational ones, so that
-count bounds dim H^k from above (the exact slice's complement length
-stands in where a denominator vanishes mod P).  The bound for the algebra
-is the convolution of the component bounds, and a bound of zero proves
-H^k = 0 (`cohomology_vanishes`) without any matrix of the whole algebra.
-Only a degree the bound cannot clear has the algebra's cohomology slice
-built.
+The dimension of H^k is counted one tensor factor at a time.  The
+generators split into connected components, two joined when one occurs in
+the other's differential; each component is a sub-algebra closed under d,
+and the algebra is their tensor product, so H = (x) H(component) by
+Kuenneth.  On a component, dim H^k = dim Lambda^k - rank d_k - rank
+d_(k-1) once d_k d_(k-1) = 0 is checked exactly, and the algebra's
+dimension is the convolution of the components' (`cohomology_dimension`),
+with no matrix of the whole algebra.  Only a degree with classes needs
+the algebra's cohomology slice.
 
 A cycle's coordinates in the cycle basis are its entries at the free
 columns, so boundaries and decomposed cycles are written in cycle
@@ -143,13 +139,13 @@ def _from_vector(vec: linalg.Vector, basis: Sequence[Monomial]) -> Polynomial:
 @dataclass
 class _Degree:
     """One degree k of a FreeCDGA: basis and index, then, each filled when
-    first asked for, d_k by columns, its elimination, bound and slice."""
+    first asked for, d_k by columns, its elimination, dim H^k and slice."""
 
     basis: tuple[Monomial, ...]
     index: dict[Monomial, int]
     columns: list[linalg.Vector] | None = None
     elimination: linalg.Elimination | None = None
-    bound: int | None = None
+    dimension: int | None = None
     slice: CohomologySlice | None = None
 
 
@@ -304,60 +300,39 @@ class FreeCDGA:
             )
         return self._components or (self,)
 
-    def _rank_bound(self, degree: int) -> int:
-        """dim Lambda^degree - rank d_degree - rank d_(degree-1), the ranks
-        taken modulo `linalg.P` once d_degree d_(degree-1) = 0 is checked
-        exactly: an upper bound on dim H^degree of this algebra alone, equal
-        to it unless a coefficient vanishes mod P.  Where a denominator does,
-        the exact slice's complement length; 0 on an empty basis, where d*d
-        passes through zero.  Cached per degree."""
+    def _dimension(self, degree: int) -> int:
+        """dim H^degree of this algebra alone: dim Lambda^degree - rank
+        d_degree - rank d_(degree-1), the ranks read off the eliminations
+        once d_degree d_(degree-1) = 0 is checked exactly.  Cached per
+        degree."""
         record = self._degree(degree)
-        if record.bound is not None:
-            return record.bound
-        if not record.basis:
-            record.bound = 0
-            return 0
-        here, below = self._d_columns(degree), self._d_columns(degree - 1)
-        rank_here = linalg.rank_mod_p(here)
-        rank_below = linalg.rank_mod_p(below)
-        if rank_here is None or rank_below is None:
-            record.bound = len(self.cohomology_slice(degree).complement)
-        else:
-            for column in below:
+        if record.dimension is None:
+            here = self._d_columns(degree)
+            for column in self._d_columns(degree - 1):
                 if linalg.combine(here, column):
                     raise EngineError("boundary vector outside the cycle space")
-            record.bound = len(here) - rank_here - rank_below
-        return record.bound
+            record.dimension = (len(record.basis) - len(self._elimination(degree).pivots)
+                                - len(self._elimination(degree - 1).pivots))
+        return record.dimension
 
-    def cohomology_bound(self, degree: int) -> int:
-        """An upper bound on dim H^degree: the degree-`degree` coefficient of
-        the product of the components' bound series (Kuenneth), the last
-        component read only where the others' coefficient is nonzero.  Each
-        factor bounds its component's cohomology, so the product bounds the
-        algebra's once d*d = 0, which validation checks on every generator
-        and each count re-checks exactly in the degree it reads.  With one
-        component this is exactly its `_rank_bound(degree)`."""
+    def cohomology_dimension(self, degree: int) -> int:
+        """dim H^degree: the degree-`degree` coefficient of the product of
+        the components' Poincare series (Kuenneth), the last component read
+        only where the others' coefficient is nonzero.  Raises `EngineError`
+        when d*d != 0 in a degree it reads.  With one component this is
+        exactly its `_dimension(degree)`."""
         *factors, last = self.components()
         series = {0: 1}  # the nonzero coefficients of the factors so far
         for factor in factors:
             product: dict[int, int] = {}
             for j in range(degree + 1):
-                bound = factor._rank_bound(j)
-                if bound:
+                dim = factor._dimension(j)
+                if dim:
                     for i, coeff in series.items():
                         if i + j <= degree:
-                            product[i + j] = product.get(i + j, 0) + coeff * bound
+                            product[i + j] = product.get(i + j, 0) + coeff * dim
             series = product
-        return sum(coeff * last._rank_bound(degree - i) for i, coeff in series.items())
-
-    def cohomology_vanishes(self, degree: int) -> bool:
-        """Whether H^degree = 0: a `cohomology_bound` of zero proves it, and
-        any other bound falls back to the exact cohomology slice of the
-        whole algebra.  Raises `EngineError` when d*d != 0 in a degree the
-        bound reads."""
-        if not self.cohomology_bound(degree):
-            return True
-        return not self.cohomology_slice(degree).complement
+        return sum(coeff * last._dimension(degree - i) for i, coeff in series.items())
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
         record = self._degree(degree)

@@ -57,6 +57,8 @@ def parse_rational(text: Any, location: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(location, f"malformed rational {text!r} (zero denominator)")
+    except ValueError:  # a numerator or denominator past int's digit limit
+        raise ParseError(location, f"rational of {len(text)} characters has too many digits")
 
 
 def _is_positive_int(value: Any) -> bool:

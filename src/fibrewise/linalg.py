@@ -7,11 +7,7 @@ nonzero entries.  Everything is deterministic.
 left to right, against the pivot columns met so far by their smallest row
 index.  That gives the rank, the kernel basis on the free columns and the
 preimage with the free variables zero, each unique given the free columns.
-`rank_mod_p` follows the same pivot rule modulo the prime P, in `int`
-arithmetic: with no denominator divisible by P, its rank bounds the
-rational one from below (a minor nonzero mod P is nonzero), which is all
-its callers use it for.  `rref` reduces equation rows; `solve` is the
-row-wise reference solver.
+`rref` reduces equation rows; `solve` is the row-wise reference solver.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ from fractions import Fraction
 from typing import Iterable
 
 Vector = dict[int, Fraction]
-
-P = 2**31 - 1  # the Mersenne prime of `rank_mod_p`
 
 
 def add_into(out: Vector, b: Vector, scale: Fraction) -> None:
@@ -66,36 +60,6 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
         pivots.append(col)
         reduced.append(row)
     return pivots, reduced
-
-
-def rank_mod_p(columns: Iterable[Vector]) -> int | None:
-    """Rank over F_P of the matrix with these sparse columns, by the pivot
-    rule of `eliminate`, or None when an entry's denominator vanishes mod P
-    (the reduction is then undefined)."""
-    pivots: dict[int, dict[int, int]] = {}
-    for column in columns:
-        vec: dict[int, int] = {}
-        for row, value in column.items():
-            if value.denominator % P == 0:
-                return None
-            entry = value.numerator * pow(value.denominator, -1, P) % P
-            if entry:
-                vec[row] = entry
-        while vec:
-            lead = min(vec)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inverse = pow(vec[lead], -1, P)
-                pivots[lead] = {row: val * inverse % P for row, val in vec.items()}
-                break
-            factor = vec[lead]
-            for row, val in pivot.items():
-                entry = (vec.get(row, 0) - factor * val) % P
-                if entry:
-                    vec[row] = entry
-                else:
-                    vec.pop(row, None)
-    return len(pivots)
 
 
 @dataclass

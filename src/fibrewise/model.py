@@ -268,16 +268,16 @@ def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> 
 def check_hypotheses(model: RelativeModel) -> HypothesisReport:
     """Scan for odd base cohomology and even fiber generators.
 
-    Each odd degree below the truncation is cleared by the rank counts of
-    the base algebra's tensor factors, convolved (`FreeCDGA.cohomology_vanishes`);
-    only a degree they cannot clear has its classes computed, by the base's
-    cohomology slice.  The counts are cached on the factors, so a repeated
-    scan of one model is free.
+    Each odd degree below the truncation is counted by the exact ranks of
+    the base algebra's tensor factors, convolved
+    (`FreeCDGA.cohomology_dimension`); only a degree with classes has them
+    computed, by the base's cohomology slice.  The counts are cached on the
+    factors, so a repeated scan of one model is free.
     """
     report = HypothesisReport()
     base = model.base_cdga()
     for degree in range(1, model.truncation, 2):
-        if not base.cohomology_vanishes(degree):
+        if base.cohomology_dimension(degree):
             report.odd_cohomology_violations.append(
                 (degree, base.cohomology_slice(degree).complement)
             )

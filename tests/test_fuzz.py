@@ -23,7 +23,7 @@ MODELS = ("fixture_a", "fixture_b", "fixture_c", "rt0_seed3_cog", "rt1_seed1_cog
           "rt2_seed2_both")
 CERTIFICATES = ("fixture_c.hopf-force", "rt0_seed3_cog.ls", "rt1_seed1_cog.hopf",
                 "rt1_seed4_both.ls", "rt2_seed2_cog.ls")
-TYPE_SWAPS = (None, True, False, 1.5, "", "x", "1/0", [], {}, [[]])
+TYPE_SWAPS = (None, True, False, 1.5, "", "x", "1/0", "9" * 5000, [], {}, [[]])
 EXTREME_INTS = (0, -1, 10**9, -(10**9))
 
 

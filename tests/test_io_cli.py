@@ -169,6 +169,32 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["check", str(broken)]) == 4
     assert f"ERROR: {broken}: not valid JSON" in capsys.readouterr().err
+    # a directory, bytes that are not UTF-8 and an int past the digit limit
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"truncation_degree": "\xe9"}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"truncation_degree": ' + "9" * 5000 + "}", encoding="utf-8")
+    for argv, message in (
+        (["check", str(tmp_path)], f"ERROR: {tmp_path}: cannot read: "),
+        (["check", str(latin1)], f"ERROR: {latin1}: not valid JSON: 'utf-8' codec"),
+        (["check", str(huge)], f"ERROR: {huge}: not valid JSON: Exceeds the limit"),
+        (["verify", path, str(tmp_path)], f"ERROR: {tmp_path}: cannot read: "),
+    ):
+        assert run_command(argv) == 4, argv
+        assert message in capsys.readouterr().err, argv
+    bad["differential"]["w5"][0]["coeff"] = "9" * 5000
+    write(tmp_path, "bad.json", bad)
+    assert run_command(["check", bad_path]) == 4
+    assert ("ERROR: differential.w5[0].coeff: rational of 5000 characters has too "
+            "many digits") in capsys.readouterr().err
+
+
+def test_cli_output_in_a_missing_directory_exits_4(tmp_path, capsys):
+    path = write(tmp_path, "a.json", fixture_a_doc())
+    out = tmp_path / "missing" / "res.json"
+    assert run_command(["hopf", path, "-o", str(out)]) == 4
+    assert f"ERROR: {out}: cannot write: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_fixture_a_hopf(tmp_path):

@@ -8,15 +8,11 @@ from fibrewise import linalg
 
 import util
 
-P = linalg.P
-
-
-def _vanishes_mod_p(value):
-    return value.numerator % P == 0 or value.denominator % P == 0
+P = 2_147_483_647  # the prime 2^31 - 1
 
 
 def _entry(rng):
-    """A nonzero rational; one in fifty is P or 1/P, which vanish mod P."""
+    """A nonzero rational; one in fifty is the large prime P or 1/P."""
     if rng.random() < 0.02:
         return rng.choice((Fraction(P), Fraction(1, P)))
     return Fraction(rng.choice((-3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3, 7)))
@@ -24,7 +20,7 @@ def _entry(rng):
 
 def _random_matrix(rng):
     """(number of rows, sparse columns); some columns are empty, some repeat
-    or scale an earlier one, and a few entries vanish mod P."""
+    or scale an earlier one, and a few entries are P or 1/P."""
     nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
     density = rng.choice((0.0, 0.2, 0.4, 0.8))
     columns = []
@@ -52,7 +48,7 @@ def _targets(rng, nrows, columns):
 
 def test_elimination_equals_the_dense_oracles():
     rng = random.Random(2024)
-    checked_mod_p = exact_targets = inexact_targets = 0
+    exact_targets = inexact_targets = 0
     for _ in range(200):
         nrows, columns = _random_matrix(rng)
         elimination = linalg.eliminate(columns)
@@ -80,10 +76,7 @@ def test_elimination_equals_the_dense_oracles():
                 exact_targets += bool(target)
             else:
                 inexact_targets += 1
-        if not any(_vanishes_mod_p(v) for column in columns for v in column.values()):
-            assert linalg.rank_mod_p(columns) == rank
-            checked_mod_p += 1
-    assert checked_mod_p > 150 and exact_targets > 100 and inexact_targets > 30
+    assert exact_targets > 100 and inexact_targets > 30
 
 
 def test_elimination_of_edge_cases():

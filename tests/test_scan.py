@@ -1,5 +1,5 @@
-"""The odd-degree hypothesis scan: a modular rank count clears a degree, an
-exact cohomology slice is built only where the count cannot."""
+"""The odd-degree hypothesis scan: exact ranks per tensor factor count
+dim H^k, and a cohomology slice is built only in a degree with classes."""
 
 import json
 import random
@@ -22,8 +22,8 @@ from fibrewise import io as fio
 import util
 
 GOLDEN = Path(__file__).parent / "golden"
-P = 2**31 - 1
-# the last two vanish mod P, as a denominator and as a numerator
+P = 2_147_483_647  # the prime 2^31 - 1: a rank count modulo P would fail
+# on the last two, as a denominator and as a numerator
 COEFFICIENTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
                 Fraction(-3), Fraction(5, 7), Fraction(1, P), Fraction(P))
 
@@ -152,28 +152,22 @@ def test_scan_equals_slice_oracle_on_golden_and_named_bases():
 
 
 def test_scan_equals_slice_oracle_on_seeded_product_bases(monkeypatch):
-    counts = {"violating": 0, "cleared": 0, "fallback": 0, "denominator P": 0}
+    counts = {"violating": 0, "cleared": 0}
     for model in seeded_product_bases():
         report, asked = _scan(monkeypatch, model)
         expected = _oracle(model)
         assert _report(report) == expected
         counts["violating" if expected else "cleared"] += 1
-        # a slice is built where a class exists, or where ranks mod P fall short
-        assert {degree for degree, _ in expected} <= set(asked)
-        counts["fallback"] += bool(set(asked) - {degree for degree, _ in expected})
-        counts["denominator P"] += any(
-            c.denominator == P for image in model.d_base.values()
-            for c in image.terms.values())
+        # a slice is built exactly where a class exists
+        assert asked == [degree for degree, _ in expected]
     assert counts["violating"] >= 10 and counts["cleared"] >= 10, counts
-    assert counts["fallback"] >= 5 and counts["denominator P"] >= 1, counts
 
 
 @pytest.mark.parametrize("coeff", [Fraction(1, P), Fraction(P), Fraction(3, P)])
-def test_scan_falls_back_on_coefficients_that_vanish_mod_p(monkeypatch, coeff):
-    # dy = c x^2 in the 2-sphere factor: a denominator P leaves its matrix
-    # undefined mod P (the factor's own slice decides), a numerator P drops
-    # its rank (the whole base's slice decides); either way an exact slice
-    # over x0 and y0 decides, and the classes are those of the exact oracle
+def test_scan_is_exact_on_coefficients_that_vanish_mod_p(monkeypatch, coeff):
+    # dy = c x^2 in the 2-sphere factor, c vanishing modulo P as a
+    # denominator or a numerator: the exact ranks clear H^3 = 0 with no
+    # slice, and the classes are those of the exact oracle
     model = product_base([
         ([("x", 2), ("y", 3)], {"y": (coeff, [("x", 2)])}),
         ([("p", 2), ("q", 3)], {"p": (1, [("q", 1)])}),
@@ -182,8 +176,7 @@ def test_scan_falls_back_on_coefficients_that_vanish_mod_p(monkeypatch, coeff):
     report, built = _slices_built(monkeypatch, model)
     assert _report(report) == _oracle(model)
     assert [degree for degree, _ in report.odd_cohomology_violations] == [5, 7]
-    # H^3 = 0, but only an exact slice can say so here
-    assert any(degree == 3 and {"x0", "y0"} <= names for names, degree in built)
+    assert not any(degree == 3 for _, degree in built), built
 
 
 def test_basescan_shaped_scan_builds_no_slice(monkeypatch):
@@ -204,11 +197,11 @@ def test_repeated_scan_reuses_every_verdict(monkeypatch):
     for model in (util.wide_base_model(), util.fixture_a()[0]):
         first = _report(check_hypotheses(model))
         calls = []
-        real = linalg.rank_mod_p
-        monkeypatch.setattr(linalg, "rank_mod_p",
+        real = linalg.eliminate
+        monkeypatch.setattr(linalg, "eliminate",
                             lambda columns: calls.append(1) or real(columns))
         assert _report(check_hypotheses(model)) == first
-        monkeypatch.setattr(linalg, "rank_mod_p", real)
+        monkeypatch.setattr(linalg, "eliminate", real)
         assert calls == []
 
 
@@ -223,25 +216,25 @@ def test_vanishing_verdict_in_every_degree_equals_the_slice(order):
         if order == "descending":
             degrees.reverse()
         for degree in degrees:
-            expected = not oracle.cohomology_slice(degree).complement
-            assert base.cohomology_vanishes(degree) is expected, degree
+            expected = len(oracle.cohomology_slice(degree).complement)
+            assert base.cohomology_dimension(degree) == expected, degree
 
 
 def test_scan_raises_when_d_squared_is_nonzero():
-    # dx = y, dy = x^2, dz = 0: in degree 3 the ranks mod P (1 and 1) fill
-    # the dimension 2, but d(d(x)) = x^2, so the count proves nothing; at
+    # dx = y, dy = x^2, dz = 0: in degree 3 the ranks (1 and 1) fill the
+    # dimension 2, but d(d(x)) = x^2, so the count proves nothing; at
     # truncation 4 degree 3 is the last one scanned
     table = GeneratorTable(base=[("x", 2), ("y", 3), ("z", 3)], fiber=[])
     d_base = {"x": table.poly("y"), "y": table.poly("x") ** 2}
     with pytest.raises(EngineError, match="outside the cycle space"):
         check_hypotheses(RelativeModel(table, d_base=d_base, truncation=4))
     base = RelativeModel(table, d_base=d_base, truncation=8).base_cdga()
-    assert base.cohomology_vanishes(1)
+    assert base.cohomology_dimension(1) == 0
     with pytest.raises(EngineError, match="outside the cycle space"):
-        base.cohomology_vanishes(3)
+        base.cohomology_dimension(3)
 
 
-# -- the bound per tensor factor (Kuenneth) ----------------------------------------
+# -- the dimension per tensor factor (Kuenneth) ------------------------------------
 
 
 def _vanishes_mod_p(model):
@@ -257,34 +250,49 @@ def _heisenberg_base():
 
 
 def test_bound_is_at_least_the_slice_dimension_in_every_degree():
+    # the count is exact: it equals the slice dimension in every degree,
+    # on coefficients that vanish modulo P as on any other
     heisenberg = _heisenberg_base()
     models = seeded_product_bases() + golden_models() + [ladder_base(), heisenberg]
-    exact = above = 0
+    degrees = vanishing = 0
     for model in models:
         base = model.base_cdga()
         oracle = FreeCDGA(model.table, model.table.base, base.diff, model.truncation)
         for degree in range(model.truncation):
             dim = len(oracle.cohomology_slice(degree).complement)
-            bound = base.cohomology_bound(degree)
-            assert bound >= dim, degree
-            if not _vanishes_mod_p(model):
-                assert bound == dim, degree
-                exact += 1
-            above += bound > dim
+            assert base.cohomology_dimension(degree) == dim, degree
+            degrees += 1
+        vanishing += _vanishes_mod_p(model)
     assert heisenberg.base_cdga().components() == (heisenberg.base_cdga(),)
-    assert exact > 400 and above > 0, (exact, above)
+    assert degrees > 400 and vanishing > 0, (degrees, vanishing)
+
+
+def test_one_component_scan_leaves_its_eliminations_to_slices_and_preimages(monkeypatch):
+    # on one component the scan's ranks come from the base's own records
+    model = _heisenberg_base()
+    base = model.base_cdga()
+    assert not check_hypotheses(model).satisfied
+    calls = []
+    real = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda columns: calls.append(1) or real(columns))
+    for degree in range(model.truncation):
+        base.cohomology_slice(degree)
+    ab = model.table.poly("a") * model.table.poly("b")
+    assert base.solve_preimage(ab) == model.table.poly("c")
+    monkeypatch.setattr(linalg, "eliminate", real)
+    assert calls == []
 
 
 def test_one_component_bound_raises_when_d_squared_is_nonzero():
     # dx = y, dy = x^2 joins x and y into one component; in degree 3 the
-    # ranks mod P (1 and 1) exceed the dimension 1, and d(d(x)) = x^2
+    # ranks (1 and 1) exceed the dimension 1, and d(d(x)) = x^2
     table = GeneratorTable(base=[("x", 2), ("y", 3)], fiber=[])
     d_base = {"x": table.poly("y"), "y": table.poly("x") ** 2}
     base = RelativeModel(table, d_base=d_base, truncation=8).base_cdga()
     assert base.components() == (base,)
-    assert base.cohomology_bound(1) == 0
+    assert base.cohomology_dimension(1) == 0
     with pytest.raises(EngineError, match="outside the cycle space"):
-        base.cohomology_bound(3)
+        base.cohomology_dimension(3)
     with pytest.raises(EngineError, match="outside the cycle space"):
         check_hypotheses(RelativeModel(table, d_base=d_base, truncation=4))
 
@@ -344,30 +352,8 @@ def test_classifying_space_bases_read_the_poincare_series(gens, odd_degrees):
     base = model.base_cdga()
     assert len(base.components()) == len(gens)
     series = _poincare_series([degree for _, degree in gens], model.truncation)
-    assert [base.cohomology_bound(k) for k in range(model.truncation)] == series[:-1]
+    assert [base.cohomology_dimension(k) for k in range(model.truncation)] == series[:-1]
     got = _report(check_hypotheses(model))
     assert got == _oracle(model)
     assert [degree for degree, _ in got] == odd_degrees
 
-
-# -- the modular rank ---------------------------------------------------------------
-
-
-def test_rank_mod_p_equals_the_rational_rank_on_small_integer_matrices():
-    rng = random.Random(11)
-    for _ in range(200):
-        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
-        columns = [{i: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 5)))
-                    for i in range(nrows) if rng.random() < 0.5}
-                   for _ in range(ncols)]
-        columns = [{i: v for i, v in c.items() if v} for c in columns]
-        assert linalg.rank_mod_p(columns) == util.dense_rank(columns, nrows)
-
-
-def test_rank_mod_p_bounds_the_rational_rank_from_below():
-    assert linalg.rank_mod_p([{0: Fraction(P)}]) == 0
-    assert linalg.rank_mod_p([{0: Fraction(1), 1: Fraction(1)},
-                              {0: Fraction(1), 1: Fraction(1 + P)}]) == 1
-    assert linalg.rank_mod_p([{0: Fraction(1, P)}]) is None
-    assert linalg.rank_mod_p([{0: Fraction(1)}, {1: Fraction(2, 3 * P)}]) is None
-    assert linalg.rank_mod_p([]) == 0

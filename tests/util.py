@@ -279,7 +279,7 @@ def scan_by_slices(model):
     """The odd-degree hypothesis scan with a cohomology slice built in every
     odd degree below the truncation, on a fresh base algebra: [(degree,
     classes)] for each degree with classes (oracle for check_hypotheses,
-    which builds a slice only where the modular rank count fails)."""
+    which builds a slice only where the rank count finds classes)."""
     base = FreeCDGA(model.table, model.table.base,
                     model.base_cdga().diff, model.truncation)
     found = []
