@@ -8,7 +8,10 @@ for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -30,13 +33,41 @@ INVALID_INPUT = 4
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         raise io.ParseError(path, "file not found")
     except OSError as exc:
         raise io.ParseError(path, f"cannot read: {exc.strerror}")
-    except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
+    except ValueError as exc:  # bytes that are not UTF-8
         raise io.ParseError(path, f"not valid JSON: {exc}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise io.ParseError(path, f"not valid JSON: {exc}")
+    except ValueError:  # an integer past int's digit limit; parse again to size it
+        return json.loads(text, parse_int=lambda digits: _parse_int(path, digits))
+
+
+def _parse_int(path: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise io.ParseError(
+            path, f"integer of {len(digits)} characters has too many digits"
+        ) from None
+
+
+def _require_output_directory(path: str | None) -> None:
+    """Refuse an output path whose directory is missing or is not a
+    directory before any work, with the message the write would give."""
+    if not path:
+        return
+    try:
+        is_directory = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
+    except OSError as exc:
+        raise io.ParseError(path, f"cannot write: {exc.strerror}")
+    if not is_directory:
+        raise io.ParseError(path, f"cannot write: {os.strerror(errno.ENOTDIR)}")
 
 
 def _write_output(path: str | None, doc) -> None:
@@ -84,6 +115,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _run_pipeline(args, pipeline) -> int:
+    _require_output_directory(args.output)
     doc = _load_json(args.model)
     model, comul = io.parse_model(doc)
     runner = hopf_normalize if pipeline == "hopf" else ls_normalize
@@ -126,6 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    _require_output_directory(args.output)
     doc = _load_json(args.model)
     model, comul = io.parse_model(doc)
     io.require_valid(model, comul)

@@ -5,12 +5,17 @@ linear stage solves each length-one coefficient of D(w_k) as a base
 boundary and absorbs it into a change of generators, then a higher stage
 extracts preimages from the comultiplication coefficients, raising the
 lowest word length of D(w_k) until it vanishes.  The second (ls) runs the
-same prefix (after a homotopy-associativity check) and then standardizes
-the comultiplication: even-length excess terms are removed by DG
-homotopies whose coefficients are solved base boundaries; odd-length
-excess splits along the cycle decomposition Z = E + N, the complement part
-is forced into the shape sum b_I (S_I - w_I - w'_I) and absorbed by a
-change of generators, and the exact part is removed by a homotopy.
+same prefix and then standardizes the comultiplication: even-length excess
+terms are removed by DG homotopies whose coefficients are solved base
+boundaries; odd-length excess splits along the cycle decomposition
+Z = E + N, the complement part is forced into the shape sum
+b_I (S_I - w_I - w'_I) and absorbed by a change of generators, and the
+exact part is removed by a homotopy.
+
+The ls theorem needs a homotopy-associative comultiplication.  An ls run
+that normalizes proves it, since its target C0 is strictly coassociative
+and every step preserves homotopy associativity; only a run that does not
+normalize checks it, exactly in the tensor cube, before it answers.
 
 Every stage reduces to one move, `_solve_coefficients`: solve each
 fiber-monomial coefficient as a base boundary, or reduce it against the
@@ -241,29 +246,21 @@ def hopf_stage_higher(model, comul):
     return model, comul, steps, None
 
 
-def _normalize_differential(model, comul, force: bool, associative: bool):
-    """The prefix both pipelines share: validate, scan the hypotheses, check
-    homotopy associativity when `associative` (after the scan, so invalid
-    input outranks an obstruction), then run both Hopf stages.
+def _screen(model, comul) -> HypothesisReport:
+    """Validate the input, then scan the hypotheses.  Both pipelines run this
+    first, so invalid input outranks every later answer."""
+    _require_valid(model, comul)
+    return check_hypotheses(model)
+
+
+def _normalize_differential(model, comul, report: HypothesisReport):
+    """The stages both pipelines share: the linear, then the higher Hopf
+    stage.
 
     Returns (result, model, comul).  The result is final unless it is
     "normalized": then its certificate holds the Hopf steps and still needs
     its target.
     """
-    _require_valid(model, comul)
-    report = check_hypotheses(model)
-    if not report.satisfied and not force:
-        return NormalizationResult("hypothesis-violation", report), model, comul
-    if associative:
-        failures = check_homotopy_associative(model, comul)
-        if failures:
-            witnesses = ", ".join(
-                f"{name}: {cls!r}" for name, cls in sorted(failures.items())
-            )
-            raise InvalidModelError(
-                "comultiplication is not homotopy associative; non-exact defect "
-                f"classes: {witnesses}"
-            )
     cert = new_certificate(model, comul)
     for stage in (hopf_stage_linear, hopf_stage_higher):
         model, comul, steps, obstruction = stage(model, comul)
@@ -278,7 +275,10 @@ def hopf_normalize(
     model: RelativeModel, comul: Comultiplication, force: bool = False
 ) -> NormalizationResult:
     """Full differential removal: hypotheses, linear stage, higher stage."""
-    result, model, comul = _normalize_differential(model, comul, force, associative=False)
+    report = _screen(model, comul)
+    if not report.satisfied and not force:
+        return NormalizationResult("hypothesis-violation", report)
+    result, model, comul = _normalize_differential(model, comul, report)
     if result.normalized:
         result.certificate.target_d, result.certificate.target_c = snapshot(model, comul)
     return result
@@ -412,16 +412,24 @@ def ls_odd_step(model, comul, gen, r):
     return comul, steps, None
 
 
-def ls_normalize(
-    model: RelativeModel, comul: Comultiplication, force: bool = False
-) -> NormalizationResult:
-    """Full standardization of the comultiplication.
+def _require_associative(model, comul) -> None:
+    """Raise unless C is homotopy associative, naming the reduced non-exact
+    defect classes; an exact check in the tensor cube."""
+    failures = check_homotopy_associative(model, comul)
+    if failures:
+        witnesses = ", ".join(
+            f"{name}: {cls!r}" for name, cls in sorted(failures.items())
+        )
+        raise InvalidModelError(
+            "comultiplication is not homotopy associative; non-exact defect "
+            f"classes: {witnesses}"
+        )
 
-    Hypothesis check, homotopy-associativity check, differential removal,
-    then per generator and ascending word length the even/odd steps until
-    every image is standard.
-    """
-    result, model, comul = _normalize_differential(model, comul, force, associative=True)
+
+def _standardize(model, comul, report: HypothesisReport) -> NormalizationResult:
+    """Both Hopf stages, then per generator and ascending word length the
+    even/odd steps until every image is standard."""
+    result, model, comul = _normalize_differential(model, comul, report)
     if not result.normalized:
         return result
     cert = result.certificate
@@ -438,7 +446,7 @@ def ls_normalize(
             step = ls_even_step if r % 2 == 0 else ls_odd_step
             comul, steps, obstruction = step(model, comul, gen, r)
             if obstruction is not None:
-                return NormalizationResult("obstructed", result.report,
+                return NormalizationResult("obstructed", report,
                                            obstruction=obstruction)
             cert.steps.extend(steps)
             parts = _excess_parts(comul, gen)
@@ -447,4 +455,31 @@ def ls_normalize(
     if not comul.is_standard():
         raise EngineError("pipeline finished with a non-standard comultiplication")
     cert.target_d, cert.target_c = snapshot(model, comul)
+    return result
+
+
+def ls_normalize(
+    model: RelativeModel, comul: Comultiplication, force: bool = False
+) -> NormalizationResult:
+    """Full standardization of the comultiplication.
+
+    Hypothesis check, differential removal, then the even/odd steps until
+    every image is standard.  The theorem needs C homotopy associative.  A
+    run that normalizes proves it: the target C0 is strictly coassociative,
+    and changes of generators and DG homotopies preserve homotopy
+    associativity.  So the exact check in the tensor cube runs only on a
+    run that does not normalize (an obstruction or an error), on the
+    source model and before anything is returned or raised, where
+    "not homotopy associative" (InvalidModelError) outranks the rest.
+    """
+    report = _screen(model, comul)
+    if not report.satisfied and not force:
+        return NormalizationResult("hypothesis-violation", report)
+    try:
+        result = _standardize(model, comul, report)
+    except (AlgebraError, EngineError):
+        _require_associative(model, comul)
+        raise
+    if not result.normalized:
+        _require_associative(model, comul)
     return result

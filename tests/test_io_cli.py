@@ -1,6 +1,7 @@
 """Document round-trips, structured parse errors, CLI exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -177,11 +178,13 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     for argv, message in (
         (["check", str(tmp_path)], f"ERROR: {tmp_path}: cannot read: "),
         (["check", str(latin1)], f"ERROR: {latin1}: not valid JSON: 'utf-8' codec"),
-        (["check", str(huge)], f"ERROR: {huge}: not valid JSON: Exceeds the limit"),
+        (["check", str(huge)],
+         f"ERROR: {huge}: integer of 5000 characters has too many digits\n"),
         (["verify", path, str(tmp_path)], f"ERROR: {tmp_path}: cannot read: "),
     ):
         assert run_command(argv) == 4, argv
-        assert message in capsys.readouterr().err, argv
+        err = capsys.readouterr().err
+        assert message in err and "set_int_max_str_digits" not in err, argv
     bad["differential"]["w5"][0]["coeff"] = "9" * 5000
     write(tmp_path, "bad.json", bad)
     assert run_command(["check", bad_path]) == 4
@@ -189,12 +192,27 @@ def test_cli_check_exit_codes(tmp_path, capsys):
             "many digits") in capsys.readouterr().err
 
 
-def test_cli_output_in_a_missing_directory_exits_4(tmp_path, capsys):
+def test_cli_output_in_a_missing_directory_exits_4(tmp_path, capsys, monkeypatch):
+    # refused before the input is even read: no pipeline runs
+    from fibrewise import cli
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
     path = write(tmp_path, "a.json", fixture_a_doc())
-    out = tmp_path / "missing" / "res.json"
-    assert run_command(["hopf", path, "-o", str(out)]) == 4
-    assert f"ERROR: {out}: cannot write: " in capsys.readouterr().err
-    assert not out.exists()
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    for name in ("hopf_normalize", "ls_normalize", "perturb"):
+        monkeypatch.setattr(cli, name, no_pipeline)
+    monkeypatch.setattr(cli.io, "parse_model", no_pipeline)
+    for out, reason in ((tmp_path / "missing" / "res.json", "No such file or directory"),
+                        (afile / "res.json", "Not a directory"),
+                        (afile / "deeper" / "res.json", "Not a directory")):
+        for argv in (["hopf", path], ["ls", path, "--force"], ["perturb", path, "--seed", "1"]):
+            assert run_command([*argv, "-o", str(out)]) == 4, (argv, out)
+            captured = capsys.readouterr()
+            assert captured.err == f"ERROR: {out}: cannot write: {reason}\n", (argv, out)
+            assert not out.exists()
 
 
 def test_cli_fixture_a_hopf(tmp_path):
@@ -224,6 +242,49 @@ def test_cli_fixture_c_ls(tmp_path):
         {"coeff": "1",
          "factors": [["base", "b3", 1], ["w0", "w3", 1], ["w1", "w3", 1]]}
     ]
+
+
+def _nonassociative_round_trips():
+    """The round-trip, contractible-base and D-moving families with a
+    non-exact triple term added to C(w) of the standard model, disguised by
+    a seeded change of generators."""
+    from fibrewise import conjugate
+
+    families = [(model, ("u", "v", "u")) for model in util.rt_tables()] + [
+        (util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)],
+                                      truncation=14), ("u", "v", "u")),
+        (util.contractible_base_model(
+            fiber=[("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)], truncation=14),
+         ("u", "v", "s")),
+    ]
+    for model, (a, b, c) in families:
+        table = model.table
+        images = dict(Comultiplication.standard(table).images)
+        images["w"] = images["w"] + table.poly(a) * table.poly(b) * table.poly(c, copy=1)
+        comul = Comultiplication(table, images)
+        for seed in range(2):
+            phi = util.seeded_unipotent(model, random.Random(seed))
+            yield conjugate(model, comul, phi)
+
+
+def test_cli_ls_refuses_seeded_nonassociative_input(tmp_path, capsys):
+    # exit 4 outranks exit 3: the cube check runs once ls does not normalize
+    from fibrewise.model import check_homotopy_associative
+
+    for index, (model, comul) in enumerate(_nonassociative_round_trips()):
+        failures = check_homotopy_associative(model, comul)
+        assert failures
+        expected = (
+            "ERROR: comultiplication is not homotopy associative; non-exact defect "
+            "classes: " + ", ".join(f"{name}: {cls!r}" for name, cls in sorted(failures.items()))
+            + "\n"
+        )
+        path = write(tmp_path, f"m{index}.json", fio.model_to_document(model, comul))
+        for flags in ([], ["--force"]):
+            capsys.readouterr()
+            assert run_command(["ls", path, *flags]) == 4, (index, flags)
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", expected), (index, flags)
 
 
 def test_cli_round_trip_with_verify(tmp_path):

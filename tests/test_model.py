@@ -134,14 +134,10 @@ def test_fixture_b_defect_is_zero():
 def test_nonassociative_comultiplication_detected():
     # C(w9) = w9 + w9' + u v u' has defect u v' u'' + u' v u'' (hand expansion),
     # whose class is nonzero over a base with no exact elements
-    table = GeneratorTable(base=[("b3", 3)], fiber=[("u", 3), ("v", 3), ("w", 9)])
+    model, comul = util.nonassociative_model()
+    table = model.table
     u, v = table.poly("u"), table.poly("v")
-    up, vp = table.poly("u", copy=1), table.poly("v", copy=1)
-    upp, vpp = table.poly("u", copy=2), table.poly("v", copy=2)
-    model = RelativeModel(table)
-    images = dict(Comultiplication.standard(table).images)
-    images["w"] = table.poly("w") + table.poly("w", copy=1) + u * v * up
-    comul = Comultiplication(table, images)
+    up, vp, upp = table.poly("u", copy=1), table.poly("v", copy=1), table.poly("u", copy=2)
     assert validate_comultiplication(model, comul).ok
     defect = associativity_defect(model, comul, table.generator("w0", "w"))
     assert defect == u * vp * upp + up * v * upp
@@ -150,21 +146,9 @@ def test_nonassociative_comultiplication_detected():
 
 def test_homotopy_associative_but_not_strict():
     # excess x^3 u v z' with x^3 = d(y): the defect is nonzero yet exact
-    table = GeneratorTable(
-        base=[("x", 2), ("y", 5)],
-        fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 15)],
-    )
-    x = table.poly("x")
-    model = RelativeModel(table, d_base={"y": x ** 3}, truncation=32)
-    images = dict(Comultiplication.standard(table).images)
-    images["w"] = (
-        table.poly("w") + table.poly("w", copy=1)
-        + x ** 3 * table.poly("u") * table.poly("v") * table.poly("z", copy=1)
-    )
-    comul = Comultiplication(table, images)
+    model, comul = util.exact_defect_model()
     assert validate_comultiplication(model, comul).ok
-    gen = table.generator("w0", "w")
-    defect = associativity_defect(model, comul, gen)
+    defect = associativity_defect(model, comul, model.table.generator("w0", "w"))
     assert defect != Polynomial.zero()
     assert check_homotopy_associative(model, comul) == {}
     witness = model.tensor_cdga(3).solve_preimage(defect)

@@ -1,10 +1,12 @@
 """Stage-level and pipeline-level normalization behavior."""
 
 import random
+import time
 
 import pytest
 
 from fibrewise import (
+    PerturbationSpec,
     ChangeOfGenerators,
     Comultiplication,
     GeneratorTable,
@@ -18,9 +20,13 @@ from fibrewise import (
     ls_even_step,
     ls_normalize,
     ls_odd_step,
+    perturb,
     verify_equivalence,
 )
+from fibrewise import normalize
 from fibrewise.certify import snapshot
+from fibrewise.dga import EngineError
+from fibrewise.model import check_homotopy_associative
 
 import util
 
@@ -323,13 +329,7 @@ def test_round_trips_that_move_the_differential(mode):
 
 
 def test_ls_pipeline_homotopy_associative_but_not_strict_input():
-    table = GeneratorTable(base=[("x", 2), ("y", 5)],
-                           fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 15)])
-    x = table.poly("x")
-    model = RelativeModel(table, d_base={"y": x ** 3}, truncation=32)
-    images = dict(Comultiplication.standard(table).images)
-    images["w"] = images["w"] + x ** 3 * table.poly("u") * table.poly("v") * table.poly("z", copy=1)
-    comul = Comultiplication(table, images)
+    model, comul = util.exact_defect_model()
     result = ls_normalize(model, comul)
     assert result.outcome == "normalized"
     assert verify_equivalence(result.certificate).ok
@@ -467,3 +467,104 @@ def test_obstruction_witnesses_are_reduced_and_non_exact():
     square = modelC.tensor_cdga(2)
     assert square.d(witnessC) == Polynomial.zero()
     assert square.solve_preimage(witnessC) is None
+
+
+# -- homotopy associativity: proved by every normalizing ls run ---------------------
+
+
+def _perturbed(model, seed, mode):
+    return perturb(model, Comultiplication.standard(model.table), PerturbationSpec(seed, mode=mode))
+
+
+def _d_moving_model():
+    return util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)], truncation=14)
+
+
+def _contractible_model():
+    return util.contractible_base_model(
+        fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)], truncation=14)
+
+
+# (label, builder, the outcome of a forced ls run, or "non-associative")
+ASSOCIATIVITY_CASES = [
+    ("fixture-a", util.fixture_a, "obstructed"),
+    ("fixture-b", util.fixture_b, "obstructed"),
+    ("fixture-c", util.fixture_c, "obstructed"),
+    ("full-ladder", util.full_ladder_model, "normalized"),
+    ("nonassociative", util.nonassociative_model, "non-associative"),
+    ("exact-defect", util.exact_defect_model, "normalized"),
+    *[(f"rt{index}-{seed}-{mode}",
+       lambda index=index, seed=seed, mode=mode: _perturbed(util.rt_tables()[index], seed, mode),
+       "normalized")
+      for index in range(3) for seed in range(2) for mode in ("change-of-generators", "both")],
+    *[(f"contractible-{seed}-{mode}",
+       lambda seed=seed, mode=mode: _perturbed(_contractible_model(), seed, mode), "normalized")
+      for seed in range(2) for mode in ("exact-homotopy", "both")],
+    *[(f"d-moving-{seed}-{mode}",
+       lambda seed=seed, mode=mode: _perturbed(_d_moving_model(), seed, mode), "normalized")
+      for seed in range(2) for mode in ("change-of-generators", "both")],
+    *[(f"L{n}", lambda n=n: util.perturbed_ladder(n), "normalized") for n in range(4, 8)],
+]
+
+
+@pytest.mark.parametrize("build,expected", [case[1:] for case in ASSOCIATIVITY_CASES],
+                         ids=[case[0] for case in ASSOCIATIVITY_CASES])
+def test_ls_verdict_agrees_with_the_tensor_cube(build, expected):
+    # a normalizing run needs no cube: its success proves associativity
+    model, comul = build()
+    failures = check_homotopy_associative(model, comul)
+    if expected == "non-associative":
+        assert failures
+        with pytest.raises(InvalidModelError, match="not homotopy associative"):
+            ls_normalize(model, comul, force=True)
+        return
+    assert failures == {}
+    assert ls_normalize(model, comul, force=True).outcome == expected
+
+
+def test_ls_success_never_checks_associativity(monkeypatch):
+    calls, powers = [], []
+    real_check, real_power = check_homotopy_associative, RelativeModel.tensor_cdga
+
+    def spy_check(model, comul):
+        calls.append(model)
+        return real_check(model, comul)
+
+    def spy_power(self, copies=2):
+        powers.append(copies)
+        return real_power(self, copies)
+
+    monkeypatch.setattr(normalize, "check_homotopy_associative", spy_check)
+    monkeypatch.setattr(RelativeModel, "tensor_cdga", spy_power)
+    for model, comul in (util.full_ladder_model(), util.exact_defect_model(),
+                         util.perturbed_ladder(7),
+                         _perturbed(_d_moving_model(), 0, "both")):
+        assert ls_normalize(model, comul).normalized
+    assert calls == [] and 3 not in powers
+    # a run that does not normalize checks once, in the cube
+    model, comul = util.fixture_c()
+    assert ls_normalize(model, comul, force=True).outcome == "obstructed"
+    assert calls == [model] and 3 in powers
+
+
+def test_ls_error_after_the_scan_checks_associativity_first(monkeypatch):
+    def failing_step(model, comul, gen, r):
+        raise EngineError("odd step failed")
+
+    monkeypatch.setattr(normalize, "ls_odd_step", failing_step)
+    model, comul = util.nonassociative_model()
+    with pytest.raises(InvalidModelError, match="not homotopy associative"):
+        ls_normalize(model, comul, force=True)
+    model, comul = util.full_ladder_model()
+    with pytest.raises(EngineError, match="odd step failed"):
+        ls_normalize(model, comul)
+
+
+def test_ls_on_the_ladder_l7_takes_under_a_second():
+    model, comul = util.perturbed_ladder(7)
+    start = time.perf_counter()
+    result = ls_normalize(model, comul)
+    elapsed = time.perf_counter() - start
+    assert result.normalized and verify_equivalence(result.certificate).ok
+    assert elapsed < 1.0

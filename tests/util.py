@@ -125,6 +125,39 @@ def ladder_model(n):
         truncation=2 * n + 8)
 
 
+def perturbed_ladder(n):
+    """L(n) with the exact additions of seed 3 at word length up to 4: D = 0
+    and, from L(6) on, associativity defects that are exact but not zero."""
+    from fibrewise import PerturbationSpec, perturb
+
+    model = ladder_model(n)
+    spec = PerturbationSpec(3, max_word_length=4, mode="exact-homotopy")
+    return perturb(model, Comultiplication.standard(model.table), spec)
+
+
+def nonassociative_model():
+    """Lambda(b3) (x) Lambda(u3, v3, w9), D = 0, C(w) = w + w' + u v u':
+    the defect u v' u'' + u' v u'' is not exact, over a base with odd
+    cohomology."""
+    table = GeneratorTable(base=[("b3", 3)], fiber=[("u", 3), ("v", 3), ("w", 9)])
+    images = dict(Comultiplication.standard(table).images)
+    images["w"] = images["w"] + table.poly("u") * table.poly("v") * table.poly("u", copy=1)
+    return RelativeModel(table), Comultiplication(table, images)
+
+
+def exact_defect_model():
+    """Base Lambda(x2, y5; dy = x^3), fiber (u3, v3, z3, w15), C(w) = w + w'
+    + x^3 u v z': homotopy associative, with a defect that is exact but not
+    zero."""
+    table = GeneratorTable(base=[("x", 2), ("y", 5)],
+                           fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 15)])
+    x = table.poly("x")
+    model = RelativeModel(table, d_base={"y": x ** 3}, truncation=32)
+    images = dict(Comultiplication.standard(table).images)
+    images["w"] = images["w"] + x ** 3 * table.poly("u") * table.poly("v") * table.poly("z", copy=1)
+    return model, Comultiplication(table, images)
+
+
 def seeded_unipotent(model, rng, max_terms=2):
     """A random unipotent change of generators respecting the basis order."""
     table = model.table
