@@ -22,8 +22,12 @@ and the algebra is their tensor product, so H = (x) H(component) by
 Kuenneth.  On a component, dim H^k = dim Lambda^k - rank d_k - rank
 d_(k-1) once d_k d_(k-1) = 0 is checked exactly, and the algebra's
 dimension is the convolution of the components' (`cohomology_dimension`),
-with no matrix of the whole algebra.  Only a degree with classes needs
-the algebra's cohomology slice.
+with no matrix of the whole algebra.  A factor with d = 0 (a lone generator
+in no differential, or an algebra with no differential at all, such as the
+polynomial base of BG) has H = Lambda, so its dimensions are read off the
+Poincare series (`algebra.poincare_series`): it never builds a basis, a
+matrix or an elimination.  Only a degree with classes needs the algebra's
+cohomology slice, which is always built from the per-degree record.
 
 A cycle's coordinates in the cycle basis are its entries at the free
 columns, so boundaries and decomposed cycles are written in cycle
@@ -49,6 +53,7 @@ from .algebra import (
     Monomial,
     Polynomial,
     apply_images,  # unused here, kept bound: perfbench/layertrace.py wraps it
+    poincare_series,
 )
 
 
@@ -167,6 +172,7 @@ class FreeCDGA:
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._degrees: dict[int, _Degree] = {}
         self._components: tuple[FreeCDGA, ...] | None = None
+        self._series: list[int] | None = None  # dim H^k when d = 0
 
     # -- differential --------------------------------------------------------
 
@@ -201,11 +207,14 @@ class FreeCDGA:
         """The monomial basis in `degree`, refused above the truncation."""
         if degree < 0:
             return ()
+        self._require_truncated(degree)
+        return self.table.monomial_basis(degree, self.gens)
+
+    def _require_truncated(self, degree: int) -> None:
         if degree > self.truncation:
             raise AlgebraError(
                 f"degree {degree} is above the truncation degree {self.truncation}"
             )
-        return self.table.monomial_basis(degree, self.gens)
 
     def _degree(self, degree: int) -> _Degree:
         """The record of `degree`, made with its basis and index on first use."""
@@ -301,10 +310,17 @@ class FreeCDGA:
         return self._components or (self,)
 
     def _dimension(self, degree: int) -> int:
-        """dim H^degree of this algebra alone: dim Lambda^degree - rank
-        d_degree - rank d_(degree-1), the ranks read off the eliminations
-        once d_degree d_(degree-1) = 0 is checked exactly.  Cached per
-        degree."""
+        """dim H^degree of this algebra alone.  With d = 0 it is the Poincare
+        series coefficient, the series counted once per algebra and refused
+        above the truncation like `basis`.  Otherwise it is dim
+        Lambda^degree - rank d_degree - rank d_(degree-1), the ranks read off
+        the eliminations once d_degree d_(degree-1) = 0 is checked exactly,
+        cached per degree."""
+        if not self.diff:
+            self._require_truncated(degree)
+            if self._series is None:
+                self._series = poincare_series(self.gens, self.truncation)
+            return self._series[degree] if degree >= 0 else 0
         record = self._degree(degree)
         if record.dimension is None:
             here = self._d_columns(degree)
@@ -320,7 +336,10 @@ class FreeCDGA:
         the components' Poincare series (Kuenneth), the last component read
         only where the others' coefficient is nonzero.  Raises `EngineError`
         when d*d != 0 in a degree it reads.  With one component this is
-        exactly its `_dimension(degree)`."""
+        exactly its `_dimension(degree)`, and so is an algebra with d = 0,
+        read off its own series."""
+        if not self.diff:
+            return self._dimension(degree)
         *factors, last = self.components()
         series = {0: 1}  # the nonzero coefficients of the factors so far
         for factor in factors:

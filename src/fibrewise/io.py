@@ -2,8 +2,12 @@
 
 Rationals travel as strings ("3", "-1/2") so no float ever appears.
 Serialization is canonical: terms are emitted in the monomial order, keys
-in a fixed order, so identical inputs produce identical bytes.  Reading is
-tolerant of unordered terms.
+in a fixed order, so identical inputs produce identical bytes.  Reading
+accepts terms and factors in any order.  A term whose factors come in
+canonical order (strictly increasing `sort_key`, every odd exponent 1), as
+the writer emits them, is kept as its own monomial with sign +1; any other
+term falls back to `normalize_monomial`, which sorts it, merges repeated
+even factors and drops a repeated odd one.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from typing import Any, Mapping
 from .algebra import (
     AlgebraError,
     GeneratorTable,
+    Monomial,
     Polynomial,
+    _add_terms,
     monomial_key,
+    normalize_monomial,
 )
 from .certify import (
     CertificateStep,
@@ -39,7 +46,7 @@ MODEL_FORMAT = "fibrewise-model/1"
 CERTIFICATE_FORMAT = "fibrewise-certificate/1"
 RESULT_FORMAT = "fibrewise-result/1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits, whole string
 
 
 class ParseError(ValueError):
@@ -48,13 +55,19 @@ class ParseError(ValueError):
     def __init__(self, location: str, message: str):
         super().__init__(f"{location}: {message}")
         self.location = location
+        self.message = message
 
 
 def parse_rational(text: Any, location: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(location, f"malformed rational {text!r}")
+    # the match leaves only ASCII digits to int(), which is faster than
+    # Fraction(str) parsing the string again
+    numerator, _, denominator = text.partition("/")
     try:
-        return Fraction(text)
+        if not denominator:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError:
         raise ParseError(location, f"malformed rational {text!r} (zero denominator)")
     except ValueError:  # a numerator or denominator past int's digit limit
@@ -97,31 +110,53 @@ def polynomial_to_doc(p: Polynomial) -> list[dict]:
 
 
 def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polynomial:
+    """The polynomial of a list of terms, summed in one term dict in the
+    order the terms come; see the module docstring for the canonical fast
+    path.  Each error is located at its term, coefficient or factor."""
     if not isinstance(doc, list):
         raise ParseError(location, "polynomial must be a list of terms")
-    terms = []
+    pairs: list[tuple[Monomial, Fraction]] = []
     for i, term in enumerate(doc):
-        where = f"{location}[{i}]"
-        if not isinstance(term, dict) or "coeff" not in term:
-            raise ParseError(where, "term must be an object with 'coeff' and 'factors'")
-        coeff = parse_rational(term["coeff"], where + ".coeff")
-        factors = []
-        for j, factor in enumerate(_list(term, "factors", where + ".factors")):
-            fwhere = f"{where}.factors[{j}]"
-            if not (isinstance(factor, (list, tuple)) and len(factor) == 3):
-                raise ParseError(fwhere, "factor must be [space, name, exponent]")
-            space, name, exp = factor
-            if not (isinstance(space, str) and isinstance(name, str)):
-                raise ParseError(fwhere, "space and name must be strings")
-            if not _is_positive_int(exp):
-                raise ParseError(fwhere, f"exponent must be a positive integer, got {exp!r}")
-            try:
-                gen = table.generator(space, name)
-            except AlgebraError as exc:
-                raise ParseError(fwhere, str(exc))
-            factors.append((gen, exp))
-        terms.append(Polynomial.term(coeff, factors))
-    return Polynomial.sum(terms)
+        try:  # errors inside a term are located relative to it
+            if not isinstance(term, dict) or "coeff" not in term:
+                raise ParseError("", "term must be an object with 'coeff' and 'factors'")
+            coeff = parse_rational(term["coeff"], ".coeff")
+            factor_docs = term.get("factors", [])
+            if not isinstance(factor_docs, list):
+                raise ParseError(".factors", "expected a list")
+            factors = []
+            canonical, last = True, (-1, -1)  # (-1, -1) precedes every sort_key
+            for j, factor in enumerate(factor_docs):
+                if not (isinstance(factor, (list, tuple)) and len(factor) == 3):
+                    raise ParseError(f".factors[{j}]", "factor must be [space, name, exponent]")
+                space, name, exp = factor
+                if not (isinstance(space, str) and isinstance(name, str)):
+                    raise ParseError(f".factors[{j}]", "space and name must be strings")
+                if not _is_positive_int(exp):
+                    raise ParseError(f".factors[{j}]",
+                                     f"exponent must be a positive integer, got {exp!r}")
+                try:
+                    gen = table.generator(space, name)
+                except AlgebraError as exc:
+                    raise ParseError(f".factors[{j}]", str(exc))
+                key = gen.sort_key
+                if key <= last or (exp > 1 and gen.is_odd):
+                    canonical = False
+                last = key
+                factors.append((gen, exp))
+        except ParseError as exc:
+            raise ParseError(f"{location}[{i}]{exc.location}", exc.message) from None
+        if not coeff:
+            continue
+        if canonical:
+            pairs.append((tuple(factors), coeff))
+            continue
+        mono, sign = normalize_monomial(factors)
+        if sign:
+            pairs.append((mono, coeff if sign > 0 else -coeff))
+    terms: dict[Monomial, Fraction] = {}
+    _add_terms(terms, pairs)
+    return Polynomial._of(terms)
 
 
 def _images_to_doc(images: Mapping[str, Polynomial]) -> dict:

@@ -190,6 +190,14 @@ def test_cli_check_exit_codes(tmp_path, capsys):
     assert run_command(["check", bad_path]) == 4
     assert ("ERROR: differential.w5[0].coeff: rational of 5000 characters has too "
             "many digits") in capsys.readouterr().err
+    # ASCII digits only, and nothing after them: no trailing newline, no
+    # surrounding space, no other script's digits (Arabic-Indic three and one)
+    for coeff in ("1\n", " 1", "1 ", "2/٣", "١", "-١/2"):
+        bad["differential"]["w5"][0]["coeff"] = coeff
+        write(tmp_path, "bad.json", bad)
+        assert run_command(["check", bad_path]) == 4, coeff
+        assert (f"ERROR: differential.w5[0].coeff: malformed rational {coeff!r}"
+                in capsys.readouterr().err), coeff
 
 
 def test_cli_output_in_a_missing_directory_exits_4(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ must agree term by term and in the order of their term dicts.
 import random
 from fractions import Fraction
 
-from fibrewise import Generator, Polynomial
+from fibrewise import Generator, Polynomial, normalize_monomial
 from fibrewise import io as fio
 from fibrewise.algebra import apply_images, monomial_degree
 
@@ -152,7 +152,9 @@ def test_polynomial_from_doc_matches_summed_terms():
         expected = Polynomial.zero()
         for term in doc:
             factors = [(table.generator(space, name), exp) for space, name, exp in term["factors"]]
-            expected = expected + Polynomial.term(Fraction(term["coeff"]), factors)
+            mono, sign = normalize_monomial(factors)
+            if sign:
+                expected = expected + Polynomial({mono: Fraction(term["coeff"]) * sign})
         util.assert_same_terms(fio.polynomial_from_doc(table, doc, "p"), expected)
 
 

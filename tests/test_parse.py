@@ -1,0 +1,149 @@
+"""Document parsing: the canonical fast path and the any-order fallback.
+
+`io.polynomial_from_doc` keeps a term written in canonical factor order as
+its own monomial and sends every other term through `normalize_monomial`.
+Both must give the same polynomials, so a document whose terms and factors
+are shuffled (each coefficient carrying the Koszul sign of its shuffle)
+parses to the same model or certificate, and re-serializes to the same
+bytes, as the canonical document the writer emitted.
+"""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from fibrewise import Polynomial
+from fibrewise import io as fio
+
+import util
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_documents():
+    """(file name, kind, document) of every golden model and certificate."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name == "exit_codes.json":
+            continue
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if path.name.endswith(".model.json"):
+            yield path.name, "model", doc
+        elif "certificate" in doc:
+            yield path.name, "certificate", doc["certificate"]
+
+
+def _reserialize(kind, doc):
+    if kind == "model":
+        return fio.dumps(fio.model_to_document(*fio.parse_model(doc)))
+    return fio.dumps(fio.certificate_to_document(fio.certificate_from_document(doc)))
+
+
+def _degrees(kind, doc):
+    """Generator degree by name (names are unique across base and fiber)."""
+    spaces = doc if kind == "model" else doc["model"]
+    degrees = {"t": 0, "dt": 1}
+    for part in ("base", "fiber"):
+        degrees.update((g["name"], g["degree"]) for g in spaces[part]["generators"])
+    return degrees
+
+
+def _is_polynomial(node):
+    return isinstance(node, list) and bool(node) and all(
+        isinstance(term, dict) and "coeff" in term for term in node)
+
+
+def _shuffled(node, degrees, rng):
+    """A copy of `node` with every polynomial's terms and each term's factors
+    in a random order, each coefficient times the sign of reordering its odd
+    factors, so every polynomial is unchanged."""
+    if _is_polynomial(node):
+        terms = []
+        for term in node:
+            factors = list(term["factors"])
+            order = list(range(len(factors)))
+            rng.shuffle(order)
+            odd = [i for i in order if degrees[factors[i][1]] % 2]
+            inversions = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+            coeff = Fraction(term["coeff"]) * (-1) ** inversions
+            terms.append({"coeff": str(coeff), "factors": [factors[i] for i in order]})
+        rng.shuffle(terms)
+        return terms
+    if isinstance(node, dict):
+        return {key: _shuffled(value, degrees, rng) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_shuffled(item, degrees, rng) for item in node]
+    return node
+
+
+def _count_normalizations(monkeypatch):
+    calls = []
+    real = fio.normalize_monomial
+    monkeypatch.setattr(fio, "normalize_monomial",
+                        lambda factors: calls.append(1) or real(factors))
+    return calls
+
+
+def test_shuffled_golden_documents_parse_to_the_same_polynomials_and_bytes():
+    rng = random.Random(15)
+    documents = list(_golden_documents())
+    kinds = [kind for _, kind, _ in documents]
+    assert kinds.count("model") == 14 and kinds.count("certificate") >= 20
+    for name, kind, doc in documents:
+        canonical = _reserialize(kind, doc)
+        shuffled = _shuffled(doc, _degrees(kind, doc), rng)
+        assert shuffled != doc, name
+        assert _reserialize(kind, shuffled) == canonical, name
+        if kind == "model":
+            (m1, c1), (m2, c2) = fio.parse_model(doc), fio.parse_model(shuffled)
+            assert (m1.d_base, m1.d_fiber, c1.images) == (m2.d_base, m2.d_fiber, c2.images)
+        else:
+            a, b = fio.certificate_from_document(doc), fio.certificate_from_document(shuffled)
+            assert (a.source_d, a.source_c, a.target_d, a.target_c) == (
+                b.source_d, b.source_c, b.target_d, b.target_c), name
+            for step_a, step_b in zip(a.steps, b.steps, strict=True):
+                assert step_a.action.images == step_b.action.images, name
+                assert (step_a.d_after, step_a.c_after) == (step_b.d_after, step_b.c_after)
+
+
+def test_canonical_golden_documents_never_normalize(monkeypatch):
+    documents = list(_golden_documents())
+    calls = _count_normalizations(monkeypatch)
+    for _, kind, doc in documents:
+        _reserialize(kind, doc)
+    assert calls == []
+    # the spy sees the fallback: a shuffled document does normalize
+    _, kind, doc = documents[0]
+    _reserialize(kind, _shuffled(doc, _degrees(kind, doc), random.Random(1)))
+    assert calls
+
+
+def _term(coeff, *factors):
+    return {"coeff": coeff, "factors": [list(f) for f in factors]}
+
+
+def test_parse_merges_and_drops_like_the_algebra():
+    table = util.rt_tables()[1].table  # base x2, y5; fiber u3, v3, z3, w9
+    x, y, u, v = (table.poly(name) for name in "xyuv")
+    cases = [
+        # a repeated odd factor vanishes, in canonical order or not
+        ([_term("2", ("w0", "u", 1), ("w0", "u", 1))], Polynomial.zero()),
+        ([_term("2", ("base", "y", 1), ("w0", "u", 1), ("base", "y", 1))],
+         Polynomial.zero()),
+        # a repeated even factor adds its exponents
+        ([_term("3", ("base", "x", 1), ("base", "x", 2), ("w0", "u", 1))],
+         (x ** 3 * u).scale(3)),
+        # an odd exponent of 2 vanishes; the term beside it stays
+        ([_term("5", ("w0", "v", 2)), _term("1", ("w0", "v", 1))], v),
+        # a zero coefficient is dropped, in either sign
+        ([_term("0", ("base", "x", 1)), _term("-0", ("w0", "u", 1))], Polynomial.zero()),
+        # cancelling terms are dropped, also through a reordering sign
+        ([_term("1", ("w0", "u", 1), ("w0", "v", 1)), _term("1", ("w0", "v", 1), ("w0", "u", 1)),
+          _term("1/2", ("base", "y", 1))], y.scale(Fraction(1, 2))),
+        ([_term("2", ("base", "x", 1)), _term("-2", ("base", "x", 1))], Polynomial.zero()),
+        # a term with no factors is the constant
+        ([_term("-1/3")], Polynomial.constant(Fraction(-1, 3))),
+    ]
+    for doc, expected in cases:
+        got = fio.polynomial_from_doc(table, doc, "p")
+        util.assert_same_terms(got, expected)

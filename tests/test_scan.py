@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fibrewise import (
+    AlgebraError,
     EngineError,
     FreeCDGA,
     GeneratorTable,
@@ -16,8 +17,10 @@ from fibrewise import (
     RelativeModel,
     check_hypotheses,
     linalg,
+    normalize_monomial,
 )
 from fibrewise import io as fio
+from fibrewise.algebra import poincare_series
 
 import util
 
@@ -103,12 +106,12 @@ def product_base(pieces, truncation):
     gens = [(f"{name}{i}", degree)
             for i, (piece_gens, _) in enumerate(pieces) for name, degree in piece_gens]
     table = GeneratorTable(base=gens, fiber=[])
-    d_base = {
-        f"{name}{i}": Polynomial.term(
-            c, [(table.generator("base", f"{g}{i}"), e) for g, e in factors])
-        for i, (_, piece_diff) in enumerate(pieces)
-        for name, (c, factors) in piece_diff.items()
-    }
+    d_base = {}
+    for i, (_, piece_diff) in enumerate(pieces):
+        for name, (c, factors) in piece_diff.items():
+            mono, sign = normalize_monomial(
+                [(table.generator("base", f"{g}{i}"), e) for g, e in factors])
+            d_base[f"{name}{i}"] = Polynomial({mono: Fraction(c) * sign})
     return RelativeModel(table, d_base=d_base, truncation=truncation)
 
 
@@ -357,3 +360,70 @@ def test_classifying_space_bases_read_the_poincare_series(gens, odd_degrees):
     assert got == _oracle(model)
     assert [degree for degree, _ in got] == odd_degrees
 
+
+# -- free factors are read off the Poincare series ---------------------------------
+
+
+def _bsu3():
+    """BSU(3) = Lambda(c4, c6), d = 0."""
+    return RelativeModel(GeneratorTable(base=[("c4", 4), ("c6", 6)], fiber=[]), truncation=24)
+
+
+def test_poincare_series_counts_every_basis():
+    algebras = [model.tensor_cdga(copies)
+                for model in golden_models() for copies in (0, 1, 2)]
+    algebras.append(util.ladder_model(4).tensor_cdga(3))
+    for algebra in algebras:
+        top = algebra.truncation
+        assert poincare_series(algebra.gens, top) == [
+            len(algebra.table.monomial_basis(k, algebra.gens)) for k in range(top + 1)]
+    assert len(algebras) == 14 * 3 + 1
+    with pytest.raises(AlgebraError, match="degree-0 generator"):
+        poincare_series([algebras[0].table.t], 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: util.rt_tables()[0],  # Lambda(x2)
+    lambda: util.rt_tables()[2],  # Lambda(x4, y6)
+    _bsu3,
+], ids=["x2", "x4-y6", "BSU(3)"])
+def test_zero_differential_base_scan_builds_no_basis(monkeypatch, build):
+    model = build()
+    counts = {"basis": 0, "eliminate": 0}
+    real_basis, real_eliminate = GeneratorTable.monomial_basis, linalg.eliminate
+
+    def basis(self, degree, gens):
+        counts["basis"] += 1
+        return real_basis(self, degree, gens)
+
+    def eliminate(columns):
+        counts["eliminate"] += 1
+        return real_eliminate(columns)
+
+    monkeypatch.setattr(GeneratorTable, "monomial_basis", basis)
+    monkeypatch.setattr(linalg, "eliminate", eliminate)
+    report = check_hypotheses(model)
+    dims = [model.base_cdga().cohomology_dimension(k) for k in range(model.truncation + 1)]
+    monkeypatch.undo()
+    assert counts == {"basis": 0, "eliminate": 0}
+    assert report.satisfied and _report(report) == _oracle(model) == []
+    gens = model.table.base
+    assert dims == [len(model.table.monomial_basis(k, gens))
+                    for k in range(model.truncation + 1)]
+
+
+def test_free_factor_refuses_a_degree_above_the_truncation():
+    # S^2 (x) Lambda(e5): the lone e5 is a free factor, as is all of BSU(3)
+    mixed = product_base([([("x", 2), ("y", 3)], {"y": (1, [("x", 2)])}),
+                          ([("e", 5)], {})], truncation=10).base_cdga()
+    free_factor = mixed.components()[1]
+    assert [g.name for g in free_factor.gens] == ["e1"] and not free_factor.diff
+    bsu3 = _bsu3().base_cdga()
+    for algebra in (free_factor, bsu3):
+        top = algebra.truncation
+        algebra.cohomology_dimension(top)
+        with pytest.raises(AlgebraError, match=f"degree {top + 1} is above the truncation "
+                                               f"degree {top}"):
+            algebra.cohomology_dimension(top + 1)
+    assert free_factor.cohomology_dimension(5) == 1
+    assert bsu3.cohomology_dimension(12) == 2  # c4^3 and c6^2
