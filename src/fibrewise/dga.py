@@ -23,9 +23,9 @@ Kuenneth.  On a component, dim H^k = dim Lambda^k - rank d_k - rank
 d_(k-1) once d_k d_(k-1) = 0 is checked exactly, and the algebra's
 dimension is the convolution of the components' (`cohomology_dimension`),
 with no matrix of the whole algebra.  A factor with d = 0 (a lone generator
-in no differential, or an algebra with no differential at all, such as the
-polynomial base of BG) has H = Lambda, so its dimensions are read off the
-Poincare series (`algebra.poincare_series`): it never builds a basis, a
+in no differential; the polynomial base of BG splits into one per
+generator) has H = Lambda, so its dimensions are read off the Poincare
+series (`algebra.poincare_series`): it never builds a basis, a
 matrix or an elimination.  Only a degree with classes needs the algebra's
 cohomology slice, which is always built from the per-degree record.
 
@@ -336,10 +336,7 @@ class FreeCDGA:
         the components' Poincare series (Kuenneth), the last component read
         only where the others' coefficient is nonzero.  Raises `EngineError`
         when d*d != 0 in a degree it reads.  With one component this is
-        exactly its `_dimension(degree)`, and so is an algebra with d = 0,
-        read off its own series."""
-        if not self.diff:
-            return self._dimension(degree)
+        exactly its `_dimension(degree)`."""
         *factors, last = self.components()
         series = {0: 1}  # the nonzero coefficients of the factors so far
         for factor in factors:

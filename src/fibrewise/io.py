@@ -121,9 +121,7 @@ def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polyn
             if not isinstance(term, dict) or "coeff" not in term:
                 raise ParseError("", "term must be an object with 'coeff' and 'factors'")
             coeff = parse_rational(term["coeff"], ".coeff")
-            factor_docs = term.get("factors", [])
-            if not isinstance(factor_docs, list):
-                raise ParseError(".factors", "expected a list")
+            factor_docs = _list(term, "factors", ".factors")
             factors = []
             canonical, last = True, (-1, -1)  # (-1, -1) precedes every sort_key
             for j, factor in enumerate(factor_docs):

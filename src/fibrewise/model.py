@@ -270,11 +270,12 @@ def check_hypotheses(model: RelativeModel) -> HypothesisReport:
 
     Each odd degree below the truncation is counted by the exact ranks of
     the base algebra's tensor factors, convolved
-    (`FreeCDGA.cohomology_dimension`); a factor with d = 0, and a base with
-    no differential at all, is read off its Poincare series instead, with no
-    basis or elimination.  Only a degree with classes has them computed, by
-    the base's cohomology slice.  The counts are cached on the factors, so a
-    repeated scan of one model is free.
+    (`FreeCDGA.cohomology_dimension`); a factor with d = 0, such as each
+    generator of a polynomial base with no differential, is read off its
+    Poincare series instead, with no basis or elimination.  Only a degree
+    with classes has them computed, by the base's cohomology slice.  The
+    counts are cached on the factors, so a repeated scan of one model is
+    free.
     """
     report = HypothesisReport()
     base = model.base_cdga()
