@@ -6,9 +6,9 @@ copies of the fiber, then the interval generators t, dt -- ascending by
 generator id inside each block.  Koszul reordering signs are absorbed into
 the rational coefficient at normalization time, so stored monomials are
 always "positive" and two polynomials are equal iff their term maps are
-equal.  Odd generators square to zero; coefficients are fractions.Fraction
-(never floats: several normalization steps divide by word counts and need
-exactness).
+equal (within one `GeneratorTable`: generators compare by identity).  Odd
+generators square to zero; coefficients are fractions.Fraction (never
+floats: several normalization steps divide by word counts and need exactness).
 
 Every stored monomial is canonical, so a product never re-sorts: it merges
 two canonical monomials in `sort_key` order.  A generator in both factors
@@ -42,13 +42,14 @@ class AlgebraError(ValueError):
     """Raised for malformed generators, monomials or polynomial operations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generator:
-    """A free algebra generator: unique id, display name, degree, block tag.
+    """A free algebra generator: id, display name, degree, block tag.
 
     Degrees are positive except for the interval generator t of degree 0.
     The tags w1/w2 mark the second and third tensor copies of a fiber
-    generator; copies share the name and degree of their w0 original.
+    generator; copies share the name and degree of their w0 original.  Each
+    is unique to its `GeneratorTable` and compares and hashes by identity.
     """
 
     id: int
@@ -66,10 +67,6 @@ class Generator:
         # plain attributes, read on every step of a product merge
         object.__setattr__(self, "is_odd", self.degree % 2 == 1)
         object.__setattr__(self, "sort_key", (_SPACE_RANK[self.space], self.id))
-
-    def __hash__(self) -> int:
-        # ids are unique within a table; equality still compares every field
-        return hash(self.id)
 
     def display(self) -> str:
         if self.space == "w1":

@@ -133,8 +133,8 @@ def _run_pipeline(args, pipeline) -> int:
 def _cmd_verify(args) -> int:
     model_doc = _load_json(args.model)
     model, comul = io.parse_model(model_doc)
-    cert = io.certificate_from_document(_load_json(args.certificate))
-    if model.table.base + model.table.fiber != cert.table.base + cert.table.fiber:
+    cert = io.certificate_from_document(_load_json(args.certificate), model.table)
+    if cert.table is not model.table:
         print("FAIL: certificate is for a different generator table")
         return INVALID_INPUT
     if cert.d_base != model.d_base:

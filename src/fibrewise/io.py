@@ -221,17 +221,20 @@ def _spaces_to_doc(table: GeneratorTable, d_base: Mapping[str, Polynomial]) -> d
     }
 
 
-def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str):
+def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str, table=None):
     """(table, base differential) of the shared base/fiber section, with
-    locations under `prefix`."""
+    locations under `prefix`; a given `table` is kept if it has the same
+    (name, degree) lists."""
     base_doc = _object(doc, "base", prefix + "base")
     fiber_doc = _object(doc, "fiber", prefix + "fiber")
     base_spec = _generator_spec(base_doc.get("generators", []), prefix + "base.generators")
     fiber_spec = _generator_spec(fiber_doc.get("generators", []), prefix + "fiber.generators")
-    try:
-        table = GeneratorTable(base_spec, fiber_spec)
-    except AlgebraError as exc:
-        raise ParseError(table_location, str(exc))
+    if table is None or ([(g.name, g.degree) for g in table.base],
+                         [(g.name, g.degree) for g in table.fiber]) != (base_spec, fiber_spec):
+        try:
+            table = GeneratorTable(base_spec, fiber_spec)
+        except AlgebraError as exc:
+            raise ParseError(table_location, str(exc))
     d_base = _images_from_doc(table, "base", base_doc.get("differential"),
                               prefix + "base.differential")
     return table, d_base
@@ -326,14 +329,18 @@ def _state_from_doc(table, doc: Mapping, key: str, location: str):
     )
 
 
-def certificate_from_document(doc: Any) -> EquivalenceCertificate:
+def certificate_from_document(doc: Any, table: GeneratorTable | None = None
+                              ) -> EquivalenceCertificate:
+    """A certificate, or the one a result document wraps.  It is read against
+    `table` when its base and fiber generators are that table's, so that its
+    polynomials compare with the model's; else against a table of its own."""
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
     if "certificate" in doc:  # accept a result wrapper
         doc = doc["certificate"]
         if not isinstance(doc, dict):
             raise ParseError("certificate", "certificate document must be an object")
-    table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model")
+    table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
     truncation = doc.get("truncation_degree")
     if not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")

@@ -185,23 +185,14 @@ def hopf_stage_linear(model, comul):
     return model, comul, steps, None
 
 
-def _extract_eta(model, comul, gen, fiber_mono):
-    """The preimage candidate for the coefficient of w_I = `fiber_mono` in
-    D(w_k), read off the comultiplication coefficients: the coefficient of
-    w'_{i1} w_{i2} ... w_{ir}, divided by the leading multiplicity when the
-    leading index repeats."""
-    seq_gens = [g for g, e in fiber_mono for _ in range(e)]
-    grouped = comul.image(gen).group_by_fiber_part()
-    return leading_prime_coefficient(model.table, grouped, seq_gens)
-
-
 def hopf_stage_higher(model, comul):
     """Raise the lowest word length of each D(w_k) until it vanishes.
 
-    Requires every D(w) to lie in word length two or more.  Preimages come
-    from the comultiplication coefficients (with the 1/N division when the
-    leading index repeats); a deterministic boundary solve is the fallback,
-    and failure of both is an obstruction.
+    Requires every D(w) to lie in word length two or more.  The preimage
+    candidate for the coefficient of w_I in D(w_k) is that of w'_{i1} w_{i2}
+    ... w_{ir} in C(w_k) (grouped once per step), divided by N when the
+    leading index repeats N times; a deterministic boundary solve is the
+    fallback, and failure of both is an obstruction.
     """
     steps: list[CertificateStep] = []
     base = model.base_cdga()
@@ -220,9 +211,11 @@ def hopf_stage_higher(model, comul):
                 raise EngineError("word length failed to increase")
             parts = model.D(gen).word_length_parts()
             r = min(parts)
+            grouped = comul.image(gen).group_by_fiber_part()
             tail, witness = _solve_tail(
                 base, parts[r], f"D({gen.display()}) in word length {r}",
-                guess=lambda fiber_mono: _extract_eta(model, comul, gen, fiber_mono),
+                guess=lambda fiber_mono: leading_prime_coefficient(
+                    model.table, grouped, [g for g, e in fiber_mono for _ in range(e)]),
             )
             if tail is None:
                 return model, comul, steps, Obstruction(
@@ -354,6 +347,7 @@ def ls_odd_step(model, comul, gen, r):
     part is removed by a homotopy as in the even case.  Returns
     (comul, steps, obstruction).
     """
+    # looked up per call, so perfbench/layertrace.py's wrapper of solve_basic_form runs
     from .propsolver import BasicFormError, copy_product, solve_basic_form
 
     part = _excess_parts(comul, gen).get(r)

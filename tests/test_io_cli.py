@@ -575,19 +575,38 @@ def test_non_integer_truncation_override_exits_4(tmp_path, monkeypatch, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("path, message", [
-    (["model", "base", "differential", "p", 0, "coeff"],
-     "certificate base differential differs from the model"),
-    (["source", "differential", "s", 0, "coeff"],
-     "certificate source does not match the model"),
+BASE_COEFF = ["model", "base", "differential", "p", 0, "coeff"]
+
+
+@pytest.mark.parametrize("model, path, value, out, err", [
+    pytest.param("full_ladder", BASE_COEFF, "2",
+                 ["FAIL: certificate base differential differs from the model"], [],
+                 id="path0-certificate base differential differs from the model"),
+    pytest.param("full_ladder", ["source", "differential", "s", 0, "coeff"], "2",
+                 ["FAIL: certificate source does not match the model"], [],
+                 id="path1-certificate source does not match the model"),
+    # fixture a's model has other generators than the ladder's certificate
+    pytest.param("fixture_a", None, None,
+                 ["FAIL: certificate is for a different generator table"], [],
+                 id="other-table"),
+    # a malformed field fails at its location before the table check, read
+    # against the model's table or against the certificate's own
+    pytest.param("fixture_a", BASE_COEFF, "2/x", [],
+                 ["ERROR: model.base.differential.p[0].coeff: malformed rational '2/x'"],
+                 id="other-table-malformed-coeff"),
+    pytest.param("full_ladder", BASE_COEFF, "2/x", [],
+                 ["ERROR: model.base.differential.p[0].coeff: malformed rational '2/x'"],
+                 id="same-table-malformed-coeff"),
 ])
-def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, path,
-                                                            message):
+def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, model, path,
+                                                            value, out, err):
     doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
-    cert = write(tmp_path, "cert.json", _with(doc["certificate"], path, "2"))
+    cert = doc["certificate"] if path is None else _with(doc["certificate"], path, value)
+    cert_path = write(tmp_path, "cert.json", cert)
     capsys.readouterr()
-    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert]) == 4
-    assert capsys.readouterr().out.splitlines() == [f"FAIL: {message}"]
+    assert run_command(["verify", str(GOLDEN / f"{model}.model.json"), cert_path]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines(), captured.err.splitlines()) == (out, err)
 
 
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])

@@ -6,12 +6,14 @@ sort again (`product_by_normalize`, `apply_images_by_products`).  Results
 must agree term by term and in the order of their term dicts.
 """
 
+import copy
 import random
 from fractions import Fraction
 
 from fibrewise import Generator, Polynomial, normalize_monomial
 from fibrewise import io as fio
 from fibrewise.algebra import apply_images, monomial_degree
+from fibrewise.certify import new_certificate
 
 import util
 
@@ -158,24 +160,40 @@ def test_polynomial_from_doc_matches_summed_terms():
         util.assert_same_terms(fio.polynomial_from_doc(table, doc, "p"), expected)
 
 
-def test_generators_and_polynomials_of_two_parses_agree():
+def test_two_parses_of_a_document_give_distinct_generators():
     doc = fio.model_to_document(*util.fixture_b())
     (m1, c1), (m2, c2) = fio.parse_model(doc), fio.parse_model(doc)
     assert m1.table is not m2.table
-    for g1, g2 in zip(m1.table.all_generators, m2.table.all_generators):
-        assert g1 is not g2
-        assert g1 == g2 and hash(g1) == hash(g2)
-    assert m1.d_fiber == m2.d_fiber and c1.images == c2.images
-    for name, poly in c1.images.items():
-        other = c2.images[name]
-        for mono, coeff in poly.terms.items():
-            assert hash(mono) == hash(next(m for m in other.terms if m == mono))
-            assert other.terms[mono] == coeff
+    for g1, g2 in zip(m1.table.all_generators, m2.table.all_generators, strict=True):
+        assert g1 is not g2 and g1 != g2
+        assert (g1.id, g1.name, g1.degree, g1.space) == (g2.id, g2.name, g2.degree, g2.space)
+    # polynomials compare only within the table that owns their generators
+    assert m1.d_fiber["yb"] != m2.d_fiber["yb"] and c1.images["yb"] != c2.images["yb"]
+    assert fio.model_to_document(m1, c1) == doc == fio.model_to_document(m2, c2)
 
 
-def test_generator_equality_compares_every_field():
+def test_a_certificate_is_read_against_a_table_with_its_generators():
+    model, comul = fio.parse_model(fio.model_to_document(*util.fixture_b()))
+    doc = fio.certificate_to_document(new_certificate(model, comul))
+    cert = fio.certificate_from_document(doc, model.table)
+    assert cert.table is model.table
+    assert (cert.d_base, cert.source_d, cert.source_c) == (
+        model.d_base, model.d_fiber, comul.images)
+    assert fio.certificate_from_document(doc).table is not model.table
+    # another degree, another fiber order or another base: a table of its own
+    for edit in (
+        lambda spaces: spaces["fiber"]["generators"][1].update(degree=4),
+        lambda spaces: spaces["fiber"]["generators"].reverse(),
+        lambda spaces: spaces["base"]["generators"].append({"name": "z", "degree": 4}),
+    ):
+        other = copy.deepcopy(doc)
+        edit(other["model"])
+        assert fio.certificate_from_document(other, model.table).table is not model.table
+
+
+def test_generators_compare_and_hash_by_identity():
     u = Generator(0, "u", 3, "w0")
-    assert Generator(0, "u", 3, "w0") == u
-    assert Generator(0, "v", 3, "w0") != u
-    assert Generator(0, "u", 5, "w0") != u
-    assert hash(Generator(0, "v", 3, "w0")) == hash(u)
+    twin = Generator(0, "u", 3, "w0")
+    assert u == u and u != twin and len({u, twin}) == 2
+    assert hash(u) == object.__hash__(u)
+    assert "__eq__" not in vars(Generator) and "__hash__" not in vars(Generator)

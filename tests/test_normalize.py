@@ -137,6 +137,26 @@ def test_higher_stage_repeated_leading_index():
     assert c3.images == comul.images
 
 
+@pytest.mark.parametrize("seed", [1, 4, 5, 6])
+def test_higher_stage_groups_each_comultiplication_once_per_step(monkeypatch, seed):
+    # seeded changes of generators of L(6) whose higher steps solve several
+    # fiber-monomial coefficients: C(w_k) is grouped once per step, not once
+    # per coefficient, besides the one grouping of D(w_k)'s lowest part
+    ladder = util.ladder_model(6)
+    spec = PerturbationSpec(seed, max_word_length=6, mode="change-of-generators")
+    model, comul = perturb(ladder, Comultiplication.standard(ladder.table), spec)
+    model, comul, _, obstruction = hopf_stage_linear(model, comul)
+    assert obstruction is None
+    calls = []
+    real = Polynomial.group_by_fiber_part
+    monkeypatch.setattr(Polynomial, "group_by_fiber_part",
+                        lambda self: calls.append(1) or real(self))
+    model, _, steps, obstruction = hopf_stage_higher(model, comul)
+    assert obstruction is None and model.d_fiber == {}
+    assert steps and all(step.stage == "hopf-higher" for step in steps)
+    assert len(calls) <= 2 * len(steps)
+
+
 def test_hopf_pipeline_fixture_a():
     model, comul = util.fixture_a()
     result = hopf_normalize(model, comul)
