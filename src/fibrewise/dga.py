@@ -33,7 +33,9 @@ A cycle's coordinates in the cycle basis are its entries at the free
 columns, so boundaries and decomposed cycles are written in cycle
 coordinates by a read-off and a sparse rebuild that checks it, never by a
 solve.  One reduction of the boundaries in cycle coordinates then yields
-both the basis of E and the complement N.
+both the basis of E and the complement N.  `FreeCDGA.split` is the one
+exactness move: it solves a cycle first, and only a cycle with no preimage
+is decomposed, into its reduced class and a preimage of the rest.
 The differential of a monomial is the graded Leibniz rule peeled off its
 first factor, with the differential of the remaining factors served from a
 cache.
@@ -96,7 +98,7 @@ class CohomologySlice:
     `boundaries` is the basis of E whose cycle coordinates are the rows of
     the reduced row echelon form (`linalg.rref`) of E; N is spanned by the
     cycle basis vectors at the non-pivot coordinates of that form.  Both
-    choices are deterministic.
+    choices are deterministic; `FreeCDGA.split` decomposes by it.
     """
 
     degree: int
@@ -121,10 +123,6 @@ class CohomologySlice:
                 linalg.add_into(coords, row, -val)
         rest = _from_vector(linalg.combine(record.elimination.kernel, coords), record.basis)
         return cycle - rest, rest
-
-    def reduce(self, cycle: Polynomial) -> Polynomial:
-        """The complement-part of a cycle: its canonical reduced form."""
-        return self.decompose(cycle)[1]
 
 
 def _to_vector(p: Polynomial, index: Mapping[Monomial, int]) -> linalg.Vector:
@@ -395,6 +393,20 @@ class FreeCDGA:
         if solution is None:
             return None
         return _from_vector(solution, self._degree(degree - 1).basis)
+
+    def split(self, cycle: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """(eta, rest) with d(eta) = cycle - rest and rest the homogeneous
+        cycle's class reduced against the boundaries: zero exactly for a
+        boundary, which costs one solve and no slice, and equal for cycles
+        of equal class."""
+        eta = self.solve_preimage(cycle)
+        if eta is not None:
+            return eta, Polynomial.zero()
+        exact, rest = self.cohomology_slice(cycle.homogeneous_degree()).decompose(cycle)
+        eta = self.solve_preimage(exact)
+        if eta is None:
+            raise EngineError("exact part of a cycle has no preimage")
+        return eta, rest
 
 
 # -- spec-level operation wrappers ------------------------------------------------

@@ -256,9 +256,9 @@ def parse_model(
         truncation = default_truncation_for(table)
     d_fiber = _images_from_doc(table, "w0", doc.get("differential"), "differential")
     model = RelativeModel(table, d_base, d_fiber, truncation)
-    images = dict(Comultiplication.standard(table).images)
-    images.update(_images_from_doc(table, "w0", doc.get("comultiplication"),
-                                   "comultiplication"))
+    images = _images_from_doc(table, "w0", doc.get("comultiplication"), "comultiplication")
+    if len(images) < len(table.fiber):  # a generator left out gets w + w'
+        images = {**Comultiplication.standard(table).images, **images}
     return model, Comultiplication(table, images)
 
 

@@ -316,7 +316,6 @@ def check_homotopy_associative(
             raise EngineError(
                 f"associativity defect of {gen.display()} is not a cycle"
             )
-        if cube.solve_preimage(defect) is None:
-            slice_ = cube.cohomology_slice(defect.homogeneous_degree())
-            failures[gen.name] = slice_.reduce(defect)
+        if rest := cube.split(defect)[1]:
+            failures[gen.name] = rest
     return failures

@@ -17,13 +17,15 @@ that normalizes proves it, since its target C0 is strictly coassociative
 and every step preserves homotopy associativity; only a run that does not
 normalize checks it, exactly in the tensor cube, before it answers.
 
-Every stage reduces to one move, `_solve_coefficients`: solve each
-fiber-monomial coefficient as a base boundary, or reduce it against the
-boundary space when it is not one.  Both pipelines emit certificates that
-the independent verifier checks, or stop with an obstruction: a non-exact
-cycle reduced against the boundary space, so equal classes always report
-equal witnesses.  They require a truncation degree above every fiber
-degree, since they solve in all degrees up to the largest one.
+Every stage makes one move, the base's `split`, on each fiber-monomial
+coefficient: it is solved as a boundary first, and only a coefficient with
+no preimage is decomposed into a preimage of its exact part and its class
+reduced against the boundaries.  Boundaries are absorbed by changes of
+generators or homotopies.  Both pipelines emit certificates that the
+independent verifier checks, or stop with an obstruction: a reduced class,
+so equal classes always report equal witnesses.  They require a truncation
+degree above every fiber degree, since they solve in all degrees up to the
+largest one.
 """
 
 from __future__ import annotations
@@ -117,12 +119,12 @@ def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
 
 
 def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):
-    """Solve each fiber-monomial coefficient of `poly` as a base boundary.
+    """Split each fiber-monomial coefficient of `poly` by `base.split`.
 
-    Yields (fiber monomial as a polynomial, eta, witness) in monomial order:
-    eta with d(eta) = coefficient, or eta None and the coefficient reduced
-    against the boundaries.  `guess(fiber_mono)` may offer a candidate eta,
-    taken only when its differential is the coefficient.
+    Yields (fiber monomial as a polynomial, eta, rest) in monomial order,
+    with d(eta) = coefficient - rest.  `guess(fiber_mono)` may offer a
+    candidate eta, taken (rest zero) only when its differential is the
+    coefficient.
     """
     for fiber_mono, coeff in sorted(
         poly.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
@@ -130,23 +132,19 @@ def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):
         if base.d(coeff):
             raise EngineError(f"coefficient of {label} is not a cycle")
         eta = guess(fiber_mono) if guess else None
+        rest = Polynomial.zero()
         if eta is None or base.d(eta) != coeff:
-            eta = base.solve_preimage(coeff)
-        mono_poly = Polynomial({fiber_mono: Fraction(1)})
-        if eta is None:
-            degree = coeff.homogeneous_degree()
-            yield mono_poly, None, base.cohomology_slice(degree).reduce(coeff)
-        else:
-            yield mono_poly, eta, None
+            eta, rest = base.split(coeff)
+        yield Polynomial({fiber_mono: Fraction(1)}), eta, rest
 
 
 def _solve_tail(base, poly: Polynomial, label: str, guess=None):
     """(sum of eta times fiber monomial, None), or (None, witness) for the
     first coefficient that is not a boundary."""
     tail = Polynomial.zero()
-    for mono_poly, eta, witness in _solve_coefficients(base, poly, label, guess):
-        if eta is None:
-            return None, witness
+    for mono_poly, eta, rest in _solve_coefficients(base, poly, label, guess):
+        if rest:
+            return None, rest
         tail = tail + eta * mono_poly
     return tail, None
 
@@ -284,35 +282,33 @@ def _excess_parts(comul: Comultiplication, gen: Generator) -> dict[int, Polynomi
     return comul.excess(gen).word_length_parts()
 
 
-def _remove_by_homotopy(model, comul, gen, part, note, stage):
-    """Remove `part` from C(w_k) by one DG homotopy
+def _split_excess(model, gen, part: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(eta, rest), the coefficients' splits of `part`, an excess of C(w_k),
+    summed times their fiber monomials: d(eta) = part - rest."""
+    eta_poly = rest_poly = Polynomial.zero()
+    for mono_poly, eta, rest in _solve_coefficients(
+        model.base_cdga(), part, f"the excess of C({gen.display()})"
+    ):
+        eta_poly = eta_poly + eta * mono_poly
+        rest_poly = rest_poly + rest * mono_poly
+    return eta_poly, rest_poly
+
+
+def _remove_by_homotopy(model, comul, gen, part, eta, note, stage):
+    """Remove the exact `part` P from C(w_k) by one DG homotopy
 
         H(w_k) = C(w_k) - P t - eta dt,  constant on the other generators,
 
-    where eta solves the coefficients of P = `part` as base boundaries.
-    Returns (comul, steps, witness): when a coefficient is not a boundary,
-    nothing is removed and the witness is the sum of the reduced non-exact
-    coefficients times their fiber monomials.
-    """
+    where d(eta) = P.  Returns (comul, step)."""
     table = model.table
-    eta_poly = witness = Polynomial.zero()
-    for mono_poly, eta, reduced in _solve_coefficients(
-        model.base_cdga(), part, f"the excess of C({gen.display()})"
-    ):
-        if eta is None:
-            witness = witness + reduced * mono_poly
-        else:
-            eta_poly = eta_poly + eta * mono_poly
-    if witness:
-        return comul, [], witness
     images = {other.id: comul.image(other) for other in table.fiber}
     images[gen.id] = (comul.image(gen) - part * Polynomial.from_generator(table.t)
-                      - eta_poly * Polynomial.from_generator(table.dt))
+                      - eta * Polynomial.from_generator(table.dt))
     psi1 = dict(comul.images)
     psi1[gen.name] = comul.image(gen) - part
     homotopy = DGHomotopy(images, dict(comul.images), psi1)
     new_comul = Comultiplication(table, psi1)
-    return new_comul, [_step(homotopy, model, new_comul, note, stage)], None
+    return new_comul, _step(homotopy, model, new_comul, note, stage)
 
 
 def ls_even_step(model, comul, gen, r):
@@ -325,23 +321,24 @@ def ls_even_step(model, comul, gen, r):
     part = _excess_parts(comul, gen).get(r)
     if not part:
         return comul, [], None
-    comul, steps, witness = _remove_by_homotopy(
-        model, comul, gen, part,
-        f"remove even excess of length {r} from C({gen.display()})", "ls-even",
-    )
+    eta, witness = _split_excess(model, gen, part)
     if witness:
         return comul, [], Obstruction(
             "ls-even", gen, r, witness,
             f"word-length-{r} excess of C({gen.display()}) has non-exact "
             "coefficients",
         )
-    return comul, steps, None
+    comul, step = _remove_by_homotopy(
+        model, comul, gen, part, eta,
+        f"remove even excess of length {r} from C({gen.display()})", "ls-even",
+    )
+    return comul, [step], None
 
 
 def ls_odd_step(model, comul, gen, r):
     """Remove the odd-length excess P_r of C(w_k).
 
-    The excess splits coefficientwise along Z = E + N.  The complement part
+    Its coefficients' classes (`split`) form the complement part, which
     must take the shape sum b_I (S_I - w_I - w'_I); the change of
     generators w_k -> w_k + sum b_I w_I absorbs it, and the remaining exact
     part is removed by a homotopy as in the even case.  Returns
@@ -355,18 +352,7 @@ def ls_odd_step(model, comul, gen, r):
         return comul, [], None
     base = model.base_cdga()
     table = model.table
-    exact_part = Polynomial.zero()
-    complement_part = Polynomial.zero()
-    for fiber_mono, coeff in part.group_by_fiber_part().items():
-        if base.d(coeff):
-            raise EngineError(
-                f"excess coefficient of C({gen.display()}) is not a cycle"
-            )
-        slice_ = base.cohomology_slice(coeff.homogeneous_degree())
-        exact, rest = slice_.decompose(coeff)
-        mono_poly = Polynomial({fiber_mono: Fraction(1)})
-        exact_part = exact_part + exact * mono_poly
-        complement_part = complement_part + rest * mono_poly
+    eta, complement_part = _split_excess(model, gen, part)
     steps: list[CertificateStep] = []
     if complement_part:
         try:
@@ -395,14 +381,13 @@ def ls_odd_step(model, comul, gen, r):
         steps.append(_step(phi, model, comul,
                            f"absorb complement part of length {r} into {gen.display()}",
                            "ls-odd"))
+    exact_part = part - complement_part
     if exact_part:
-        comul, removed, witness = _remove_by_homotopy(
-            model, comul, gen, exact_part,
+        comul, step = _remove_by_homotopy(
+            model, comul, gen, exact_part, eta,
             f"remove exact part of length {r} from C({gen.display()})", "ls-odd",
         )
-        if witness:
-            raise EngineError("exact part of the odd excess failed to solve")
-        steps.extend(removed)
+        steps.append(step)
     return comul, steps, None
 
 

@@ -1,5 +1,6 @@
 """Leibniz differentials, cohomology slices, preimage solving."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,12 +20,15 @@ from fibrewise import (
     Comultiplication,
     ChangeOfGenerators,
     linalg,
+    ls_normalize,
     normalize_monomial,
     perturb,
 )
-from fibrewise.algebra import apply_images
+from fibrewise import io as fio
+from fibrewise.algebra import apply_images, monomial_key
 
 import util
+from test_scan import GOLDEN, golden_models
 
 
 def test_leibniz_on_fixture_a():
@@ -190,6 +194,63 @@ def test_split_cycles_decompose_is_exact():
     slice2 = base.cohomology_slice(2)
     exact, rest = slice2.decompose(3 * x)
     assert exact == Polynomial.zero() and rest == 3 * x
+
+
+def test_split_solves_the_exact_part_and_keeps_the_class():
+    # Lambda(x2, y3, p2; dy = x^2): x^2 = d(y) is exact, x p is a class
+    table = GeneratorTable(base=[("x", 2), ("y", 3), ("p", 2)], fiber=[])
+    x, y, p = (table.poly(name) for name in "xyp")
+    cdga = FreeCDGA(table, table.base, {table.generator("base", "y").id: x * x}, 10)
+    assert cdga.split(x * x + x * p) == (y, x * p)
+    assert cdga.split(x * x) == (y, Polynomial.zero())
+    assert cdga.split((x * p).scale(3)) == (Polynomial.zero(), (x * p).scale(3))
+    assert cdga.split(Polynomial.zero()) == (Polynomial.zero(), Polynomial.zero())
+
+
+def test_split_equals_decompose_on_seeded_cycles_of_the_golden_bases():
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for base in (model.base_cdga() for model in golden_models()):
+        for degree in range(base.truncation):
+            slice_ = base.cohomology_slice(degree)
+            if not slice_.cycles:
+                continue
+            # a boundary, then random combinations of cycles
+            draws = [[(b, rng.randint(-3, 3)) for b in slice_.boundaries]]
+            draws += [[(c, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                       for c in rng.sample(slice_.cycles, min(3, len(slice_.cycles)))]
+                      for _ in range(3)]
+            for draw in draws:
+                cycle = Polynomial.sum(c.scale(k) for c, k in draw)
+                eta, rest = base.split(cycle)
+                assert base.d(eta) == cycle - rest
+                assert rest == slice_.decompose(cycle)[1]
+                exact = base.solve_preimage(cycle) is not None
+                assert (not rest) == exact
+                outcomes[exact] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def test_ls_solves_each_exact_odd_excess_coefficient_once_and_builds_no_slice(
+        monkeypatch):
+    # the golden model whose ls run is one "remove exact part" homotopy
+    doc = json.loads((GOLDEN / "exact_odd_excess.model.json").read_text(encoding="utf-8"))
+    model, comul = fio.parse_model(doc)
+    w = model.table.generator("w0", "w")
+    grouped = comul.excess(w).word_length_parts()[3].group_by_fiber_part()
+    coefficients = [coeff for _, coeff in sorted(grouped.items(),
+                                                 key=lambda kv: monomial_key(kv[0]))]
+    solved, slices = [], []
+    real_solve, real_slice = FreeCDGA.solve_preimage, FreeCDGA.cohomology_slice
+    monkeypatch.setattr(FreeCDGA, "solve_preimage",
+                        lambda self, target: solved.append(target) or real_solve(self, target))
+    monkeypatch.setattr(FreeCDGA, "cohomology_slice",
+                        lambda self, degree: slices.append(degree) or real_slice(self, degree))
+    result = ls_normalize(model, comul)
+    assert [step.note for step in result.certificate.steps] == [
+        "remove exact part of length 3 from C(w)"]
+    assert len(coefficients) > 1 and solved == coefficients
+    assert slices == []
 
 
 def _commutes_with_d(source, target, images):

@@ -7,12 +7,17 @@ one case through `run_command` and compares bytes and exit codes.
 
 The cases: fixtures a, b and c, each pipeline with and without `--force`
 (the `hopf-linear` and `ls-even` obstruction witnesses); the model whose
-normalization passes through all four stages; and ten models of the
-round-trip family (`util.rt_tables()`, seeds 0-4, both perturbation modes).
+normalization passes through all four stages, which never meets an exact
+odd excess; the perturbed model whose `ls` run removes the exact part of
+an odd excess by a homotopy (`util.exact_odd_excess_model()`, seed 0,
+mode exact-homotopy); and ten models of the round-trip family
+(`util.rt_tables()`, seeds 0-4, both perturbation modes).
 `tests/golden/demos/` holds the standard output of each script in `demos/`.
 
 After an intended change of output, regenerate the documents with
-`PYTHONPATH=src python tests/test_golden.py`.
+`PYTHONPATH=src python tests/test_golden.py`.  It first deletes every
+document, so a case that is gone leaves no orphan behind; CI runs it and
+requires `git status --porcelain tests/golden` to stay empty.
 """
 
 import json
@@ -42,6 +47,10 @@ def _fixture_cases():
                         ("fixture_c", fixture_c_doc)):
         yield name, build, None, (False, True)
     yield "full_ladder", lambda: fio.model_to_document(*util.full_ladder_model()), None, (False,)
+    odd = util.exact_odd_excess_model()
+    yield ("exact_odd_excess",
+           lambda: fio.model_to_document(odd, Comultiplication.standard(odd.table)),
+           (0, "exact-homotopy"), (False,))
     for seed in range(5):
         for short, mode in RT_MODES.items():
             base = util.rt_tables()[seed % 3]
@@ -105,7 +114,9 @@ def test_demo_output(demo):
 def regenerate() -> None:
     import tempfile
 
-    GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "demos").mkdir(parents=True, exist_ok=True)
+    for stale in [*GOLDEN.glob("*.json"), *(GOLDEN / "demos").glob("*.txt")]:
+        stale.unlink()
     all_codes: dict[str, int] = {}
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(CASES):
@@ -115,7 +126,6 @@ def regenerate() -> None:
             all_codes.update(codes)
     EXIT_CODES.write_text(json.dumps(all_codes, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-    (GOLDEN / "demos").mkdir(exist_ok=True)
     for demo in DEMOS:
         run = _run_demo(demo)
         run.check_returncode()

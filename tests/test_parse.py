@@ -13,10 +13,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from fibrewise import Polynomial
+from fibrewise import Comultiplication, Polynomial
 from fibrewise import io as fio
 
 import util
+from test_io_cli import fixture_b_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,7 +89,7 @@ def test_shuffled_golden_documents_parse_to_the_same_polynomials_and_bytes():
     rng = random.Random(15)
     documents = list(_golden_documents())
     kinds = [kind for _, kind, _ in documents]
-    assert kinds.count("model") == 14 and kinds.count("certificate") >= 20
+    assert kinds.count("model") == 15 and kinds.count("certificate") >= 20
     for name, kind, doc in documents:
         canonical = _reserialize(kind, doc)
         shuffled = _shuffled(doc, _degrees(kind, doc), rng)
@@ -125,6 +126,44 @@ def test_canonical_golden_documents_never_normalize(monkeypatch):
     _, kind, doc = documents[0]
     _reserialize(kind, _shuffled(doc, _degrees(kind, doc), random.Random(1)))
     assert calls
+
+
+def _count_standard(monkeypatch):
+    calls = []
+    real = Comultiplication.standard
+    monkeypatch.setattr(Comultiplication, "standard",
+                        classmethod(lambda cls, table: calls.append(table) or real(table)))
+    return calls
+
+
+def test_golden_models_build_standard_images_only_for_generators_left_out(monkeypatch):
+    calls = _count_standard(monkeypatch)
+    left_out = []
+    for name, kind, doc in _golden_documents():
+        if kind == "model":
+            before = len(calls)
+            model, comul = fio.parse_model(doc)
+            assert sorted(comul.images) == sorted(gen.name for gen in model.table.fiber)
+            if len(calls) > before:
+                left_out.append(name)
+    # the fixture documents name only their non-standard images; the
+    # round-trip models, like every model the pipelines write, name all
+    assert left_out == [f"fixture_{c}.model.json" for c in "abc"]
+
+
+def test_a_fiber_generator_left_out_gets_the_standard_image(monkeypatch):
+    calls = _count_standard(monkeypatch)
+    model, comul = fio.parse_model(fixture_b_doc())  # names C(yb) only
+    table = model.table
+    assert calls == [table]
+    assert comul.images["xb"] == table.poly("xb") + table.poly("xb", copy=1)
+    assert comul.images["yb"] == (table.poly("yb") + table.poly("yb", copy=1)
+                                  + table.poly("xb") * table.poly("xb", copy=1))
+    # a document naming no image parses to the standard comultiplication
+    doc = fixture_b_doc()
+    del doc["comultiplication"]
+    model, comul = fio.parse_model(doc)
+    assert len(calls) == 2 and comul.is_standard()
 
 
 def _term(coeff, *factors):

@@ -145,7 +145,7 @@ def test_scan_equals_slice_oracle_on_golden_and_named_bases():
         util.wide_base_model(), ladder_base(),
         util.contractible_base_model(truncation=24), util.s2_base_model(truncation=16),
     ]
-    assert len(models) == 14 + 4
+    assert len(models) == 15 + 4
     violations = 0
     for model in models:
         got = _report(check_hypotheses(model))
@@ -377,7 +377,7 @@ def test_poincare_series_counts_every_basis():
         top = algebra.truncation
         assert poincare_series(algebra.gens, top) == [
             len(algebra.table.monomial_basis(k, algebra.gens)) for k in range(top + 1)]
-    assert len(algebras) == 14 * 3 + 1
+    assert len(algebras) == 15 * 3 + 1
     with pytest.raises(AlgebraError, match="degree-0 generator"):
         poincare_series([algebras[0].table.t], 4)
 

@@ -158,6 +158,13 @@ def exact_defect_model():
     return model, Comultiplication(table, images)
 
 
+def exact_odd_excess_model():
+    """Base Lambda(x2, y3; dy = x^2), fiber (u3, v3, z3, w13), D = 0, C = C0,
+    truncated at 16.  Perturbed by seed 0 in mode exact-homotopy, its `ls`
+    run is one homotopy removing the exact part of a length-3 excess."""
+    return s2_base_model(fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 13)], truncation=16)
+
+
 def seeded_unipotent(model, rng, max_terms=2):
     """A random unipotent change of generators respecting the basis order."""
     table = model.table
