@@ -1,27 +1,29 @@
-"""The two normalization pipelines.
+"""The two normalization pipelines, both one induction on word length.
 
-The first (hopf) removes the differential from the fiber generators: a
-linear stage solves each length-one coefficient of D(w_k) as a base
-boundary and absorbs it into a change of generators, then a higher stage
-extracts preimages from the comultiplication coefficients, raising the
-lowest word length of D(w_k) until it vanishes.  The second (ls) runs the
-same prefix and then standardizes the comultiplication: even-length excess
-terms are removed by DG homotopies whose coefficients are solved base
-boundaries; odd-length excess splits along the cycle decomposition
-Z = E + N, the complement part is forced into the shape sum
-b_I (S_I - w_I - w'_I) and absorbed by a change of generators, and the
-exact part is removed by a homotopy.
+`_induct` is that induction: for each fiber generator in processing order
+it makes one step at the lowest word length r of a polynomial, and every
+step must raise r.  The first pipeline (hopf) runs it on D(w_k): a step
+(`_hopf_step`) solves the coefficients of the length-r part as base
+boundaries and absorbs them into a change of generators, guessing each
+preimage from C(w_k) from r = 2 on; the linear stage stops after r = 1,
+the higher stage runs until D(w_k) vanishes.  The second (ls) runs the
+same stages and then the induction on the excess C(w_k) - w_k - w'_k:
+even-length excess terms are removed by DG homotopies whose coefficients
+are solved base boundaries; odd-length excess splits along the cycle
+decomposition Z = E + N, the complement part is forced into the shape
+sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators, and
+the exact part is removed by a homotopy.  `_run_stages` runs a
+pipeline's stages into one certificate.
 
 The ls theorem needs a homotopy-associative comultiplication.  An ls run
 that normalizes proves it, since its target C0 is strictly coassociative
 and every step preserves homotopy associativity; only a run that does not
 normalize checks it, exactly in the tensor cube, before it answers.
 
-Every stage makes one move, the base's `split`, on each fiber-monomial
+Every step makes one move, the base's `split`, on each fiber-monomial
 coefficient: it is solved as a boundary first, and only a coefficient with
 no preimage is decomposed into a preimage of its exact part and its class
-reduced against the boundaries.  Boundaries are absorbed by changes of
-generators or homotopies.  Both pipelines emit certificates that the
+reduced against the boundaries.  Both pipelines emit certificates that the
 independent verifier checks, or stop with an obstruction: a reduced class,
 so equal classes always report equal witnesses.  They require a truncation
 degree above every fiber degree, since they solve in all degrees up to the
@@ -149,7 +151,73 @@ def _solve_tail(base, poly: Polynomial, label: str, guess=None):
     return tail, None
 
 
+# -- the induction on word length ----------------------------------------------
+
+
+def _induct(model, comul, parts_of, step, last=None):
+    """The induction both theorems run: for each fiber generator in
+    processing order, `step(model, comul, gen, r)` at the lowest word
+    length r of `parts_of(model, comul, gen)`, until no part is left or
+    none is at most `last`.
+
+    Each step must raise r; the first obstruction ends the induction.
+    Returns (model, comul, steps, obstruction).
+    """
+    steps: list[CertificateStep] = []
+    for gen in _processing_order(model):
+        done = 0
+        while parts := parts_of(model, comul, gen):
+            r = min(parts)
+            if last is not None and r > last:
+                break
+            if r <= done:
+                raise EngineError(f"word length at {gen.display()} did not rise past {done}")
+            model, comul, new_steps, obstruction = step(model, comul, gen, r)
+            steps.extend(new_steps)
+            if obstruction is not None:
+                return model, comul, steps, obstruction
+            done = r
+    return model, comul, steps, None
+
+
 # -- the Hopf pipeline -----------------------------------------------------------
+
+
+def _differential_parts(model, comul, gen) -> dict[int, Polynomial]:
+    return model.D(gen).word_length_parts()
+
+
+def _hopf_step(model, comul, gen, r):
+    """Remove the word-length-r part of D(w_k) by the change of generators
+    w_k -> w_k - sum eta_I w_I, d(eta_I) the coefficient of w_I.
+
+    From r = 2 on, the candidate eta_I is the coefficient of w'_{i1} w_{i2}
+    ... w_{ir} in C(w_k) (grouped once per step), divided by N when the
+    leading index repeats N times; a boundary solve is the fallback, and a
+    coefficient with no preimage is an obstruction.
+    """
+    name, guess = gen.display(), None
+    if r == 1:
+        stage, label = "hopf-linear", f"the linear part of D({name})"
+        where, note = f"linear coefficient of D({name})", f"remove linear differential of {name}"
+    else:
+        stage, label = "hopf-higher", f"D({name}) in word length {r}"
+        where = f"coefficient of D({name}) at word length {r}"
+        note = f"raise differential word length of {name} past {r}"
+        grouped = comul.image(gen).group_by_fiber_part()
+
+        def guess(fiber_mono):
+            seq = [g for g, e in fiber_mono for _ in range(e)]
+            return leading_prime_coefficient(model.table, grouped, seq)
+    part = _differential_parts(model, comul, gen)[r]
+    tail, witness = _solve_tail(model.base_cdga(), part, label, guess)
+    if tail is None:
+        return model, comul, [], Obstruction(
+            stage, gen, r, witness, f"{where} represents a nonzero class in "
+            f"degree {witness.homogeneous_degree()}")
+    phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
+    model, comul = conjugate(model, comul, phi)
+    return model, comul, [_step(phi, model, comul, note, stage)], None
 
 
 def hopf_stage_linear(model, comul):
@@ -159,82 +227,25 @@ def hopf_stage_linear(model, comul):
     valid; solving it as a boundary feeds the change of generators
     w_k -> w_k - sum eta_i w_i.  Returns (model, comul, steps, obstruction).
     """
-    steps: list[CertificateStep] = []
-    base = model.base_cdga()
-    for gen in _processing_order(model):
-        linear = model.D(gen).word_length_parts().get(1)
-        if not linear:
-            continue
-        tail, witness = _solve_tail(base, linear, f"the linear part of D({gen.display()})")
-        if tail is None:
-            return model, comul, steps, Obstruction(
-                "hopf-linear", gen, 1, witness,
-                f"linear coefficient of D({gen.display()}) represents a "
-                f"nonzero class in degree {witness.homogeneous_degree()}",
-            )
-        phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
-        model, comul = conjugate(model, comul, phi)
-        steps.append(_step(phi, model, comul,
-                           f"remove linear differential of {gen.display()}",
-                           "hopf-linear"))
-    for gen in model.table.fiber:
-        if 1 in model.D(gen).word_length_parts():
-            raise EngineError("linear stage left a length-one differential term")
-    return model, comul, steps, None
+    model, comul, steps, obstruction = _induct(
+        model, comul, _differential_parts, _hopf_step, last=1)
+    if obstruction is None and any(
+            1 in _differential_parts(model, comul, gen) for gen in model.table.fiber):
+        raise EngineError("linear stage left a length-one differential term")
+    return model, comul, steps, obstruction
 
 
 def hopf_stage_higher(model, comul):
     """Raise the lowest word length of each D(w_k) until it vanishes.
 
-    Requires every D(w) to lie in word length two or more.  The preimage
-    candidate for the coefficient of w_I in D(w_k) is that of w'_{i1} w_{i2}
-    ... w_{ir} in C(w_k) (grouped once per step), divided by N when the
-    leading index repeats N times; a deterministic boundary solve is the
-    fallback, and failure of both is an obstruction.
+    Requires every D(w) to lie in word length two or more.  Returns
+    (model, comul, steps, obstruction).
     """
-    steps: list[CertificateStep] = []
-    base = model.base_cdga()
     for gen in model.table.fiber:
-        parts = model.D(gen).word_length_parts()
-        if parts and min(parts) < 2:
-            raise InvalidModelError(
-                f"D({gen.display()}) has word length below two; "
-                "run the linear stage first"
-            )
-    for gen in _processing_order(model):
-        guard = 0
-        while model.D(gen):
-            guard += 1
-            if guard > model.truncation + 2:
-                raise EngineError("word length failed to increase")
-            parts = model.D(gen).word_length_parts()
-            r = min(parts)
-            grouped = comul.image(gen).group_by_fiber_part()
-            tail, witness = _solve_tail(
-                base, parts[r], f"D({gen.display()}) in word length {r}",
-                guess=lambda fiber_mono: leading_prime_coefficient(
-                    model.table, grouped, [g for g, e in fiber_mono for _ in range(e)]),
-            )
-            if tail is None:
-                return model, comul, steps, Obstruction(
-                    "hopf-higher", gen, r, witness,
-                    f"coefficient of D({gen.display()}) at word length {r} "
-                    f"represents a nonzero class in degree {witness.homogeneous_degree()}",
-                )
-            phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
-            new_model, new_comul = conjugate(model, comul, phi)
-            new_parts = new_model.D(gen).word_length_parts()
-            if new_parts and min(new_parts) <= r:
-                raise EngineError(
-                    f"lowest word length of D({gen.display()}) did not increase"
-                )
-            model, comul = new_model, new_comul
-            steps.append(_step(
-                phi, model, comul,
-                f"raise differential word length of {gen.display()} past {r}",
-                "hopf-higher",
-            ))
-    return model, comul, steps, None
+        if min(_differential_parts(model, comul, gen), default=2) < 2:
+            raise InvalidModelError(f"D({gen.display()}) has word length below two; "
+                                    "run the linear stage first")
+    return _induct(model, comul, _differential_parts, _hopf_step)
 
 
 def _screen(model, comul) -> HypothesisReport:
@@ -244,22 +255,18 @@ def _screen(model, comul) -> HypothesisReport:
     return check_hypotheses(model)
 
 
-def _normalize_differential(model, comul, report: HypothesisReport):
-    """The stages both pipelines share: the linear, then the higher Hopf
-    stage.
-
-    Returns (result, model, comul).  The result is final unless it is
-    "normalized": then its certificate holds the Hopf steps and still needs
-    its target.
-    """
+def _run_stages(model, comul, report: HypothesisReport, stages) -> NormalizationResult:
+    """Run `stages` in turn, each (model, comul) -> (model, comul, steps,
+    obstruction), collecting their steps into one certificate; the first
+    obstruction ends the run."""
     cert = new_certificate(model, comul)
-    for stage in (hopf_stage_linear, hopf_stage_higher):
+    for stage in stages:
         model, comul, steps, obstruction = stage(model, comul)
-        cert.steps.extend(steps)
         if obstruction is not None:
-            return (NormalizationResult("obstructed", report, obstruction=obstruction),
-                    model, comul)
-    return NormalizationResult("normalized", report, certificate=cert), model, comul
+            return NormalizationResult("obstructed", report, obstruction=obstruction)
+        cert.steps.extend(steps)
+    cert.target_d, cert.target_c = snapshot(model, comul)
+    return NormalizationResult("normalized", report, certificate=cert)
 
 
 def hopf_normalize(
@@ -269,16 +276,13 @@ def hopf_normalize(
     report = _screen(model, comul)
     if not report.satisfied and not force:
         return NormalizationResult("hypothesis-violation", report)
-    result, model, comul = _normalize_differential(model, comul, report)
-    if result.normalized:
-        result.certificate.target_d, result.certificate.target_c = snapshot(model, comul)
-    return result
+    return _run_stages(model, comul, report, (hopf_stage_linear, hopf_stage_higher))
 
 
 # -- the Leray-Samelson pipeline ---------------------------------------------------
 
 
-def _excess_parts(comul: Comultiplication, gen: Generator) -> dict[int, Polynomial]:
+def _excess_parts(model, comul, gen) -> dict[int, Polynomial]:
     return comul.excess(gen).word_length_parts()
 
 
@@ -318,7 +322,7 @@ def ls_even_step(model, comul, gen, r):
     solved preimages form the dt-coefficient of the homotopy.  Returns
     (comul, steps, obstruction).
     """
-    part = _excess_parts(comul, gen).get(r)
+    part = _excess_parts(model, comul, gen).get(r)
     if not part:
         return comul, [], None
     eta, witness = _split_excess(model, gen, part)
@@ -347,7 +351,7 @@ def ls_odd_step(model, comul, gen, r):
     # looked up per call, so perfbench/layertrace.py's wrapper of solve_basic_form runs
     from .propsolver import BasicFormError, copy_product, solve_basic_form
 
-    part = _excess_parts(comul, gen).get(r)
+    part = _excess_parts(model, comul, gen).get(r)
     if not part:
         return comul, [], None
     base = model.base_cdga()
@@ -405,36 +409,20 @@ def _require_associative(model, comul) -> None:
         )
 
 
-def _standardize(model, comul, report: HypothesisReport) -> NormalizationResult:
-    """Both Hopf stages, then per generator and ascending word length the
-    even/odd steps until every image is standard."""
-    result, model, comul = _normalize_differential(model, comul, report)
-    if not result.normalized:
-        return result
-    cert = result.certificate
-    for gen in _processing_order(model):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > model.truncation + 2:
-                raise EngineError("excess word length failed to increase")
-            parts = _excess_parts(comul, gen)
-            if not parts:
-                break
-            r = min(parts)
-            step = ls_even_step if r % 2 == 0 else ls_odd_step
-            comul, steps, obstruction = step(model, comul, gen, r)
-            if obstruction is not None:
-                return NormalizationResult("obstructed", report,
-                                           obstruction=obstruction)
-            cert.steps.extend(steps)
-            parts = _excess_parts(comul, gen)
-            if parts and min(parts) <= r:
-                raise EngineError("excess word length did not increase")
-    if not comul.is_standard():
+def _ls_step(model, comul, gen, r):
+    """The even or odd step at word length r, as an induction step."""
+    step = ls_even_step if r % 2 == 0 else ls_odd_step
+    comul, steps, obstruction = step(model, comul, gen, r)
+    return model, comul, steps, obstruction
+
+
+def _ls_stage(model, comul):
+    """Per generator and ascending word length, the even/odd steps until
+    every image is standard.  Returns (model, comul, steps, obstruction)."""
+    model, comul, steps, obstruction = _induct(model, comul, _excess_parts, _ls_step)
+    if obstruction is None and not comul.is_standard():
         raise EngineError("pipeline finished with a non-standard comultiplication")
-    cert.target_d, cert.target_c = snapshot(model, comul)
-    return result
+    return model, comul, steps, obstruction
 
 
 def ls_normalize(
@@ -455,7 +443,8 @@ def ls_normalize(
     if not report.satisfied and not force:
         return NormalizationResult("hypothesis-violation", report)
     try:
-        result = _standardize(model, comul, report)
+        result = _run_stages(model, comul, report,
+                             (hopf_stage_linear, hopf_stage_higher, _ls_stage))
     except (AlgebraError, EngineError):
         _require_associative(model, comul)
         raise

@@ -12,9 +12,10 @@ standard comultiplication C0(w) = w + w', and the copy shift.
 For mixed elements of homogeneous word length r >= 3 the identity above
 forces the shape  chi = sum b_I (S_I - w_I - w'_I)  over strictly
 increasing index sequences I, where S_I = C0(w_I) is the product of the
-binomials w_i + w'_i.  Every closed-form claim here is double-checked
-against a brute-force kernel computation; disagreement raises, it is never
-a warning.
+binomials w_i + w'_i.  Every closed form here is checked exactly, and a
+failed check raises, it is never a warning: `solve_basic_form`, the one
+the pipelines call, by reconstructing its input from the coefficients it
+read off; `lemma_kernel` against a brute-force kernel computation.
 """
 
 from __future__ import annotations

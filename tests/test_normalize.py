@@ -23,9 +23,9 @@ from fibrewise import (
     perturb,
     verify_equivalence,
 )
-from fibrewise import normalize
+from fibrewise import io, normalize
 from fibrewise.certify import snapshot
-from fibrewise.dga import EngineError
+from fibrewise.dga import EngineError, FreeCDGA
 from fibrewise.model import check_homotopy_associative
 
 import util
@@ -86,6 +86,26 @@ def test_linear_stage_obstruction_on_free_loop_space():
 # -- hopf: higher stage -------------------------------------------------------
 
 
+def test_higher_stage_obstruction_on_a_nonexact_quadratic_coefficient():
+    # D(w) = x u v: its word-length-two coefficient x is a class in degree
+    # 2, so the higher stage stops there; the stage does not validate
+    table = GeneratorTable(base=[("x", 2)], fiber=[("u", 3), ("v", 3), ("w", 7)])
+    model = RelativeModel(
+        table, d_fiber={"w": table.poly("x") * table.poly("u") * table.poly("v")},
+        truncation=16,
+    )
+    _, _, steps, obstruction = hopf_stage_higher(model, Comultiplication.standard(table))
+    assert steps == []
+    assert io.obstruction_to_doc(obstruction) == {
+        "stage": "hopf-higher",
+        "generator": "w",
+        "word_length": 2,
+        "class_witness": io.polynomial_to_doc(table.poly("x")),
+        "detail": "coefficient of D(w) at word length 2 represents a nonzero "
+                  "class in degree 2",
+    }
+
+
 def test_higher_stage_identity_on_zero_differential():
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
@@ -99,7 +119,16 @@ def test_higher_stage_rejects_linear_terms():
         hopf_stage_higher(model, comul)
 
 
-def test_higher_stage_round_trip():
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda eta: 2 * eta, id="doubled"),
+    pytest.param(lambda eta: Polynomial.zero(), id="zero"),
+])
+def test_higher_stage_round_trip(monkeypatch, wrong):
+    # a wrong guess fails its differential check and the coefficient is
+    # solved by `split`: the same change, and a certificate that verifies
+    real = normalize.leading_prime_coefficient
+    monkeypatch.setattr(normalize, "leading_prime_coefficient",
+                        lambda *args: wrong(real(*args)))
     table = GeneratorTable(base=[("x", 2), ("y", 5)], fiber=[("u", 3), ("v", 3), ("w", 11)])
     x, y = table.poly("x"), table.poly("y")
     model = RelativeModel(table, d_base={"y": x ** 3}, truncation=24)
@@ -114,6 +143,9 @@ def test_higher_stage_round_trip():
     assert len(steps) == 1
     assert steps[0].action.images[wid] == table.poly("w") - y * table.poly("u") * table.poly("v")
     assert c3.images == comul.images
+    result = hopf_normalize(m2, c2)
+    assert result.normalized and result.certificate.target_d == {}
+    assert verify_equivalence(result.certificate).ok
 
 
 def test_higher_stage_repeated_leading_index():
@@ -151,10 +183,20 @@ def test_higher_stage_groups_each_comultiplication_once_per_step(monkeypatch, se
     real = Polynomial.group_by_fiber_part
     monkeypatch.setattr(Polynomial, "group_by_fiber_part",
                         lambda self: calls.append(1) or real(self))
+    guesses, splits = [], []
+    guess = normalize.leading_prime_coefficient
+    monkeypatch.setattr(normalize, "leading_prime_coefficient",
+                        lambda *args: guesses.append(guess(*args)) or guesses[-1])
+    split = FreeCDGA.split
+    monkeypatch.setattr(FreeCDGA, "split",
+                        lambda self, cycle: splits.append(cycle) or split(self, cycle))
     model, _, steps, obstruction = hopf_stage_higher(model, comul)
     assert obstruction is None and model.d_fiber == {}
     assert steps and all(step.stage == "hopf-higher" for step in steps)
     assert len(calls) <= 2 * len(steps)
+    # every coefficient is offered a guess, and every guess is a preimage:
+    # the leading primed coefficient of C(w_k), so `split` never runs
+    assert guesses and None not in guesses and splits == []
 
 
 def test_hopf_pipeline_fixture_a():
@@ -579,6 +621,29 @@ def test_ls_error_after_the_scan_checks_associativity_first(monkeypatch):
     model, comul = util.full_ladder_model()
     with pytest.raises(EngineError, match="odd step failed"):
         ls_normalize(model, comul)
+
+
+def test_a_step_that_does_not_raise_the_word_length_is_an_error(monkeypatch):
+    # every stage runs one induction, which refuses to repeat a word length;
+    # a change of generators that changes nothing repeats it
+    linear_model = util.contractible_base_model(fiber=[("u", 3), ("w", 5)], truncation=14)
+    t = linear_model.table
+    linear = conjugate(linear_model, Comultiplication.standard(t), ChangeOfGenerators(
+        {t.generator("w0", "w").id: t.poly("w") - t.poly("p") * t.poly("u")}))
+    t = GeneratorTable(base=[("x", 2), ("y", 5)], fiber=[("u", 3), ("v", 3), ("w", 11)])
+    higher_model = RelativeModel(t, d_base={"y": t.poly("x") ** 3}, truncation=24)
+    higher = conjugate(higher_model, Comultiplication.standard(t), ChangeOfGenerators(
+        {t.generator("w0", "w").id: t.poly("w") + t.poly("y") * t.poly("u") * t.poly("v")}))
+    with monkeypatch.context() as patch:
+        patch.setattr(normalize, "conjugate", lambda model, comul, phi: (model, comul))
+        with pytest.raises(EngineError):
+            hopf_stage_linear(*linear)
+        with pytest.raises(EngineError):
+            hopf_stage_higher(*higher)
+    monkeypatch.setattr(normalize, "ls_odd_step",
+                        lambda model, comul, gen, r: (comul, [], None))
+    with pytest.raises(EngineError):
+        ls_normalize(*util.full_ladder_model())
 
 
 def test_ls_on_the_ladder_l7_takes_under_a_second():
