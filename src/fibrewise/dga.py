@@ -166,7 +166,6 @@ class FreeCDGA:
         self.gens = tuple(sorted(gens, key=lambda g: g.sort_key))
         self.diff = {gid: p for gid, p in differential.items() if p}
         self.truncation = truncation
-        self._gen_ids = {g.id for g in self.gens}
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._degrees: dict[int, _Degree] = {}
         self._components: tuple[FreeCDGA, ...] | None = None
@@ -222,36 +221,6 @@ class FreeCDGA:
             record = _Degree(basis, {mono: i for i, mono in enumerate(basis)})
             self._degrees[degree] = record
         return record
-
-    def contains(self, p: Polynomial) -> bool:
-        return all(
-            gen.id in self._gen_ids for mono in p.terms for gen, _ in mono
-        )
-
-    # -- structural checks -----------------------------------------------------
-
-    def check_d_squared(self) -> Verdict:
-        """d(d(g)) = 0 for every generator; Leibniz extends this to the
-        whole algebra, which is not re-verified monomial by monomial."""
-        for gen in self.gens:
-            image = self.diff.get(gen.id)
-            if image is None:
-                continue
-            if not image.is_homogeneous_of_degree(gen.degree + 1):
-                return Verdict.failed(
-                    f"d({gen.display()}) is not homogeneous of degree {gen.degree + 1}",
-                    image,
-                )
-            if not self.contains(image):
-                return Verdict.failed(
-                    f"d({gen.display()}) leaves the algebra", image
-                )
-            square = self.d(image)
-            if square:
-                return Verdict.failed(
-                    f"d*d != 0 at generator {gen.display()}", square
-                )
-        return Verdict.passed()
 
     # -- degreewise linear algebra ----------------------------------------------
 

@@ -247,11 +247,11 @@ def parse_model(
     if not isinstance(doc, dict):
         raise ParseError("$", "model document must be an object")
     table, d_base = _spaces_from_doc(doc, "", "generators")
-    truncation = truncation_override
-    if truncation is None:
-        truncation = doc.get("truncation_degree")
-        if truncation is not None and not _is_positive_int(truncation):
-            raise ParseError("truncation_degree", "must be a positive integer")
+    truncation = doc.get("truncation_degree")
+    if truncation is not None and not _is_positive_int(truncation):
+        raise ParseError("truncation_degree", "must be a positive integer")
+    if truncation_override is not None:
+        truncation = truncation_override
     if truncation is None:
         truncation = default_truncation_for(table)
     d_fiber = _images_from_doc(table, "w0", doc.get("differential"), "differential")

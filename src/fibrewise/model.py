@@ -1,9 +1,11 @@
 """Relative Sullivan models and fibrewise comultiplications of models.
 
 A RelativeModel is an inclusion of the base algebra B into B (x) Lambda(W)
-with a differential that extends d_B, respects the ordered fiber basis
-(each D(w) involves only earlier fiber generators) and has no pure-base
-component on fiber generators.  A Comultiplication sends each fiber
+with a differential that extends d_B (which takes B to B), respects the
+ordered fiber basis (each D(w) involves only earlier fiber generators) and
+has no pure-base component on fiber generators.  `validate_relative_model`
+is the one place that checks all of this, d*d = 0 included; the algebras of
+`dga` hold no validity rule.  A Comultiplication sends each fiber
 generator w to w + w' + (mixed terms) in the tensor square over B and
 commutes with the differentials.
 
@@ -224,14 +226,36 @@ def tail_shape_verdict(
 
 
 def validate_relative_model(model: RelativeModel) -> Verdict:
-    """Ordered-basis condition, no pure-base components, and d*d = 0."""
+    """The one validity check of a model's differential, first failure
+    first: the shape of each fiber tail D(w) (`tail_shape_verdict`), then,
+    for each generator of the total algebra in order, a base image d(y)
+    homogeneous of degree |y| + 1 and in the base algebra B, and
+    d(d(g)) = 0.  A fiber tail's shape already places it in the total
+    algebra in the right degree.  Leibniz extends d*d = 0 from the
+    generators to the whole algebra."""
     for position, gen in enumerate(model.table.fiber):
         verdict = tail_shape_verdict(
             model, position, f"D({gen.display()})", model.D(gen), gen.degree + 1
         )
         if not verdict.ok:
             return verdict
-    return model.total_cdga().check_d_squared()
+    total = model.total_cdga()
+    for gen in total.gens:
+        image = total.diff.get(gen.id)
+        if image is None:
+            continue
+        if gen.space == "base":
+            if not image.is_homogeneous_of_degree(gen.degree + 1):
+                return Verdict.failed(
+                    f"d({gen.display()}) is not homogeneous of degree {gen.degree + 1}",
+                    image,
+                )
+            if any(g.space != "base" for mono in image.terms for g, _ in mono):
+                return Verdict.failed(f"d({gen.display()}) leaves the base algebra", image)
+        square = total.d(image)
+        if square:
+            return Verdict.failed(f"d*d != 0 at generator {gen.display()}", square)
+    return Verdict.passed()
 
 
 def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> Verdict:

@@ -23,6 +23,7 @@ from fibrewise import (
     ls_normalize,
     normalize_monomial,
     perturb,
+    validate_relative_model,
 )
 from fibrewise import io as fio
 from fibrewise.algebra import apply_images, monomial_key
@@ -70,21 +71,14 @@ def test_d_squared_vanishes_on_random_elements():
 
 def test_check_d_squared_pass_and_fail():
     model, _ = util.fixture_a()
-    assert model.total_cdga().check_d_squared().ok
-    s2 = util.s2_base_model()
-    assert s2.base_cdga().check_d_squared().ok
+    assert validate_relative_model(model).ok
+    assert validate_relative_model(util.s2_base_model()).ok
     bad_table = GeneratorTable(base=[("u", 2), ("v", 3)], fiber=[])
     u, v = bad_table.poly("u"), bad_table.poly("v")
-    bad = FreeCDGA(
-        bad_table,
-        bad_table.base,
-        {bad_table.generator("base", "u").id: v,
-         bad_table.generator("base", "v").id: u * u},
-        truncation=10,
-    )
-    verdict = bad.check_d_squared()
+    bad = RelativeModel(bad_table, d_base={"u": v, "v": u * u}, truncation=10)
+    verdict = validate_relative_model(bad)
     assert not verdict.ok
-    assert "u" in verdict.failures[0]
+    assert verdict.failures == ["d*d != 0 at generator u"]
 
 
 def test_cohomology_dims_fixture_a():

@@ -82,7 +82,8 @@ def test_interval_algebra_differential():
     table = GeneratorTable(base=[("x", 2)], fiber=[("w", 3)])
     model = RelativeModel(table)
     homotopy_cdga = model.homotopy_cdga()
-    assert homotopy_cdga.check_d_squared().ok
+    for gen in homotopy_cdga.gens:
+        assert not homotopy_cdga.d(homotopy_cdga.d(Polynomial.from_generator(gen)))
     t = Polynomial.from_generator(table.t)
     dt = Polynomial.from_generator(table.dt)
     assert homotopy_cdga.d(t) == dt

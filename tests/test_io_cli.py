@@ -570,6 +570,12 @@ def test_non_integer_truncation_override_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(fio.TRUNCATION_ENV)
     assert run_command(["check", path, "--max-degree", "ten"]) == 4
     assert "'ten' is not an integer" in capsys.readouterr().err
+    # a valid override does not excuse an invalid document field
+    doc["truncation_degree"] = "ten"
+    path = write(tmp_path, "a.json", doc)
+    assert run_command(["check", path, "--max-degree", "12"]) == 4
+    assert "ERROR: truncation_degree: must be a positive integer" \
+        in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -640,22 +646,38 @@ def test_perturb_truncation_must_exceed_fiber_degrees(tmp_path, capsys, mode):
             in capsys.readouterr().err)
 
 
+def base_image_doc():
+    """Lambda(y2) (x) Lambda(u3) with d(y) = u: a base image outside B."""
+    return {
+        "truncation_degree": 8,
+        "base": {
+            "generators": [{"name": "y", "degree": 2}],
+            "differential": {"y": [{"coeff": "1", "factors": [["w0", "u", 1]]}]},
+        },
+        "fiber": {"generators": [{"name": "u", "degree": 3}]},
+    }
+
+
 INVALID_MODELS = {
     # w3 depends on the later w5 (ordered-basis violation)
-    "differential": (["differential"], {"w3": [
+    "differential": (_with(fixture_a_doc(), ["differential"], {"w3": [
         {"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]}),
+        "differential", "FAIL: "),
     # C(w3) has a term in one fiber copy only (counit violation)
-    "comultiplication": (["comultiplication"], {"w3": [
+    "comultiplication": (_with(fixture_a_doc(), ["comultiplication"], {"w3": [
         {"coeff": "1", "factors": [["w0", "w3", 1]]},
         {"coeff": "1", "factors": [["w1", "w3", 1]]},
         {"coeff": "1", "factors": [["base", "b3", 1]]}]}),
+        "comultiplication", "FAIL: "),
+    # d_B sends the base generator y into the fiber
+    "base-image": (base_image_doc(), "differential",
+                   "FAIL: d(y) leaves the base algebra"),
 }
 
 
-@pytest.mark.parametrize("part", sorted(INVALID_MODELS))
-def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys, part):
-    path, value = INVALID_MODELS[part]
-    doc = _with(fixture_a_doc(), path, value)
+@pytest.mark.parametrize("case", sorted(INVALID_MODELS))
+def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys, case):
+    doc, part, check_line = INVALID_MODELS[case]
     model_path = write(tmp_path, "bad.json", doc)
     # parsing alone accepts the document; the consuming command rejects it
     model, comul = fio.parse_model(doc)
@@ -663,7 +685,7 @@ def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys,
                       fio.certificate_to_document(new_certificate(model, comul)))
     label = {"differential": "relative model", "comultiplication": "comultiplication"}[part]
     expected = {
-        "check": ("out", "FAIL: "),
+        "check": ("out", check_line),
         "cohomology": ("err", f"ERROR: {part}: "),
         "hopf": ("err", f"ERROR: invalid {label}: "),
         "ls": ("err", f"ERROR: invalid {label}: "),
@@ -682,5 +704,6 @@ def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys,
     for command, (stream, prefix) in expected.items():
         assert run_command(argv[command]) == 4, command
         captured = capsys.readouterr()
+        assert "Generator(" not in captured.out + captured.err, command
         lines = {"out": captured.out, "err": captured.err}[stream].splitlines()
         assert any(line.startswith(prefix) for line in lines), (command, lines)

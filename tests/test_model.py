@@ -1,5 +1,7 @@
 """Model validators, hypothesis checks and the associativity defect."""
 
+import pytest
+
 from fibrewise import (
     Comultiplication,
     GeneratorTable,
@@ -45,15 +47,32 @@ def test_pure_base_component_rejected():
     assert "pure-base" in verdict.failures[0]
 
 
-def test_differential_square_violation():
-    table = GeneratorTable(base=[("u", 2), ("v", 3)], fiber=[("w", 3)])
-    bad = RelativeModel(
-        table,
-        d_base={"u": table.poly("v"), "v": table.poly("u") * table.poly("u")},
-    )
-    verdict = validate_relative_model(bad)
+def _square_violation_cases():
+    """By case, a model whose differential fails one generator check and
+    the failure message."""
+    uv = GeneratorTable(base=[("u", 2), ("v", 3)], fiber=[("w", 3)])
+    xy = GeneratorTable(base=[("x", 2), ("y", 3)], fiber=[("a", 3), ("b", 5)])
+    x, y, a = xy.poly("x"), xy.poly("y"), xy.poly("a")
+    yu = GeneratorTable(base=[("y", 2)], fiber=[("u", 3)])
+    return {
+        "base": (RelativeModel(uv, d_base={"u": uv.poly("v"), "v": uv.poly("u") ** 2}),
+                 "d*d != 0 at generator u"),
+        # D(D(b)) = D(y a) = x^2 a
+        "fiber": (RelativeModel(xy, d_base={"y": x * x}, d_fiber={"b": y * a}),
+                  "d*d != 0 at generator b"),
+        "base-degree": (RelativeModel(xy, d_base={"y": x}),
+                        "d(y) is not homogeneous of degree 4"),
+        "base-in-fiber": (RelativeModel(yu, d_base={"y": yu.poly("u")}, truncation=8),
+                          "d(y) leaves the base algebra"),
+    }
+
+
+@pytest.mark.parametrize("case", ["base", "fiber", "base-degree", "base-in-fiber"])
+def test_differential_square_violation(case):
+    model, message = _square_violation_cases()[case]
+    verdict = validate_relative_model(model)
     assert not verdict.ok
-    assert "d*d" in verdict.failures[0]
+    assert verdict.failures == [message]
 
 
 def test_comultiplication_counit_violations():
