@@ -3,9 +3,10 @@
 Base Lambda(b3), fiber (w3, w9), zero differential, and
 C(w9) = w9 + w9' + b3 w3 w3'.  The comultiplication is strictly
 coassociative, but its mixed excess term carries the coefficient b3, a
-cycle of the base that is not a boundary; the even-length homotopy step
-needs exactly that exactness, so the normalization stops there and emits
-the obstruction class b3 w3 w3'.
+cycle of the base that is not a boundary.  So no homotopy removes it, and
+a change of generators absorbs only the shape b (S_I - w_I - w'_I) with I
+strictly increasing; w3 repeats, so the normalization stops there and
+emits the obstruction class b3 w3 w3'.
 """
 
 from fibrewise import (

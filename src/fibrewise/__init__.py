@@ -52,9 +52,7 @@ from .normalize import (
     hopf_normalize,
     hopf_stage_higher,
     hopf_stage_linear,
-    ls_even_step,
     ls_normalize,
-    ls_odd_step,
 )
 from .perturb import PerturbationError, PerturbationSpec, perturb
 from .propsolver import (

@@ -4,7 +4,7 @@ A FreeCDGA is a list of generators from one GeneratorTable together with a
 degree +1 differential given on generators; the differential of anything
 else is the graded Leibniz extension.  Cohomology is computed one degree at
 a time by exact elimination, producing the cycle splitting Z = E + N
-(boundaries plus a deterministically chosen complement) that the odd-length
+(boundaries plus a deterministically chosen complement) that the
 normalization steps rely on.
 
 Each degree k has one record, filled as it is asked for: the basis and its

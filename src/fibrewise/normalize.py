@@ -7,13 +7,13 @@ step must raise r.  The first pipeline (hopf) runs it on D(w_k): a step
 boundaries and absorbs them into a change of generators, guessing each
 preimage from C(w_k) from r = 2 on; the linear stage stops after r = 1,
 the higher stage runs until D(w_k) vanishes.  The second (ls) runs the
-same stages and then the induction on the excess C(w_k) - w_k - w'_k:
-even-length excess terms are removed by DG homotopies whose coefficients
-are solved base boundaries; odd-length excess splits along the cycle
-decomposition Z = E + N, the complement part is forced into the shape
-sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators, and
-the exact part is removed by a homotopy.  `_run_stages` runs a
-pipeline's stages into one certificate.
+same stages and then the induction on the excess C(w_k) - w_k - w'_k,
+one step (`_ls_step`) for every word length: the excess splits along the
+cycle decomposition Z = E + N, a nonzero class part is forced into the
+shape sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators,
+and the exact part is removed by a DG homotopy whose coefficients are
+solved base boundaries.  `_run_stages` runs a pipeline's stages into one
+certificate.
 
 The ls theorem needs a homotopy-associative comultiplication.  An ls run
 that normalizes proves it, since its target C0 is strictly coassociative
@@ -21,13 +21,13 @@ and every step preserves homotopy associativity; only a run that does not
 normalize checks it, exactly in the tensor cube, before it answers.
 
 Every step makes one move, the base's `split`, on each fiber-monomial
-coefficient: it is solved as a boundary first, and only a coefficient with
-no preimage is decomposed into a preimage of its exact part and its class
-reduced against the boundaries.  Both pipelines emit certificates that the
-independent verifier checks, or stop with an obstruction: a reduced class,
-so equal classes always report equal witnesses.  They require a truncation
-degree above every fiber degree, since they solve in all degrees up to the
-largest one.
+coefficient (`_split_coefficients`): it is solved as a boundary first,
+and only a coefficient with no preimage is decomposed into a preimage of
+its exact part and its class reduced against the boundaries.  Both
+pipelines emit certificates that the independent verifier checks, or stop
+with an obstruction: a reduced class, so equal classes always report equal
+witnesses.  They require a truncation degree above every fiber degree,
+since they solve in all degrees up to the largest one.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .model import (
     validate_comultiplication,
     validate_relative_model,
 )
+from . import propsolver
 from .propsolver import leading_prime_coefficient
 
 
@@ -120,14 +121,14 @@ def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
     return CertificateStep(action, *snapshot(model, comul), note, stage)
 
 
-def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):
-    """Split each fiber-monomial coefficient of `poly` by `base.split`.
-
-    Yields (fiber monomial as a polynomial, eta, rest) in monomial order,
-    with d(eta) = coefficient - rest.  `guess(fiber_mono)` may offer a
-    candidate eta, taken (rest zero) only when its differential is the
-    coefficient.
+def _split_coefficients(base, poly: Polynomial, label: str, guess=None):
+    """(eta, rest): each fiber-monomial coefficient of `poly` split by
+    `base.split`, summed times its fiber monomial in monomial order, with
+    d(eta) = poly - rest; rest is zero exactly when every coefficient is a
+    boundary.  `guess(fiber_mono)` may offer a candidate eta, taken (rest
+    zero) only when its differential is the coefficient.
     """
+    eta_sum = rest_sum = Polynomial.zero()
     for fiber_mono, coeff in sorted(
         poly.group_by_fiber_part().items(), key=lambda kv: monomial_key(kv[0])
     ):
@@ -137,18 +138,11 @@ def _solve_coefficients(base, poly: Polynomial, label: str, guess=None):
         rest = Polynomial.zero()
         if eta is None or base.d(eta) != coeff:
             eta, rest = base.split(coeff)
-        yield Polynomial({fiber_mono: Fraction(1)}), eta, rest
-
-
-def _solve_tail(base, poly: Polynomial, label: str, guess=None):
-    """(sum of eta times fiber monomial, None), or (None, witness) for the
-    first coefficient that is not a boundary."""
-    tail = Polynomial.zero()
-    for mono_poly, eta, rest in _solve_coefficients(base, poly, label, guess):
+        mono_poly = Polynomial({fiber_mono: Fraction(1)})
+        eta_sum = eta_sum + eta * mono_poly
         if rest:
-            return None, rest
-        tail = tail + eta * mono_poly
-    return tail, None
+            rest_sum = rest_sum + rest * mono_poly
+    return eta_sum, rest_sum
 
 
 # -- the induction on word length ----------------------------------------------
@@ -210,8 +204,11 @@ def _hopf_step(model, comul, gen, r):
             seq = [g for g, e in fiber_mono for _ in range(e)]
             return leading_prime_coefficient(model.table, grouped, seq)
     part = _differential_parts(model, comul, gen)[r]
-    tail, witness = _solve_tail(model.base_cdga(), part, label, guess)
-    if tail is None:
+    tail, rest = _split_coefficients(model.base_cdga(), part, label, guess)
+    if rest:
+        # the witness is the coefficient of rest's first fiber monomial
+        _, witness = min(rest.group_by_fiber_part().items(),
+                         key=lambda kv: monomial_key(kv[0]))
         return model, comul, [], Obstruction(
             stage, gen, r, witness, f"{where} represents a nonzero class in "
             f"degree {witness.homogeneous_degree()}")
@@ -286,18 +283,6 @@ def _excess_parts(model, comul, gen) -> dict[int, Polynomial]:
     return comul.excess(gen).word_length_parts()
 
 
-def _split_excess(model, gen, part: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(eta, rest), the coefficients' splits of `part`, an excess of C(w_k),
-    summed times their fiber monomials: d(eta) = part - rest."""
-    eta_poly = rest_poly = Polynomial.zero()
-    for mono_poly, eta, rest in _solve_coefficients(
-        model.base_cdga(), part, f"the excess of C({gen.display()})"
-    ):
-        eta_poly = eta_poly + eta * mono_poly
-        rest_poly = rest_poly + rest * mono_poly
-    return eta_poly, rest_poly
-
-
 def _remove_by_homotopy(model, comul, gen, part, eta, note, stage):
     """Remove the exact `part` P from C(w_k) by one DG homotopy
 
@@ -315,86 +300,6 @@ def _remove_by_homotopy(model, comul, gen, part, eta, note, stage):
     return new_comul, _step(homotopy, model, new_comul, note, stage)
 
 
-def ls_even_step(model, comul, gen, r):
-    """Remove the even-length excess P_r of C(w_k) by one DG homotopy.
-
-    Every coefficient of P_r is a cycle; each must be a boundary, and the
-    solved preimages form the dt-coefficient of the homotopy.  Returns
-    (comul, steps, obstruction).
-    """
-    part = _excess_parts(model, comul, gen).get(r)
-    if not part:
-        return comul, [], None
-    eta, witness = _split_excess(model, gen, part)
-    if witness:
-        return comul, [], Obstruction(
-            "ls-even", gen, r, witness,
-            f"word-length-{r} excess of C({gen.display()}) has non-exact "
-            "coefficients",
-        )
-    comul, step = _remove_by_homotopy(
-        model, comul, gen, part, eta,
-        f"remove even excess of length {r} from C({gen.display()})", "ls-even",
-    )
-    return comul, [step], None
-
-
-def ls_odd_step(model, comul, gen, r):
-    """Remove the odd-length excess P_r of C(w_k).
-
-    Its coefficients' classes (`split`) form the complement part, which
-    must take the shape sum b_I (S_I - w_I - w'_I); the change of
-    generators w_k -> w_k + sum b_I w_I absorbs it, and the remaining exact
-    part is removed by a homotopy as in the even case.  Returns
-    (comul, steps, obstruction).
-    """
-    # looked up per call, so perfbench/layertrace.py's wrapper of solve_basic_form runs
-    from .propsolver import BasicFormError, copy_product, solve_basic_form
-
-    part = _excess_parts(model, comul, gen).get(r)
-    if not part:
-        return comul, [], None
-    base = model.base_cdga()
-    table = model.table
-    eta, complement_part = _split_excess(model, gen, part)
-    steps: list[CertificateStep] = []
-    if complement_part:
-        try:
-            coefficients = solve_basic_form(table, complement_part)
-        except BasicFormError as exc:
-            return comul, [], Obstruction(
-                "ls-odd", gen, r, complement_part,
-                f"word-length-{r} excess of C({gen.display()}) is not of the "
-                f"basic form ({exc.kind} failure)",
-            )
-        absorb = Polynomial.zero()
-        for names, b in sorted(coefficients.items()):
-            if base.d(b):
-                raise EngineError("basic-form coefficient is not a cycle")
-            gens = [table.generator("w0", name) for name in names]
-            absorb = absorb + b * copy_product(table, gens, 0)
-        phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - absorb})
-        model2, comul2 = conjugate(model, comul, phi)
-        if snapshot(model2, comul2)[0] != snapshot(model, comul)[0]:
-            raise EngineError("odd-step change of generators moved the differential")
-        expected = comul.image(gen) - complement_part
-        if comul2.image(gen) != expected:
-            raise EngineError("odd-step change of generators did not absorb the "
-                              "complement part")
-        model, comul = model2, comul2
-        steps.append(_step(phi, model, comul,
-                           f"absorb complement part of length {r} into {gen.display()}",
-                           "ls-odd"))
-    exact_part = part - complement_part
-    if exact_part:
-        comul, step = _remove_by_homotopy(
-            model, comul, gen, exact_part, eta,
-            f"remove exact part of length {r} from C({gen.display()})", "ls-odd",
-        )
-        steps.append(step)
-    return comul, steps, None
-
-
 def _require_associative(model, comul) -> None:
     """Raise unless C is homotopy associative, naming the reduced non-exact
     defect classes; an exact check in the tensor cube."""
@@ -410,14 +315,65 @@ def _require_associative(model, comul) -> None:
 
 
 def _ls_step(model, comul, gen, r):
-    """The even or odd step at word length r, as an induction step."""
-    step = ls_even_step if r % 2 == 0 else ls_odd_step
-    comul, steps, obstruction = step(model, comul, gen, r)
-    return model, comul, steps, obstruction
+    """Remove the word-length-r excess P_r of C(w_k), for every r.
+
+    Its coefficients split (`split`) into a preimage eta of their exact
+    part and their reduced classes, the class part.  A nonzero class part
+    must take the shape sum b_I (S_I - w_I - w'_I); the change of generators
+    w_k -> w_k - sum b_I w_I absorbs it.  The exact part is removed by one
+    DG homotopy with dt-coefficient eta.  Stage labels, notes and
+    obstruction details follow r's parity; under the hypotheses an even-r
+    coefficient has odd degree, so its class part is zero.  Returns
+    (model, comul, steps, obstruction).
+    """
+    part = _excess_parts(model, comul, gen).get(r)
+    if not part:
+        return model, comul, [], None
+    base, table, name = model.base_cdga(), model.table, gen.display()
+    even = r % 2 == 0
+    stage = "ls-even" if even else "ls-odd"
+    eta, class_part = _split_coefficients(base, part, f"the excess of C({name})")
+    steps: list[CertificateStep] = []
+    if class_part:
+        try:
+            coefficients = propsolver.solve_basic_form(table, class_part)
+        except propsolver.BasicFormError as exc:
+            detail = ("has non-exact coefficients" if even
+                      else f"is not of the basic form ({exc.kind} failure)")
+            return model, comul, [], Obstruction(
+                stage, gen, r, class_part, f"word-length-{r} excess of C({name}) {detail}")
+        absorb = Polynomial.zero()
+        for names, b in sorted(coefficients.items()):
+            if base.d(b):
+                raise EngineError("basic-form coefficient is not a cycle")
+            gens = [table.generator("w0", n) for n in names]
+            absorb = absorb + b * propsolver.copy_product(table, gens, 0)
+        phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - absorb})
+        moved, comul2 = conjugate(model, comul, phi)
+        if snapshot(moved, comul2)[0] != snapshot(model, comul)[0]:
+            raise EngineError("excess-step change of generators moved the differential")
+        if comul2.image(gen) != comul.image(gen) - class_part:
+            raise EngineError("excess-step change of generators did not absorb the "
+                              "class part")
+        comul = comul2
+        steps.append(_step(phi, model, comul,
+                           f"absorb complement part of length {r} into {name}", stage))
+    exact_part = part - class_part
+    if exact_part:
+        note = (f"remove even excess of length {r} from C({name})" if even
+                else f"remove exact part of length {r} from C({name})")
+        comul, step = _remove_by_homotopy(model, comul, gen, exact_part, eta, note, stage)
+        steps.append(step)
+    return model, comul, steps, None
+
+
+# perfbench/layertrace.py wraps these two names; they stay bound until the
+# benchmark revision replaces those spans (ROADMAP item 2)
+ls_even_step = ls_odd_step = _ls_step
 
 
 def _ls_stage(model, comul):
-    """Per generator and ascending word length, the even/odd steps until
+    """Per generator and ascending word length, the excess step until
     every image is standard.  Returns (model, comul, steps, obstruction)."""
     model, comul, steps, obstruction = _induct(model, comul, _excess_parts, _ls_step)
     if obstruction is None and not comul.is_standard():
@@ -430,7 +386,7 @@ def ls_normalize(
 ) -> NormalizationResult:
     """Full standardization of the comultiplication.
 
-    Hypothesis check, differential removal, then the even/odd steps until
+    Hypothesis check, differential removal, then the excess steps until
     every image is standard.  The theorem needs C homotopy associative.  A
     run that normalizes proves it: the target C0 is strictly coassociative,
     and changes of generators and DG homotopies preserve homotopy

@@ -12,10 +12,13 @@ standard comultiplication C0(w) = w + w', and the copy shift.
 For mixed elements of homogeneous word length r >= 3 the identity above
 forces the shape  chi = sum b_I (S_I - w_I - w'_I)  over strictly
 increasing index sequences I, where S_I = C0(w_I) is the product of the
-binomials w_i + w'_i.  Every closed form here is checked exactly, and a
-failed check raises, it is never a warning: `solve_basic_form`, the one
-the pipelines call, by reconstructing its input from the coefficients it
-read off; `lemma_kernel` against a brute-force kernel computation.
+binomials w_i + w'_i.  The shape theorem is proved only for r >= 3;
+`solve_basic_form` also takes r = 2, where its exact reconstruction check
+alone decides, and `verify` checks whatever a pipeline builds on the
+result.  Every closed form here is checked exactly, and a failed check
+raises, it is never a warning: `solve_basic_form`, the one the pipelines
+call, by reconstructing its input from the coefficients it read off;
+`lemma_kernel` against a brute-force kernel computation.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ class BasicFormError(AlgebraError):
 
     kind is "identity" when the four-map identity fails (residual attached)
     or "reconstruction" when the identity holds but no solution of the
-    required shape reproduces the input (which signals r < 3 misuse or an
-    engine bug).
+    required shape reproduces the input.  At r >= 3 the shape theorem makes
+    that an engine bug; at r = 2, where no shape theorem is proved, it can
+    be the input (b3 w3 w3' satisfies the identity and is of no basic form).
     """
 
     def __init__(self, kind: str, message: str, residual: Polynomial):
@@ -135,9 +139,11 @@ def leading_prime_coefficient(
 def solve_basic_form(
     table: GeneratorTable, chi: Polynomial
 ) -> dict[tuple[str, ...], Polynomial]:
-    """Write a nonzero mixed tensor of one word length r >= 3 satisfying
+    """Write a nonzero mixed tensor of one word length r >= 2 satisfying
     the four-map identity in the shape sum b_I (S_I - w_I - w'_I), I
-    strictly increasing, with b_I read at w'_{i1} w_{i2} ... w_{ir}.
+    strictly increasing, with b_I read at w'_{i1} w_{i2} ... w_{ir}.  The
+    shape is proved only for r >= 3; at r = 2 the exact reconstruction
+    check below decides, and `verify` checks the certificate built on it.
 
     Returns {I as a tuple of fiber names: coefficient in the base algebra}.
     The reconstruction is re-checked exactly before returning; a repeated
@@ -150,13 +156,11 @@ def solve_basic_form(
     lengths = {monomial_word_length(m) for m in chi.terms}
     if len(lengths) != 1:
         raise AlgebraError(f"mixed word lengths {sorted(lengths)}")
+    # a mixed term uses both copies, so r >= 2 and a length-1 input ends here
     if not all(is_mixed_square_monomial(mono) for mono in chi.terms):
         raise AlgebraError(
             "term outside the tensor square or not mixed between the two copies"
         )
-    r = lengths.pop()
-    if r < 3:
-        raise AlgebraError(f"basic-form solving needs word length >= 3, got {r}")
     grouped = chi.group_by_fiber_part()
     coefficients: dict[tuple[str, ...], Polynomial] = {}
     reconstruction = Polynomial.zero()

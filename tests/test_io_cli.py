@@ -321,6 +321,22 @@ def test_cli_round_trip_with_verify(tmp_path):
         assert run_command(["verify", pert, bad]) == 4
 
 
+@pytest.mark.parametrize("mode", ["change-of-generators", "both"])
+def test_cli_round_trip_over_a_base_outside_the_hypotheses(tmp_path, mode):
+    # Lambda(b3) has odd cohomology; perturbing (D = 0, C0) over it stays
+    # valid, and only the forced pipelines normalize the result
+    model = util.odd_cohomology_bases()["b3"]
+    std = write(tmp_path, "std.json",
+                fio.model_to_document(model, Comultiplication.standard(model.table)))
+    pert = str(tmp_path / "pert.json")
+    assert run_command(["perturb", std, "--seed", "2", "--mode", mode, "-o", pert]) == 0
+    for pipeline in ("hopf", "ls"):
+        assert run_command([pipeline, pert]) == 2
+        res = str(tmp_path / f"{pipeline}.json")
+        assert run_command([pipeline, pert, "--force", "-o", res]) == 0
+        assert run_command(["verify", pert, res]) == 0
+
+
 def test_cli_output_determinism(tmp_path):
     std = write(tmp_path, "std.json", standard_rt_doc())
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -17,9 +17,7 @@ from fibrewise import (
     hopf_normalize,
     hopf_stage_higher,
     hopf_stage_linear,
-    ls_even_step,
     ls_normalize,
-    ls_odd_step,
     perturb,
     verify_equivalence,
 )
@@ -233,7 +231,7 @@ def test_ls_even_step_removes_seeded_exact_excess():
     images["w"] = images["w"] + q * u * vp
     comul = Comultiplication(table, images)
     gen = table.generator("w0", "w")
-    c2, steps, obstruction = ls_even_step(model, comul, gen, 2)
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 2)
     assert obstruction is None
     assert len(steps) == 1 and steps[0].kind == "homotopy"
     assert c2.images == Comultiplication.standard(table).images
@@ -244,7 +242,7 @@ def test_ls_even_step_removes_seeded_exact_excess():
 def test_ls_even_step_obstruction_fixture_c():
     model, comul = util.fixture_c()
     gen = model.table.generator("w0", "w9")
-    c2, steps, obstruction = ls_even_step(model, comul, gen, 2)
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 2)
     assert obstruction is not None
     assert obstruction.stage == "ls-even"
     assert obstruction.generator.name == "w9"
@@ -252,14 +250,17 @@ def test_ls_even_step_obstruction_fixture_c():
     expected = (model.table.poly("b3") * model.table.poly("w3")
                 * model.table.poly("w3", copy=1))
     assert obstruction.class_witness == expected
+    # w3 repeats, so the class part is of no basic form
+    assert obstruction.detail.endswith("has non-exact coefficients")
+    assert m2 is model and c2 is comul and steps == []
 
 
 def test_ls_even_step_no_excess_is_identity():
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
     gen = model.table.generator("w0", "w")
-    c2, steps, obstruction = ls_even_step(model, comul, gen, 2)
-    assert obstruction is None and steps == [] and c2 is comul
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 2)
+    assert obstruction is None and steps == [] and (m2, c2) == (model, comul)
 
 
 def test_ls_odd_step_absorbs_complement_part():
@@ -273,7 +274,7 @@ def test_ls_odd_step_absorbs_complement_part():
     images["w"] = images["w"] + 2 * basic_form_element(table, gens)
     comul = Comultiplication(table, images)
     gen = table.generator("w0", "w")
-    c2, steps, obstruction = ls_odd_step(model, comul, gen, 3)
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 3)
     assert obstruction is None
     assert [s.kind for s in steps] == ["change_of_generators"]
     wid = gen.id
@@ -292,7 +293,7 @@ def test_ls_odd_step_pure_homotopy_when_exact():
     images["w"] = images["w"] + x ** 3 * table.poly("u") * table.poly("v") * table.poly("z", copy=1)
     comul = Comultiplication(table, images)
     gen = table.generator("w0", "w")
-    c2, steps, obstruction = ls_odd_step(model, comul, gen, 3)
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 3)
     assert obstruction is None
     assert [s.kind for s in steps] == ["homotopy"]
     assert c2.images == Comultiplication.standard(table).images
@@ -310,7 +311,7 @@ def test_ls_odd_step_mixed_exact_and_complement():
     )
     m2, c2 = conjugate(model, comul0, phi)
     gen = table.generator("w0", "w")
-    c3, steps, obstruction = ls_odd_step(m2, c2, gen, 3)
+    m3, c3, steps, obstruction = normalize._ls_step(m2, c2, gen, 3)
     assert obstruction is None
     assert [s.kind for s in steps] == ["change_of_generators", "homotopy"]
     assert c3.images == comul0.images
@@ -320,7 +321,7 @@ def test_ls_odd_step_no_excess_is_identity():
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
     gen = model.table.generator("w0", "w")
-    c2, steps, obstruction = ls_odd_step(model, comul, gen, 3)
+    m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 3)
     assert steps == [] and obstruction is None
 
 
@@ -335,6 +336,31 @@ def test_ls_pipeline_fixture_c():
     assert forced.outcome == "obstructed"
     ob = forced.obstruction
     assert (ob.stage, ob.generator.name, ob.word_length) == ("ls-even", "w9", 2)
+    # w3 repeats, so the class part b3 w3 w3' is of no basic form
+    t = model.table
+    assert ob.class_witness == t.poly("b3") * t.poly("w3") * t.poly("w3", copy=1)
+
+
+def test_forced_pipelines_normalize_models_standard_by_construction():
+    # (D = 0, C0) over a base with odd cohomology, conjugated by a seeded
+    # unipotent change: equivalent to the standard pair by construction.  A
+    # word-length-2 excess coefficient may then be a class (b3 in degree 3),
+    # which the excess step absorbs by a change of generators; among these,
+    # b3c5 seed 0 and b1x2 seed 1 stopped at ls-even when only an exact even
+    # excess could be removed
+    absorbed = []
+    for label, model in util.odd_cohomology_bases().items():
+        for seed in range(5):
+            phi = util.seeded_unipotent(model, random.Random(seed), max_terms=3)
+            source = conjugate(model, Comultiplication.standard(model.table), phi)
+            for pipeline in (hopf_normalize, ls_normalize):
+                assert pipeline(*source).outcome == "hypothesis-violation"
+                result = pipeline(*source, force=True)
+                assert result.normalized, (label, seed, pipeline.__name__)
+                assert verify_equivalence(result.certificate).ok, (label, seed)
+            absorbed.extend((label, seed) for step in result.certificate.steps
+                            if (step.stage, step.kind) == ("ls-even", "change_of_generators"))
+    assert {("b3c5", 0), ("b1x2", 1)} <= set(absorbed)
 
 
 def test_ls_pipeline_rejects_nonassociative_input():
@@ -612,14 +638,14 @@ def test_ls_success_never_checks_associativity(monkeypatch):
 
 def test_ls_error_after_the_scan_checks_associativity_first(monkeypatch):
     def failing_step(model, comul, gen, r):
-        raise EngineError("odd step failed")
+        raise EngineError("excess step failed")
 
-    monkeypatch.setattr(normalize, "ls_odd_step", failing_step)
+    monkeypatch.setattr(normalize, "_ls_step", failing_step)
     model, comul = util.nonassociative_model()
     with pytest.raises(InvalidModelError, match="not homotopy associative"):
         ls_normalize(model, comul, force=True)
     model, comul = util.full_ladder_model()
-    with pytest.raises(EngineError, match="odd step failed"):
+    with pytest.raises(EngineError, match="excess step failed"):
         ls_normalize(model, comul)
 
 
@@ -640,8 +666,8 @@ def test_a_step_that_does_not_raise_the_word_length_is_an_error(monkeypatch):
             hopf_stage_linear(*linear)
         with pytest.raises(EngineError):
             hopf_stage_higher(*higher)
-    monkeypatch.setattr(normalize, "ls_odd_step",
-                        lambda model, comul, gen, r: (comul, [], None))
+    monkeypatch.setattr(normalize, "_ls_step",
+                        lambda model, comul, gen, r: (model, comul, [], None))
     with pytest.raises(EngineError):
         ls_normalize(*util.full_ladder_model())
 

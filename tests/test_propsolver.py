@@ -93,10 +93,27 @@ def test_repeated_index_forces_zero(table):
     assert all(len(set(names)) == len(names) for names in solution)
 
 
-def test_solve_basic_form_requires_length_three(table):
-    chi = table.poly("w1") * table.poly("w2", copy=1)
-    with pytest.raises(AlgebraError):
-        solve_basic_form(table, chi)
+def test_solve_basic_form_requires_length_two(table):
+    # a length-1 term cannot use both copies
+    for chi in (table.poly("w1"), table.poly("a") * table.poly("w1", copy=1)):
+        with pytest.raises(AlgebraError, match="not mixed"):
+            solve_basic_form(table, chi)
+
+
+def test_solve_basic_form_at_length_two():
+    # no shape theorem at r = 2: the reconstruction check alone decides
+    table = GeneratorTable(base=[("b3", 3)], fiber=[("u", 3), ("v", 3), ("w3", 3)])
+    b = table.poly("b3")
+    gens = [table.generator("w0", name) for name in ("u", "v")]
+    assert solve_basic_form(table, b * basic_form_element(table, gens)) == {("u", "v"): b}
+    # both satisfy the four-map identity and are of no basic form: a
+    # repeated index, and a lone w_u w'_v
+    for chi in (b * table.poly("w3") * table.poly("w3", copy=1),
+                table.poly("u") * table.poly("v", copy=1)):
+        assert not identity_residual(table, chi)
+        with pytest.raises(BasicFormError) as err:
+            solve_basic_form(table, chi)
+        assert err.value.kind == "reconstruction"
 
 
 def test_mixed_tensor_validation(table):

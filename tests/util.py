@@ -96,6 +96,26 @@ def rt_tables():
     return configs
 
 
+def odd_cohomology_bases():
+    """Four bases with odd cohomology, so outside the hypotheses, each with
+    fiber (u3, v3, z5, w9), D = 0 and truncation 10: Lambda(b3);
+    Lambda(b3, c5); Lambda(x2, y3, b3; dy = x^2); Lambda(b1, x2).
+    {label: model}."""
+    specs = {
+        "b3": ([("b", 3)], {}),
+        "b3c5": ([("b", 3), ("c", 5)], {}),
+        "s2b3": ([("x", 2), ("y", 3), ("b", 3)], {"y": ("x", 2)}),
+        "b1x2": ([("b", 1), ("x", 2)], {}),
+    }
+    models = {}
+    for label, (base, d_base) in specs.items():
+        table = GeneratorTable(base=base, fiber=[("u", 3), ("v", 3), ("z", 5), ("w", 9)])
+        models[label] = RelativeModel(
+            table, d_base={y: table.poly(x) ** n for y, (x, n) in d_base.items()},
+            truncation=10)
+    return models
+
+
 def full_ladder_model():
     """A perturbed model whose `ls` normalization needs the linear stage,
     the higher stage, an even homotopy and an odd absorption, in that
