@@ -9,13 +9,15 @@ change of generators phi by its shape, the degrees of the recorded images
 (before anything is substituted into them) and the intertwining identities
 phi D' = D phi and (phi (x) phi) C' = C phi, which need neither phi^-1 nor
 a recomputed state; a homotopy by its maps, its projection condition and
-its endpoints.  It shares no code path with the pipelines' conjugation.
+its endpoints.  What the verifier shares with the engine is the algebra
+itself: `Polynomial`, `apply_images` (which also evaluates t and dt at an
+endpoint), `FreeCDGA.d`, `GeneratorTable.on_copy` and the validators of
+`model`.  It calls no conjugation helper: not `conjugate`, not `invert`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .algebra import (
@@ -90,14 +92,6 @@ def invert(model: RelativeModel, phi: ChangeOfGenerators) -> ChangeOfGenerators:
     return inverse
 
 
-def tensor_square_images(
-    table: GeneratorTable, images: Mapping[int, Polynomial]
-) -> dict[int, Polynomial]:
-    """(phi (x) phi) on the tensor square: first-copy generators through phi
-    and second-copy generators through phi placed on the second copy."""
-    return {**images, **table.on_copy(images, 1)}
-
-
 def conjugate(
     model: RelativeModel,
     comul: Comultiplication,
@@ -113,7 +107,7 @@ def conjugate(
         if image:
             new_d[gen.name] = image
     new_model = model.with_fiber_differential(new_d)
-    square_inv = tensor_square_images(table, phi_inv.images)
+    square_inv = {**phi_inv.images, **table.on_copy(phi_inv.images, 1)}
     c_images = comul.as_images()
     new_c: dict[str, Polynomial] = {}
     for gen in table.fiber:
@@ -133,28 +127,9 @@ def conjugate(
 
 def evaluate_interval(table: GeneratorTable, p: Polynomial, value: int) -> Polynomial:
     """Evaluate t at 0 or 1 and dt at 0."""
-    out: dict = {}
-    for mono, coeff in p.terms.items():
-        scale = Fraction(1)
-        kept = []
-        dead = False
-        for gen, exp in mono:
-            if gen.space != "interval":
-                kept.append((gen, exp))
-            elif gen.name == "dt":
-                dead = True
-                break
-            else:
-                scale *= Fraction(value) ** exp
-        if dead or not scale:
-            continue
-        key = tuple(kept)
-        total = out.get(key, 0) + coeff * scale
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return Polynomial(out)
+    return apply_images(
+        {table.t.id: Polynomial.constant(value), table.dt.id: Polynomial.zero()}, p
+    )
 
 
 @dataclass
@@ -165,12 +140,6 @@ class DGHomotopy:
     images: dict[int, Polynomial]
     psi0: dict[str, Polynomial]
     psi1: dict[str, Polynomial]
-
-    def image(self, gen: Generator) -> Polynomial:
-        image = self.images.get(gen.id)
-        if image is None:
-            raise AlgebraError(f"homotopy image missing for {gen.display()}")
-        return image
 
 
 def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
@@ -216,7 +185,7 @@ def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
                 )
     for gen in table.fiber:
         lhs = apply_images(homotopy.images, model.D(gen))
-        rhs = target.d(homotopy.image(gen))
+        rhs = target.d(homotopy.images[gen.id])
         if lhs != rhs:
             return Verdict.failed(
                 f"homotopy does not commute with the differentials at "
@@ -261,9 +230,7 @@ class EquivalenceCertificate:
 
 
 def snapshot(model: RelativeModel, comul: Comultiplication) -> tuple[dict, dict]:
-    d_images = {name: p for name, p in model.d_fiber.items() if p}
-    c_images = dict(comul.images)
-    return d_images, c_images
+    return dict(model.d_fiber), dict(comul.images)
 
 
 def new_certificate(
@@ -303,7 +270,7 @@ def _verify_change(
                 return Verdict.failed(f"recorded {label}({gen.display()}) is not "
                                       f"homogeneous of degree {degree}", image)
     total = model.total_cdga()
-    square = tensor_square_images(model.table, phi.images)
+    square = {**phi.images, **model.table.on_copy(phi.images, 1)}
     for gen in model.table.fiber:
         lhs = phi.apply(d_after.get(gen.name, Polynomial.zero()))
         rhs = total.d(phi.image(gen))

@@ -20,8 +20,8 @@ from .algebra import AlgebraError
 from .certify import emit_triviality_report, verify_equivalence
 from .dga import EngineError, cohomology_in_degree
 from .model import validate_comultiplication, validate_relative_model
-from .normalize import InvalidModelError, hopf_normalize, ls_normalize
-from .perturb import PerturbationError, PerturbationSpec, perturb
+from .normalize import hopf_normalize, ls_normalize
+from .perturb import MODES, PerturbationSpec, perturb
 
 OK = 0
 INTERNAL_ERROR = 1
@@ -143,6 +143,10 @@ def _cmd_verify(args) -> int:
     if cert.source_d != model.d_fiber or cert.source_c != comul.images:
         print("FAIL: certificate source does not match the model")
         return INVALID_INPUT
+    if cert.truncation != model.truncation:
+        print(f"FAIL: certificate truncation degree {cert.truncation} differs from "
+              f"the model's {model.truncation}")
+        return INVALID_INPUT
     verdict = verify_equivalence(cert)
     if not verdict.ok:
         print("FAIL:", verdict.failures[0])
@@ -220,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="seeded perturbation of a standard model")
     p.add_argument("model")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", choices=("change-of-generators", "exact-homotopy", "both"),
-                   default="both")
+    p.add_argument("--mode", choices=MODES, default="both")
     p.add_argument("--max-word-length", type=int, default=3)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_perturb)
@@ -236,7 +239,7 @@ def run_command(argv: list[str]) -> int:
         return INVALID_INPUT if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except (io.ParseError, InvalidModelError, PerturbationError, AlgebraError) as exc:
+    except (io.ParseError, AlgebraError) as exc:
         print("ERROR:", exc, file=sys.stderr)
         return INVALID_INPUT
     except EngineError as exc:

@@ -24,7 +24,6 @@ from .algebra import (
     Monomial,
     Polynomial,
     _add_terms,
-    monomial_key,
     normalize_monomial,
 )
 from .certify import (
@@ -99,7 +98,7 @@ def _list(doc: Mapping, key: str, location: str) -> list:
 
 def polynomial_to_doc(p: Polynomial) -> list[dict]:
     doc = []
-    for mono, coeff in sorted(p.terms.items(), key=lambda kv: monomial_key(kv[0])):
+    for mono, coeff in p.sorted_terms():
         doc.append(
             {
                 "coeff": str(coeff),
@@ -278,8 +277,7 @@ def model_to_document(model: RelativeModel, comul: Comultiplication) -> dict:
         "format": MODEL_FORMAT,
         "truncation_degree": model.truncation,
         **_spaces_to_doc(model.table, model.d_base),
-        "differential": _images_to_doc(model.d_fiber),
-        "comultiplication": _images_to_doc(comul.images),
+        **_state_to_doc(model.d_fiber, comul.images),
     }
 
 
@@ -298,25 +296,21 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
         if isinstance(step.action, DGHomotopy):
             entry["start"] = _images_to_doc(step.action.psi0)
             entry["end"] = _images_to_doc(step.action.psi1)
-        entry["result"] = {
-            "differential": _images_to_doc(step.d_after),
-            "comultiplication": _images_to_doc(step.c_after),
-        }
+        entry["result"] = _state_to_doc(step.d_after, step.c_after)
         steps.append(entry)
     return {
         "format": CERTIFICATE_FORMAT,
         "truncation_degree": cert.truncation,
         "model": _spaces_to_doc(cert.table, cert.d_base),
-        "source": {
-            "differential": _images_to_doc(cert.source_d),
-            "comultiplication": _images_to_doc(cert.source_c),
-        },
-        "target": {
-            "differential": _images_to_doc(cert.target_d),
-            "comultiplication": _images_to_doc(cert.target_c),
-        },
+        "source": _state_to_doc(cert.source_d, cert.source_c),
+        "target": _state_to_doc(cert.target_d, cert.target_c),
         "steps": steps,
     }
+
+
+def _state_to_doc(d: Mapping[str, Polynomial], c: Mapping[str, Polynomial]) -> dict:
+    """A recorded state: its differential and comultiplication images."""
+    return {"differential": _images_to_doc(d), "comultiplication": _images_to_doc(c)}
 
 
 def _state_from_doc(table, doc: Mapping, key: str, location: str):

@@ -350,7 +350,7 @@ def _ls_step(model, comul, gen, r):
             absorb = absorb + b * propsolver.copy_product(table, gens, 0)
         phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - absorb})
         moved, comul2 = conjugate(model, comul, phi)
-        if snapshot(moved, comul2)[0] != snapshot(model, comul)[0]:
+        if moved.d_fiber != model.d_fiber:
             raise EngineError("excess-step change of generators moved the differential")
         if comul2.image(gen) != comul.image(gen) - class_part:
             raise EngineError("excess-step change of generators did not absorb the "

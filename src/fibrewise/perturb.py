@@ -58,6 +58,20 @@ _COEFFICIENTS = (
 )
 
 
+def _draw(rng, candidates, term):
+    """The sum of one or two distinct candidates, each as `term(candidate)`
+    times a random coefficient; zero when there are no candidates.  The
+    random calls come in one order: `randint`, `sample`, then one `choice`
+    per drawn candidate, so a seed keeps its output."""
+    if not candidates:
+        return Polynomial.zero()
+    count = rng.randint(1, min(2, len(candidates)))
+    total = Polynomial.zero()
+    for candidate in rng.sample(candidates, count):
+        total = total + term(candidate).scale(rng.choice(_COEFFICIENTS))
+    return total
+
+
 def _change_of_generators(model, rng, max_word_length):
     table = model.table
     images = {}
@@ -68,12 +82,7 @@ def _change_of_generators(model, rng, max_word_length):
             for mono in table.monomial_basis(gen.degree, allowed)
             if 1 <= monomial_word_length(mono) <= max_word_length
         ]
-        if not candidates:
-            continue
-        count = rng.randint(1, min(2, len(candidates)))
-        tail = Polynomial.zero()
-        for mono in rng.sample(candidates, count):
-            tail = tail + Polynomial({mono: rng.choice(_COEFFICIENTS)})
+        tail = _draw(rng, candidates, lambda mono: Polynomial({mono: Fraction(1)}))
         if tail:
             images[gen.id] = Polynomial.from_generator(gen) + tail
     return ChangeOfGenerators(images) if images else None
@@ -93,13 +102,8 @@ def _exact_additions(model, rng, max_word_length):
                 continue
             image = square.d(Polynomial({mono: Fraction(1)}))
             if image:
-                candidates.append((mono, image))
-        if not candidates:
-            continue
-        count = rng.randint(1, min(2, len(candidates)))
-        total = Polynomial.zero()
-        for mono, image in rng.sample(candidates, count):
-            total = total + image.scale(rng.choice(_COEFFICIENTS))
+                candidates.append(image)
+        total = _draw(rng, candidates, lambda image: image)
         if total:
             additions[gen.name] = total
     return additions

@@ -123,6 +123,36 @@ def test_evaluate_interval():
     assert evaluate_interval(table, p, 1) == w
 
 
+def test_evaluate_interval_against_the_term_loop():
+    # tensor-square polynomials times t^k (k <= 3), with or without dt; a
+    # piece -q next to q t^k cancels at t = 1, so sums that cancel are met
+    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
+                                         truncation=20)
+    table = model.table
+    gens = model.tensor_cdga(2).gens
+    t = Polynomial.from_generator(table.t)
+    dt = Polynomial.from_generator(table.dt)
+    rng = random.Random(22)
+    cancelled = 0
+    for _ in range(150):
+        p = Polynomial.zero()
+        for _ in range(rng.randint(1, 4)):
+            q = util.random_homogeneous(rng, table, gens, rng.choice([3, 6, 9]))
+            piece = q * t ** rng.randint(0, 3)
+            p = p + (piece * dt if rng.random() < 0.4 else piece)
+            if rng.random() < 0.3:
+                p = p - q
+        # the monomials of the terms without dt, with their t factors removed
+        keys = {tuple(f for f in m if f[0].space != "interval")
+                for m in p.terms if all(g.name != "dt" for g, _ in m)}
+        for value in (0, 1):
+            got = evaluate_interval(table, p, value)
+            assert got == util.evaluate_interval_by_terms(p, value)
+            assert got.spaces() <= {"base", "w0", "w1"}
+            cancelled += value == 1 and len(got.terms) < len(keys)
+    assert cancelled
+
+
 def test_verify_homotopy_constant():
     model, comul = util.fixture_a()
     images = {g.id: comul.image(g) for g in model.table.fiber}

@@ -631,6 +631,24 @@ def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, mo
     assert (captured.out.splitlines(), captured.err.splitlines()) == (out, err)
 
 
+@pytest.mark.parametrize("truncation, code, out", [
+    (None, 0, ["certificate verified: 4 steps replayed (up to degree 24)"]),
+    (1000, 4, ["FAIL: certificate truncation degree 1000 differs from the model's 24"]),
+    (1, 4, ["FAIL: certificate truncation degree 1 differs from the model's 24"]),
+])
+def test_cli_verify_refuses_a_truncation_other_than_the_models(tmp_path, capsys,
+                                                               truncation, code, out):
+    # the ladder model's degree is 24; a certificate may claim no other
+    doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    cert = doc["certificate"]
+    if truncation is not None:
+        cert["truncation_degree"] = truncation
+    cert_path = write(tmp_path, "cert.json", cert)
+    capsys.readouterr()
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert_path]) == code
+    assert capsys.readouterr().out.splitlines() == out
+
+
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])
 def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipeline):
     # fixture a's largest fiber degree is 5: at truncation 2 or 5 the

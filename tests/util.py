@@ -419,6 +419,34 @@ def apply_images_by_products(images, p):
     return out
 
 
+def evaluate_interval_by_terms(p, value):
+    """t set to `value` and dt to 0, term by term: a term with dt is
+    dropped, a power of t becomes a scalar, and the rest of the term is
+    kept as it stands (oracle for certify.evaluate_interval)."""
+    out = {}
+    for mono, coeff in p.terms.items():
+        scale = Fraction(1)
+        kept = []
+        dead = False
+        for gen, exp in mono:
+            if gen.space != "interval":
+                kept.append((gen, exp))
+            elif gen.name == "dt":
+                dead = True
+                break
+            else:
+                scale *= Fraction(value) ** exp
+        if dead or not scale:
+            continue
+        key = tuple(kept)
+        total = out.get(key, 0) + coeff * scale
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return Polynomial(out)
+
+
 def assert_same_terms(got, expected):
     """Equal polynomials whose term dicts also list their monomials in the
     same order, so that nothing iterating the terms can tell them apart."""
