@@ -43,6 +43,7 @@ from .model import (
     check_homotopy_associative,
     check_hypotheses,
     validate_comultiplication,
+    validate_input,
     validate_relative_model,
 )
 from .normalize import (

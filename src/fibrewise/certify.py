@@ -33,7 +33,8 @@ from .model import (
     RelativeModel,
     tail_shape_verdict,
     validate_comultiplication,
-    validate_relative_model,
+    validate_input,
+    validate_relative_model,  # unused here, kept bound: perfbench/layertrace.py wraps it
 )
 
 
@@ -70,9 +71,7 @@ class ChangeOfGenerators:
 def invert(model: RelativeModel, phi: ChangeOfGenerators) -> ChangeOfGenerators:
     """Inverse by back-substitution along the ordered fiber basis; both
     compositions are verified to be the identity."""
-    verdict = phi.shape_verdict(model)
-    if not verdict.ok:
-        raise AlgebraError("not a valid change of generators: " + verdict.failures[0])
+    phi.shape_verdict(model).or_raise(AlgebraError, "not a valid change of generators: ")
     table = model.table
     inverse_images: dict[int, Polynomial] = {}
     for gen in table.fiber:
@@ -114,14 +113,7 @@ def conjugate(
         through = apply_images(c_images, phi.image(gen))
         new_c[gen.name] = apply_images(square_inv, through)
     new_comul = Comultiplication(table, new_c)
-    for check, label in (
-        (validate_relative_model(new_model), "differential"),
-        (validate_comultiplication(new_model, new_comul), "comultiplication"),
-    ):
-        if not check.ok:
-            raise EngineError(
-                f"conjugation broke the {label}: {check.failures[0]}"
-            )
+    validate_input(new_model, new_comul).or_raise(EngineError, "conjugation broke the ")
     return new_model, new_comul
 
 
@@ -316,9 +308,9 @@ def verify_equivalence(cert: EquivalenceCertificate) -> Verdict:
     """Validate the source, check every step against its recorded result,
     and compare the last recorded state with the declared target."""
     model, comul = cert.source_model()
-    for check in (validate_relative_model(model), validate_comultiplication(model, comul)):
-        if not check.ok:
-            return Verdict.failed("invalid source model: " + check.failures[0])
+    check = validate_input(model, comul)
+    if not check.ok:
+        return check
     for index, step in enumerate(cert.steps):
         check_step = (_verify_change if isinstance(step.action, ChangeOfGenerators)
                       else _verify_homotopy_step)

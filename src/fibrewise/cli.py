@@ -19,8 +19,8 @@ from . import io
 from .algebra import AlgebraError
 from .certify import emit_triviality_report, verify_equivalence
 from .dga import EngineError, cohomology_in_degree
-from .model import validate_comultiplication, validate_relative_model
-from .normalize import hopf_normalize, ls_normalize
+from .model import validate_input
+from .normalize import InvalidModelError, hopf_normalize, ls_normalize
 from .perturb import MODES, PerturbationSpec, perturb
 
 OK = 0
@@ -81,20 +81,20 @@ def _write_output(path: str | None, doc) -> None:
         sys.stdout.write(text)
 
 
+def _load_valid_model(path: str):
+    """The model pair of the document at `path`, if it passes the gate."""
+    model, comul = io.parse_model(_load_json(path))
+    validate_input(model, comul).or_raise(InvalidModelError)
+    return model, comul
+
+
 def _cmd_check(args) -> int:
     doc = _load_json(args.model)
     model, comul = io.parse_model(doc, truncation_override=args.max_degree)
-    problems = []
-    for verdict in (
-        validate_relative_model(model),
-        validate_comultiplication(model, comul),
-    ):
-        if not verdict.ok:
-            problems.extend(verdict.failures)
+    verdict = validate_input(model, comul)
     print(f"truncation degree: {model.truncation}")
-    if problems:
-        for line in problems:
-            print("FAIL:", line)
+    if not verdict.ok:
+        print("FAIL:", verdict.failures[0])
         return INVALID_INPUT
     print("model and comultiplication are valid "
           f"(verified up to degree {model.truncation})")
@@ -102,9 +102,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
-    doc = _load_json(args.model)
-    model, comul = io.parse_model(doc)
-    io.require_valid(model, comul)
+    model, _ = _load_valid_model(args.model)
     slice_ = cohomology_in_degree(model.base_cdga(), args.degree)
     print(f"truncation degree: {model.truncation}")
     print(f"degree {args.degree}: dim Z = {len(slice_.cycles)}, "
@@ -163,9 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_perturb(args) -> int:
     _require_output_directory(args.output)
-    doc = _load_json(args.model)
-    model, comul = io.parse_model(doc)
-    io.require_valid(model, comul)
+    model, comul = _load_valid_model(args.model)
     spec = PerturbationSpec(
         seed=args.seed, max_word_length=args.max_word_length, mode=args.mode
     )

@@ -85,6 +85,11 @@ class Verdict:
                step: int | None = None) -> Verdict:
         return cls(False, [message], witness, step)
 
+    def or_raise(self, error: type[Exception], prefix: str = "") -> None:
+        """Raise `error` with the first failure, after `prefix`, unless ok."""
+        if not self.ok:
+            raise error(prefix + self.failures[0])
+
 
 @dataclass
 class CohomologySlice:

@@ -36,6 +36,7 @@ from .model import (
     Comultiplication,
     RelativeModel,
     default_truncation,
+    # unused here, kept bound: perfbench/layertrace.py wraps them
     validate_comultiplication,
     validate_relative_model,
 )
@@ -86,6 +87,13 @@ def _object(doc: Mapping, key: str, location: str) -> Mapping:
     if not isinstance(node, dict):
         raise ParseError(location, "expected an object")
     return node
+
+
+def _require_format(doc: Mapping, expected: str) -> None:
+    """Refuse a document that names a `format` other than `expected`; one
+    with no `format` (written by hand) is read as it stands."""
+    if doc.get("format") not in (None, expected):
+        raise ParseError("format", f"expected {expected!r}, got {doc['format']!r}")
 
 
 def _list(doc: Mapping, key: str, location: str) -> list:
@@ -242,9 +250,10 @@ def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str, table=None)
 def parse_model(
     doc: Any, truncation_override: int | None = None
 ) -> tuple[RelativeModel, Comultiplication]:
-    """Build a model and comultiplication; `require_valid` checks them."""
+    """Build a model and comultiplication; `model.validate_input` checks them."""
     if not isinstance(doc, dict):
         raise ParseError("$", "model document must be an object")
+    _require_format(doc, MODEL_FORMAT)
     table, d_base = _spaces_from_doc(doc, "", "generators")
     truncation = doc.get("truncation_degree")
     if truncation is not None and not _is_positive_int(truncation):
@@ -259,17 +268,6 @@ def parse_model(
     if len(images) < len(table.fiber):  # a generator left out gets w + w'
         images = {**Comultiplication.standard(table).images, **images}
     return model, Comultiplication(table, images)
-
-
-def require_valid(model: RelativeModel, comul: Comultiplication) -> None:
-    """Raise a `ParseError` located at the first invalid part of a parsed
-    model: its `differential` or its `comultiplication`."""
-    verdict = validate_relative_model(model)
-    if not verdict.ok:
-        raise ParseError("differential", verdict.failures[0])
-    verdict = validate_comultiplication(model, comul)
-    if not verdict.ok:
-        raise ParseError("comultiplication", verdict.failures[0])
 
 
 def model_to_document(model: RelativeModel, comul: Comultiplication) -> dict:
@@ -325,15 +323,20 @@ def _state_from_doc(table, doc: Mapping, key: str, location: str):
 
 def certificate_from_document(doc: Any, table: GeneratorTable | None = None
                               ) -> EquivalenceCertificate:
-    """A certificate, or the one a result document wraps.  It is read against
-    `table` when its base and fiber generators are that table's, so that its
-    polynomials compare with the model's; else against a table of its own."""
+    """A certificate, or the one a result wraps, of no other `format`.  It is
+    read against `table` when its base and fiber generators are that table's,
+    so that its polynomials compare with the model's; else against its own."""
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
-    if "certificate" in doc:  # accept a result wrapper
+    if doc.get("format") == RESULT_FORMAT or "certificate" in doc:  # a result wrapper
+        _require_format(doc, RESULT_FORMAT)
+        if doc.get("certificate") is None:
+            raise ParseError("certificate", "the result holds no certificate "
+                                            f"(outcome {doc.get('outcome')!r})")
         doc = doc["certificate"]
         if not isinstance(doc, dict):
             raise ParseError("certificate", "certificate document must be an object")
+    _require_format(doc, CERTIFICATE_FORMAT)
     table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
     truncation = doc.get("truncation_degree")
     if not _is_positive_int(truncation):

@@ -7,7 +7,8 @@ has no pure-base component on fiber generators.  `validate_relative_model`
 is the one place that checks all of this, d*d = 0 included; the algebras of
 `dga` hold no validity rule.  A Comultiplication sends each fiber
 generator w to w + w' + (mixed terms) in the tensor square over B and
-commutes with the differentials.
+commutes with the differentials.  `validate_input` is the one validity
+gate of a model pair: the differential first, then the comultiplication.
 
 Every algebra here is a tensor power over B of one model, built over one
 generator table by `RelativeModel.tensor_cdga(n)`: B for n = 0, B (x)
@@ -287,6 +288,19 @@ def validate_comultiplication(model: RelativeModel, comul: Comultiplication) -> 
                 lhs - rhs,
             )
     return Verdict.passed()
+
+
+def validate_input(model: RelativeModel, comul: Comultiplication) -> Verdict:
+    """The one validity gate of a model pair, located at the part that fails
+    first: `differential: ...`, else `comultiplication: ...`.  C is checked
+    only once D has passed: its DG condition substitutes C into D(w), which
+    is bounded only once the degrees of D(w) are checked."""
+    part, verdict = "differential", validate_relative_model(model)
+    if verdict.ok:
+        part, verdict = "comultiplication", validate_comultiplication(model, comul)
+    if verdict.ok:
+        return verdict
+    return Verdict.failed(f"{part}: {verdict.failures[0]}", verdict.witness)
 
 
 def check_hypotheses(model: RelativeModel) -> HypothesisReport:

@@ -58,6 +58,8 @@ from .model import (
     check_homotopy_associative,
     check_hypotheses,
     truncation_verdict,
+    validate_input,
+    # unused here, kept bound: perfbench/layertrace.py wraps them
     validate_comultiplication,
     validate_relative_model,
 )
@@ -101,18 +103,6 @@ def _processing_order(model: RelativeModel) -> list[Generator]:
     this refines the given order exactly when needed by the inductions and
     is the identity on inputs already listed by degree."""
     return sorted(model.table.fiber, key=lambda gen: gen.degree)
-
-
-def _require_valid(model: RelativeModel, comul: Comultiplication) -> None:
-    verdict = truncation_verdict(model)
-    if not verdict.ok:
-        raise InvalidModelError(verdict.failures[0])
-    verdict = validate_relative_model(model)
-    if not verdict.ok:
-        raise InvalidModelError("invalid relative model: " + verdict.failures[0])
-    verdict = validate_comultiplication(model, comul)
-    if not verdict.ok:
-        raise InvalidModelError("invalid comultiplication: " + verdict.failures[0])
 
 
 def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
@@ -248,7 +238,8 @@ def hopf_stage_higher(model, comul):
 def _screen(model, comul) -> HypothesisReport:
     """Validate the input, then scan the hypotheses.  Both pipelines run this
     first, so invalid input outranks every later answer."""
-    _require_valid(model, comul)
+    truncation_verdict(model).or_raise(InvalidModelError)
+    validate_input(model, comul).or_raise(InvalidModelError)
     return check_hypotheses(model)
 
 

@@ -28,7 +28,7 @@ from .model import (
     Comultiplication,
     RelativeModel,
     truncation_verdict,
-    validate_comultiplication,
+    validate_input,
     validate_relative_model,
 )
 
@@ -112,9 +112,9 @@ def _exact_additions(model, rng, max_word_length):
 def perturb(
     model: RelativeModel, comul: Comultiplication, spec: PerturbationSpec
 ) -> tuple[RelativeModel, Comultiplication]:
-    verdict = truncation_verdict(model)
-    if not verdict.ok:
-        raise PerturbationError(verdict.failures[0])
+    # D(W) = 0 and C = C0 are required below; C0 is then valid iff D is
+    validate_relative_model(model).or_raise(PerturbationError, "differential: ")
+    truncation_verdict(model).or_raise(PerturbationError)
     if any(model.D(gen) for gen in model.table.fiber):
         raise PerturbationError("perturbation requires a vanishing fiber differential")
     if not comul.is_standard():
@@ -139,11 +139,6 @@ def perturb(
         phi = _change_of_generators(model, rng, spec.max_word_length)
         if phi is not None:
             return conjugate(model, comul, phi)  # which validates its result
-    for verdict in (
-        validate_relative_model(model),
-        validate_comultiplication(model, comul),
-    ):
-        if not verdict.ok:
-            raise PerturbationError("perturbation produced an invalid model: "
-                                    + verdict.failures[0])
+    validate_input(model, comul).or_raise(
+        PerturbationError, "perturbation produced an invalid model: ")
     return model, comul

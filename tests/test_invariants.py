@@ -115,25 +115,42 @@ def test_perturb_preconditions():
 
 
 @pytest.mark.parametrize("mode", ["change-of-generators", "exact-homotopy", "both"])
-def test_perturb_validates_its_output_once(monkeypatch, mode):
-    # conjugate validates the state it returns; perturb checks only the
-    # states conjugate did not produce
-    calls = []
-    for namespace in ("fibrewise.certify", "fibrewise.perturb"):
-        namespace = importlib.import_module(namespace)
-        for name in ("validate_relative_model", "validate_comultiplication"):
-            real = getattr(namespace, name)
+def test_perturb_refuses_an_invalid_differential(mode):
+    # Lambda(y2) (x) Lambda(u3) with d(y) = u: D(W) = 0 and the standard C
+    # are as perturb requires, but the base differential leaves B
+    table = GeneratorTable(base=[("y", 2)], fiber=[("u", 3)])
+    model = RelativeModel(table, d_base={"y": table.poly("u")}, truncation=8)
+    with pytest.raises(PerturbationError) as err:
+        perturb(model, Comultiplication.standard(table), PerturbationSpec(seed=1, mode=mode))
+    assert str(err.value) == "differential: d(y) leaves the base algebra"
 
-            def counted(*args, _real=real):
-                calls.append(_real.__name__)
+
+@pytest.mark.parametrize("mode", ["change-of-generators", "exact-homotopy", "both"])
+def test_perturb_validates_its_output_once(monkeypatch, mode):
+    # perturb checks its input's differential; conjugate validates the state
+    # it returns through the gate, and perturb gates only the states
+    # conjugate did not produce
+    calls = []
+    for namespace, names in (
+        ("fibrewise.model", ("validate_relative_model", "validate_comultiplication")),
+        ("fibrewise.perturb", ("validate_relative_model",)),
+    ):
+        module = importlib.import_module(namespace)
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _where=namespace):
+                calls.append((_where, _real.__name__))
                 return _real(*args)
 
-            monkeypatch.setattr(namespace, name, counted)
+            monkeypatch.setattr(module, name, counted)
     model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
                                          truncation=20)
     perturb(model, Comultiplication.standard(model.table),
             PerturbationSpec(seed=4, mode=mode))
-    assert sorted(calls) == ["validate_comultiplication", "validate_relative_model"]
+    assert calls == [("fibrewise.perturb", "validate_relative_model"),
+                     ("fibrewise.model", "validate_relative_model"),
+                     ("fibrewise.model", "validate_comultiplication")]
 
 
 def test_perturb_exact_homotopy_mode_with_real_candidates():

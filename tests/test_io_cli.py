@@ -12,6 +12,7 @@ from fibrewise import Comultiplication
 from fibrewise import io as fio
 from fibrewise.certify import new_certificate
 from fibrewise.cli import run_command
+from fibrewise.model import validate_input
 
 import util
 
@@ -142,9 +143,11 @@ def test_parse_rejects_ks_violation():
     doc["differential"] = {
         "w3": [{"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]
     }
-    with pytest.raises(fio.ParseError) as err:
-        fio.require_valid(*fio.parse_model(doc))
-    assert "ordered-basis" in str(err.value) or "homogeneous" in str(err.value)
+    # parsing checks only the form; the validity gate locates the fault
+    verdict = validate_input(*fio.parse_model(doc))
+    assert not verdict.ok
+    assert verdict.failures[0].startswith("differential: D(w3) ")
+    assert "ordered-basis" in verdict.failures[0] or "homogeneous" in verdict.failures[0]
 
 
 def test_default_truncation_and_env_override(monkeypatch):
@@ -649,6 +652,48 @@ def test_cli_verify_refuses_a_truncation_other_than_the_models(tmp_path, capsys,
     assert capsys.readouterr().out.splitlines() == out
 
 
+def test_a_document_of_another_kind_is_refused_at_format(tmp_path, capsys):
+    # before, a result read as a model was an empty model that hopf called
+    # fibrewise trivial, and a result without a certificate was read as a
+    # certificate for an empty generator table
+    ladder_model = str(GOLDEN / "full_ladder.model.json")
+    ladder_result = str(GOLDEN / "full_ladder.ls.json")
+    result = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    cert = write(tmp_path, "cert.json", result["certificate"])
+    result["certificate"]["format"] = "fibrewise-model/1"
+    wrapped = write(tmp_path, "wrapped.json", result)
+    model_format = "format: expected 'fibrewise-model/1'"
+    cert_format = "format: expected 'fibrewise-certificate/1'"
+    for argv, message in (
+        (["hopf", ladder_result], f"{model_format}, got 'fibrewise-result/1'"),
+        (["check", cert], f"{model_format}, got 'fibrewise-certificate/1'"),
+        (["verify", ladder_model, ladder_model], f"{cert_format}, got 'fibrewise-model/1'"),
+        (["verify", ladder_model, wrapped], f"{cert_format}, got 'fibrewise-model/1'"),
+        (["verify", str(GOLDEN / "fixture_a.model.json"),
+          str(GOLDEN / "fixture_a.hopf-force.json")],
+         "certificate: the result holds no certificate (outcome 'obstructed')"),
+    ):
+        capsys.readouterr()
+        assert run_command(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", ["ERROR: " + message]), argv
+
+
+def test_documents_without_a_format_are_still_read(tmp_path, capsys):
+    model = json.loads((GOLDEN / "full_ladder.model.json").read_text(encoding="utf-8"))
+    result = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    del model["format"], result["format"], result["certificate"]["format"]
+    model_path = write(tmp_path, "model.json", model)
+    capsys.readouterr()
+    for cert in (result, result["certificate"]):
+        assert run_command(["verify", model_path, write(tmp_path, "c.json", cert)]) == 0
+        assert capsys.readouterr().out.startswith("certificate verified: ")
+    # unknown top-level keys are not refused: this document reads as an
+    # empty model
+    assert run_command(["check", str(GOLDEN / "exit_codes.json")]) == 0
+    assert "valid" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])
 def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipeline):
     # fixture a's largest fiber degree is 5: at truncation 2 or 5 the
@@ -692,52 +737,78 @@ def base_image_doc():
     }
 
 
+ORDERED_BASIS_VIOLATION = {"w3": [  # w3 depends on the later w5
+    {"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]}
+COUNIT_VIOLATION = {"w3": [  # C(w3) has a term in one fiber copy only
+    {"coeff": "1", "factors": [["w0", "w3", 1]]},
+    {"coeff": "1", "factors": [["w1", "w3", 1]]},
+    {"coeff": "1", "factors": [["base", "b3", 1]]}]}
+
 INVALID_MODELS = {
-    # w3 depends on the later w5 (ordered-basis violation)
-    "differential": (_with(fixture_a_doc(), ["differential"], {"w3": [
-        {"coeff": "1", "factors": [["base", "b3", 1], ["w0", "w5", 1]]}]}),
-        "differential", "FAIL: "),
-    # C(w3) has a term in one fiber copy only (counit violation)
-    "comultiplication": (_with(fixture_a_doc(), ["comultiplication"], {"w3": [
-        {"coeff": "1", "factors": [["w0", "w3", 1]]},
-        {"coeff": "1", "factors": [["w1", "w3", 1]]},
-        {"coeff": "1", "factors": [["base", "b3", 1]]}]}),
-        "comultiplication", "FAIL: "),
+    "differential": (_with(fixture_a_doc(), ["differential"], ORDERED_BASIS_VIOLATION),
+                     "differential: D(w3) "),
+    "comultiplication": (_with(fixture_a_doc(), ["comultiplication"], COUNIT_VIOLATION),
+                         "comultiplication: C(w3) - w3 - w3' "),
+    # both parts invalid: the differential is checked first, and alone
+    "both": (_with(_with(fixture_a_doc(), ["differential"], ORDERED_BASIS_VIOLATION),
+                   ["comultiplication"], COUNIT_VIOLATION),
+             "differential: D(w3) "),
     # d_B sends the base generator y into the fiber
-    "base-image": (base_image_doc(), "differential",
-                   "FAIL: d(y) leaves the base algebra"),
+    "base-image": (base_image_doc(), "differential: d(y) leaves the base algebra"),
 }
+
+# where each command reports an invalid model pair, and its command line
+REPORTS = {
+    "check": ("out", "FAIL: ", lambda m, c: ["check", m]),
+    "cohomology": ("err", "ERROR: ", lambda m, c: ["cohomology", m, "-n", "3"]),
+    "hopf": ("err", "ERROR: ", lambda m, c: ["hopf", m]),
+    "ls": ("err", "ERROR: ", lambda m, c: ["ls", m]),
+    "verify": ("out", "FAIL: ", lambda m, c: ["verify", m, c]),
+    "perturb": ("err", "ERROR: ", lambda m, c: ["perturb", m, "--seed", "1"]),
+}
+
+
+def write_with_certificate(tmp_path, doc):
+    """The model document and its empty certificate, both written."""
+    model, comul = fio.parse_model(doc)
+    return (write(tmp_path, "bad.json", doc),
+            write(tmp_path, "cert.json",
+                  fio.certificate_to_document(new_certificate(model, comul))))
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_MODELS))
 def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys, case):
-    doc, part, check_line = INVALID_MODELS[case]
-    model_path = write(tmp_path, "bad.json", doc)
+    doc, message = INVALID_MODELS[case]
     # parsing alone accepts the document; the consuming command rejects it
-    model, comul = fio.parse_model(doc)
-    cert_path = write(tmp_path, "cert.json",
-                      fio.certificate_to_document(new_certificate(model, comul)))
-    label = {"differential": "relative model", "comultiplication": "comultiplication"}[part]
-    expected = {
-        "check": ("out", check_line),
-        "cohomology": ("err", f"ERROR: {part}: "),
-        "hopf": ("err", f"ERROR: invalid {label}: "),
-        "ls": ("err", f"ERROR: invalid {label}: "),
-        "verify": ("out", "FAIL: invalid source model: "),
-        "perturb": ("err", f"ERROR: {part}: "),
-    }
-    argv = {
-        "check": ["check", model_path],
-        "cohomology": ["cohomology", model_path, "-n", "3"],
-        "hopf": ["hopf", model_path],
-        "ls": ["ls", model_path],
-        "verify": ["verify", model_path, cert_path],
-        "perturb": ["perturb", model_path, "--seed", "1"],
-    }
+    model_path, cert_path = write_with_certificate(tmp_path, doc)
     capsys.readouterr()
-    for command, (stream, prefix) in expected.items():
-        assert run_command(argv[command]) == 4, command
+    for command, (stream, prefix, argv) in REPORTS.items():
+        assert run_command(argv(model_path, cert_path)) == 4, command
         captured = capsys.readouterr()
         assert "Generator(" not in captured.out + captured.err, command
         lines = {"out": captured.out, "err": captured.err}[stream].splitlines()
-        assert any(line.startswith(prefix) for line in lines), (command, lines)
+        located = [line for line in lines if line.startswith(prefix + message)]
+        assert len(located) == 1, (command, lines)
+        # one failure only: the part checked later is not reported
+        other = "comultiplication: " if message.startswith("differential") else "differential: "
+        assert not any(other in line for line in lines), (command, lines)
+
+
+def test_an_unbounded_differential_is_refused_before_the_comultiplication(tmp_path):
+    # D(w) = x^1000000000 has the wrong degree; substituting C into it first
+    # never returned from check or verify
+    doc = {
+        "base": {"generators": [{"name": "b", "degree": 3}]},
+        "fiber": {"generators": [{"name": "x", "degree": 2}, {"name": "w", "degree": 5}]},
+        "differential": {"w": [{"coeff": "1", "factors": [["w0", "x", 1000000000]]}]},
+    }
+    model_path, cert_path = write_with_certificate(tmp_path, doc)
+    for command, (stream, prefix, argv) in REPORTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibrewise", *argv(model_path, cert_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4, command
+        lines = {"out": proc.stdout, "err": proc.stderr}[stream].splitlines()
+        assert prefix + "differential: D(w) is not homogeneous of degree 6" in lines, (
+            command, lines)

@@ -11,8 +11,10 @@ from fibrewise import (
     check_homotopy_associative,
     check_hypotheses,
     validate_comultiplication,
+    validate_input,
     validate_relative_model,
 )
+from fibrewise import model as fmodel
 
 import util
 
@@ -88,6 +90,29 @@ def test_comultiplication_counit_violations():
     images["w5"] = images["w5"] + table.poly("w5")
     verdict = validate_comultiplication(model, Comultiplication(table, images))
     assert not verdict.ok and "counit" in verdict.failures[0]
+
+
+def test_validate_input_locates_the_first_invalid_part(monkeypatch):
+    model, comul = util.fixture_a()
+    table = model.table
+    calls = []
+    real = fmodel.validate_comultiplication
+    monkeypatch.setattr(fmodel, "validate_comultiplication",
+                        lambda *args: calls.append(args) or real(*args))
+    assert validate_input(model, comul).ok and len(calls) == 1
+    bad_c = Comultiplication(table, {**comul.images, "w3": table.poly("w3")})
+    verdict = validate_input(model, bad_c)
+    assert verdict.failures[0].startswith("comultiplication: C(w3) - w3 - w3' ")
+    assert len(calls) == 2
+    # the comultiplication is not checked until the differential passes:
+    # here its DG condition would substitute C into x^1000000000
+    table = GeneratorTable(base=[("b", 3)], fiber=[("x", 2), ("w", 5)])
+    power = Polynomial({((table.generator("w0", "x"), 1000000000),): 1})
+    model = RelativeModel(table, d_fiber={"w": power})
+    verdict = validate_input(model, Comultiplication.standard(table))
+    assert verdict.failures == ["differential: D(w) is not homogeneous of degree 6"]
+    assert verdict.witness == power
+    assert len(calls) == 2
 
 
 def test_comultiplication_dg_violation():
