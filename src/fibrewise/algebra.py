@@ -291,10 +291,14 @@ class Polynomial:
             raise AlgebraError("negative polynomial powers are not defined")
         if exponent == 0:
             return Polynomial.one()
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        result, square = None, self  # repeated squaring: one product per bit
+        while True:
+            if exponent & 1:
+                result = square if result is None else result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     def scale(self, value) -> Polynomial:
         if type(value) is not Fraction:

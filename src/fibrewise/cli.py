@@ -89,8 +89,7 @@ def _load_valid_model(path: str):
 
 
 def _cmd_check(args) -> int:
-    doc = _load_json(args.model)
-    model, comul = io.parse_model(doc, truncation_override=args.max_degree)
+    model, comul = io.parse_model(_load_json(args.model))
     verdict = validate_input(model, comul)
     print(f"truncation degree: {model.truncation}")
     if not verdict.ok:
@@ -170,16 +169,6 @@ def _cmd_perturb(args) -> int:
     return OK
 
 
-def _truncation_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"truncation degree {value} is below 1")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibrewise",
@@ -190,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a model document")
     p.add_argument("model")
-    p.add_argument("--max-degree", type=_truncation_arg, default=None,
-                   help="override the truncation degree for this run")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("cohomology", help="one cohomology slice of the base")

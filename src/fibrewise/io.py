@@ -13,7 +13,6 @@ even factors and drops a repeated odd one.
 from __future__ import annotations
 
 import json
-import os
 import re
 from fractions import Fraction
 from typing import Any, Mapping
@@ -35,16 +34,17 @@ from .certify import (
 from .model import (
     Comultiplication,
     RelativeModel,
-    default_truncation,
     # unused here, kept bound: perfbench/layertrace.py wraps them
     validate_comultiplication,
     validate_relative_model,
 )
 
-TRUNCATION_ENV = "FIBREWISE_TRUNCATION"
 MODEL_FORMAT = "fibrewise-model/1"
 CERTIFICATE_FORMAT = "fibrewise-certificate/1"
 RESULT_FORMAT = "fibrewise-result/1"
+# the top-level keys `model_to_document` writes, the only ones a model may have
+MODEL_KEYS = ("format", "truncation_degree", "base", "fiber", "differential",
+              "comultiplication")
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits, whole string
 
@@ -201,20 +201,6 @@ def _generator_spec(doc: Any, location: str) -> list[tuple[str, int]]:
     return spec
 
 
-def default_truncation_for(table: GeneratorTable) -> int:
-    """The environment override, else `model.default_truncation`."""
-    env = os.environ.get(TRUNCATION_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError(TRUNCATION_ENV, f"environment override {env!r} is not an integer")
-        if value < 1:
-            raise ParseError(TRUNCATION_ENV, f"environment override {env!r} is below 1")
-        return value
-    return default_truncation(table)
-
-
 def _spaces_to_doc(table: GeneratorTable, d_base: Mapping[str, Polynomial]) -> dict:
     """The base/fiber section that model and certificate documents share."""
     return {
@@ -247,21 +233,19 @@ def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str, table=None)
     return table, d_base
 
 
-def parse_model(
-    doc: Any, truncation_override: int | None = None
-) -> tuple[RelativeModel, Comultiplication]:
-    """Build a model and comultiplication; `model.validate_input` checks them."""
+def parse_model(doc: Any) -> tuple[RelativeModel, Comultiplication]:
+    """Build a model and comultiplication; `model.validate_input` checks them.
+    A document without `truncation_degree` gets `RelativeModel`'s default."""
     if not isinstance(doc, dict):
         raise ParseError("$", "model document must be an object")
     _require_format(doc, MODEL_FORMAT)
+    for key in doc:
+        if key not in MODEL_KEYS:
+            raise ParseError(key, "unknown key in a model document")
     table, d_base = _spaces_from_doc(doc, "", "generators")
     truncation = doc.get("truncation_degree")
     if truncation is not None and not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")
-    if truncation_override is not None:
-        truncation = truncation_override
-    if truncation is None:
-        truncation = default_truncation_for(table)
     d_fiber = _images_from_doc(table, "w0", doc.get("differential"), "differential")
     model = RelativeModel(table, d_base, d_fiber, truncation)
     images = _images_from_doc(table, "w0", doc.get("comultiplication"), "comultiplication")
@@ -333,9 +317,16 @@ def certificate_from_document(doc: Any, table: GeneratorTable | None = None
         if doc.get("certificate") is None:
             raise ParseError("certificate", "the result holds no certificate "
                                             f"(outcome {doc.get('outcome')!r})")
-        doc = doc["certificate"]
-        if not isinstance(doc, dict):
+        if not isinstance(doc["certificate"], dict):
             raise ParseError("certificate", "certificate document must be an object")
+        try:  # errors inside the wrapped certificate are located under it
+            return _read_certificate(doc["certificate"], table)
+        except ParseError as exc:
+            raise ParseError(f"certificate.{exc.location}", exc.message) from None
+    return _read_certificate(doc, table)
+
+
+def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> EquivalenceCertificate:
     _require_format(doc, CERTIFICATE_FORMAT)
     table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
     truncation = doc.get("truncation_degree")

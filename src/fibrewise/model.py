@@ -34,11 +34,6 @@ from .algebra import (
 from .dga import EngineError, FreeCDGA, Verdict
 
 
-def default_truncation(table: GeneratorTable) -> int:
-    degrees = [g.degree for g in table.base + table.fiber]
-    return 2 * max(degrees, default=1) + 2
-
-
 class RelativeModel:
     """The base algebra, the ordered fiber generators and the differential.
 
@@ -54,7 +49,9 @@ class RelativeModel:
         truncation: int | None = None,
     ):
         self.table = table
-        self.truncation = truncation if truncation is not None else default_truncation(table)
+        if truncation is None:  # the one default: twice the top generator degree, plus 2
+            truncation = 2 * max((g.degree for g in table.base + table.fiber), default=1) + 2
+        self.truncation = truncation
         self.d_base = {name: p for name, p in (d_base or {}).items() if p}
         self.d_fiber = {name: p for name, p in (d_fiber or {}).items() if p}
         for name in self.d_base:

@@ -482,3 +482,24 @@ def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
         "FAIL: step 0: recorded C(u) is not homogeneous of degree 2",
         "failed step: 0 (change_of_generators)",
     ]
+
+
+def test_a_large_power_of_t_in_a_homotopy_is_replayed_at_once(tmp_path):
+    # t has degree 0, so t^(10^9) * m passes every shape check and is
+    # evaluated at the endpoints as a power of a constant
+    doc = json.loads((GOLDEN / "exact_odd_excess.ls.json").read_text(encoding="utf-8"))
+    image = doc["certificate"]["steps"][0]["images"]["w"]
+    factors = [f for term in image for f in term["factors"] if f[:2] == ["interval", "t"]]
+    factors[0][2] = 10**9
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibrewise", "verify",
+         str(GOLDEN / "exact_odd_excess.model.json"), str(cert_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout.splitlines()[:2] == [
+        "FAIL: step 0: homotopy does not commute with the differentials at w",
+        "failed step: 0 (homotopy)",
+    ]

@@ -150,14 +150,36 @@ def test_parse_rejects_ks_violation():
     assert "ordered-basis" in verdict.failures[0] or "homogeneous" in verdict.failures[0]
 
 
-def test_default_truncation_and_env_override(monkeypatch):
+def test_default_truncation_and_env_override(tmp_path, monkeypatch, capsys):
+    # the document's field, else RelativeModel's default; the environment
+    # variable FIBREWISE_TRUNCATION was once a third source and is now ignored
     doc = fixture_a_doc()
     del doc["truncation_degree"]
     model, _ = fio.parse_model(doc)
     assert model.truncation == 2 * 5 + 2
-    monkeypatch.setenv(fio.TRUNCATION_ENV, "16")
-    model, _ = fio.parse_model(doc)
-    assert model.truncation == 16
+    assert fio.parse_model(fixture_a_doc())[0].truncation == 12
+    model_doc = json.loads((GOLDEN / "rt0_seed0_both.model.json").read_text(encoding="utf-8"))
+    del model_doc["truncation_degree"]
+    model_path = write(tmp_path, "model.json", model_doc)
+
+    def run(name):
+        out = tmp_path / name
+        codes = (run_command(["check", model_path]),
+                 run_command(["ls", model_path, "-o", str(out)]))
+        return codes, capsys.readouterr(), out.read_bytes()
+
+    capsys.readouterr()
+    unset = run("unset.json")
+    assert unset[0] == (0, 0)
+    assert b'"truncation_degree": 20,' in unset[2]
+    for i, value in enumerate(("", "ten", "30")):
+        monkeypatch.setenv("FIBREWISE_TRUNCATION", value)
+        assert fio.parse_model(model_doc)[0].truncation == 20, value
+        assert run(f"{i}.json") == unset, value
+        # a certificate written with the variable set verifies without it
+        monkeypatch.delenv("FIBREWISE_TRUNCATION")
+        assert run_command(["verify", model_path, str(tmp_path / f"{i}.json")]) == 0
+        assert capsys.readouterr().out.endswith("(up to degree 20)\n")
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
@@ -504,6 +526,8 @@ MALFORMED_MODELS = {
     "differential.nope": (["differential"], {"nope": []}),
     "differential.b3": (["differential"], {"b3": []}),
     "comultiplication.nope": (["comultiplication"], {"nope": []}),
+    # a model has the top-level keys the writer emits and no others
+    "name": (["name"], "fixture a"),
 }
 
 
@@ -564,35 +588,32 @@ def test_truncation_below_one_exits_4(tmp_path, monkeypatch, capsys):
     doc = fixture_a_doc()
     del doc["truncation_degree"]
     path = write(tmp_path, "a.json", doc)
-    monkeypatch.setenv(fio.TRUNCATION_ENV, "-3")
-    with pytest.raises(fio.ParseError) as err:
-        fio.parse_model(doc)
-    assert err.value.location == fio.TRUNCATION_ENV
-    assert run_command(["check", path]) == 4
-    assert f"ERROR: {fio.TRUNCATION_ENV}:" in capsys.readouterr().err
-    monkeypatch.delenv(fio.TRUNCATION_ENV)
-    assert run_command(["check", path, "--max-degree", "0"]) == 4
-    assert run_command(["check", path, "--max-degree", "1"]) == 0
+    # the environment is not read: a value below 1 there changes nothing
+    monkeypatch.setenv("FIBREWISE_TRUNCATION", "-3")
+    assert fio.parse_model(doc)[0].truncation == 12
+    capsys.readouterr()
+    assert run_command(["check", path]) == 0
+    assert capsys.readouterr().out.startswith("truncation degree: 12\n")
     for value in (0, -3):
-        with pytest.raises(fio.ParseError):
-            fio.parse_model(_with(fixture_a_doc(), ["truncation_degree"], value))
+        bad = _with(fixture_a_doc(), ["truncation_degree"], value)
+        with pytest.raises(fio.ParseError) as err:
+            fio.parse_model(bad)
+        assert err.value.location == "truncation_degree"
+        assert run_command(["check", write(tmp_path, "bad.json", bad)]) == 4
+        assert "ERROR: truncation_degree: must be a positive integer" \
+            in capsys.readouterr().err
+    assert run_command(["check", write(tmp_path, "one.json",
+                                       _with(fixture_a_doc(), ["truncation_degree"], 1))]) == 0
 
 
-def test_non_integer_truncation_override_exits_4(tmp_path, monkeypatch, capsys):
-    doc = fixture_a_doc()
-    del doc["truncation_degree"]
-    path = write(tmp_path, "a.json", doc)
-    monkeypatch.setenv(fio.TRUNCATION_ENV, "ten")
-    assert run_command(["check", path]) == 4
-    assert f"ERROR: {fio.TRUNCATION_ENV}: environment override 'ten' is not an integer" \
-        in capsys.readouterr().err
-    monkeypatch.delenv(fio.TRUNCATION_ENV)
-    assert run_command(["check", path, "--max-degree", "ten"]) == 4
-    assert "'ten' is not an integer" in capsys.readouterr().err
-    # a valid override does not excuse an invalid document field
-    doc["truncation_degree"] = "ten"
-    path = write(tmp_path, "a.json", doc)
+def test_non_integer_truncation_override_exits_4(tmp_path, capsys):
+    path = write(tmp_path, "a.json", fixture_a_doc())
+    capsys.readouterr()
+    # check has no option to override the degree
     assert run_command(["check", path, "--max-degree", "12"]) == 4
+    assert "unrecognized arguments: --max-degree 12" in capsys.readouterr().err
+    path = write(tmp_path, "ten.json", _with(fixture_a_doc(), ["truncation_degree"], "ten"))
+    assert run_command(["check", path]) == 4
     assert "ERROR: truncation_degree: must be a positive integer" \
         in capsys.readouterr().err
 
@@ -652,6 +673,24 @@ def test_cli_verify_refuses_a_truncation_other_than_the_models(tmp_path, capsys,
     assert capsys.readouterr().out.splitlines() == out
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (["truncation_degree"], "x", "truncation_degree: must be a positive integer"),
+    (["steps", 0, "kind"], "nope", "steps[0].kind: unknown step kind 'nope'"),
+    (["model", "base"], 5, "model.base: expected an object"),
+])
+def test_errors_in_a_wrapped_certificate_are_located_under_it(tmp_path, capsys, path,
+                                                               value, message):
+    doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    _with(doc["certificate"], path, value)
+    with pytest.raises(fio.ParseError) as err:
+        fio.certificate_from_document(doc)
+    assert str(err.value) == "certificate." + message
+    capsys.readouterr()
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
+                        write(tmp_path, "result.json", doc)]) == 4
+    assert capsys.readouterr().err == f"ERROR: certificate.{message}\n"
+
+
 def test_a_document_of_another_kind_is_refused_at_format(tmp_path, capsys):
     # before, a result read as a model was an empty model that hopf called
     # fibrewise trivial, and a result without a certificate was read as a
@@ -668,7 +707,8 @@ def test_a_document_of_another_kind_is_refused_at_format(tmp_path, capsys):
         (["hopf", ladder_result], f"{model_format}, got 'fibrewise-result/1'"),
         (["check", cert], f"{model_format}, got 'fibrewise-certificate/1'"),
         (["verify", ladder_model, ladder_model], f"{cert_format}, got 'fibrewise-model/1'"),
-        (["verify", ladder_model, wrapped], f"{cert_format}, got 'fibrewise-model/1'"),
+        (["verify", ladder_model, wrapped],
+         f"certificate.{cert_format}, got 'fibrewise-model/1'"),
         (["verify", str(GOLDEN / "fixture_a.model.json"),
           str(GOLDEN / "fixture_a.hopf-force.json")],
          "certificate: the result holds no certificate (outcome 'obstructed')"),
@@ -688,10 +728,11 @@ def test_documents_without_a_format_are_still_read(tmp_path, capsys):
     for cert in (result, result["certificate"]):
         assert run_command(["verify", model_path, write(tmp_path, "c.json", cert)]) == 0
         assert capsys.readouterr().out.startswith("certificate verified: ")
-    # unknown top-level keys are not refused: this document reads as an
-    # empty model
-    assert run_command(["check", str(GOLDEN / "exit_codes.json")]) == 0
-    assert "valid" in capsys.readouterr().out
+    # a missing format does not excuse an unknown top-level key: this
+    # document once read as an empty model
+    assert run_command(["check", str(GOLDEN / "exit_codes.json")]) == 4
+    assert capsys.readouterr().err == \
+        "ERROR: exact_odd_excess.hopf.json: unknown key in a model document\n"
 
 
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])
