@@ -25,9 +25,10 @@ dimension is the convolution of the components' (`cohomology_dimension`),
 with no matrix of the whole algebra.  A factor with d = 0 (a lone generator
 in no differential; the polynomial base of BG splits into one per
 generator) has H = Lambda, so its dimensions are read off the Poincare
-series (`algebra.poincare_series`): it never builds a basis, a
-matrix or an elimination.  Only a degree with classes needs the algebra's
-cohomology slice, which is always built from the per-degree record.
+series (`algebra.poincare_series`), counted only up to the degrees asked
+for: it never builds a basis, a matrix or an elimination.  Only a degree
+with classes needs the algebra's cohomology slice, which is always built
+from the per-degree record.
 
 A cycle's coordinates in the cycle basis are its entries at the free
 columns, so boundaries and decomposed cycles are written in cycle
@@ -283,16 +284,22 @@ class FreeCDGA:
 
     def _dimension(self, degree: int) -> int:
         """dim H^degree of this algebra alone.  With d = 0 it is the Poincare
-        series coefficient, the series counted once per algebra and refused
-        above the truncation like `basis`.  Otherwise it is dim
+        series coefficient, refused above the truncation like `basis`.  The
+        series is counted only up to the degrees asked for, at least doubled
+        when a higher one is asked, so the pipelines' scan up to N0
+        (`normalize._screen`) costs O(N0 x generators) whatever the
+        truncation.  Otherwise it is dim
         Lambda^degree - rank d_degree - rank d_(degree-1), the ranks read off
         the eliminations once d_degree d_(degree-1) = 0 is checked exactly,
         cached per degree."""
         if not self.diff:
             self._require_truncated(degree)
-            if self._series is None:
-                self._series = poincare_series(self.gens, self.truncation)
-            return self._series[degree] if degree >= 0 else 0
+            if degree < 0:
+                return 0
+            if self._series is None or degree >= len(self._series):
+                top = max(degree, 2 * len(self._series or ()))
+                self._series = poincare_series(self.gens, min(top, self.truncation))
+            return self._series[degree]
         record = self._degree(degree)
         if record.dimension is None:
             here = self._d_columns(degree)

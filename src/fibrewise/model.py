@@ -300,21 +300,26 @@ def validate_input(model: RelativeModel, comul: Comultiplication) -> Verdict:
     return Verdict.failed(f"{part}: {verdict.failures[0]}", verdict.witness)
 
 
-def check_hypotheses(model: RelativeModel) -> HypothesisReport:
-    """Scan for odd base cohomology and even fiber generators.
+def check_hypotheses(model: RelativeModel, top: int | None = None) -> HypothesisReport:
+    """Scan for odd base cohomology below degree `top` (default: the
+    truncation) and for even fiber generators.
 
-    Each odd degree below the truncation is counted by the exact ranks of
-    the base algebra's tensor factors, convolved
-    (`FreeCDGA.cohomology_dimension`); a factor with d = 0, such as each
-    generator of a polynomial base with no differential, is read off its
-    Poincare series instead, with no basis or elimination.  Only a degree
-    with classes has them computed, by the base's cohomology slice.  The
-    counts are cached on the factors, so a repeated scan of one model is
-    free.
+    The pipelines pass `top` = N0 + 1, where N0 = max|w| + 1 - min|w| over
+    the fiber generators w is the highest degree a base coefficient they
+    split can take (`normalize._screen`), so their report says whether the
+    hypotheses hold in every degree a coefficient of the model can take.
+    Each odd degree is counted by the exact ranks of the base algebra's
+    tensor factors, convolved (`FreeCDGA.cohomology_dimension`); a factor
+    with d = 0, such as each generator of a polynomial base with no
+    differential, is read off its Poincare series instead, counted only up
+    to the degrees asked for, with no basis or elimination: O(N0 x
+    generators) for the pipelines' scan.  Only a degree with classes has
+    them computed, by the base's cohomology slice.  The counts are cached on
+    the factors, so a repeated scan of one model is free.
     """
     report = HypothesisReport()
     base = model.base_cdga()
-    for degree in range(1, model.truncation, 2):
+    for degree in range(1, model.truncation if top is None else top, 2):
         if base.cohomology_dimension(degree):
             report.odd_cohomology_violations.append(
                 (degree, base.cohomology_slice(degree).complement)

@@ -237,10 +237,19 @@ def hopf_stage_higher(model, comul):
 
 def _screen(model, comul) -> HypothesisReport:
     """Validate the input, then scan the hypotheses.  Both pipelines run this
-    first, so invalid input outranks every later answer."""
+    first, so invalid input outranks every later answer.
+
+    The odd base degrees scanned are those a split coefficient can take.
+    D(w) has degree |w| + 1 and no pure-base term, so each of its terms
+    carries a fiber factor of degree at least min|w|; an excess lies in the
+    mixed part, with a factor in each copy.  Changes of generators and DG
+    homotopies keep both shapes.  So every coefficient has degree at most
+    N0 = max|w| + 1 - min|w|, over the fiber generators w, and the scan
+    stops there: odd classes above N0 never meet a step."""
     truncation_verdict(model).or_raise(InvalidModelError)
     validate_input(model, comul).or_raise(InvalidModelError)
-    return check_hypotheses(model)
+    degrees = [gen.degree for gen in model.table.fiber]
+    return check_hypotheses(model, max(degrees) + 2 - min(degrees) if degrees else 1)
 
 
 def _run_stages(model, comul, report: HypothesisReport, stages) -> NormalizationResult:

@@ -16,6 +16,9 @@ from fibrewise.model import validate_input
 
 import util
 
+# what `check` and `verify` say they checked, after their first words
+VERIFIED = "(checked on the generators; Leibniz extends the identities to every degree)\n"
+
 
 def fixture_a_doc():
     return {
@@ -179,12 +182,15 @@ def test_default_truncation_and_env_override(tmp_path, monkeypatch, capsys):
         # a certificate written with the variable set verifies without it
         monkeypatch.delenv("FIBREWISE_TRUNCATION")
         assert run_command(["verify", model_path, str(tmp_path / f"{i}.json")]) == 0
-        assert capsys.readouterr().out.endswith("(up to degree 20)\n")
+        out = capsys.readouterr().out
+        assert out.startswith("certificate verified: ") and out.endswith(VERIFIED)
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "a.json", fixture_a_doc())
     assert run_command(["check", path]) == 0
+    assert capsys.readouterr().out == ("truncation degree: 12\n"
+                                       "model and comultiplication are valid " + VERIFIED)
     bad = fixture_a_doc()
     bad["differential"]["w5"][0]["coeff"] = "1/0"
     bad_path = write(tmp_path, "bad.json", bad)
@@ -656,7 +662,7 @@ def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("truncation, code, out", [
-    (None, 0, ["certificate verified: 4 steps replayed (up to degree 24)"]),
+    (None, 0, ["certificate verified: 4 steps replayed " + VERIFIED.rstrip()]),
     (1000, 4, ["FAIL: certificate truncation degree 1000 differs from the model's 24"]),
     (1, 4, ["FAIL: certificate truncation degree 1 differs from the model's 24"]),
 ])
