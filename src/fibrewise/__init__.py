@@ -29,7 +29,6 @@ from .certify import (
     verify_homotopy,
 )
 from .dga import (
-    CohomologySlice,
     EngineError,
     FreeCDGA,
     Verdict,
@@ -51,8 +50,6 @@ from .normalize import (
     NormalizationResult,
     Obstruction,
     hopf_normalize,
-    hopf_stage_higher,
-    hopf_stage_linear,
     ls_normalize,
 )
 from .perturb import PerturbationError, PerturbationSpec, perturb
@@ -61,7 +58,6 @@ from .propsolver import (
     apply_map,
     basic_form_element,
     brute_force_solution_space,
-    lemma_kernel,
     solve_basic_form,
 )
 

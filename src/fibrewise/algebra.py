@@ -20,9 +20,6 @@ factors arrive unordered: the fallback of document parsing
 (`io.polynomial_from_doc`, for a term not written in canonical order), the
 coefficient lookup `propsolver.leading_prime_coefficient` and the other
 factor lists of `propsolver`.
-
-`poincare_series` counts the basis of every degree at once from the
-generators' degrees alone, so a size is known without enumerating a basis.
 """
 
 from __future__ import annotations
@@ -571,22 +568,3 @@ def _suffix_monomials(
                 gens, index + 1, degree - exp * gen.degree, memo))
         memo[(index, degree)] = found
     return found
-
-
-def poincare_series(gens: Sequence[Generator], top: int) -> list[int]:
-    """The coefficients in degrees 0..top of the Poincare series
-    prod_odd (1 + t^d) * prod_even 1/(1 - t^d) of the free algebra on `gens`:
-    entry k is the number of degree-k monomials, len(monomial_basis(k,
-    gens)).  Integer arithmetic in O(top * len(gens)), no enumeration."""
-    series = [1] + [0] * top
-    for gen in gens:
-        step = gen.degree
-        if step == 0:
-            raise AlgebraError("cannot count a basis over the degree-0 generator 't'")
-        if gen.is_odd:  # times 1 + t^step: descending, so each n adds the old n - step
-            for n in range(top, step - 1, -1):
-                series[n] += series[n - step]
-        else:  # times 1/(1 - t^step): ascending, so each n adds the new n - step
-            for n in range(step, top + 1):
-                series[n] += series[n - step]
-    return series

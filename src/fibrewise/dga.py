@@ -15,20 +15,13 @@ cycles of degree k (its kernel basis, vector j equal to 1 at free column j
 and 0 at the other free columns) and the preimages of degree k+1 targets,
 so each degree is eliminated at most once per algebra.
 
-The dimension of H^k is counted one tensor factor at a time.  The
-generators split into connected components, two joined when one occurs in
-the other's differential; each component is a sub-algebra closed under d,
-and the algebra is their tensor product, so H = (x) H(component) by
-Kuenneth.  On a component, dim H^k = dim Lambda^k - rank d_k - rank
-d_(k-1) once d_k d_(k-1) = 0 is checked exactly, and the algebra's
-dimension is the convolution of the components' (`cohomology_dimension`),
-with no matrix of the whole algebra.  A factor with d = 0 (a lone generator
-in no differential; the polynomial base of BG splits into one per
-generator) has H = Lambda, so its dimensions are read off the Poincare
-series (`algebra.poincare_series`), counted only up to the degrees asked
-for: it never builds a basis, a matrix or an elimination.  Only a degree
-with classes needs the algebra's cohomology slice, which is always built
-from the per-degree record.
+dim H^k is counted on the algebra itself, from the same records: dim
+Lambda^k - rank d_k - rank d_(k-1) once d_k d_(k-1) = 0 is checked exactly
+(`cohomology_dimension`).  So the eliminations that count a degree are the
+ones that later solve and split in it.  An algebra with d = 0 (such as the
+polynomial base of BG) has H = Lambda, read off the basis size with no
+matrix or elimination.  Only a degree with classes needs the algebra's
+cohomology slice, which is always built from the per-degree record.
 
 A cycle's coordinates in the cycle basis are its entries at the free
 columns, so boundaries and decomposed cycles are written in cycle
@@ -56,7 +49,6 @@ from .algebra import (
     Monomial,
     Polynomial,
     apply_images,  # unused here, kept bound: perfbench/layertrace.py wraps it
-    poincare_series,
 )
 
 
@@ -174,8 +166,6 @@ class FreeCDGA:
         self.truncation = truncation
         self._d_mono_cache: dict[Monomial, Polynomial] = {}
         self._degrees: dict[int, _Degree] = {}
-        self._components: tuple[FreeCDGA, ...] | None = None
-        self._series: list[int] | None = None  # dim H^k when d = 0
 
     # -- differential --------------------------------------------------------
 
@@ -250,56 +240,16 @@ class FreeCDGA:
             record.elimination = linalg.eliminate(self._d_columns(degree))
         return record.elimination
 
-    def components(self) -> tuple[FreeCDGA, ...]:
-        """The tensor factors on connected components of the generators, two
-        joined when one occurs in the other's differential, each with the
-        restricted differential and the same truncation; built once.  An
-        algebra with at most one component is its own one factor."""
-        if self._components is None:
-            parent = {g.id: g.id for g in self.gens}
-
-            def root(gid: int) -> int:
-                while parent[gid] != gid:
-                    parent[gid] = gid = parent[parent[gid]]
-                return gid
-
-            for gid, image in self.diff.items():
-                for mono in image.terms:
-                    for gen, _ in mono:
-                        if gen.id in parent:
-                            parent[root(gen.id)] = root(gid)
-            groups: dict[int, list[Generator]] = {}
-            # self.gens is sorted: so is each group, and the groups follow
-            # their first generators
-            for gen in self.gens:
-                groups.setdefault(root(gen.id), []).append(gen)
-            # one component is stored as () so the algebra holds no cycle
-            self._components = () if len(groups) <= 1 else tuple(
-                FreeCDGA(self.table, group,
-                         {g.id: self.diff[g.id] for g in group if g.id in self.diff},
-                         self.truncation)
-                for group in groups.values()
-            )
-        return self._components or (self,)
-
-    def _dimension(self, degree: int) -> int:
-        """dim H^degree of this algebra alone.  With d = 0 it is the Poincare
-        series coefficient, refused above the truncation like `basis`.  The
-        series is counted only up to the degrees asked for, at least doubled
-        when a higher one is asked, so the pipelines' scan up to N0
-        (`normalize._screen`) costs O(N0 x generators) whatever the
-        truncation.  Otherwise it is dim
-        Lambda^degree - rank d_degree - rank d_(degree-1), the ranks read off
-        the eliminations once d_degree d_(degree-1) = 0 is checked exactly,
-        cached per degree."""
+    def cohomology_dimension(self, degree: int) -> int:
+        """dim H^degree.  With d = 0 it is the basis size, refused above the
+        truncation like `basis`, with no matrix or elimination.  Otherwise it
+        is dim Lambda^degree - rank d_degree - rank d_(degree-1), the ranks
+        read off the per-degree eliminations once d_degree d_(degree-1) = 0
+        is checked exactly (`EngineError` if not), cached per degree; d_degree
+        needs the basis of degree + 1, so this is refused from the
+        truncation on."""
         if not self.diff:
-            self._require_truncated(degree)
-            if degree < 0:
-                return 0
-            if self._series is None or degree >= len(self._series):
-                top = max(degree, 2 * len(self._series or ()))
-                self._series = poincare_series(self.gens, min(top, self.truncation))
-            return self._series[degree]
+            return len(self.basis(degree))
         record = self._degree(degree)
         if record.dimension is None:
             here = self._d_columns(degree)
@@ -309,25 +259,6 @@ class FreeCDGA:
             record.dimension = (len(record.basis) - len(self._elimination(degree).pivots)
                                 - len(self._elimination(degree - 1).pivots))
         return record.dimension
-
-    def cohomology_dimension(self, degree: int) -> int:
-        """dim H^degree: the degree-`degree` coefficient of the product of
-        the components' Poincare series (Kuenneth), the last component read
-        only where the others' coefficient is nonzero.  Raises `EngineError`
-        when d*d != 0 in a degree it reads.  With one component this is
-        exactly its `_dimension(degree)`."""
-        *factors, last = self.components()
-        series = {0: 1}  # the nonzero coefficients of the factors so far
-        for factor in factors:
-            product: dict[int, int] = {}
-            for j in range(degree + 1):
-                dim = factor._dimension(j)
-                if dim:
-                    for i, coeff in series.items():
-                        if i + j <= degree:
-                            product[i + j] = product.get(i + j, 0) + coeff * dim
-            series = product
-        return sum(coeff * last._dimension(degree - i) for i, coeff in series.items())
 
     def cohomology_slice(self, degree: int) -> CohomologySlice:
         record = self._degree(degree)

@@ -308,14 +308,13 @@ def check_hypotheses(model: RelativeModel, top: int | None = None) -> Hypothesis
     the fiber generators w is the highest degree a base coefficient they
     split can take (`normalize._screen`), so their report says whether the
     hypotheses hold in every degree a coefficient of the model can take.
-    Each odd degree is counted by the exact ranks of the base algebra's
-    tensor factors, convolved (`FreeCDGA.cohomology_dimension`); a factor
-    with d = 0, such as each generator of a polynomial base with no
-    differential, is read off its Poincare series instead, counted only up
-    to the degrees asked for, with no basis or elimination: O(N0 x
-    generators) for the pipelines' scan.  Only a degree with classes has
-    them computed, by the base's cohomology slice.  The counts are cached on
-    the factors, so a repeated scan of one model is free.
+    Each odd degree is counted by one rank count on the base algebra
+    (`FreeCDGA.cohomology_dimension`), read off the basis size when d = 0.
+    The eliminations it makes fill the base's own per-degree records, which
+    the steps' base solves then read instead of eliminating again.  Only a
+    degree with classes has them computed, by the base's cohomology slice.
+    The counts are cached on the base, so a repeated scan of one model is
+    free.
     """
     report = HypothesisReport()
     base = model.base_cdga()

@@ -15,10 +15,10 @@ increasing index sequences I, where S_I = C0(w_I) is the product of the
 binomials w_i + w'_i.  The shape theorem is proved only for r >= 3;
 `solve_basic_form` also takes r = 2, where its exact reconstruction check
 alone decides, and `verify` checks whatever a pipeline builds on the
-result.  Every closed form here is checked exactly, and a failed check
-raises, it is never a warning: `solve_basic_form`, the one the pipelines
-call, by reconstructing its input from the coefficients it read off;
-`lemma_kernel` against a brute-force kernel computation.
+result.  `solve_basic_form`, the one closed form the pipelines call, is
+checked exactly by reconstructing its input from the coefficients it read
+off, and a failed check raises, it is never a warning.
+`brute_force_solution_space` is the independent oracle of the identity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .algebra import (
     monomial_word_length,
     normalize_monomial,
 )
-from .dga import EngineError
 from .model import Comultiplication
 
 MAP_NAMES = ("alpha", "beta", "gamma", "delta")
@@ -78,9 +77,15 @@ def apply_map(table: GeneratorTable, which: str, chi: Polynomial) -> Polynomial:
     return apply_images(map_images(table, which), chi)
 
 
+_IDENTITY_TERMS = (("alpha", 1), ("beta", 1), ("gamma", -1), ("delta", -1))
+
+
 def identity_residual(table: GeneratorTable, chi: Polynomial) -> Polynomial:
     """alpha(chi) + beta(chi) - gamma(chi) - delta(chi)."""
-    return _condition_image(table, "alpha+beta=gamma+delta", chi)
+    out = Polynomial.zero()
+    for which, factor in _IDENTITY_TERMS:
+        out = out + apply_map(table, which, chi).scale(factor)
+    return out
 
 
 def subscript_sequence(table: GeneratorTable, mono: Monomial) -> tuple[int, ...]:
@@ -190,100 +195,19 @@ def solve_basic_form(
 # -- brute-force oracles ------------------------------------------------------
 
 
-_CONDITION_TERMS = {
-    "beta=gamma": (("beta", 1), ("gamma", -1)),
-    "beta=0": (("beta", 1),),
-    "beta=delta": (("beta", 1), ("delta", -1)),
-    "alpha+beta=gamma": (("alpha", 1), ("beta", 1), ("gamma", -1)),
-    "beta=gamma+delta": (("beta", 1), ("gamma", -1), ("delta", -1)),
-    "alpha+beta=gamma+delta": (
-        ("alpha", 1),
-        ("beta", 1),
-        ("gamma", -1),
-        ("delta", -1),
-    ),
-}
-
-
-def _condition_image(table: GeneratorTable, condition: str, p: Polynomial) -> Polynomial:
-    out = Polynomial.zero()
-    for which, factor in _CONDITION_TERMS[condition]:
-        out = out + apply_map(table, which, p).scale(factor)
-    return out
-
-
-def _kernel_of_condition(
-    table: GeneratorTable, condition: str, span: Sequence[Polynomial]
+def _polynomial_kernel(
+    images: Sequence[Polynomial], span: Sequence[Polynomial]
 ) -> list[Polynomial]:
-    """Kernel of a map-condition restricted to the span of given elements,
-    by exact elimination in cube coordinates."""
-    columns = _polynomial_span_matrix(
-        [_condition_image(table, condition, p) for p in span]
-    )
+    """The kernel of the linear map sending span[j] to images[j], as
+    combinations of `span`, by exact elimination in the coordinates of the
+    monomials the images use."""
     out = []
-    for vec in linalg.eliminate(columns).kernel:
+    for vec in linalg.eliminate(_polynomial_span_matrix(images)).kernel:
         combo = Polynomial.zero()
         for j, val in vec.items():
             combo = combo + span[j].scale(val)
         out.append(combo)
     return out
-
-
-def _sequence_span(
-    table: GeneratorTable, fiber_gens: Sequence[Generator]
-) -> list[Polynomial]:
-    """All tensor-square monomials with the exact index multiset of
-    `fiber_gens` (one copy-0/copy-1 assignment per factor)."""
-    span = []
-    n = len(fiber_gens)
-    for mask in range(2**n):
-        bits = [(mask >> i) & 1 for i in range(n)]
-        factors = [(table.copy(g, bits[i]), 1) for i, g in enumerate(fiber_gens)]
-        mono, sign = normalize_monomial(factors)
-        if sign == 0:
-            continue
-        poly = Polynomial({mono: Fraction(sign)})
-        if not any(p == poly for p in span):
-            span.append(poly)
-    return span
-
-
-def lemma_kernel(
-    table: GeneratorTable,
-    condition: str,
-    fiber_gens: Sequence[Generator],
-) -> list[Polynomial]:
-    """Solution space of one linear map-condition on elements supported on a
-    strictly increasing index sequence, with scalar coefficients.
-
-    (Arbitrary base coefficients split into independent scalar problems, so
-    the scalar kernels determine the general ones.)  The closed form is
-    computed first and compared against the brute-force kernel; any
-    disagreement is a hard failure.
-    """
-    if condition not in _CONDITION_TERMS:
-        raise AlgebraError(f"unknown kernel condition {condition!r}")
-    names = [g.name for g in fiber_gens]
-    if len(set(names)) != len(names):
-        raise AlgebraError("index sequence must be strictly increasing")
-    closed: list[Polynomial]
-    if condition == "beta=gamma":
-        closed = [binomial_product(table, fiber_gens)]
-    elif condition == "beta=0":
-        closed = []
-    elif condition == "beta=delta":
-        closed = [copy_product(table, fiber_gens, 1)]
-    elif condition == "alpha+beta=gamma":
-        closed = [binomial_product(table, fiber_gens) - copy_product(table, fiber_gens, 0)]
-    else:  # beta=gamma+delta
-        closed = [binomial_product(table, fiber_gens) - copy_product(table, fiber_gens, 1)]
-    span = _sequence_span(table, fiber_gens)
-    brute = _kernel_of_condition(table, condition, span)
-    if not _same_polynomial_span(closed, brute):
-        raise EngineError(
-            f"closed-form kernel for {condition} on {names} disagrees with brute force"
-        )
-    return closed
 
 
 def _polynomial_span_matrix(polys: Sequence[Polynomial]) -> list[linalg.Vector]:
@@ -322,8 +246,8 @@ def brute_force_solution_space(
     index pool) satisfying alpha + beta = gamma + delta, by assembling the
     full linear system over the monomial basis and eliminating exactly.
 
-    Independent of solve_basic_form and the lemma kernels: this is the
-    oracle they are checked against.
+    Independent of solve_basic_form: this is the oracle it is checked
+    against.
     """
     span: list[Polynomial] = []
     degree_pool = sorted(pool, key=lambda g: g.sort_key)
@@ -356,4 +280,4 @@ def brute_force_solution_space(
             f"brute-force basis of {len(span)} monomials exceeds the documented "
             f"limit of {BRUTE_FORCE_LIMIT}"
         )
-    return _kernel_of_condition(table, "alpha+beta=gamma+delta", span)
+    return _polynomial_kernel([identity_residual(table, p) for p in span], span)

@@ -48,7 +48,6 @@ from fibrewise import (
     conjugate,
     hopf_normalize,
     invert,
-    lemma_kernel,
     ls_normalize,
     normalize_monomial,
     validate_comultiplication,
@@ -268,7 +267,7 @@ def test_criterion_6_lemma_kernels():
         for combo in itertools.combinations(gens, size):
             for condition in conditions:
                 # lemma_kernel raises on any closed-form/brute-force mismatch
-                lemma_kernel(table, condition, list(combo))
+                util.lemma_kernel(table, condition, list(combo))
                 checked += 1
     elapsed = time.perf_counter() - start
     _report(6, f"{checked} kernel comparisons, {elapsed:.1f}s")

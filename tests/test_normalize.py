@@ -15,8 +15,6 @@ from fibrewise import (
     RelativeModel,
     conjugate,
     hopf_normalize,
-    hopf_stage_higher,
-    hopf_stage_linear,
     ls_normalize,
     perturb,
     verify_equivalence,
@@ -25,6 +23,7 @@ from fibrewise import io, normalize
 from fibrewise.certify import snapshot
 from fibrewise.dga import EngineError, FreeCDGA
 from fibrewise.model import check_homotopy_associative
+from fibrewise.normalize import hopf_stage_higher, hopf_stage_linear
 
 import util
 

@@ -13,7 +13,6 @@ from fibrewise import (
     apply_map,
     basic_form_element,
     brute_force_solution_space,
-    lemma_kernel,
     solve_basic_form,
 )
 from fibrewise import propsolver
@@ -24,6 +23,8 @@ from fibrewise.propsolver import (
     identity_residual,
     polynomial_span_contains,
 )
+
+import util
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +132,13 @@ def test_mixed_tensor_validation(table):
 def test_lemma_kernels_closed_forms(table):
     w1 = table.generator("w0", "w1")
     one_seq = [w1]
-    assert lemma_kernel(table, "beta=gamma", one_seq) == [binomial_product(table, one_seq)]
-    assert lemma_kernel(table, "beta=0", one_seq) == []
-    assert lemma_kernel(table, "beta=delta", one_seq) == [copy_product(table, one_seq, 1)]
-    sol = lemma_kernel(table, "alpha+beta=gamma", one_seq)
+    assert util.lemma_kernel(table, "beta=gamma", one_seq) == [binomial_product(table, one_seq)]
+    assert util.lemma_kernel(table, "beta=0", one_seq) == []
+    assert util.lemma_kernel(table, "beta=delta", one_seq) == [copy_product(table, one_seq, 1)]
+    sol = util.lemma_kernel(table, "alpha+beta=gamma", one_seq)
     assert sol == [binomial_product(table, one_seq) - copy_product(table, one_seq, 0)]
     assert sol[0] == table.poly("w1", copy=1)  # a' w' = a'(S - w)
-    assert lemma_kernel(table, "beta=gamma+delta", one_seq) == [
+    assert util.lemma_kernel(table, "beta=gamma+delta", one_seq) == [
         binomial_product(table, one_seq) - copy_product(table, one_seq, 1)
     ]
 
@@ -151,7 +152,7 @@ def test_lemma_kernels_match_brute_force_for_all_small_sequences(table):
     for size in range(1, 5):
         for combo in itertools.combinations(gens, size):
             for condition in conditions:
-                lemma_kernel(table, condition, list(combo))
+                util.lemma_kernel(table, condition, list(combo))
 
 
 def test_brute_force_r3_full_pool():

@@ -1,5 +1,6 @@
-"""The odd-degree hypothesis scan: exact ranks per tensor factor count
-dim H^k, and a cohomology slice is built only in a degree with classes."""
+"""The odd-degree hypothesis scan: exact ranks on the base count dim H^k,
+a cohomology slice is built only in a degree with classes, and the steps
+reuse the scan's eliminations."""
 
 import json
 import random
@@ -10,17 +11,20 @@ import pytest
 
 from fibrewise import (
     AlgebraError,
+    Comultiplication,
     EngineError,
     FreeCDGA,
     GeneratorTable,
     Polynomial,
+    PerturbationSpec,
     RelativeModel,
     check_hypotheses,
     linalg,
     normalize_monomial,
+    perturb,
 )
 from fibrewise import io as fio
-from fibrewise.algebra import poincare_series
+from fibrewise.normalize import _screen, hopf_stage_higher, hopf_stage_linear
 
 import util
 
@@ -43,8 +47,7 @@ def _oracle(model):
 
 def _slices_built(monkeypatch, model):
     """check_hypotheses on `model`, with the (generator names, degree) of
-    every cohomology slice it built: on the base algebra or on one of its
-    tensor factors."""
+    every cohomology slice it built, on any algebra."""
     built = []
     real = FreeCDGA.cohomology_slice
 
@@ -237,7 +240,7 @@ def test_scan_raises_when_d_squared_is_nonzero():
         base.cohomology_dimension(3)
 
 
-# -- the dimension per tensor factor (Kuenneth) ------------------------------------
+# -- the rank count on the whole base ----------------------------------------------
 
 
 def _vanishes_mod_p(model):
@@ -266,12 +269,11 @@ def test_bound_is_at_least_the_slice_dimension_in_every_degree():
             assert base.cohomology_dimension(degree) == dim, degree
             degrees += 1
         vanishing += _vanishes_mod_p(model)
-    assert heisenberg.base_cdga().components() == (heisenberg.base_cdga(),)
     assert degrees > 400 and vanishing > 0, (degrees, vanishing)
 
 
 def test_one_component_scan_leaves_its_eliminations_to_slices_and_preimages(monkeypatch):
-    # on one component the scan's ranks come from the base's own records
+    # the scan's ranks come from the base's own records
     model = _heisenberg_base()
     base = model.base_cdga()
     assert not check_hypotheses(model).satisfied
@@ -287,12 +289,11 @@ def test_one_component_scan_leaves_its_eliminations_to_slices_and_preimages(monk
 
 
 def test_one_component_bound_raises_when_d_squared_is_nonzero():
-    # dx = y, dy = x^2 joins x and y into one component; in degree 3 the
-    # ranks (1 and 1) exceed the dimension 1, and d(d(x)) = x^2
+    # dx = y, dy = x^2 in one component; in degree 3 the ranks (1 and 1)
+    # exceed the dimension 1, and d(d(x)) = x^2
     table = GeneratorTable(base=[("x", 2), ("y", 3)], fiber=[])
     d_base = {"x": table.poly("y"), "y": table.poly("x") ** 2}
     base = RelativeModel(table, d_base=d_base, truncation=8).base_cdga()
-    assert base.components() == (base,)
     assert base.cohomology_dimension(1) == 0
     with pytest.raises(EngineError, match="outside the cycle space"):
         base.cohomology_dimension(3)
@@ -300,34 +301,37 @@ def test_one_component_bound_raises_when_d_squared_is_nonzero():
         check_hypotheses(RelativeModel(table, d_base=d_base, truncation=4))
 
 
-def test_wide_base_scan_never_assembles_the_whole_base(monkeypatch):
-    model = util.wide_base_model()
-    base = model.base_cdga()
-    assembled, sizes = [], []
-    real_columns, real_basis = FreeCDGA._d_columns, FreeCDGA.basis
+def _basescan_perturbation():
+    """The first seeded change-of-generators perturbation of the wide base,
+    fiber (u3, v5, z7, w9), with D nonzero on exactly two fiber generators,
+    as the basescan benchmark draws them."""
+    model = util.wide_base_model(fiber=[("u", 3), ("v", 5), ("z", 7), ("w", 9)])
+    std = Comultiplication.standard(model.table)
+    for seed in range(50):
+        pm, pc = perturb(model, std, PerturbationSpec(
+            seed, max_word_length=3, mode="change-of-generators"))
+        if sum(1 for gen in pm.table.fiber if pm.D(gen)) == 2:
+            return pm, pc
+    raise AssertionError("no perturbation with D on two fiber generators")
 
-    def columns(self, degree):
-        assembled.append(len(self.gens))
-        return real_columns(self, degree)
 
-    def basis(self, degree):
-        found = real_basis(self, degree)
-        sizes.append(len(found))
-        return found
-
-    monkeypatch.setattr(FreeCDGA, "_d_columns", columns)
-    monkeypatch.setattr(FreeCDGA, "basis", basis)
-    report, built = _slices_built(monkeypatch, model)
-    monkeypatch.setattr(FreeCDGA, "_d_columns", real_columns)
-    monkeypatch.setattr(FreeCDGA, "basis", real_basis)
-    assert report.satisfied and built == []
-    components = base.components()
-    assert [[g.name for g in c.gens] for c in components] == [
-        ["x", "y"], ["p", "q"], ["r", "s"], ["a", "b"]]
-    assert assembled and max(assembled) == 2  # never the 8 generators
-    largest = max(len(c.basis(degree)) for c in components
-                  for degree in range(model.truncation + 1))
-    assert max(sizes) <= largest < len(base.basis(model.truncation - 1))
+def test_the_stages_reuse_the_scans_eliminations(monkeypatch):
+    # the scan counts ranks on the base itself, in every degree a split
+    # coefficient can take (up to N0 = 7), so the Hopf steps' base solves
+    # read its eliminations and make none of their own
+    model, comul = _basescan_perturbation()
+    assert _screen(model, comul).satisfied
+    calls = []
+    real = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda columns: calls.append(len(columns)) or real(columns))
+    model, comul, linear, obstruction = hopf_stage_linear(model, comul)
+    assert obstruction is None
+    model, comul, higher, obstruction = hopf_stage_higher(model, comul)
+    monkeypatch.setattr(linalg, "eliminate", real)
+    assert obstruction is None and linear + higher
+    assert not any(model.D(gen) for gen in model.table.fiber)
+    assert calls == []
 
 
 def _poincare_series(degrees, top):
@@ -353,7 +357,6 @@ def test_classifying_space_bases_read_the_poincare_series(gens, odd_degrees):
     table = GeneratorTable(base=gens, fiber=[])
     model = RelativeModel(table, truncation=24)
     base = model.base_cdga()
-    assert len(base.components()) == len(gens)
     series = _poincare_series([degree for _, degree in gens], model.truncation)
     assert [base.cohomology_dimension(k) for k in range(model.truncation)] == series[:-1]
     got = _report(check_hypotheses(model))
@@ -361,7 +364,7 @@ def test_classifying_space_bases_read_the_poincare_series(gens, odd_degrees):
     assert [degree for degree, _ in got] == odd_degrees
 
 
-# -- free factors are read off the Poincare series ---------------------------------
+# -- a zero differential is read off the basis size --------------------------------
 
 
 def _bsu3():
@@ -369,43 +372,20 @@ def _bsu3():
     return RelativeModel(GeneratorTable(base=[("c4", 4), ("c6", 6)], fiber=[]), truncation=24)
 
 
-def test_poincare_series_counts_every_basis():
-    algebras = [model.tensor_cdga(copies)
-                for model in golden_models() for copies in (0, 1, 2)]
-    algebras.append(util.ladder_model(4).tensor_cdga(3))
-    for algebra in algebras:
-        top = algebra.truncation
-        assert poincare_series(algebra.gens, top) == [
-            len(algebra.table.monomial_basis(k, algebra.gens)) for k in range(top + 1)]
-    assert len(algebras) == 15 * 3 + 1
-    with pytest.raises(AlgebraError, match="degree-0 generator"):
-        poincare_series([algebras[0].table.t], 4)
-
-
 @pytest.mark.parametrize("build", [
     lambda: util.rt_tables()[0],  # Lambda(x2)
     lambda: util.rt_tables()[2],  # Lambda(x4, y6)
     _bsu3,
 ], ids=["x2", "x4-y6", "BSU(3)"])
-def test_zero_differential_base_scan_builds_no_basis(monkeypatch, build):
+def test_zero_differential_base_scan_builds_no_elimination(monkeypatch, build):
     model = build()
-    counts = {"basis": 0, "eliminate": 0}
-    real_basis, real_eliminate = GeneratorTable.monomial_basis, linalg.eliminate
-
-    def basis(self, degree, gens):
-        counts["basis"] += 1
-        return real_basis(self, degree, gens)
-
-    def eliminate(columns):
-        counts["eliminate"] += 1
-        return real_eliminate(columns)
-
-    monkeypatch.setattr(GeneratorTable, "monomial_basis", basis)
-    monkeypatch.setattr(linalg, "eliminate", eliminate)
+    calls = []
+    real = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda columns: calls.append(1) or real(columns))
     report = check_hypotheses(model)
     dims = [model.base_cdga().cohomology_dimension(k) for k in range(model.truncation + 1)]
     monkeypatch.undo()
-    assert counts == {"basis": 0, "eliminate": 0}
+    assert calls == []
     assert report.satisfied and _report(report) == _oracle(model) == []
     gens = model.table.base
     assert dims == [len(model.table.monomial_basis(k, gens))
@@ -413,17 +393,19 @@ def test_zero_differential_base_scan_builds_no_basis(monkeypatch, build):
 
 
 def test_free_factor_refuses_a_degree_above_the_truncation():
-    # S^2 (x) Lambda(e5): the lone e5 is a free factor, as is all of BSU(3)
+    # with d = 0 (Lambda(e5), BSU(3)) the count reads the basis, so it is
+    # refused above the truncation; with d != 0 (S^2 (x) Lambda(e5)) it needs
+    # d_top, whose target basis lies above, so it is refused at the truncation
+    lone = RelativeModel(GeneratorTable(base=[("e", 5)], fiber=[]), truncation=10)
     mixed = product_base([([("x", 2), ("y", 3)], {"y": (1, [("x", 2)])}),
                           ([("e", 5)], {})], truncation=10).base_cdga()
-    free_factor = mixed.components()[1]
-    assert [g.name for g in free_factor.gens] == ["e1"] and not free_factor.diff
-    bsu3 = _bsu3().base_cdga()
-    for algebra in (free_factor, bsu3):
+    free, bsu3 = lone.base_cdga(), _bsu3().base_cdga()
+    assert not free.diff and not bsu3.diff and mixed.diff
+    for algebra, last in ((free, 10), (bsu3, 24), (mixed, 9)):
         top = algebra.truncation
-        algebra.cohomology_dimension(top)
+        algebra.cohomology_dimension(last)
         with pytest.raises(AlgebraError, match=f"degree {top + 1} is above the truncation "
                                                f"degree {top}"):
-            algebra.cohomology_dimension(top + 1)
-    assert free_factor.cohomology_dimension(5) == 1
+            algebra.cohomology_dimension(last + 1)
+    assert free.cohomology_dimension(5) == mixed.cohomology_dimension(5) == 1
     assert bsu3.cohomology_dimension(12) == 2  # c4^3 and c6^2

@@ -1,8 +1,8 @@
 """The pipelines' cost and answers do not depend on the truncation degree.
 
 `hopf` and `ls` scan the base only in the odd degrees a split coefficient
-can take, up to N0 = max|w| + 1 - min|w| over the fiber generators, and a
-factor with d = 0 counts its Poincare series only that far.  So a forced
+can take, up to N0 = max|w| + 1 - min|w| over the fiber generators, and
+count ranks or basis sizes only that far.  So a forced
 result is the same document at every truncation above the fiber degrees,
 an odd class above N0 is no violation, and a truncation of 10^9 costs what
 the document's own does.

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from fibrewise import linalg
+from fibrewise import linalg, propsolver
 from fibrewise import (
     ChangeOfGenerators,
     Comultiplication,
+    EngineError,
     FreeCDGA,
     GeneratorTable,
     Polynomial,
@@ -65,13 +66,14 @@ def contractible_base_model(fiber=(), truncation=None):
     )
 
 
-def wide_base_model():
+def wide_base_model(fiber=()):
     """The wide base of the `basescan` benchmark workload, even cohomology
     only: Lambda(x2, y3, p2, q3, r2, s3, a4, b7) with dy = x^2, dp = q,
-    dr = s, db = a^2, truncation 18."""
+    dr = s, db = a^2, truncation 18, with an optional fiber (the workload's
+    is u3, v5, z7, w9)."""
     base = [("x", 2), ("y", 3), ("p", 2), ("q", 3), ("r", 2), ("s", 3),
             ("a", 4), ("b", 7)]
-    table = GeneratorTable(base=base, fiber=[])
+    table = GeneratorTable(base=base, fiber=list(fiber))
     poly = table.poly
     return RelativeModel(
         table,
@@ -470,3 +472,56 @@ def decompose_by_solve(slice_, cycle):
         else:
             rest = rest + parts[j].scale(val)
     return exact, rest
+
+
+# the single-map conditions of the structure theorem's lemmas, each a
+# signed sum of the comparison maps of `propsolver`
+CONDITION_TERMS = {
+    "beta=gamma": (("beta", 1), ("gamma", -1)),
+    "beta=0": (("beta", 1),),
+    "beta=delta": (("beta", 1), ("delta", -1)),
+    "alpha+beta=gamma": (("alpha", 1), ("beta", 1), ("gamma", -1)),
+    "beta=gamma+delta": (("beta", 1), ("gamma", -1), ("delta", -1)),
+}
+
+
+def sequence_span(table, fiber_gens):
+    """All tensor-square monomials with the exact index multiset of
+    `fiber_gens` (one copy-0/copy-1 assignment per factor)."""
+    span = []
+    n = len(fiber_gens)
+    for mask in range(2**n):
+        factors = [(table.copy(g, (mask >> i) & 1), 1) for i, g in enumerate(fiber_gens)]
+        mono, sign = normalize_monomial(factors)
+        if sign == 0:
+            continue
+        poly = Polynomial({mono: Fraction(sign)})
+        if not any(p == poly for p in span):
+            span.append(poly)
+    return span
+
+
+def lemma_kernel(table, condition, fiber_gens):
+    """The closed-form solution space of one map-condition on elements
+    supported on a strictly increasing index sequence, with scalar
+    coefficients, checked against the brute-force kernel on
+    `sequence_span`: a disagreement raises."""
+    binomial = propsolver.binomial_product(table, fiber_gens)
+    closed = {
+        "beta=gamma": [binomial],
+        "beta=0": [],
+        "beta=delta": [propsolver.copy_product(table, fiber_gens, 1)],
+        "alpha+beta=gamma": [binomial - propsolver.copy_product(table, fiber_gens, 0)],
+        "beta=gamma+delta": [binomial - propsolver.copy_product(table, fiber_gens, 1)],
+    }[condition]
+    span = sequence_span(table, fiber_gens)
+    images = [Polynomial.sum(propsolver.apply_map(table, which, p).scale(factor)
+                             for which, factor in CONDITION_TERMS[condition])
+              for p in span]
+    brute = propsolver._polynomial_kernel(images, span)
+    if not propsolver._same_polynomial_span(closed, brute):
+        raise EngineError(
+            f"closed-form kernel for {condition} on {[g.name for g in fiber_gens]} "
+            "disagrees with brute force"
+        )
+    return closed
