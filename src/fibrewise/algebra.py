@@ -468,7 +468,7 @@ class GeneratorTable:
         for k in (1, 2):
             self._fiber_pos.update({g.id: i for i, g in enumerate(self._copies[k])})
         self._basis_cache: dict[tuple, tuple[Monomial, ...]] = {}
-        # generator ids -> {(suffix start, degree): unsorted monomials}
+        # generator ids -> {(suffix start, degree): monomials in monomial_key order}
         self._suffix_cache: dict[tuple[int, ...], dict[tuple[int, int], list]] = {}
 
     # -- lookups -----------------------------------------------------------
@@ -524,11 +524,11 @@ class GeneratorTable:
     # -- degreewise bases ----------------------------------------------------
 
     def monomial_basis(self, degree: int, gens: Sequence[Generator]) -> tuple[Monomial, ...]:
-        """Deterministic basis of all degree-`degree` monomials over `gens`.
+        """All degree-`degree` monomials over `gens`, in `monomial_key` order.
 
         The monomials over each suffix of the ordered generators are
-        enumerated once per generator set and shared by every degree; a
-        degree is sorted only when it is asked for."""
+        enumerated once per generator set, already in that order, and
+        shared by every degree; no degree is sorted."""
         ordered = tuple(sorted(gens, key=lambda g: g.sort_key))
         ids = tuple(g.id for g in ordered)
         key = (degree, ids)
@@ -541,8 +541,7 @@ class GeneratorTable:
                     "cannot enumerate a basis over the degree-0 generator 't'"
                 )
         suffixes = self._suffix_cache.setdefault(ids, {})
-        basis = tuple(sorted(_suffix_monomials(ordered, 0, degree, suffixes),
-                             key=monomial_key))
+        basis = tuple(_suffix_monomials(ordered, 0, degree, suffixes))
         self._basis_cache[key] = basis
         return basis
 
@@ -551,8 +550,10 @@ def _suffix_monomials(
     gens: tuple[Generator, ...], index: int, degree: int,
     memo: dict[tuple[int, int], list[Monomial]],
 ) -> list[Monomial]:
-    """The degree-`degree` monomials over gens[index:], unsorted, memoized by
-    (index, degree)."""
+    """The degree-`degree` monomials over gens[index:] in `monomial_key` order,
+    memoized by (index, degree).  Their first factors decide the order: the
+    monomials with gens[index], by ascending exponent, come before those
+    without it, whose first generator sorts later."""
     if degree == 0:
         return [()]
     if degree < 0 or index == len(gens):
@@ -560,11 +561,12 @@ def _suffix_monomials(
     found = memo.get((index, degree))
     if found is None:
         gen = gens[index]
-        found = list(_suffix_monomials(gens, index + 1, degree, memo))
+        found = []
         max_exp = 1 if gen.is_odd else degree // gen.degree
         for exp in range(1, max_exp + 1):
             head = ((gen, exp),)
             found.extend(head + rest for rest in _suffix_monomials(
                 gens, index + 1, degree - exp * gen.degree, memo))
+        found.extend(_suffix_monomials(gens, index + 1, degree, memo))
         memo[(index, degree)] = found
     return found

@@ -2,12 +2,13 @@
 
 Rationals travel as strings ("3", "-1/2") so no float ever appears.
 Serialization is canonical: terms are emitted in the monomial order, keys
-in a fixed order, so identical inputs produce identical bytes.  Reading
-accepts terms and factors in any order.  A term whose factors come in
-canonical order (strictly increasing `sort_key`, every odd exponent 1), as
-the writer emits them, is kept as its own monomial with sign +1; any other
-term falls back to `normalize_monomial`, which sorts it, merges repeated
-even factors and drops a repeated odd one.
+in a fixed order, compact on one line (`dumps`), so identical inputs
+produce identical bytes.  Reading accepts any whitespace, and terms and
+factors in any order.  A term whose factors come in canonical order
+(strictly increasing `sort_key`, every odd exponent 1), as the writer
+emits them, is kept as its own monomial with sign +1; any other term falls
+back to `normalize_monomial`, which sorts it, merges repeated even factors
+and drops a repeated odd one.
 """
 
 from __future__ import annotations
@@ -402,4 +403,6 @@ def result_to_document(result, pipeline: str, truncation: int) -> dict:
 
 
 def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The one writer: compact JSON on one line, then a newline.  Without an
+    indent CPython keeps its C encoder; readers accept any whitespace."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"

@@ -14,7 +14,7 @@ from fibrewise import (
     normalize_monomial,
 )
 from fibrewise import io as fio
-from fibrewise.algebra import is_mixed_square_monomial, monomial_display
+from fibrewise.algebra import is_mixed_square_monomial, monomial_display, monomial_key
 
 import util
 
@@ -161,6 +161,25 @@ def test_basis_equals_recursive_oracle_on_golden_models():
             for degree in degrees:
                 got = model.table.monomial_basis(degree, gens)
                 assert got == util.basis_by_recursion(gens, degree), (path.name, degree)
+
+
+def test_basis_is_enumerated_in_monomial_key_order():
+    # no sort follows the enumeration, so it must itself yield monomial_key
+    # order: seeded tables of mixed parities and degrees, over random subsets
+    # of the base, the three fiber copies and dt, degrees asked out of order
+    rng = random.Random(28)
+    for _ in range(12):
+        table = GeneratorTable(
+            base=[(f"b{i}", rng.randint(1, 5)) for i in range(rng.randint(1, 3))],
+            fiber=[(f"f{i}", rng.randint(1, 5)) for i in range(rng.randint(1, 3))])
+        gens = [gen for gen in table.all_generators if gen is not table.t]
+        rng.shuffle(gens)
+        gens = gens[:rng.randint(2, len(gens))]
+        degrees = list(range(11))
+        rng.shuffle(degrees)
+        for degree in degrees:
+            expected = sorted(util.enumerate_basis_oracle(gens, degree), key=monomial_key)
+            assert list(table.monomial_basis(degree, gens)) == expected, degree
 
 
 def test_basis_refuses_the_degree_zero_generator_t():

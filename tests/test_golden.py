@@ -13,6 +13,8 @@ an odd excess by a homotopy (`util.exact_odd_excess_model()`, seed 0,
 mode exact-homotopy); and ten models of the round-trip family
 (`util.rt_tables()`, seeds 0-4, both perturbation modes).
 `tests/golden/demos/` holds the standard output of each script in `demos/`.
+Every document is compact one-line JSON; an indented copy of one (as
+earlier versions wrote them) must run and verify the same.
 
 After an intended change of output, regenerate the documents with
 `PYTHONPATH=src python tests/test_golden.py`.  It first deletes every
@@ -96,6 +98,44 @@ def test_golden_documents(name, tmp_path):
         assert text == (GOLDEN / file_name).read_text(encoding="utf-8"), file_name
     for file_name, code in codes.items():
         assert code == expected_codes[file_name], file_name
+
+
+def test_golden_documents_are_compact():
+    # one writer: compact JSON on one line, then one newline, and writing a
+    # parsed document again gives the same text (exit_codes.json is this
+    # module's own record, not a fibrewise document)
+    for path in sorted(set(GOLDEN.glob("*.json")) - {EXIT_CODES}):
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and "\n" not in text[:-1], path.name
+        assert fio.dumps(json.loads(text)) == text, path.name
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_indented_documents_still_read(name, tmp_path, capsys):
+    # documents written with indent=2, as earlier versions did, run and
+    # verify as the compact ones do
+    _, _, forces = CASES[name]
+    expected_codes = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+
+    def indented(file_name):
+        doc = json.loads((GOLDEN / file_name).read_text(encoding="utf-8"))
+        path = tmp_path / f"indented.{file_name}"
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        return str(path), doc
+
+    model_path, _ = indented(f"{name}.model.json")
+    for pipeline in ("hopf", "ls"):
+        for force in forces:
+            file_name = f"{name}.{pipeline}{'-force' if force else ''}.json"
+            out = tmp_path / file_name
+            argv = [pipeline, model_path, "-o", str(out)] + (["--force"] if force else [])
+            assert run_command(argv) == expected_codes[file_name], file_name
+            assert out.read_bytes() == (GOLDEN / file_name).read_bytes(), file_name
+            result_path, result = indented(file_name)
+            if "certificate" in result:
+                capsys.readouterr()
+                assert run_command(["verify", model_path, result_path]) == 0, file_name
+                assert capsys.readouterr().out.startswith("certificate verified: ")
 
 
 def _run_demo(demo: Path) -> subprocess.CompletedProcess:

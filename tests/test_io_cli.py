@@ -174,7 +174,7 @@ def test_default_truncation_and_env_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     unset = run("unset.json")
     assert unset[0] == (0, 0)
-    assert b'"truncation_degree": 20,' in unset[2]
+    assert b'"truncation_degree":20,' in unset[2]
     for i, value in enumerate(("", "ten", "30")):
         monkeypatch.setenv("FIBREWISE_TRUNCATION", value)
         assert fio.parse_model(model_doc)[0].truncation == 20, value
