@@ -9,7 +9,10 @@ change of generators phi by its shape, the degrees of the recorded images
 (before anything is substituted into them) and the intertwining identities
 phi D' = D phi and (phi (x) phi) C' = C phi, which need neither phi^-1 nor
 a recomputed state; a homotopy by its maps, its projection condition and
-its endpoints.  What the verifier shares with the engine is the algebra
+its ends: at t = 0 the current comultiplication, at t = 1 the step's
+recorded one.  A certificate holds no truncation degree: the identities
+are checked on generators, and its source model takes `RelativeModel`'s
+default.  What the verifier shares with the engine is the algebra
 itself: `Polynomial`, `apply_images` (which also evaluates t and dt at an
 endpoint), `FreeCDGA.d`, `GeneratorTable.on_copy` and the validators of
 `model`.  It calls no conjugation helper: not `conjugate`, not `invert`.
@@ -126,19 +129,21 @@ def evaluate_interval(table: GeneratorTable, p: Polynomial, value: int) -> Polyn
 
 @dataclass
 class DGHomotopy:
-    """Generator images in the tensor square extended by Lambda(t, dt),
-    with the declared endpoint comultiplication images at t = 0 and t = 1."""
+    """Generator images in the tensor square extended by Lambda(t, dt); its
+    ends are the comultiplications before and after its step."""
 
     images: dict[int, Polynomial]
-    psi0: dict[str, Polynomial]
-    psi1: dict[str, Polynomial]
 
 
-def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
+def verify_homotopy(
+    model: RelativeModel, homotopy: DGHomotopy,
+    start: Mapping[str, Polynomial], end: Mapping[str, Polynomial],
+) -> Verdict:
     """A DG map to the interval-extended tensor square, fixing the base,
-    with the declared endpoints, and compatible with the projections: no
-    image has a component over the base and the interval alone (a condition
-    of its own, not the tail shape of `model.tail_shape_verdict`)."""
+    equal to `start` at t = 0 and to `end` at t = 1, and compatible with the
+    projections: no image has a component over the base and the interval
+    alone (a condition of its own, not the tail shape of
+    `model.tail_shape_verdict`)."""
     table = model.table
     target = model.homotopy_cdga()
     allowed = {"base", "w0", "w1", "interval"}
@@ -163,17 +168,17 @@ def verify_homotopy(model: RelativeModel, homotopy: DGHomotopy) -> Verdict:
                 f"homotopy image of {gen.display()} has a component over the base "
                 "(projection compatibility fails)", pure
             )
-        for value, declared in ((0, homotopy.psi0), (1, homotopy.psi1)):
-            expected = declared.get(gen.name)
+        for value, state, label in ((0, start, "current"), (1, end, "recorded")):
+            expected = state.get(gen.name)
             if expected is None:
                 return Verdict.failed(
-                    f"declared endpoint at t={value} missing for {gen.display()}"
+                    f"{label} comultiplication image missing for {gen.display()}"
                 )
             actual = evaluate_interval(table, image, value)
             if actual != expected:
                 return Verdict.failed(
-                    f"endpoint at t={value} differs from declaration at "
-                    f"{gen.display()}", actual - expected
+                    f"homotopy at t={value} differs from the {label} comultiplication "
+                    f"at {gen.display()}", actual - expected
                 )
     for gen in table.fiber:
         lhs = apply_images(homotopy.images, model.D(gen))
@@ -209,7 +214,6 @@ class EquivalenceCertificate:
 
     table: GeneratorTable
     d_base: dict[str, Polynomial]
-    truncation: int
     source_d: dict[str, Polynomial]
     source_c: dict[str, Polynomial]
     target_d: dict[str, Polynomial]
@@ -217,7 +221,7 @@ class EquivalenceCertificate:
     steps: list[CertificateStep] = field(default_factory=list)
 
     def source_model(self) -> tuple[RelativeModel, Comultiplication]:
-        model = RelativeModel(self.table, self.d_base, self.source_d, self.truncation)
+        model = RelativeModel(self.table, self.d_base, self.source_d)
         return model, Comultiplication(self.table, self.source_c)
 
 
@@ -232,7 +236,6 @@ def new_certificate(
     return EquivalenceCertificate(
         table=model.table,
         d_base=dict(model.d_base),
-        truncation=model.truncation,
         source_d=d_images,
         source_c=c_images,
         target_d=d_images,
@@ -289,18 +292,16 @@ def _verify_homotopy_step(
     model: RelativeModel, comul: Comultiplication, homotopy: DGHomotopy,
     d_after: Mapping[str, Polynomial], c_after: Mapping[str, Polynomial],
 ) -> Verdict:
-    """A valid homotopy from the current comultiplication to a valid one,
-    recorded with the differential unchanged."""
-    if homotopy.psi0 != comul.images:
-        return Verdict.failed("homotopy start differs from the current comultiplication")
-    verdict = verify_homotopy(model, homotopy)
+    """A valid homotopy from the current comultiplication to the recorded
+    one, which is valid, with the differential unchanged."""
+    verdict = verify_homotopy(model, homotopy, comul.images, c_after)
     if not verdict.ok:
         return verdict
-    check = validate_comultiplication(model, Comultiplication(model.table, homotopy.psi1))
+    check = validate_comultiplication(model, Comultiplication(model.table, c_after))
     if not check.ok:
         return Verdict.failed("homotopy endpoint is invalid: " + check.failures[0])
-    if d_after != model.d_fiber or c_after != homotopy.psi1:
-        return Verdict.failed("recorded result differs from the homotopy's endpoint")
+    if d_after != model.d_fiber:
+        return Verdict.failed("recorded differential differs from the current one")
     return Verdict.passed()
 
 

@@ -117,7 +117,7 @@ def _run_pipeline(args, pipeline) -> int:
     model, comul = io.parse_model(doc)
     runner = hopf_normalize if pipeline == "hopf" else ls_normalize
     result = runner(model, comul, force=args.force)
-    out = io.result_to_document(result, pipeline, model.truncation)
+    out = io.result_to_document(result, pipeline)
     _write_output(args.output, out)
     print(emit_triviality_report(result, pipeline), file=sys.stderr)
     if result.outcome == "normalized":
@@ -139,10 +139,6 @@ def _cmd_verify(args) -> int:
         return INVALID_INPUT
     if cert.source_d != model.d_fiber or cert.source_c != comul.images:
         print("FAIL: certificate source does not match the model")
-        return INVALID_INPUT
-    if cert.truncation != model.truncation:
-        print(f"FAIL: certificate truncation degree {cert.truncation} differs from "
-              f"the model's {model.truncation}")
         return INVALID_INPUT
     verdict = verify_equivalence(cert)
     if not verdict.ok:

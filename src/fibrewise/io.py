@@ -276,14 +276,10 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
             gen.name: step.action.images[gen.id]
             for gen in cert.table.fiber if gen.id in step.action.images
         })
-        if isinstance(step.action, DGHomotopy):
-            entry["start"] = _images_to_doc(step.action.psi0)
-            entry["end"] = _images_to_doc(step.action.psi1)
         entry["result"] = _state_to_doc(step.d_after, step.c_after)
         steps.append(entry)
     return {
         "format": CERTIFICATE_FORMAT,
-        "truncation_degree": cert.truncation,
         "model": _spaces_to_doc(cert.table, cert.d_base),
         "source": _state_to_doc(cert.source_d, cert.source_c),
         "target": _state_to_doc(cert.target_d, cert.target_c),
@@ -310,7 +306,9 @@ def certificate_from_document(doc: Any, table: GeneratorTable | None = None
                               ) -> EquivalenceCertificate:
     """A certificate, or the one a result wraps, of no other `format`.  It is
     read against `table` when its base and fiber generators are that table's,
-    so that its polynomials compare with the model's; else against its own."""
+    so that its polynomials compare with the model's; else against its own.
+    Keys it does not read are ignored, such as the `truncation_degree` and
+    the homotopy `start` and `end` that earlier versions wrote."""
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
     if doc.get("format") == RESULT_FORMAT or "certificate" in doc:  # a result wrapper
@@ -330,13 +328,9 @@ def certificate_from_document(doc: Any, table: GeneratorTable | None = None
 def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> EquivalenceCertificate:
     _require_format(doc, CERTIFICATE_FORMAT)
     table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
-    truncation = doc.get("truncation_degree")
-    if not _is_positive_int(truncation):
-        raise ParseError("truncation_degree", "must be a positive integer")
     source_d, source_c = _state_from_doc(table, doc, "source", "source")
     target_d, target_c = _state_from_doc(table, doc, "target", "target")
-    cert = EquivalenceCertificate(table, d_base, truncation, source_d, source_c,
-                                  target_d, target_c)
+    cert = EquivalenceCertificate(table, d_base, source_d, source_c, target_d, target_c)
     for i, entry in enumerate(_list(doc, "steps", "steps")):
         where = f"steps[{i}]"
         if not isinstance(entry, dict):
@@ -351,11 +345,7 @@ def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> Equivalence
         if kind == "change_of_generators":
             action = ChangeOfGenerators(images)
         elif kind == "homotopy":
-            action = DGHomotopy(
-                images,
-                _images_from_doc(table, "w0", entry.get("start"), where + ".start"),
-                _images_from_doc(table, "w0", entry.get("end"), where + ".end"),
-            )
+            action = DGHomotopy(images)
         else:
             raise ParseError(where + ".kind", f"unknown step kind {kind!r}")
         cert.steps.append(CertificateStep(action, d_after, c_after,
@@ -387,11 +377,10 @@ def obstruction_to_doc(obstruction) -> dict:
     }
 
 
-def result_to_document(result, pipeline: str, truncation: int) -> dict:
+def result_to_document(result, pipeline: str) -> dict:
     doc = {
         "format": RESULT_FORMAT,
         "pipeline": pipeline,
-        "truncation_degree": truncation,
         "outcome": result.outcome,
         "hypothesis_report": hypothesis_report_to_doc(result.report),
     }

@@ -293,11 +293,8 @@ def _remove_by_homotopy(model, comul, gen, part, eta, note, stage):
     images = {other.id: comul.image(other) for other in table.fiber}
     images[gen.id] = (comul.image(gen) - part * Polynomial.from_generator(table.t)
                       - eta * Polynomial.from_generator(table.dt))
-    psi1 = dict(comul.images)
-    psi1[gen.name] = comul.image(gen) - part
-    homotopy = DGHomotopy(images, dict(comul.images), psi1)
-    new_comul = Comultiplication(table, psi1)
-    return new_comul, _step(homotopy, model, new_comul, note, stage)
+    new_comul = Comultiplication(table, {**comul.images, gen.name: comul.image(gen) - part})
+    return new_comul, _step(DGHomotopy(images), model, new_comul, note, stage)
 
 
 def _require_associative(model, comul) -> None:

@@ -156,8 +156,8 @@ def test_evaluate_interval_against_the_term_loop():
 def test_verify_homotopy_constant():
     model, comul = util.fixture_a()
     images = {g.id: comul.image(g) for g in model.table.fiber}
-    h = DGHomotopy(images, dict(comul.images), dict(comul.images))
-    assert verify_homotopy(model, h).ok
+    h = DGHomotopy(images)
+    assert verify_homotopy(model, h, comul.images, comul.images).ok
 
 
 def test_verify_homotopy_even_step_shape():
@@ -175,16 +175,30 @@ def test_verify_homotopy_even_step_shape():
     h_images = {g.id: comul.image(g) for g in table.fiber}
     wid = table.generator("w0", "w").id
     h_images[wid] = comul.image(table.generator("w0", "w")) - (q * u * vp) * t - (p * u * vp) * dt
-    psi1 = dict(comul.images)
-    psi1["w"] = psi1["w"] - q * u * vp
-    h = DGHomotopy(h_images, dict(comul.images), psi1)
-    assert verify_homotopy(model, h).ok
+    end = dict(comul.images)
+    end["w"] = end["w"] - q * u * vp
+    h = DGHomotopy(h_images)
+    assert verify_homotopy(model, h, comul.images, end).ok
+    # the ends are the states before and after the step: an edit of either
+    # is located at its end of the interval, with the difference as witness
+    edited = {**comul.images, "w": comul.images["w"] + q * u * vp}
+    for start, stop, message, witness in (
+        (edited, end, "homotopy at t=0 differs from the current comultiplication at w",
+         -(q * u * vp)),
+        (comul.images, edited, "homotopy at t=1 differs from the recorded "
+                               "comultiplication at w", -2 * (q * u * vp)),
+    ):
+        verdict = verify_homotopy(model, h, start, stop)
+        assert (verdict.failures, verdict.witness) == ([message], witness)
+    without_w = {name: image for name, image in comul.images.items() if name != "w"}
+    assert verify_homotopy(model, h, without_w, end).failures == [
+        "current comultiplication image missing for w"]
     # perturbing the dt-part by a non-cycle breaks differential compatibility
     h_bad = dict(h_images)
     h_bad[wid] = h_bad[wid] + (p * u * vp) * dt
-    bad = DGHomotopy(h_bad, dict(comul.images), psi1)
-    verdict = verify_homotopy(model, bad)
+    verdict = verify_homotopy(model, DGHomotopy(h_bad), comul.images, end)
     assert not verdict.ok
+    assert verdict.failures[0].startswith("homotopy does not commute with the differentials")
 
 
 def test_verify_equivalence_empty_certificate():
@@ -328,7 +342,7 @@ def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
     step = cert.steps[index]
     table = model.table
     # p^2 u v' is fixed by the step (it moves s), so the witness is d of it
-    after = RelativeModel(table, cert.d_base, step.d_after, cert.truncation)
+    after = RelativeModel(table, cert.d_base, step.d_after, model.truncation)
     exact = after.tensor_cdga(2).d(
         table.poly("p") ** 2 * table.poly("u") * table.poly("v", copy=1))
     assert exact
@@ -374,7 +388,7 @@ def _edit(doc, op, path, value=None):
 
 # X' = u' s' is a second-copy monomial with d(X') = 0 once D vanishes, so over
 # dp = q the term t q X' + dt p X' is a cycle; at t = 1 it leaves q X', which
-# breaks the counit shape of the declared endpoint
+# breaks the counit shape of the recorded comultiplication
 _X = (("w1", "u", 1), ("w1", "s", 1))
 
 # name: (edits of full_ladder.ls.json's certificate, whose steps are change,
@@ -398,20 +412,26 @@ LADDER_MUTATIONS = {
     "change missing C": (
         [("del", ["steps", 0, "result", "comultiplication", "u"])],
         0, "recorded comultiplication image missing for u"),
-    "homotopy start": (
-        [("set", ["steps", 2, "start", "u", 0, "coeff"], "2")],
-        2, "homotopy start differs from the current comultiplication"),
+    "homotopy start": (  # the image of u has no t: it starts at 2u + u'
+        [("set", ["steps", 2, "images", "u", 0, "coeff"], "2")],
+        2, "homotopy at t=0 differs from the current comultiplication at u"),
     "homotopy endpoint invalid": (
         [("add", ["steps", 2, "images", "w"], _term("1", ("base", "q", 1), *_X,
                                                    ("interval", "t", 1))),
          ("add", ["steps", 2, "images", "w"], _term("1", ("base", "p", 1), *_X,
                                                    ("interval", "dt", 1))),
-         ("add", ["steps", 2, "end", "w"], _term("1", ("base", "q", 1), *_X))],
+         ("add", ["steps", 2, "result", "comultiplication", "w"],
+          _term("1", ("base", "q", 1), *_X))],
         2, "homotopy endpoint is invalid: C(w) - w - w' has a term outside the "
            "mixed tensor part (counit shape violation)"),
     "homotopy result": (
         [("set", ["steps", 2, "result", "comultiplication", "u", 0, "coeff"], "2")],
-        2, "recorded result differs from the homotopy's endpoint"),
+        2, "homotopy at t=1 differs from the recorded comultiplication at u"),
+    "homotopy differential": (
+        [("set", ["steps", 2, "result", "differential"],
+          {"w": [_term("1", ("base", "q", 1), ("w0", "u", 1), ("w0", "v", 1),
+                       ("w0", "z", 1))]})],
+        2, "recorded differential differs from the current one"),
     "homotopy image missing": (
         [("del", ["steps", 2, "images", "u"])],
         2, "homotopy image missing for u"),
@@ -427,8 +447,8 @@ LADDER_MUTATIONS = {
         2, "homotopy image of u has a component over the base (projection "
            "compatibility fails)"),
     "homotopy endpoint missing": (
-        [("del", ["steps", 2, "end", "u"])],
-        2, "declared endpoint at t=1 missing for u"),
+        [("del", ["steps", 2, "result", "comultiplication", "u"])],
+        2, "recorded comultiplication image missing for u"),
 }
 
 
@@ -449,6 +469,30 @@ def test_cli_verify_reports_each_failure_branch(tmp_path, capsys, name):
     assert code == 4
     assert lines[:2] == [f"FAIL: step {index}: {message}",
                          f"failed step: {index} ({cert['steps'][index]['kind']})"]
+
+
+def test_cli_verify_locates_a_homotopy_that_does_not_start_at_the_previous_state(
+        tmp_path, capsys):
+    # exact_odd_excess's only step is a homotopy, so its previous state is the
+    # source; x^2 u v' z' is a mixed cycle of degree 13 (D = 0, dx = 0), so
+    # the model and source with it added to C(w) stay valid and agree
+    from fibrewise.cli import run_command
+
+    cycle = _term("1", ("base", "x", 2), ("w0", "u", 1), ("w1", "v", 1), ("w1", "z", 1))
+    model = json.loads((GOLDEN / "exact_odd_excess.model.json").read_text(encoding="utf-8"))
+    doc = json.loads((GOLDEN / "exact_odd_excess.ls.json").read_text(encoding="utf-8"))
+    _edit(model, "add", ["comultiplication", "w"], cycle)
+    _edit(doc["certificate"], "add", ["source", "comultiplication", "w"], cycle)
+    model_path, cert_path = tmp_path / "model.json", tmp_path / "cert.json"
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    cert_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run_command(["verify", str(model_path), str(cert_path)]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL: step 0: homotopy at t=0 differs from the current comultiplication at w",
+        "failed step: 0 (homotopy)",
+        "witness: -x^2*u*v'*z'",
+    ]
 
 
 def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):

@@ -174,7 +174,7 @@ def test_default_truncation_and_env_override(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     unset = run("unset.json")
     assert unset[0] == (0, 0)
-    assert b'"truncation_degree":20,' in unset[2]
+    assert unset[1].out.startswith("truncation degree: 20\n")
     for i, value in enumerate(("", "ten", "30")):
         monkeypatch.setenv("FIBREWISE_TRUNCATION", value)
         assert fio.parse_model(model_doc)[0].truncation == 20, value
@@ -473,7 +473,8 @@ def test_cli_verify_prints_the_failing_step_and_its_witness(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["verify", model_path, cert_path]) == 4
     assert capsys.readouterr().out.splitlines() == [
-        f"FAIL: step {index}: endpoint at t=1 differs from declaration at w",
+        f"FAIL: step {index}: homotopy at t=1 differs from the recorded "
+        "comultiplication at w",
         f"failed step: {index} (homotopy)",
         "witness: u*v*z",
     ]
@@ -485,7 +486,6 @@ def test_cli_verify_prints_the_failing_step_and_its_witness(tmp_path, capsys):
 def fixture_a_certificate_doc():
     """A structurally valid, step-free certificate over fixture a's table."""
     return {
-        "truncation_degree": 12,
         "model": {
             "base": {"generators": [{"name": "b3", "degree": 3}]},
             "fiber": {"generators": [{"name": "w3", "degree": 3},
@@ -561,14 +561,11 @@ MALFORMED_CERTIFICATES = {
     "steps[0].result": (["steps"], [{"kind": "homotopy", "result": 5}]),
     "steps[0].images.nope": (
         ["steps"], [{"kind": "homotopy", "images": {"nope": []}}]),
-    "truncation_degree": (["truncation_degree"], True),
     "model.base.differential.nope": (["model", "base", "differential"], {"nope": []}),
     "source.differential.nope": (["source"], {"differential": {"nope": []}}),
     "source.comultiplication.nope": (["source"], {"comultiplication": {"nope": []}}),
     "target.differential.nope": (["target"], {"differential": {"nope": []}}),
     "target.comultiplication.b3": (["target"], {"comultiplication": {"b3": []}}),
-    "steps[0].start.nope": (["steps"], [{"kind": "homotopy", "start": {"nope": []}}]),
-    "steps[0].end.nope": (["steps"], [{"kind": "homotopy", "end": {"nope": []}}]),
     "steps[0].result.differential.nope": (
         ["steps"], [{"kind": "homotopy", "result": {"differential": {"nope": []}}}]),
     "steps[0].result.comultiplication.nope": (
@@ -577,8 +574,27 @@ MALFORMED_CERTIFICATES = {
 }
 
 
-@pytest.mark.parametrize("location", sorted(MALFORMED_CERTIFICATES))
+# keys that earlier versions wrote and that are now read as absent: a
+# malformed node there is ignored, so exact_odd_excess's certificate (one
+# homotopy step) holding it still verifies
+FORMER_CERTIFICATE_NODES = {
+    "truncation_degree": (["truncation_degree"], True),
+    "steps[0].start.nope": (["steps", 0, "start"], {"nope": []}),
+    "steps[0].end.nope": (["steps", 0, "end"], {"nope": []}),
+}
+
+
+@pytest.mark.parametrize("location",
+                         sorted([*MALFORMED_CERTIFICATES, *FORMER_CERTIFICATE_NODES]))
 def test_cli_malformed_certificate_node_exits_4(tmp_path, capsys, location):
+    if location in FORMER_CERTIFICATE_NODES:
+        path, value = FORMER_CERTIFICATE_NODES[location]
+        result = json.loads((GOLDEN / "exact_odd_excess.ls.json").read_text(encoding="utf-8"))
+        cert = write(tmp_path, "cert.json", _with(result["certificate"], path, value))
+        capsys.readouterr()
+        assert run_command(["verify", str(GOLDEN / "exact_odd_excess.model.json"), cert]) == 0
+        assert capsys.readouterr().out.startswith("certificate verified: 1 steps replayed")
+        return
     path, value = MALFORMED_CERTIFICATES[location]
     doc = _with(fixture_a_certificate_doc(), path, value)
     with pytest.raises(fio.ParseError) as err:
@@ -661,26 +677,44 @@ def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, mo
     assert (captured.out.splitlines(), captured.err.splitlines()) == (out, err)
 
 
-@pytest.mark.parametrize("truncation, code, out", [
-    (None, 0, ["certificate verified: 4 steps replayed " + VERIFIED.rstrip()]),
-    (1000, 4, ["FAIL: certificate truncation degree 1000 differs from the model's 24"]),
-    (1, 4, ["FAIL: certificate truncation degree 1 differs from the model's 24"]),
-])
-def test_cli_verify_refuses_a_truncation_other_than_the_models(tmp_path, capsys,
-                                                               truncation, code, out):
-    # the ladder model's degree is 24; a certificate may claim no other
+@pytest.mark.parametrize("truncation", [None, 24, 1000, 1])
+def test_cli_verify_ignores_a_certificate_truncation(tmp_path, capsys, truncation):
+    # the ladder model's degree is 24; a certificate's identities hold on the
+    # generators, so one that still names a truncation verifies whatever it is
     doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
     cert = doc["certificate"]
+    assert "truncation_degree" not in doc and "truncation_degree" not in cert
     if truncation is not None:
         cert["truncation_degree"] = truncation
     cert_path = write(tmp_path, "cert.json", cert)
     capsys.readouterr()
-    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert_path]) == code
-    assert capsys.readouterr().out.splitlines() == out
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert_path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "certificate verified: 4 steps replayed " + VERIFIED.rstrip()]
+
+
+def test_a_result_written_with_truncation_and_homotopy_ends_still_verifies(capsys):
+    # tests/legacy holds full_ladder.ls.json as it was written while results
+    # and certificates still carried `truncation_degree` and each homotopy
+    # step its `start` and `end`; it reads as today's certificate
+    legacy_path = Path(__file__).parent / "legacy" / "full_ladder.ls.json"
+    legacy = json.loads(legacy_path.read_text(encoding="utf-8"))
+    golden = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    homotopy = legacy["certificate"]["steps"][2]
+    assert (legacy["truncation_degree"], legacy["certificate"]["truncation_degree"]) == (24, 24)
+    assert homotopy["kind"] == "homotopy" and "start" in homotopy and "end" in homotopy
+    assert set(golden["certificate"]["steps"][2]) == {"kind", "stage", "note", "images",
+                                                      "result"}
+    parsed = fio.certificate_from_document(legacy)
+    assert fio.certificate_to_document(parsed) == golden["certificate"]
+    capsys.readouterr()
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
+                        str(legacy_path)]) == 0
+    assert capsys.readouterr().out.startswith("certificate verified: 4 steps replayed")
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (["truncation_degree"], "x", "truncation_degree: must be a positive integer"),
+    (["source"], 5, "source: expected an object"),
     (["steps", 0, "kind"], "nope", "steps[0].kind: unknown step kind 'nope'"),
     (["model", "base"], 5, "model.base: expected an object"),
 ])

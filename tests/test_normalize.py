@@ -235,7 +235,7 @@ def test_ls_even_step_removes_seeded_exact_excess():
     assert len(steps) == 1 and steps[0].kind == "homotopy"
     assert c2.images == Comultiplication.standard(table).images
     from fibrewise import verify_homotopy
-    assert verify_homotopy(model, steps[0].action).ok
+    assert verify_homotopy(model, steps[0].action, comul.images, c2.images).ok
 
 
 def test_ls_even_step_obstruction_fixture_c():
