@@ -7,8 +7,12 @@ generator id inside each block.  Koszul reordering signs are absorbed into
 the rational coefficient at normalization time, so stored monomials are
 always "positive" and two polynomials are equal iff their term maps are
 equal (within one `GeneratorTable`: generators compare by identity).  Odd
-generators square to zero; coefficients are fractions.Fraction (never
-floats: several normalization steps divide by word counts and need exactness).
+generators square to zero.  Coefficients are exact rationals under one rule
+(`coefficient`): an int when integral, a fractions.Fraction only when its
+denominator is above 1, never a float.  Almost every coefficient is a small
+integer (a sign, a Leibniz exponent, a unit pivot), and int arithmetic
+keeps it an int; a product or sum that involves a Fraction is reduced back
+to an int when it comes out integral.
 
 Every stored monomial is canonical, so a product never re-sorts: it merges
 two canonical monomials in `sort_key` order.  A generator in both factors
@@ -32,11 +36,27 @@ SPACES = ("base", "w0", "w1", "w2", "interval")
 _SPACE_RANK = {space: rank for rank, space in enumerate(SPACES)}
 W_SPACES = ("w0", "w1", "w2")
 
-ONE = Fraction(1)
+ONE = 1
+
+#: An exact coefficient, as `coefficient` returns it.
+Coefficient = int | Fraction
 
 
 class AlgebraError(ValueError):
     """Raised for malformed generators, monomials or polynomial operations."""
+
+
+def coefficient(value: int | Fraction) -> Coefficient:
+    """`value` under the coefficient rule: an int when integral (a bool
+    becomes its int), a Fraction only for a denominator above 1.  Anything
+    else, a float included, is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise AlgebraError(f"coefficient {value!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,19 +218,20 @@ class Polynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        cleaned: dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
-                if type(coeff) is not Fraction:
-                    coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    coeff = coefficient(coeff)
                 if coeff:
                     cleaned[mono] = coeff
         self.terms = cleaned
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, Fraction]) -> Polynomial:
-        """Wrap an already clean term dict (Fraction values, no zeros)."""
+    def _of(cls, terms: dict[Monomial, Coefficient]) -> Polynomial:
+        """Wrap an already clean term dict (coefficients under the rule of
+        `coefficient`, no zeros)."""
         result = cls.__new__(cls)
         result.terms = terms
         return result
@@ -227,7 +248,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> Polynomial:
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def from_generator(cls, gen: Generator) -> Polynomial:
@@ -236,7 +257,7 @@ class Polynomial:
     @classmethod
     def sum(cls, polys: Iterable[Polynomial]) -> Polynomial:
         """The sum of many polynomials, accumulated in one term dict."""
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coefficient] = {}
         for poly in polys:
             _add_terms(terms, poly.terms.items())
         return cls._of(terms)
@@ -270,11 +291,11 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coefficient] = {}
         _add_terms(terms, _products(self.terms, other.terms))
         return Polynomial._of(terms)
 
@@ -298,15 +319,17 @@ class Polynomial:
             square = square * square
 
     def scale(self, value) -> Polynomial:
-        if type(value) is not Fraction:
-            value = Fraction(value)
+        if type(value) is not int:
+            value = coefficient(value)
+        if value == 1:
+            return self
         if not value:
             return Polynomial.zero()
-        return Polynomial._of({mono: coeff * value for mono, coeff in self.terms.items()})
+        return Polynomial._of(dict(_scaled(self.terms.items(), value)))
 
     # -- inspection --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coefficient]]:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
 
     def homogeneous_degree(self) -> int | None:
@@ -323,7 +346,7 @@ class Polynomial:
 
     def word_length_parts(self) -> dict[int, Polynomial]:
         """Split by total fiber word length (number of w-copy factors)."""
-        parts: dict[int, dict[Monomial, Fraction]] = {}
+        parts: dict[int, dict[Monomial, Coefficient]] = {}
         for mono, coeff in self.terms.items():
             parts.setdefault(monomial_word_length(mono), {})[mono] = coeff
         return {length: Polynomial(terms) for length, terms in sorted(parts.items())}
@@ -335,7 +358,7 @@ class Polynomial:
         polynomial is the sum of coefficient * fiber-monomial products (no
         signs arise since base factors precede the rest in canonical order).
         """
-        grouped: dict[Monomial, dict[Monomial, Fraction]] = {}
+        grouped: dict[Monomial, dict[Monomial, Coefficient]] = {}
         for mono, coeff in self.terms.items():
             base, rest = split_monomial(mono)
             grouped.setdefault(rest, {})[base] = coeff
@@ -374,7 +397,7 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
     are summed in one dict.
     """
     powers: dict[tuple[Generator, int], Polynomial] = {}
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coefficient] = {}
     for mono, coeff in p.terms.items():
         term = None
         for factor in mono:
@@ -390,27 +413,42 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
             term = power if term is None else term * power
         if term is None:  # the constant monomial
             term = Polynomial.one()
-        _add_terms(terms, ((m, c * coeff) for m, c in term.terms.items()))
+        _add_terms(terms, _scaled(term.terms.items(), coeff))
     return Polynomial._of(terms)
 
 
+def _scaled(
+    items: Iterable[tuple[Monomial, Coefficient]], value: Coefficient
+) -> Iterator[tuple[Monomial, Coefficient]]:
+    """Each (monomial, coefficient) with its coefficient times a nonzero
+    `value`, under the coefficient rule."""
+    for mono, coeff in items:
+        coeff *= value
+        if type(coeff) is not int:
+            coeff = coefficient(coeff)
+        yield mono, coeff
+
+
 def _products(
-    left: dict[Monomial, Fraction], right: dict[Monomial, Fraction]
-) -> Iterator[tuple[Monomial, Fraction]]:
+    left: dict[Monomial, Coefficient], right: dict[Monomial, Coefficient]
+) -> Iterator[tuple[Monomial, Coefficient]]:
     """The nonzero products of each left term with each right term."""
     for mono_a, coeff_a in left.items():
         for mono_b, coeff_b in right.items():
             mono, sign = _merge_monomials(mono_a, mono_b)
             if sign:
                 coeff = coeff_a * coeff_b
+                if type(coeff) is not int:
+                    coeff = coefficient(coeff)
                 yield mono, (coeff if sign > 0 else -coeff)
 
 
 def _add_terms(
-    terms: dict[Monomial, Fraction], items: Iterable[tuple[Monomial, Fraction]]
+    terms: dict[Monomial, Coefficient], items: Iterable[tuple[Monomial, Coefficient]]
 ) -> None:
     """Add (monomial, nonzero coefficient) pairs into `terms` in place,
-    dropping a monomial whose coefficient cancels to zero."""
+    dropping a monomial whose coefficient cancels to zero; a sum stays
+    under the coefficient rule."""
     get = terms.get
     for mono, coeff in items:
         old = get(mono)
@@ -419,7 +457,7 @@ def _add_terms(
         else:
             coeff += old
             if coeff:
-                terms[mono] = coeff
+                terms[mono] = coeff if type(coeff) is int else coefficient(coeff)
             else:
                 del terms[mono]
 

@@ -38,7 +38,6 @@ cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -134,7 +133,7 @@ def _to_vector(p: Polynomial, index: Mapping[Monomial, int]) -> linalg.Vector:
 
 
 def _from_vector(vec: linalg.Vector, basis: Sequence[Monomial]) -> Polynomial:
-    return Polynomial({basis[i]: Fraction(v) for i, v in vec.items()})
+    return Polynomial({basis[i]: v for i, v in vec.items()})
 
 
 @dataclass
@@ -186,11 +185,11 @@ class FreeCDGA:
         total = self._d_monomial(rest)
         if total:
             sign = -1 if gen.is_odd else 1
-            total = Polynomial({mono[:1]: Fraction(sign)}) * total
+            total = Polynomial._of({mono[:1]: sign}) * total
         dg = self.diff.get(gen.id)
         if dg:
             lowered = ((gen, exp - 1),) + rest if exp > 1 else rest
-            total = total + dg * Polynomial({lowered: Fraction(exp)})
+            total = total + dg * Polynomial._of({lowered: exp})
         self._d_mono_cache[mono] = total
         return total
 

@@ -1,6 +1,7 @@
 """JSON document formats for models, certificates and run results.
 
-Rationals travel as strings ("3", "-1/2") so no float ever appears.
+Rationals travel as strings ("3", "-1/2") so no float ever appears; each
+reads as an int when it is integral ("4/2" is 2, written back as "2").
 Serialization is canonical: terms are emitted in the monomial order, keys
 in a fixed order, compact on one line (`dumps`), so identical inputs
 produce identical bytes.  Reading accepts any whitespace, and terms and
@@ -20,10 +21,12 @@ from typing import Any, Mapping
 
 from .algebra import (
     AlgebraError,
+    Coefficient,
     GeneratorTable,
     Monomial,
     Polynomial,
     _add_terms,
+    coefficient,
     normalize_monomial,
 )
 from .certify import (
@@ -59,7 +62,9 @@ class ParseError(ValueError):
         self.message = message
 
 
-def parse_rational(text: Any, location: str) -> Fraction:
+def parse_rational(text: Any, location: str) -> Coefficient:
+    """The coefficient written as "n" or "p/q": an int, or a Fraction in
+    lowest terms only when q does not divide p (`algebra.coefficient`)."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(location, f"malformed rational {text!r}")
     # the match leaves only ASCII digits to int(), which is faster than
@@ -67,8 +72,8 @@ def parse_rational(text: Any, location: str) -> Fraction:
     numerator, _, denominator = text.partition("/")
     try:
         if not denominator:
-            return Fraction(int(numerator))
-        return Fraction(int(numerator), int(denominator))
+            return int(numerator)
+        return coefficient(Fraction(int(numerator), int(denominator)))
     except ZeroDivisionError:
         raise ParseError(location, f"malformed rational {text!r} (zero denominator)")
     except ValueError:  # a numerator or denominator past int's digit limit
@@ -123,7 +128,7 @@ def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polyn
     path.  Each error is located at its term, coefficient or factor."""
     if not isinstance(doc, list):
         raise ParseError(location, "polynomial must be a list of terms")
-    pairs: list[tuple[Monomial, Fraction]] = []
+    pairs: list[tuple[Monomial, Coefficient]] = []
     for i, term in enumerate(doc):
         try:  # errors inside a term are located relative to it
             if not isinstance(term, dict) or "coeff" not in term:
@@ -160,7 +165,7 @@ def polynomial_from_doc(table: GeneratorTable, doc: Any, location: str) -> Polyn
         mono, sign = normalize_monomial(factors)
         if sign:
             pairs.append((mono, coeff if sign > 0 else -coeff))
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coefficient] = {}
     _add_terms(terms, pairs)
     return Polynomial._of(terms)
 

@@ -1,7 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors, matrix rows and columns are dicts {index: Fraction} holding only
-nonzero entries.  Everything is deterministic.
+Vectors, matrix rows and columns are dicts {index: coefficient} holding
+only nonzero entries, each an int or a Fraction (`algebra.coefficient`).
+Everything is deterministic.  The one division is a pivot's inverse
+(`_inverse`): a unit pivot inverts to an int, so a matrix with unit pivots
+is eliminated in int arithmetic alone.
 
 `eliminate` is the one exact elimination: it reduces a matrix's columns,
 left to right, against the pivot columns met so far by their smallest row
@@ -16,21 +19,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-Vector = dict[int, Fraction]
+from .algebra import Coefficient, coefficient
+
+Vector = dict[int, Coefficient]
 
 
-def add_into(out: Vector, b: Vector, scale: Fraction) -> None:
+def _inverse(v: Coefficient) -> Coefficient:
+    """1 / v exactly, under the coefficient rule: a pivot of 1 or -1 is its
+    own inverse, any other goes through one Fraction division."""
+    if v == 1 or v == -1:
+        return v
+    return coefficient(Fraction(1) / v)
+
+
+def add_into(out: Vector, b: Vector, scale: Coefficient) -> None:
     """out += scale * b in place, dropping the entries that cancel."""
     for col, val in b.items():
         total = out.get(col, 0) + val * scale
         if total:
-            out[col] = total
+            out[col] = total if type(total) is int else coefficient(total)
         else:
             out.pop(col, None)
 
 
-def vec_scale(a: Vector, scale: Fraction) -> Vector:
-    return {col: val * scale for col, val in a.items()}
+def vec_scale(a: Vector, scale: Coefficient) -> Vector:
+    out: Vector = {}
+    for col, val in a.items():
+        val *= scale
+        out[col] = val if type(val) is int else coefficient(val)
+    return out
 
 
 def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
@@ -51,7 +68,7 @@ def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
         if pivot_row is None:
             continue
         row = work.pop(pivot_row)
-        row = vec_scale(row, Fraction(1) / row[col])
+        row = vec_scale(row, _inverse(row[col]))
         for other in work + reduced:
             val = other.get(col)
             if val:
@@ -115,10 +132,10 @@ def eliminate(columns: Iterable[Vector]) -> Elimination:
         if lead is None:
             elimination.free.append(j)
             elimination.kernel.append(
-                {j: Fraction(1), **{col: -val for col, val in sorted(spent.items())}})
+                {j: 1, **{col: -val for col, val in sorted(spent.items())}})
             continue
-        inverse = Fraction(1) / vec[lead]
-        source = {col: -val * inverse for col, val in spent.items()}
+        inverse = _inverse(vec[lead])
+        source = vec_scale(spent, -inverse)
         source[j] = inverse
         elimination.pivots[lead] = (vec_scale(vec, inverse), source)
     return elimination
@@ -130,7 +147,8 @@ def combine(basis: list[Vector], coords: Vector) -> Vector:
     for j, coeff in coords.items():
         for col, val in basis[j].items():
             out[col] = out.get(col, 0) + coeff * val
-    return {col: val for col, val in out.items() if val}
+    return {col: val if type(val) is int else coefficient(val)
+            for col, val in out.items() if val}
 
 
 def solve(rows: list[Vector], rhs: Vector, ncols: int) -> Vector | None:

@@ -33,7 +33,6 @@ since they solve in all degrees up to the largest one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     AlgebraError,
@@ -128,7 +127,7 @@ def _split_coefficients(base, poly: Polynomial, label: str, guess=None):
         rest = Polynomial.zero()
         if eta is None or base.d(eta) != coeff:
             eta, rest = base.split(coeff)
-        mono_poly = Polynomial({fiber_mono: Fraction(1)})
+        mono_poly = Polynomial._of({fiber_mono: 1})
         eta_sum = eta_sum + eta * mono_poly
         if rest:
             rest_sum = rest_sum + rest * mono_poly

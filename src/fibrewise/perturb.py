@@ -52,10 +52,7 @@ class PerturbationSpec:
             raise PerturbationError("max_word_length must be at least 1")
 
 
-_COEFFICIENTS = (
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-    Fraction(1, 2), Fraction(3),
-)
+_COEFFICIENTS = (1, -1, 2, -2, Fraction(1, 2), 3)
 
 
 def _draw(rng, candidates, term):
@@ -82,7 +79,7 @@ def _change_of_generators(model, rng, max_word_length):
             for mono in table.monomial_basis(gen.degree, allowed)
             if 1 <= monomial_word_length(mono) <= max_word_length
         ]
-        tail = _draw(rng, candidates, lambda mono: Polynomial({mono: Fraction(1)}))
+        tail = _draw(rng, candidates, lambda mono: Polynomial._of({mono: 1}))
         if tail:
             images[gen.id] = Polynomial.from_generator(gen) + tail
     return ChangeOfGenerators(images) if images else None
@@ -100,7 +97,7 @@ def _exact_additions(model, rng, max_word_length):
             if (not is_mixed_square_monomial(mono)
                     or monomial_word_length(mono) > max_word_length):
                 continue
-            image = square.d(Polynomial({mono: Fraction(1)}))
+            image = square.d(Polynomial._of({mono: 1}))
             if image:
                 candidates.append(image)
         total = _draw(rng, candidates, lambda image: image)

@@ -258,7 +258,7 @@ def brute_force_solution_space(
             if is_mixed_square_monomial(factors):
                 mono, sign = normalize_monomial(list(factors))
                 if sign:
-                    span.append(Polynomial({mono: Fraction(sign)}))
+                    span.append(Polynomial._of({mono: sign}))
             return
         if index == len(degree_pool) or length > r:
             return

@@ -24,7 +24,8 @@ Criteria (tolerances are exact equality unless stated):
      strictly increasing sequences of length at most 4;
   7. at least 10^4 randomized algebra-law cases with zero failures;
   8. at least 100 single-step certificate mutations, each caught at the
-     mutated step.
+     mutated step, four of them on the homotopy steps of two golden
+     certificates.
 """
 
 import itertools
@@ -32,6 +33,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,8 @@ from fibrewise.propsolver import _same_polynomial_span, polynomial_span_contains
 
 import util
 from test_io_cli import fixture_a_doc, fixture_b_doc, fixture_c_doc
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(n, detail):
@@ -349,6 +353,11 @@ def _mutate_polynomial_doc(poly_doc):
 def test_criterion_8_certificate_mutations(round_trip_artifacts):
     start = time.perf_counter()
     certificates = list(round_trip_artifacts["certificates"])
+    # the round-trip family yields changes of generators only; each of these
+    # golden certificates holds one homotopy step
+    for name in ("exact_odd_excess", "full_ladder"):
+        result = json.loads((GOLDEN / f"{name}.ls.json").read_text(encoding="utf-8"))
+        certificates.append(result["certificate"])
     # extend the pool with guaranteed non-trivial round-trip certificates
     # from the same model family until enough mutation sites exist
     seed = 100
@@ -369,6 +378,7 @@ def test_criterion_8_certificate_mutations(round_trip_artifacts):
         seed += 1
     mutations = 0
     detected = 0
+    homotopy_mutations = 0
     for cert_doc in certificates:
         for index, step in enumerate(cert_doc["steps"]):
             victims = []
@@ -388,6 +398,7 @@ def test_criterion_8_certificate_mutations(round_trip_artifacts):
                 cert = fio.certificate_from_document(mutated)
                 verdict = verify_equivalence(cert)
                 mutations += 1
+                homotopy_mutations += step["kind"] == "homotopy"
                 assert not verdict.ok, (victim, index)
                 if verdict.failed_step == index:
                     detected += 1
@@ -398,5 +409,8 @@ def test_criterion_8_certificate_mutations(round_trip_artifacts):
     elapsed = time.perf_counter() - start
     assert mutations >= 100
     assert detected == mutations
-    _report(8, f"{mutations} mutations, all caught at the mutated step, "
-               f"{elapsed:.1f}s")
+    # a homotopy step's images and its recorded result, in both golden
+    # certificates
+    assert homotopy_mutations == 4
+    _report(8, f"{mutations} mutations ({homotopy_mutations} on homotopy steps), "
+               f"all caught at the mutated step, {elapsed:.1f}s")

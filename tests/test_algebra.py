@@ -1,20 +1,32 @@
-"""Canonical form, Koszul signs, products and degreewise bases."""
+"""Canonical form, Koszul signs, products, degreewise bases and the
+coefficient rule."""
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fibrewise import (
     AlgebraError,
+    FreeCDGA,
     GeneratorTable,
+    InvalidModelError,
     Polynomial,
     RelativeModel,
+    hopf_normalize,
+    linalg,
+    ls_normalize,
     normalize_monomial,
 )
 from fibrewise import io as fio
-from fibrewise.algebra import is_mixed_square_monomial, monomial_display, monomial_key
+from fibrewise.algebra import (
+    apply_images,
+    is_mixed_square_monomial,
+    monomial_display,
+    monomial_key,
+)
 
 import util
 
@@ -221,3 +233,170 @@ def test_reserved_generator_names():
         GeneratorTable(base=[("t", 2)], fiber=[])
     with pytest.raises(AlgebraError):
         GeneratorTable(base=[("x", 2)], fiber=[("x", 3)])
+
+
+# -- the coefficient rule ------------------------------------------------------------
+#
+# A coefficient is an int when integral and a Fraction only for a denominator
+# above 1.  Each operation is checked against an oracle computing on
+# all-Fraction term dicts (`util.fraction_*`): the same term dict, the same
+# document, and every coefficient of the result under the rule.
+
+RULE_POOL = (1, -1, 2, -2, 3, Fraction(4, 2), Fraction(1, 2), Fraction(-3, 4))
+
+
+def _rule_algebra():
+    """A free algebra whose differential has ints, halves and -3/4."""
+    table = GeneratorTable(base=[("x", 2), ("y", 3)], fiber=[("u", 3), ("e", 2), ("w", 5)])
+    x, y, u, e = (table.poly(name) for name in ("x", "y", "u", "e"))
+    diff = {
+        table.generator("base", "y").id: 2 * x * x,
+        table.generator("w0", "u").id: Fraction(1, 2) * x * x,
+        table.generator("w0", "w").id: Fraction(-3, 4) * x * x * x + 2 * y * u - x * e * e,
+    }
+    gens = table.base + table.fiber
+    return table, FreeCDGA(table, gens, diff, truncation=12)
+
+
+def _rule_draw(rng, table, gens, degree, max_terms=3):
+    basis = table.monomial_basis(degree, gens)
+    if not basis:
+        return Polynomial.zero()
+    monos = rng.sample(basis, min(len(basis), rng.randint(1, max_terms)))
+    return Polynomial({mono: rng.choice(RULE_POOL) for mono in monos})
+
+
+def _assert_as_oracle(got, oracle_terms):
+    assert all(util.is_rule_coefficient(c) for c in got.terms.values()), got.terms
+    assert got.terms == oracle_terms
+    assert fio.polynomial_to_doc(got) == fio.polynomial_to_doc(Polynomial._of(oracle_terms))
+
+
+def test_coefficients_follow_the_rule_against_the_fraction_oracle():
+    rng = random.Random(30)
+    table, cdga = _rule_algebra()
+    gens = cdga.gens
+    for _ in range(150):
+        p = _rule_draw(rng, table, gens, rng.randint(2, 7))
+        q = _rule_draw(rng, table, gens, rng.randint(2, 7))
+        fp, fq = util.fraction_terms(p), util.fraction_terms(q)
+        value = rng.choice(RULE_POOL + (0, Fraction(2, 3)))
+        _assert_as_oracle(p, fp)
+        _assert_as_oracle(p * q, util.fraction_product(fp, fq))
+        _assert_as_oracle(p + q, util.fraction_sum(fp, fq))
+        _assert_as_oracle(p + q.scale(-1), util.fraction_sum(fp, util.fraction_scale(fq, -1)))
+        _assert_as_oracle(p.scale(value), util.fraction_scale(fp, value))
+        exponent = rng.randint(0, 3)
+        _assert_as_oracle(p ** exponent, util.fraction_power(fp, exponent))
+        images = {gen.id: _rule_draw(rng, table, gens, gen.degree, 2)
+                  for gen in rng.sample(gens, 2)}
+        _assert_as_oracle(
+            apply_images(images, p),
+            util.fraction_apply_images(
+                {gid: util.fraction_terms(image) for gid, image in images.items()}, fp))
+        _assert_as_oracle(cdga.d(p), util.fraction_d(cdga, fp))
+    # halves that sum to an integer leave an int
+    half = Polynomial.constant(Fraction(1, 2))
+    assert type((half + half).terms[()]) is int
+    assert type((half * Polynomial.constant(2)).terms[()]) is int
+    assert type(half.scale(Fraction(-4, 2)).terms[()]) is int
+
+
+def _assert_vector_as_oracle(got, oracle):
+    assert all(util.is_rule_coefficient(c) for c in got.values()), got
+    assert got == oracle
+
+
+def test_elimination_follows_the_rule_against_the_fraction_oracle():
+    rng = random.Random(31)
+    _, cdga = _rule_algebra()
+    matrices = [(cdga._d_columns(k), len(cdga.basis(k + 1))) for k in range(2, 9)]
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        columns = [{i: rng.choice(RULE_POOL)
+                    for i in rng.sample(range(nrows), rng.randint(0, nrows))}
+                   for _ in range(ncols)]
+        matrices.append((columns, nrows))
+    for columns, nrows in matrices:
+        elimination = linalg.eliminate(columns)
+        reachable = linalg.combine(
+            columns, {j: rng.choice(RULE_POOL) for j in range(len(columns))})
+        arbitrary = {i: rng.choice(RULE_POOL) for i in range(nrows) if rng.random() < 0.5}
+        for target in (reachable, arbitrary):
+            kernel, preimage = util.fraction_column_solve(columns, nrows, target)
+            assert len(kernel) == len(elimination.kernel)
+            for got, oracle in zip(elimination.kernel, kernel):
+                _assert_vector_as_oracle(got, oracle)
+            got = elimination.preimage(target)
+            if preimage is None:
+                assert got is None
+            else:
+                _assert_vector_as_oracle(got, preimage)
+        for column, source in elimination.pivots.values():
+            assert all(util.is_rule_coefficient(c) for c in column.values())
+            assert all(util.is_rule_coefficient(c) for c in source.values())
+
+
+def test_a_pivot_of_three_inverts_to_a_fraction():
+    elimination = linalg.eliminate([{0: 3}, {0: 1, 1: -1}])
+    column, source = elimination.pivots[0]
+    assert column == {0: 1} and type(column[0]) is int
+    assert source == {0: Fraction(1, 3)} and type(source[0]) is Fraction
+    third = elimination.preimage({0: 1})
+    assert third == {0: Fraction(1, 3)} and type(third[0]) is Fraction
+    one = elimination.preimage({0: 3})
+    assert one == {0: 1} and type(one[0]) is int
+    # a unit pivot keeps the whole elimination in ints
+    unit = linalg.eliminate([{0: -1, 1: 2}, {0: 2, 1: -4}])
+    assert unit.kernel == [{1: 1, 0: 2}]
+    assert all(type(c) is int for c in unit.kernel[0].values())
+    column, source = unit.pivots[0]
+    assert column == {0: 1, 1: -2} and source == {0: -1}
+    assert all(type(c) is int for c in (*column.values(), *source.values()))
+
+
+def test_coefficients_refuse_floats_and_store_no_bool():
+    with pytest.raises(AlgebraError):
+        Polynomial({(): 0.5})
+    with pytest.raises(AlgebraError):
+        Polynomial.constant(1).scale(2.0)
+    stored = Polynomial({(): True}).terms[()]
+    assert stored == 1 and type(stored) is int
+    stored = Polynomial({(): Fraction(4, 2)}).terms[()]
+    assert stored == 2 and type(stored) is int
+
+
+def _polynomials_of_result(model, comul, result):
+    """Every polynomial a pipeline run holds: the model, the certificate's
+    ends and steps, the obstruction witness."""
+    yield from model.d_fiber.values()
+    yield from model.d_base.values()
+    yield from comul.images.values()
+    cert = result.certificate
+    if cert is not None:
+        for images in (cert.d_base, cert.source_d, cert.source_c, cert.target_d,
+                       cert.target_c):
+            yield from images.values()
+        for step in cert.steps:
+            yield from step.action.images.values()
+            yield from step.d_after.values()
+            yield from step.c_after.values()
+    if result.obstruction is not None:
+        yield result.obstruction.class_witness
+
+
+def test_golden_result_states_follow_the_rule():
+    walked = 0
+    for path in sorted(GOLDEN.glob("*.model.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for pipeline in (hopf_normalize, ls_normalize):
+            model, comul = fio.parse_model(doc)
+            try:
+                result = pipeline(model, comul, force=True)
+            except InvalidModelError:  # ls on a model that is not homotopy associative
+                continue
+            for poly in _polynomials_of_result(model, comul, result):
+                for coeff in poly.terms.values():
+                    assert util.is_rule_coefficient(coeff), (path.name, coeff)
+                    walked += 1
+    assert walked > 1000

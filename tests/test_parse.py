@@ -15,6 +15,7 @@ from pathlib import Path
 
 from fibrewise import Comultiplication, Polynomial
 from fibrewise import io as fio
+from fibrewise.cli import run_command
 
 import util
 from test_io_cli import fixture_b_doc
@@ -196,3 +197,61 @@ def test_parse_merges_and_drops_like_the_algebra():
     for doc, expected in cases:
         got = fio.polynomial_from_doc(table, doc, "p")
         util.assert_same_terms(got, expected)
+
+
+def test_integral_quotients_parse_to_ints():
+    for text, value in (("4/2", 2), ("-6/3", -2), ("2/1", 2), ("0/5", 0), ("+3", 3),
+                        ("-0", 0)):
+        got = fio.parse_rational(text, "coeff")
+        assert got == value and type(got) is int, text
+    for text, value in (("2/4", Fraction(1, 2)), ("-6/4", Fraction(-3, 2))):
+        got = fio.parse_rational(text, "coeff")
+        assert got == value and type(got) is Fraction, text
+    table = util.rt_tables()[1].table
+    x, y = table.poly("x"), table.poly("y")
+    got = fio.polynomial_from_doc(table, [
+        _term("4/2", ("base", "x", 1)), _term("0/5", ("w0", "u", 1)),
+        _term("-6/3", ("base", "y", 1)), _term("2/1", ("base", "y", 1))], "p")
+    util.assert_same_terms(got, x.scale(2))
+    assert type(got.terms[((table.generator("base", "x"), 1),)]) is int
+
+
+def _as_quotients(node):
+    """`node` with each integer coefficient n written as the quotient
+    "2n/2", so "2" becomes "4/2"; returns how many were rewritten."""
+    count = 0
+    if isinstance(node, dict):
+        coeff = node.get("coeff")
+        if isinstance(coeff, str) and "/" not in coeff:
+            node["coeff"] = f"{2 * int(coeff)}/2"
+            count += 1
+        for value in node.values():
+            count += _as_quotients(value)
+    elif isinstance(node, list):
+        for value in node:
+            count += _as_quotients(value)
+    return count
+
+
+def test_golden_models_written_with_quotients_give_the_same_results(tmp_path):
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    rewritten, runs = {}, 0
+    for path in sorted(GOLDEN.glob("*.model.json")):
+        name = path.name.removesuffix(".model.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        rewritten[name] = _as_quotients(doc)
+        model_path = tmp_path / path.name
+        model_path.write_text(fio.dumps(doc), encoding="utf-8")
+        for result in sorted(GOLDEN.glob(f"{name}.*.json")):
+            pipeline, _, force = result.name.split(".")[1].partition("-")
+            if pipeline not in ("hopf", "ls"):
+                continue
+            out = tmp_path / result.name
+            argv = [pipeline, str(model_path), "-o", str(out)] + (["--force"] if force else [])
+            assert run_command(argv) == expected_codes[result.name], result.name
+            assert out.read_bytes() == result.read_bytes(), result.name
+            runs += 1
+    assert runs == 36  # every golden hopf and ls result, forced ones included
+    # "2" was written "4/2" (or "-2" as "-4/2") in these two
+    assert rewritten["exact_odd_excess"] and rewritten["fixture_b"]
+    assert sum(rewritten.values()) > 100

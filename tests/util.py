@@ -369,56 +369,22 @@ def leibniz_by_factors(cdga, mono):
     """d of a monomial as the per-factor Leibniz sum: for each factor g^e,
     (+-) prefix * e g^(e-1) * dg * suffix, the sign counting the odd factors
     before it (oracle for the recursive FreeCDGA._d_monomial)."""
-    total = Polynomial.zero()
-    sign = 1
-    for i, (gen, exp) in enumerate(mono):
-        dg = cdga.diff.get(gen.id)
-        if dg:
-            prefix = Polynomial({mono[:i]: Fraction(sign)})
-            middle = Polynomial({((gen, exp - 1),) if exp > 1 else (): Fraction(exp)})
-            suffix = Polynomial({mono[i + 1:]: Fraction(1)})
-            total = total + prefix * middle * dg * suffix
-        if gen.is_odd:
-            sign = -sign
-    return total
+    return Polynomial(fraction_d(cdga, {mono: Fraction(1)}))
 
 
 def product_by_normalize(p, q):
     """The product with each pair of monomials concatenated and sorted again
     by `normalize_monomial` (oracle for the merge in Polynomial.__mul__)."""
-    terms = {}
-    for mono_a, coeff_a in p.terms.items():
-        for mono_b, coeff_b in q.terms.items():
-            mono, sign = normalize_monomial(mono_a + mono_b)
-            if sign == 0:
-                continue
-            total = terms.get(mono, 0) + coeff_a * coeff_b * sign
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
-    return Polynomial(terms)
+    return Polynomial(fraction_product(fraction_terms(p), fraction_terms(q)))
 
 
 def apply_images_by_products(images, p):
     """A generator-image map applied term by term: the coefficient times
-    each factor's image power, every product and power by
-    `product_by_normalize`, the terms summed one `+` at a time (oracle for
-    algebra.apply_images)."""
-    out = Polynomial.zero()
-    for mono, coeff in p.terms.items():
-        term = Polynomial.constant(coeff)
-        for gen, exp in mono:
-            image = images.get(gen.id)
-            if image is None:
-                factor = Polynomial({((gen, exp),): Fraction(1)})
-            else:
-                factor = Polynomial.one()
-                for _ in range(exp):
-                    factor = product_by_normalize(factor, image)
-            term = product_by_normalize(term, factor)
-        out = out + term
-    return out
+    each factor's image power, every product and power by the concatenate
+    and sort of `product_by_normalize`, the terms summed one at a time
+    (oracle for algebra.apply_images)."""
+    return Polynomial(fraction_apply_images(
+        {gid: fraction_terms(image) for gid, image in images.items()}, fraction_terms(p)))
 
 
 def evaluate_interval_by_terms(p, value):
@@ -525,3 +491,134 @@ def lemma_kernel(table, condition, fiber_gens):
             "disagrees with brute force"
         )
     return closed
+
+
+# -- the all-Fraction oracle of the coefficient rule -------------------------------
+#
+# The engine keeps a coefficient an int when it is integral and a Fraction
+# only for a denominator above 1.  These oracles compute on term dicts whose
+# every coefficient is a Fraction, with no int fast path, so an engine
+# result must equal them as a term dict and as a serialized document.
+
+
+def is_rule_coefficient(value):
+    """An int (not a bool) or a Fraction with a denominator above 1."""
+    if type(value) is int:
+        return True
+    return type(value) is Fraction and value.denominator > 1
+
+
+def fraction_terms(p):
+    """The term dict of `p`, every coefficient made a Fraction."""
+    return {mono: Fraction(coeff) for mono, coeff in p.terms.items()}
+
+
+def _fraction_add_term(out, mono, coeff):
+    total = out.get(mono, Fraction(0)) + coeff
+    if total:
+        out[mono] = total
+    else:
+        out.pop(mono, None)
+
+
+def fraction_sum(left, right):
+    out = dict(left)
+    for mono, coeff in right.items():
+        _fraction_add_term(out, mono, coeff)
+    return out
+
+
+def fraction_scale(terms, value):
+    value = Fraction(value)
+    if not value:
+        return {}
+    return {mono: coeff * value for mono, coeff in terms.items()}
+
+
+def fraction_product(left, right):
+    """Each pair of monomials concatenated and sorted by `normalize_monomial`."""
+    out = {}
+    for mono_a, coeff_a in left.items():
+        for mono_b, coeff_b in right.items():
+            mono, sign = normalize_monomial(mono_a + mono_b)
+            if sign:
+                _fraction_add_term(out, mono, coeff_a * coeff_b * Fraction(sign))
+    return out
+
+
+def fraction_power(terms, exponent):
+    """`exponent` products, one factor at a time."""
+    out = {(): Fraction(1)}
+    for _ in range(exponent):
+        out = fraction_product(out, terms)
+    return out
+
+
+def fraction_apply_images(images, terms):
+    """A generator-image map (term dicts keyed by generator id) applied to
+    each term, the factors' image powers multiplied one at a time."""
+    out = {}
+    for mono, coeff in terms.items():
+        term = {(): coeff}
+        for gen, exp in mono:
+            image = images.get(gen.id, {((gen, 1),): Fraction(1)})
+            term = fraction_product(term, fraction_power(image, exp))
+        out = fraction_sum(out, term)
+    return out
+
+
+def fraction_d(cdga, terms):
+    """d as the per-factor Leibniz sum: for each factor g^e of a term,
+    (+-) prefix * e g^(e-1) * dg * suffix, the sign counting the odd factors
+    before it."""
+    out = {}
+    for mono, coeff in terms.items():
+        sign = 1
+        for i, (gen, exp) in enumerate(mono):
+            dg = cdga.diff.get(gen.id)
+            if dg:
+                middle = {((gen, exp - 1),) if exp > 1 else (): Fraction(exp)}
+                part = fraction_product({mono[:i]: Fraction(sign) * coeff}, middle)
+                part = fraction_product(part, fraction_terms(dg))
+                out = fraction_sum(out, fraction_product(part, {mono[i + 1:]: Fraction(1)}))
+            if gen.is_odd:
+                sign = -sign
+    return out
+
+
+def fraction_column_solve(columns, nrows, target):
+    """(kernel basis, preimage of `target` with the free variables zero, or
+    None) of the matrix with these columns, by dense Fraction reduction of
+    the augmented rows: the convention of `linalg.eliminate` (kernel vector
+    j is 1 at free column j and 0 at the other free columns)."""
+    ncols = len(columns)
+    rows = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    for j, column in enumerate(columns):
+        for i, val in column.items():
+            rows[i][j] = Fraction(val)
+    for i, val in target.items():
+        rows[i][ncols] = Fraction(val)
+    pivots, rank = [], 0
+    for col in range(ncols + 1):
+        found = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [val / lead for val in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    kernel = []
+    for free in (col for col in range(ncols) if col not in pivots):
+        vec = {free: Fraction(1)}
+        for r, pivot in enumerate(pivots):
+            if rows[r][free]:
+                vec[pivot] = -rows[r][free]
+        kernel.append(vec)
+    if ncols in pivots:
+        return kernel, None
+    return kernel, {pivot: rows[r][ncols] for r, pivot in enumerate(pivots) if rows[r][ncols]}
