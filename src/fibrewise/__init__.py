@@ -24,7 +24,6 @@ from .certify import (
     conjugate,
     emit_triviality_report,
     evaluate_interval,
-    invert,
     verify_equivalence,
     verify_homotopy,
 )

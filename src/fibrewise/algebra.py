@@ -24,6 +24,16 @@ factors arrive unordered: the fallback of document parsing
 (`io.polynomial_from_doc`, for a term not written in canonical order), the
 coefficient lookup `propsolver.leading_prime_coefficient` and the other
 factor lists of `propsolver`.
+
+Substitution and enumeration cost what moves.  `apply_images` passes a
+term none of whose factors has an image through as it stands, and
+multiplies out only the others.  `GeneratorTable.on_copy` places a map on
+a tensor copy by renaming factors, since moving every fiber copy up by the
+same amount keeps the canonical order and every sign; it refuses a factor
+that has no copy to move to.
+`GeneratorTable.monomial_basis` can bound the word length (the number of
+fiber-copy factors) from both sides, and never builds a monomial outside
+the bounds: its output is the full basis's order, restricted.
 """
 
 from __future__ import annotations
@@ -393,12 +403,20 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
 
     Generators absent from `images` map to themselves.  Images must be
     degree-homogeneous for the result to be graded; this is not re-checked
-    here.  Each power image**exp is computed once per call, and the terms
-    are summed in one dict.
+    here.  A term none of whose factors has an image passes through as it
+    stands, in its place in the term order: the product of its own factors
+    would give it back with sign +1.  Each power image**exp of a moving
+    term is computed once per call, and the terms are summed in one dict.
     """
     powers: dict[tuple[Generator, int], Polynomial] = {}
     terms: dict[Monomial, Coefficient] = {}
     for mono, coeff in p.terms.items():
+        for gen, _ in mono:
+            if gen.id in images:
+                break
+        else:
+            _add_terms(terms, ((mono, coeff),))
+            continue
         term = None
         for factor in mono:
             power = powers.get(factor)
@@ -411,8 +429,6 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
                     power = image**exp
                 powers[factor] = power
             term = power if term is None else term * power
-        if term is None:  # the constant monomial
-            term = Polynomial.one()
         _add_terms(terms, _scaled(term.terms.items(), coeff))
     return Polynomial._of(terms)
 
@@ -505,9 +521,18 @@ class GeneratorTable:
         self._fiber_pos = {g.id: i for i, g in enumerate(self.fiber)}
         for k in (1, 2):
             self._fiber_pos.update({g.id: i for i, g in enumerate(self._copies[k])})
+        # per copy 1, 2: each generator that can move up by the copy, sent
+        # to where it moves (base generators and t, dt stay)
+        fixed = {g: g for g in self.base + (self.t, self.dt)}
+        self._moved_up = {
+            1: {**fixed, **dict(zip(self.fiber + self._copies[1],
+                                    self._copies[1] + self._copies[2]))},
+            2: {**fixed, **dict(zip(self.fiber, self._copies[2]))},
+        }
         self._basis_cache: dict[tuple, tuple[Monomial, ...]] = {}
-        # generator ids -> {(suffix start, degree): monomials in monomial_key order}
-        self._suffix_cache: dict[tuple[int, ...], dict[tuple[int, int], list]] = {}
+        # generator ids -> {(suffix start, degree, least, most word length):
+        # monomials in monomial_key order}
+        self._suffix_cache: dict[tuple[int, ...], dict[tuple, list]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -550,26 +575,48 @@ class GeneratorTable:
     def on_copy(self, images: Mapping[int, Polynomial], copy: int) -> dict[int, Polynomial]:
         """A map given on first-copy fiber generators (keyed by id), placed
         on tensor copy `copy`: each copy-`copy` generator goes to its image
-        with every fiber copy tag moved up by `copy`."""
+        with every fiber copy tag moved up by `copy`.
+
+        Moving every fiber copy up by the same amount keeps the canonical
+        factor order, so an image is renamed factor by factor with its
+        coefficients and signs as they are.  An image with a factor that
+        cannot move up (a w1 or w2 factor placed on copy 2, a w2 factor on
+        copy 1) is refused."""
         if copy == 0:
             return dict(images)
-        shift = self.shift_images({src: src + copy for src in range(len(W_SPACES) - copy)})
-        return {
-            self._copies[copy][self._fiber_pos[gid]].id: apply_images(shift, image)
-            for gid, image in images.items()
-        }
+        rename = self._moved_up[copy]
+        placed: dict[int, Polynomial] = {}
+        for gid, image in images.items():
+            try:
+                moved = Polynomial._of({
+                    tuple((rename[gen], exp) for gen, exp in mono): coeff
+                    for mono, coeff in image.terms.items()
+                })
+            except KeyError as missing:
+                raise AlgebraError(
+                    f"a {missing.args[0].space} factor cannot be placed on copy {copy}"
+                ) from None
+            placed[self._copies[copy][self._fiber_pos[gid]].id] = moved
+        return placed
 
     # -- degreewise bases ----------------------------------------------------
 
-    def monomial_basis(self, degree: int, gens: Sequence[Generator]) -> tuple[Monomial, ...]:
-        """All degree-`degree` monomials over `gens`, in `monomial_key` order.
+    def monomial_basis(
+        self, degree: int, gens: Sequence[Generator],
+        max_word_length: int | None = None, min_word_length: int = 0,
+    ) -> tuple[Monomial, ...]:
+        """The degree-`degree` monomials over `gens` whose word length (their
+        number of fiber-copy factors, `monomial_word_length`) lies between
+        `min_word_length` and `max_word_length` (no upper bound for None),
+        in `monomial_key` order: the full basis's order, restricted.
 
         The monomials over each suffix of the ordered generators are
-        enumerated once per generator set, already in that order, and
-        shared by every degree; no degree is sorted."""
+        enumerated once per generator set, degree and word-length budget,
+        already in that order, and shared by every degree; no degree is
+        sorted and no monomial outside the bounds is built."""
         ordered = tuple(sorted(gens, key=lambda g: g.sort_key))
         ids = tuple(g.id for g in ordered)
-        key = (degree, ids)
+        key = (degree, ids, min_word_length, max_word_length)
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
@@ -579,32 +626,39 @@ class GeneratorTable:
                     "cannot enumerate a basis over the degree-0 generator 't'"
                 )
         suffixes = self._suffix_cache.setdefault(ids, {})
-        basis = tuple(_suffix_monomials(ordered, 0, degree, suffixes))
+        basis = tuple(_suffix_monomials(
+            ordered, 0, degree, min_word_length, max_word_length, suffixes))
         self._basis_cache[key] = basis
         return basis
 
 
 def _suffix_monomials(
     gens: tuple[Generator, ...], index: int, degree: int,
-    memo: dict[tuple[int, int], list[Monomial]],
+    least: int, most: int | None, memo: dict[tuple, list[Monomial]],
 ) -> list[Monomial]:
-    """The degree-`degree` monomials over gens[index:] in `monomial_key` order,
-    memoized by (index, degree).  Their first factors decide the order: the
-    monomials with gens[index], by ascending exponent, come before those
-    without it, whose first generator sorts later."""
+    """The degree-`degree` monomials over gens[index:] with at least `least`
+    and at most `most` fiber-copy factors (no upper bound for None), in
+    `monomial_key` order, memoized by (index, degree, least, most).  Their
+    first factors decide the order: the monomials with gens[index], by
+    ascending exponent, come before those without it, whose first generator
+    sorts later.  A fiber-copy factor g^e spends e of both bounds."""
     if degree == 0:
-        return [()]
+        return [] if least else [()]
     if degree < 0 or index == len(gens):
         return []
-    found = memo.get((index, degree))
+    found = memo.get((index, degree, least, most))
     if found is None:
         gen = gens[index]
         found = []
         max_exp = 1 if gen.is_odd else degree // gen.degree
+        length = 1 if gen.space in W_SPACES else 0
+        if length and most is not None:
+            max_exp = min(max_exp, most)
         for exp in range(1, max_exp + 1):
             head = ((gen, exp),)
             found.extend(head + rest for rest in _suffix_monomials(
-                gens, index + 1, degree - exp * gen.degree, memo))
-        found.extend(_suffix_monomials(gens, index + 1, degree, memo))
-        memo[(index, degree)] = found
+                gens, index + 1, degree - exp * gen.degree, max(least - exp * length, 0),
+                None if most is None else most - exp * length, memo))
+        found.extend(_suffix_monomials(gens, index + 1, degree, least, most, memo))
+        memo[(index, degree, least, most)] = found
     return found

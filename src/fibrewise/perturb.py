@@ -21,7 +21,7 @@ from .algebra import (
     AlgebraError,
     Polynomial,
     is_mixed_square_monomial,
-    monomial_word_length,
+    split_monomial,
 )
 from .certify import ChangeOfGenerators, conjugate
 from .model import (
@@ -73,34 +73,46 @@ def _change_of_generators(model, rng, max_word_length):
     table = model.table
     images = {}
     for position, gen in enumerate(table.fiber):
-        allowed = model.fiber_prefix_gens(position)
-        candidates = [
-            mono
-            for mono in table.monomial_basis(gen.degree, allowed)
-            if 1 <= monomial_word_length(mono) <= max_word_length
-        ]
+        # a tail has no pure-base term: the shape `conjugate` checks
+        candidates = table.monomial_basis(
+            gen.degree, model.fiber_prefix_gens(position), max_word_length,
+            min_word_length=1)
         tail = _draw(rng, candidates, lambda mono: Polynomial._of({mono: 1}))
         if tail:
             images[gen.id] = Polynomial.from_generator(gen) + tail
     return ChangeOfGenerators(images) if images else None
 
 
+def _exact_candidates(model, degree, max_word_length):
+    """The mixed monomials eta of the tensor square in `degree`, of word
+    length at most `max_word_length`, whose differential does not vanish,
+    in basis order.  D(W) = 0, so D(b m) = d_B(b) m for b the base part of
+    eta and m its fiber part: eta is live exactly when d_B(b) is nonzero."""
+    base = model.base_cdga()
+    live = []
+    # a mixed monomial has a w0 and a w1 factor, so the lower bound 2 only
+    # prunes what `is_mixed_square_monomial` would drop
+    for mono in model.table.monomial_basis(
+            degree, model.tensor_cdga(2).gens, max_word_length, min_word_length=2):
+        if is_mixed_square_monomial(mono) and base.d(
+                Polynomial._of({split_monomial(mono)[0]: 1})):
+            live.append(mono)
+    return live
+
+
+def _exact_image(model, mono):
+    """D(b m) = d_B(b) m for a candidate of `_exact_candidates`."""
+    base_part, fiber_part = split_monomial(mono)
+    return model.base_cdga().d(Polynomial._of({base_part: 1})) * Polynomial._of({fiber_part: 1})
+
+
 def _exact_additions(model, rng, max_word_length):
-    """Per generator, D(eta) for a random mixed eta of one lower degree;
-    terms with vanishing differential contribute nothing and are skipped."""
-    table = model.table
-    square = model.tensor_cdga(2)
+    """Per generator, D(eta) for a random live eta of one lower degree;
+    only the drawn candidates are differentiated."""
     additions = {}
-    for gen in table.fiber:
-        candidates = []
-        for mono in table.monomial_basis(gen.degree - 1, square.gens):
-            if (not is_mixed_square_monomial(mono)
-                    or monomial_word_length(mono) > max_word_length):
-                continue
-            image = square.d(Polynomial._of({mono: 1}))
-            if image:
-                candidates.append(image)
-        total = _draw(rng, candidates, lambda image: image)
+    for gen in model.table.fiber:
+        candidates = _exact_candidates(model, gen.degree - 1, max_word_length)
+        total = _draw(rng, candidates, lambda mono: _exact_image(model, mono))
         if total:
             additions[gen.name] = total
     return additions

@@ -49,7 +49,6 @@ from fibrewise import (
     check_hypotheses,
     conjugate,
     hopf_normalize,
-    invert,
     ls_normalize,
     normalize_monomial,
     validate_comultiplication,
@@ -57,6 +56,7 @@ from fibrewise import (
     verify_equivalence,
 )
 from fibrewise import io as fio
+from fibrewise.certify import invert
 from fibrewise.cli import run_command
 from fibrewise.certify import snapshot
 from fibrewise.propsolver import _same_polynomial_span, polynomial_span_contains

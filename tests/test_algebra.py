@@ -26,6 +26,7 @@ from fibrewise.algebra import (
     is_mixed_square_monomial,
     monomial_display,
     monomial_key,
+    monomial_word_length,
 )
 
 import util
@@ -173,6 +174,59 @@ def test_basis_equals_recursive_oracle_on_golden_models():
             for degree in degrees:
                 got = model.table.monomial_basis(degree, gens)
                 assert got == util.basis_by_recursion(gens, degree), (path.name, degree)
+
+
+WORD_LENGTHS = (0, 1, 2, 3, 4, None)
+
+
+def test_bounded_basis_is_the_filtered_full_basis_on_golden_models():
+    # every degree up to the truncation, over the base, total, square and
+    # cube generators, every word-length bound from 0 to 4 and none, with
+    # no lower bound or at least one or two fiber factors, asked in a
+    # shuffled order so that the memo is filled out of order
+    rng = random.Random(31)
+    for path in sorted(GOLDEN.glob("*.model.json")):
+        model = fio.parse_model(json.loads(path.read_text(encoding="utf-8")))[0]
+        top = model.truncation
+        for copies in range(4):
+            gens = model.tensor_cdga(copies).gens
+            full = [[(m, monomial_word_length(m)) for m in util.basis_by_recursion(gens, degree)]
+                    for degree in range(top + 1)]
+            asks = [(degree, least, most) for degree in range(top + 1)
+                    for least in (0, 1, 2) for most in WORD_LENGTHS]
+            rng.shuffle(asks)
+            for degree, least, most in asks:
+                expected = tuple(m for m, length in full[degree]
+                                 if least <= length and (most is None or length <= most))
+                got = model.table.monomial_basis(degree, gens, most, min_word_length=least)
+                assert got == expected, (path.name, copies, degree, least, most)
+            # the products oracle of the ladder test agrees where both run
+            for most in (0, 1, 2):
+                products = util.bounded_bases_by_products(gens, top, most)
+                for degree in range(top + 1):
+                    assert products[degree] == tuple(
+                        m for m, length in full[degree] if length <= most)
+
+
+def test_bounded_basis_on_the_ladder():
+    # L(8): the base and total algebras at every bound against the filtered
+    # full basis; the square and the cube (540,631 and 5,877,107 monomials
+    # below the truncation) at bounds 0-2 against their products
+    model = util.ladder_model(8)
+    table, top = model.table, model.truncation
+    for copies in range(4):
+        gens = model.tensor_cdga(copies).gens
+        if copies < 2:
+            for degree in range(top + 1):
+                full = util.basis_by_recursion(gens, degree)
+                for most in WORD_LENGTHS:
+                    assert table.monomial_basis(degree, gens, most) == tuple(
+                        m for m in full if most is None or monomial_word_length(m) <= most)
+        else:
+            for most in (0, 1, 2):
+                products = util.bounded_bases_by_products(gens, top, most)
+                for degree in range(top + 1):
+                    assert table.monomial_basis(degree, gens, most) == products[degree]
 
 
 def test_basis_is_enumerated_in_monomial_key_order():

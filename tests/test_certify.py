@@ -21,7 +21,6 @@ from fibrewise import (
     conjugate,
     emit_triviality_report,
     evaluate_interval,
-    invert,
     ls_normalize,
     verify_equivalence,
     verify_homotopy,
@@ -29,7 +28,7 @@ from fibrewise import (
 from fibrewise import certify
 from fibrewise import io as fio
 from fibrewise.algebra import is_mixed_square_monomial
-from fibrewise.certify import new_certificate, snapshot
+from fibrewise.certify import invert, new_certificate, snapshot
 from fibrewise.model import validate_comultiplication
 
 import util

@@ -10,7 +10,17 @@ import copy
 import random
 from fractions import Fraction
 
-from fibrewise import Generator, Polynomial, normalize_monomial
+import pytest
+
+from fibrewise import (
+    AlgebraError,
+    Comultiplication,
+    Generator,
+    PerturbationSpec,
+    Polynomial,
+    normalize_monomial,
+    perturb,
+)
 from fibrewise import io as fio
 from fibrewise.algebra import apply_images, monomial_degree
 from fibrewise.certify import new_certificate
@@ -125,6 +135,81 @@ def test_apply_images_handles_constants_and_the_empty_map():
     # u -> v, v -> u reverses the odd factors: u v -> v u = -u v
     images = {table.generator("w0", "u").id: v, table.generator("w0", "v").id: u}
     assert apply_images(images, p) == Polynomial.constant(Fraction(3, 2)) - u * v
+
+
+def test_apply_images_passes_the_fixed_terms_through():
+    # maps that move none, some or all of the generators of a polynomial,
+    # to zero, to a constant, to themselves or to a random element of their
+    # degree: the terms none of whose factors move come through as they
+    # stand, in their place among the substituted ones
+    rng = random.Random(17)
+    model = util.rt_tables()[1]
+    table = model.table
+    gens = model.tensor_cdga(3).gens
+    for trial in range(80):
+        p = Polynomial.sum(util.random_homogeneous(rng, table, gens, degree, max_terms=5)
+                           for degree in (0, 3, 6, 9, 12))
+        present = list(dict.fromkeys(gen for mono in p.terms for gen, _ in mono))
+        moved = rng.sample(present, (0, 1, len(present) // 2, len(present))[trial % 4])
+        images = {}
+        for gen in moved:
+            kind = rng.randrange(4)
+            if kind == 0:
+                images[gen.id] = Polynomial.zero()
+            elif kind == 1:
+                images[gen.id] = Polynomial.constant(Fraction(rng.choice([-2, 1, 3]), 2))
+            elif kind == 2:
+                images[gen.id] = Polynomial.from_generator(gen)
+            else:
+                images[gen.id] = util.random_homogeneous(rng, table, gens, gen.degree)
+        got = apply_images(images, p)
+        util.assert_same_terms(got, util.apply_images_by_products(images, p))
+        if not moved:
+            util.assert_same_terms(got, p)
+
+
+def test_on_copy_renames_as_the_substitution_did():
+    # the maps the engine places on copies (the differential, a change of
+    # generators, the comultiplication) and random maps over the base, t or
+    # dt and the fiber copies that can move to the copy the map is placed
+    # on: renaming gives the substituted images term for term, in order
+    rng = random.Random(29)
+    model = util.rt_tables()[1]
+    table = model.table
+    # t has degree 0, so the random images use dt; t is placed below
+    movable = {1: model.tensor_cdga(2).gens + (table.dt,),
+               2: model.tensor_cdga(1).gens + (table.dt,)}
+    perturbed, comul = perturb(model, Comultiplication.standard(table),
+                               PerturbationSpec(seed=1, mode="both"))
+    assert perturbed.table is table and not comul.is_standard()
+    on_total = [util.seeded_unipotent(model, rng).images,
+                {table.generator("w0", "w").id: table.poly("x") ** 3 * table.poly("u")}]
+    t = Polynomial.from_generator(table.t)
+    on_total.append({gen.id: t * table.poly(gen.name) for gen in table.fiber})
+    maps = {1: on_total + [comul.as_images()], 2: list(on_total)}
+    for copy, gens in movable.items():
+        for _ in range(30):
+            maps[copy].append({gen.id: util.random_homogeneous(rng, table, gens, gen.degree,
+                                                               max_terms=4)
+                               for gen in table.fiber})
+    for copy, images_list in maps.items():
+        for images in images_list:
+            got = table.on_copy(images, copy)
+            expected = util.on_copy_by_substitution(table, images, copy)
+            assert list(got) == list(expected)
+            for gid in got:
+                util.assert_same_terms(got[gid], expected[gid])
+
+
+def test_on_copy_refuses_a_factor_that_cannot_move_up():
+    # a w1 factor has no copy to move to on copy 2, nor a w2 factor on copy 1
+    table = util.rt_tables()[0].table
+    w = table.generator("w0", "w").id
+    u, v = table.poly("u"), table.poly("v")
+    for image, copy in ((u * table.poly("v", copy=1) + table.poly("x") * v, 2),
+                        (table.poly("u", copy=2) * v, 1)):
+        with pytest.raises(AlgebraError, match=f"cannot be placed on copy {copy}"):
+            table.on_copy({w: image}, copy)
 
 
 def _term(coeff, *factors):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from fibrewise import linalg, propsolver
@@ -15,7 +16,12 @@ from fibrewise import (
     RelativeModel,
     normalize_monomial,
 )
-from fibrewise.algebra import monomial_key
+from fibrewise.algebra import (
+    apply_images,
+    is_mixed_square_monomial,
+    monomial_key,
+    monomial_word_length,
+)
 
 
 def fixture_a():
@@ -337,6 +343,48 @@ def basis_by_recursion(gens, degree):
     return tuple(sorted(results, key=monomial_key))
 
 
+def bounded_bases_by_products(gens, top, max_word_length):
+    """{degree: monomials} for each degree from 0 to `top`: the monomials
+    over `gens` with at most `max_word_length` fiber-copy factors, built as
+    products, each word of at most that many fiber-copy generators (a
+    multiset, no odd generator twice) after each monomial of the remaining
+    degree over the other generators (`basis_by_recursion`), then sorted by
+    `monomial_key` (oracle for the bounded enumeration where the full basis
+    is too large to build and filter)."""
+    ordered = sorted(gens, key=lambda g: g.sort_key)
+    fiber = [g for g in ordered if g.space in ("w0", "w1", "w2")]
+    rest = [g for g in ordered if g.space not in ("w0", "w1", "w2")]
+    rest_bases = [basis_by_recursion(rest, degree) for degree in range(top + 1)]
+    found = {degree: [] for degree in range(top + 1)}
+    for size in range(max_word_length + 1):
+        for word in itertools.combinations_with_replacement(fiber, size):
+            factors = tuple((g, word.count(g)) for g in dict.fromkeys(word))
+            if any(g.is_odd and e > 1 for g, e in factors):
+                continue
+            low = sum(g.degree for g in word)
+            for degree in range(low, top + 1):
+                found[degree].extend(b + factors for b in rest_bases[degree - low])
+    return {degree: tuple(sorted(monos, key=monomial_key)) for degree, monos in found.items()}
+
+
+def exact_candidates_by_filter(model, degree, max_word_length):
+    """The exact-addition candidates of `perturb` as they were first built:
+    the whole degree-`degree` basis of the tensor square, each mixed
+    monomial of word length at most `max_word_length` differentiated in the
+    square, the nonzero images kept in basis order (oracle for
+    perturb._exact_candidates and the images perturb._exact_image forms)."""
+    square = model.tensor_cdga(2)
+    candidates = []
+    for mono in model.table.monomial_basis(degree, square.gens):
+        if (not is_mixed_square_monomial(mono)
+                or monomial_word_length(mono) > max_word_length):
+            continue
+        image = square.d(Polynomial({mono: 1}))
+        if image:
+            candidates.append(image)
+    return candidates
+
+
 def scan_by_slices(model):
     """The odd-degree hypothesis scan with a cohomology slice built in every
     odd degree below the truncation, on a fresh base algebra: [(degree,
@@ -385,6 +433,18 @@ def apply_images_by_products(images, p):
     (oracle for algebra.apply_images)."""
     return Polynomial(fraction_apply_images(
         {gid: fraction_terms(image) for gid, image in images.items()}, fraction_terms(p)))
+
+
+def on_copy_by_substitution(table, images, copy):
+    """A map on first-copy fiber generators placed on tensor copy `copy` by
+    substituting the copy shift into each image (oracle for
+    GeneratorTable.on_copy, which renames factors)."""
+    if copy == 0:
+        return dict(images)
+    shift = table.shift_images({src: src + copy for src in range(3 - copy)})
+    fiber = {gen.id: gen for gen in table.fiber}
+    return {table.copy(fiber[gid], copy).id: apply_images(shift, image)
+            for gid, image in images.items()}
 
 
 def evaluate_interval_by_terms(p, value):
