@@ -25,8 +25,14 @@ factors arrive unordered: the fallback of document parsing
 coefficient lookup `propsolver.leading_prime_coefficient` and the other
 factor lists of `propsolver`.
 
-Substitution and enumeration cost what moves.  `apply_images` passes a
-term none of whose factors has an image through as it stands, and
+Each result is built once, in one term dict.  A sum, a difference or a
+scaled sum adds into the dict it returns (`_add_terms`, which takes the
+scale), never through a negated or scaled copy, and a constructor wraps a
+dict that is already clean without cleaning it again.
+
+Substitution and enumeration cost what moves.  `apply_images` returns its
+argument itself when no factor of any term has an image; otherwise it
+stores a term none of whose factors has an image as it stands, and
 multiplies out only the others.  `GeneratorTable.on_copy` places a map on
 a tensor copy by renaming factors, since moving every fiber copy up by the
 same amount keeps the canonical order and every sign; it refuses a factor
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 SPACES = ("base", "w0", "w1", "w2", "interval")
@@ -250,11 +257,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> Polynomial:
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls) -> Polynomial:
-        return cls({(): ONE})
+        return cls._of({(): ONE})
 
     @classmethod
     def constant(cls, value) -> Polynomial:
@@ -262,7 +269,7 @@ class Polynomial:
 
     @classmethod
     def from_generator(cls, gen: Generator) -> Polynomial:
-        return cls({((gen, 1),): ONE})
+        return cls._of({((gen, 1),): ONE})
 
     @classmethod
     def sum(cls, polys: Iterable[Polynomial]) -> Polynomial:
@@ -298,7 +305,11 @@ class Polynomial:
         return Polynomial._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        terms = dict(self.terms)
+        _add_terms(terms, other.terms.items(), -1)
+        return Polynomial._of(terms)
 
     def __mul__(self, other) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -335,7 +346,9 @@ class Polynomial:
             return self
         if not value:
             return Polynomial.zero()
-        return Polynomial._of(dict(_scaled(self.terms.items(), value)))
+        terms: dict[Monomial, Coefficient] = {}
+        _add_terms(terms, self.terms.items(), value)
+        return Polynomial._of(terms)
 
     # -- inspection --------------------------------------------------------
 
@@ -352,14 +365,17 @@ class Polynomial:
         return degrees.pop()
 
     def is_homogeneous_of_degree(self, degree: int) -> bool:
-        return all(monomial_degree(mono) == degree for mono in self.terms)
+        for mono in self.terms:
+            if monomial_degree(mono) != degree:
+                return False
+        return True
 
     def word_length_parts(self) -> dict[int, Polynomial]:
         """Split by total fiber word length (number of w-copy factors)."""
         parts: dict[int, dict[Monomial, Coefficient]] = {}
         for mono, coeff in self.terms.items():
             parts.setdefault(monomial_word_length(mono), {})[mono] = coeff
-        return {length: Polynomial(terms) for length, terms in sorted(parts.items())}
+        return {length: Polynomial._of(terms) for length, terms in sorted(parts.items())}
 
     def group_by_fiber_part(self) -> dict[Monomial, Polynomial]:
         """Group terms by their non-base factor sub-monomial.
@@ -372,7 +388,7 @@ class Polynomial:
         for mono, coeff in self.terms.items():
             base, rest = split_monomial(mono)
             grouped.setdefault(rest, {})[base] = coeff
-        return {rest: Polynomial(terms) for rest, terms in grouped.items()}
+        return {rest: Polynomial._of(terms) for rest, terms in grouped.items()}
 
     def spaces(self) -> set[str]:
         return {gen.space for mono in self.terms for gen, _ in mono}
@@ -403,20 +419,30 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
 
     Generators absent from `images` map to themselves.  Images must be
     degree-homogeneous for the result to be graded; this is not re-checked
-    here.  A term none of whose factors has an image passes through as it
-    stands, in its place in the term order: the product of its own factors
-    would give it back with sign +1.  Each power image**exp of a moving
-    term is computed once per call, and the terms are summed in one dict.
+    here.  When no factor of any term has an image, the result is `p`
+    itself.  Otherwise a term none of whose factors has an image is stored
+    as it stands, in its place in the term order: the product of its own
+    factors would give it back with sign +1.  Each power image**exp of a
+    moving term is computed once per call, and the terms are summed in one
+    dict.
     """
     powers: dict[tuple[Generator, int], Polynomial] = {}
-    terms: dict[Monomial, Coefficient] = {}
-    for mono, coeff in p.terms.items():
+    terms: dict[Monomial, Coefficient] | None = None
+    for index, (mono, coeff) in enumerate(p.terms.items()):
         for gen, _ in mono:
             if gen.id in images:
                 break
         else:
-            _add_terms(terms, ((mono, coeff),))
+            if terms is None:
+                continue
+            if mono in terms:  # an earlier term moved onto it
+                _add_terms(terms, ((mono, coeff),))
+            else:
+                terms[mono] = coeff
             continue
+        if terms is None:
+            # the terms before the first that moves are fixed and distinct
+            terms = dict(islice(p.terms.items(), index))
         term = None
         for factor in mono:
             power = powers.get(factor)
@@ -426,23 +452,11 @@ def apply_images(images: Mapping[int, Polynomial], p: Polynomial) -> Polynomial:
                 if image is None:
                     power = Polynomial._of({(factor,): ONE})
                 else:
-                    power = image**exp
+                    power = image if exp == 1 else image**exp
                 powers[factor] = power
             term = power if term is None else term * power
-        _add_terms(terms, _scaled(term.terms.items(), coeff))
-    return Polynomial._of(terms)
-
-
-def _scaled(
-    items: Iterable[tuple[Monomial, Coefficient]], value: Coefficient
-) -> Iterator[tuple[Monomial, Coefficient]]:
-    """Each (monomial, coefficient) with its coefficient times a nonzero
-    `value`, under the coefficient rule."""
-    for mono, coeff in items:
-        coeff *= value
-        if type(coeff) is not int:
-            coeff = coefficient(coeff)
-        yield mono, coeff
+        _add_terms(terms, term.terms.items(), coeff)
+    return p if terms is None else Polynomial._of(terms)
 
 
 def _products(
@@ -460,22 +474,23 @@ def _products(
 
 
 def _add_terms(
-    terms: dict[Monomial, Coefficient], items: Iterable[tuple[Monomial, Coefficient]]
+    terms: dict[Monomial, Coefficient], items: Iterable[tuple[Monomial, Coefficient]],
+    scale: Coefficient = 1,
 ) -> None:
-    """Add (monomial, nonzero coefficient) pairs into `terms` in place,
-    dropping a monomial whose coefficient cancels to zero; a sum stays
-    under the coefficient rule."""
+    """Add `scale` times each (monomial, nonzero coefficient) pair into
+    `terms` in place, for a nonzero `scale`, dropping a monomial whose
+    coefficient cancels to zero; a sum stays under the coefficient rule."""
     get = terms.get
     for mono, coeff in items:
+        if scale != 1:  # spares a Fraction coefficient a product with 1
+            coeff *= scale
         old = get(mono)
-        if old is None:
-            terms[mono] = coeff
-        else:
+        if old is not None:
             coeff += old
-            if coeff:
-                terms[mono] = coeff if type(coeff) is int else coefficient(coeff)
-            else:
+            if not coeff:
                 del terms[mono]
+                continue
+        terms[mono] = coeff if type(coeff) is int else coefficient(coeff)
 
 
 class GeneratorTable:

@@ -30,9 +30,11 @@ solve.  One reduction of the boundaries in cycle coordinates then yields
 both the basis of E and the complement N.  `FreeCDGA.split` is the one
 exactness move: it solves a cycle first, and only a cycle with no preimage
 is decomposed, into its reduced class and a preimage of the rest.
-The differential of a monomial is the graded Leibniz rule peeled off its
-first factor, with the differential of the remaining factors served from a
-cache.
+The differential of a monomial g^e rest is built in one term dict by
+monomial merges: g^e merged into each term of the cached d(rest), then each
+term of dg merged into the lowered monomial g^(e-1) rest.  `FreeCDGA.d`
+adds c d(m) over the terms c m of a polynomial into one dict; neither
+builds a product polynomial or a scaled copy per term.
 """
 
 from __future__ import annotations
@@ -43,10 +45,14 @@ from typing import Mapping, Sequence
 from . import linalg
 from .algebra import (
     AlgebraError,
+    Coefficient,
     Generator,
     GeneratorTable,
     Monomial,
     Polynomial,
+    _add_terms,
+    _merge_monomials,
+    _products,
     apply_images,  # unused here, kept bound: perfbench/layertrace.py wraps it
 )
 
@@ -169,29 +175,38 @@ class FreeCDGA:
     # -- differential --------------------------------------------------------
 
     def d(self, p: Polynomial) -> Polynomial:
-        return Polynomial.sum(
-            self._d_monomial(mono).scale(coeff) for mono, coeff in p.terms.items()
-        )
+        """The sum of c d(m) over the terms c m of `p`, in one term dict."""
+        terms: dict[Monomial, Coefficient] = {}
+        for mono, coeff in p.terms.items():
+            _add_terms(terms, self._d_monomial(mono).terms.items(), coeff)
+        return Polynomial._of(terms)
 
     def _d_monomial(self, mono: Monomial) -> Polynomial:
+        """d(g^e rest) = (-1)^(e|g|) g^e d(rest) + e g^(e-1) dg rest, cached
+        per monomial.  Odd generators have e = 1 and even powers g^(e-1)
+        commute with dg.  The head g^e is merged into each term of d(rest),
+        then each term of dg into the lowered monomial g^(e-1) rest, all in
+        one term dict."""
         cached = self._d_mono_cache.get(mono)
         if cached is not None:
             return cached
         if not mono:
             return Polynomial.zero()
-        # d(g^e rest) = e g^(e-1) dg rest + (-1)^(e|g|) g^e d(rest); odd
-        # generators have e = 1 and even powers g^(e-1) commute with dg.
         (gen, exp), rest = mono[0], mono[1:]
-        total = self._d_monomial(rest)
-        if total:
-            sign = -1 if gen.is_odd else 1
-            total = Polynomial._of({mono[:1]: sign}) * total
+        terms: dict[Monomial, Coefficient] = {}
+        if rest:
+            head, sign = mono[:1], -1 if gen.is_odd else 1
+            # a product with a fixed monomial is injective: no two collide
+            for tail, coeff in self._d_monomial(rest).terms.items():
+                merged, merge_sign = _merge_monomials(head, tail)
+                if merge_sign:
+                    terms[merged] = coeff if merge_sign == sign else -coeff
         dg = self.diff.get(gen.id)
         if dg:
             lowered = ((gen, exp - 1),) + rest if exp > 1 else rest
-            total = total + dg * Polynomial._of({lowered: exp})
-        self._d_mono_cache[mono] = total
-        return total
+            _add_terms(terms, _products(dg.terms, {lowered: exp}))
+        result = self._d_mono_cache[mono] = Polynomial._of(terms)
+        return result
 
     # -- bases and vectors -----------------------------------------------------
 

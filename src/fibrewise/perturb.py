@@ -87,15 +87,22 @@ def _exact_candidates(model, degree, max_word_length):
     """The mixed monomials eta of the tensor square in `degree`, of word
     length at most `max_word_length`, whose differential does not vanish,
     in basis order.  D(W) = 0, so D(b m) = d_B(b) m for b the base part of
-    eta and m its fiber part: eta is live exactly when d_B(b) is nonzero."""
+    eta and m its fiber part: eta is live exactly when d_B(b) is nonzero,
+    which is decided once per base part."""
     base = model.base_cdga()
     live = []
+    live_base = {}  # base part b -> whether d_B(b) is nonzero
     # a mixed monomial has a w0 and a w1 factor, so the lower bound 2 only
     # prunes what `is_mixed_square_monomial` would drop
     for mono in model.table.monomial_basis(
             degree, model.tensor_cdga(2).gens, max_word_length, min_word_length=2):
-        if is_mixed_square_monomial(mono) and base.d(
-                Polynomial._of({split_monomial(mono)[0]: 1})):
+        if not is_mixed_square_monomial(mono):
+            continue
+        base_part = split_monomial(mono)[0]
+        alive = live_base.get(base_part)
+        if alive is None:
+            alive = live_base[base_part] = bool(base.d(Polynomial._of({base_part: 1})))
+        if alive:
             live.append(mono)
     return live
 

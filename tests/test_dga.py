@@ -309,6 +309,22 @@ def test_d_monomial_matches_oracle_on_wide_base():
             assert base._d_monomial(mono) == util.leibniz_by_factors(base, mono)
 
 
+def test_d_monomial_matches_oracle_on_the_perturbed_wide_base():
+    # the basescan shape: the wide base with fiber u3, v5, z7, w9 and a
+    # perturbed D, through the total algebra and the square at every degree
+    model = util.wide_base_model(fiber=[("u", 3), ("v", 5), ("z", 7), ("w", 9)])
+    perturbed, _ = perturb(
+        model, Comultiplication.standard(model.table),
+        PerturbationSpec(seed=1, max_word_length=3, mode="change-of-generators"),
+    )
+    assert perturbed.d_fiber
+    for copies in (1, 2):
+        cdga = perturbed.tensor_cdga(copies)
+        for degree in range(perturbed.truncation + 1):
+            for mono in cdga.basis(degree):
+                assert cdga._d_monomial(mono) == util.leibniz_by_factors(cdga, mono)
+
+
 def test_d_monomial_matches_oracle_on_tensor_square_and_cube():
     model = perturbed_contractible_model()
     for copies in (2, 3):

@@ -168,6 +168,26 @@ def test_apply_images_passes_the_fixed_terms_through():
             util.assert_same_terms(got, p)
 
 
+def test_apply_images_returns_its_argument_when_nothing_moves():
+    # zero, a constant, and a polynomial none of whose factors has an image
+    # come back as the very same object; one moving term makes a new one
+    model = util.rt_tables()[1]
+    table = model.table
+    x, y = table.poly("x"), table.poly("y")
+    u, v, w = table.poly("u"), table.poly("v"), table.poly("w")
+    images = {table.generator("w0", "w").id: w + x * u * table.poly("v", copy=1),
+              table.generator("w1", "z").id: Polynomial.zero()}
+    fixed = [Polynomial.zero(), Polynomial.constant(Fraction(3, 2)),
+             x * u * v - Fraction(1, 2) * y * table.poly("u", copy=1) + 2 * x]
+    for p in fixed:
+        assert apply_images(images, p) is p
+        assert apply_images({}, p) is p
+    moving = fixed[2] + x * w
+    got = apply_images(images, moving)
+    assert got is not moving
+    util.assert_same_terms(got, util.apply_images_by_products(images, moving))
+
+
 def test_on_copy_renames_as_the_substitution_did():
     # the maps the engine places on copies (the differential, a change of
     # generators, the comultiplication) and random maps over the base, t or

@@ -90,6 +90,30 @@ def test_comultiplication_counit_violations():
     images["w5"] = images["w5"] + table.poly("w5")
     verdict = validate_comultiplication(model, Comultiplication(table, images))
     assert not verdict.ok and "counit" in verdict.failures[0]
+    # the counit shape is read on C(w)'s own terms; each failure has the
+    # message it had when C(w) - w - w' was checked, and that whole
+    # difference as its witness
+    model = util.rt_tables()[0]
+    table = model.table
+    w, w1 = table.poly("w"), table.poly("w", copy=1)
+    mixed = table.poly("u") * table.poly("z") * table.poly("v", copy=1)
+    message = ("C(w) - w - w' has a term outside the mixed tensor part "
+               "(counit shape violation)")
+    standard = Comultiplication.standard(table).images
+    assert validate_comultiplication(
+        model, Comultiplication(table, {**standard, "w": w + w1 + mixed})).ok
+    for image in (
+        2 * w + w1 + mixed,  # coefficient 2 on w
+        w + mixed,  # w' missing
+        w + w1 + mixed + table.poly("u", copy=1) * table.poly("v", copy=1)
+        * table.poly("z", copy=1),  # a pure-w' term
+        w + w1 + table.poly("u") * table.poly("v", copy=1)
+        * table.poly("z", copy=2),  # a w'' factor
+    ):
+        verdict = validate_comultiplication(
+            model, Comultiplication(table, {**standard, "w": image}))
+        assert verdict.failures == [message]
+        assert verdict.witness == image - w - w1
 
 
 def test_validate_input_locates_the_first_invalid_part(monkeypatch):

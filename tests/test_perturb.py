@@ -68,12 +68,16 @@ def test_the_candidates_are_not_vacuous():
 
 
 # sha256 of the model document `perturb` writes for L(n), seed 3, computed
-# by the construction that enumerated every monomial and then filtered
+# by the construction that enumerated every monomial and then filtered; the
+# L(12) exact-homotopy pin at word length 4 by the bounded enumeration that
+# differentiated the base part of every mixed candidate
 PERTURBED_LADDER_SHA256 = {
     (12, "change-of-generators", 6):
         "90931fb12316bf4c0ded3ff4924cd8a2c56dbc6c46f2bb09218fd7862218884f",
     (12, "exact-homotopy", 3):
         "ae35b74da5f15ea70ec7772088802e26ce8e1c96838cbcf2d5b5f311fb11a10e",
+    (12, "exact-homotopy", 4):
+        "9c52c985e5f144f115a4b80fb4c758b7db7931feae656a29ccfe1469a25750b8",
     (12, "both", 3):
         "beaa12886b9b93ba76228e0dd6f51fd0b4c6737f69ca0701840008a8d65afe78",
     (14, "change-of-generators", 6):
