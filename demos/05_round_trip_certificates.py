@@ -1,9 +1,10 @@
-"""Perturb a standard model, normalize it back, and replay the certificate.
+"""Perturb a standard model, normalize it back, and check the certificate.
 
 The perturbation conjugates the standard pair (D = 0, C0) by a seeded
 unipotent change of generators, so the result is equivalent to standard by
 construction.  The normalization must recover that, and the emitted
-certificate must replay from scratch in the independent verifier.
+certificate (one change of generators Phi, the target and eta) must pass
+the independent verifier from scratch.
 """
 
 from fibrewise import (
@@ -30,14 +31,14 @@ print("  ", repr(twisted.images["w"]))
 
 result = ls_normalize(perturbed, twisted)
 print("\nnormalization outcome:", result.outcome)
-for i, step in enumerate(result.certificate.steps):
-    print(f"  step {i}: {step.kind} [{step.stage}] -- {step.note}")
+for step in result.certificate.steps:
+    print(f"  [{step.stage}] -- {step.note}")
 
 verdict = verify_equivalence(result.certificate)
 print("\nindependent verification:", "PASS" if verdict.ok else verdict.failures)
 
 doc = fio.certificate_to_document(result.certificate)
 text = fio.dumps(doc)
-print(f"\nserialized certificate: {len(text)} bytes; replaying the parsed copy:")
+print(f"\nserialized certificate: {len(text)} bytes; verifying the parsed copy:")
 parsed = fio.certificate_from_document(__import__("json").loads(text))
 print("  ", "PASS" if verify_equivalence(parsed).ok else "FAIL")

@@ -17,15 +17,11 @@ from .algebra import (
     normalize_monomial,
 )
 from .certify import (
-    CertificateStep,
     ChangeOfGenerators,
-    DGHomotopy,
     EquivalenceCertificate,
     conjugate,
     emit_triviality_report,
-    evaluate_interval,
     verify_equivalence,
-    verify_homotopy,
 )
 from .dga import (
     EngineError,

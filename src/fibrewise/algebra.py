@@ -2,12 +2,12 @@
 
 Monomials are ordered tuples of (generator, exponent) pairs.  The canonical
 factor order is by block -- base generators first, then the three tensor
-copies of the fiber, then the interval generators t, dt -- ascending by
-generator id inside each block.  Koszul reordering signs are absorbed into
-the rational coefficient at normalization time, so stored monomials are
-always "positive" and two polynomials are equal iff their term maps are
-equal (within one `GeneratorTable`: generators compare by identity).  Odd
-generators square to zero.  Coefficients are exact rationals under one rule
+copies of the fiber -- ascending by generator id inside each block.  Koszul
+reordering signs are absorbed into the rational coefficient at
+normalization time, so stored monomials are always "positive" and two
+polynomials are equal iff their term maps are equal (within one
+`GeneratorTable`: generators compare by identity).  Odd generators square
+to zero.  Coefficients are exact rationals under one rule
 (`coefficient`): an int when integral, a fractions.Fraction only when its
 denominator is above 1, never a float.  Almost every coefficient is a small
 integer (a sign, a Leibniz exponent, a unit pivot), and int arithmetic
@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-SPACES = ("base", "w0", "w1", "w2", "interval")
+SPACES = ("base", "w0", "w1", "w2")
 _SPACE_RANK = {space: rank for rank, space in enumerate(SPACES)}
 W_SPACES = ("w0", "w1", "w2")
 
@@ -80,10 +80,10 @@ def coefficient(value: int | Fraction) -> Coefficient:
 class Generator:
     """A free algebra generator: id, display name, degree, block tag.
 
-    Degrees are positive except for the interval generator t of degree 0.
-    The tags w1/w2 mark the second and third tensor copies of a fiber
-    generator; copies share the name and degree of their w0 original.  Each
-    is unique to its `GeneratorTable` and compares and hashes by identity.
+    Degrees are positive.  The tags w1/w2 mark the second and third tensor
+    copies of a fiber generator; copies share the name and degree of their
+    w0 original.  Each is unique to its `GeneratorTable` and compares and
+    hashes by identity.
     """
 
     id: int
@@ -94,9 +94,7 @@ class Generator:
     def __post_init__(self) -> None:
         if self.space not in _SPACE_RANK:
             raise AlgebraError(f"unknown generator space {self.space!r}")
-        if self.degree < 0:
-            raise AlgebraError(f"generator {self.name!r} has negative degree")
-        if self.degree == 0 and self.space != "interval":
+        if self.degree < 1:
             raise AlgebraError(f"generator {self.name!r} must have degree >= 1")
         # plain attributes, read on every step of a product merge
         object.__setattr__(self, "is_odd", self.degree % 2 == 1)
@@ -497,8 +495,9 @@ class GeneratorTable:
     """Registry of all generators of one relative model.
 
     Holds the base generators, the fiber generators in their given ordered
-    (K-S) basis, the w1/w2 tensor copies of every fiber generator, and the
-    interval pair t, dt.  All tensor factors of the model share this single
+    (K-S) basis and the w1/w2 tensor copies of every fiber generator.  The
+    names t and dt stay reserved: certificates of format /1 named the
+    homotopy parameter so.  All tensor factors of the model share this single
     table; the tensor structure is carried entirely by the space tags.
     """
 
@@ -527,18 +526,14 @@ class GeneratorTable:
         self.base = make(base, "base")
         self.fiber = make(fiber, "w0")
         self._copies = {1: make(fiber, "w1"), 2: make(fiber, "w2")}
-        self.t = Generator(next_id, "t", 0, "interval")
-        self.dt = Generator(next_id + 1, "dt", 1, "interval")
-        self.all_generators = (
-            self.base + self.fiber + self._copies[1] + self._copies[2] + (self.t, self.dt)
-        )
+        self.all_generators = self.base + self.fiber + self._copies[1] + self._copies[2]
         self._by_space_name = {(g.space, g.name): g for g in self.all_generators}
         self._fiber_pos = {g.id: i for i, g in enumerate(self.fiber)}
         for k in (1, 2):
             self._fiber_pos.update({g.id: i for i, g in enumerate(self._copies[k])})
         # per copy 1, 2: each generator that can move up by the copy, sent
-        # to where it moves (base generators and t, dt stay)
-        fixed = {g: g for g in self.base + (self.t, self.dt)}
+        # to where it moves (base generators stay)
+        fixed = {g: g for g in self.base}
         self._moved_up = {
             1: {**fixed, **dict(zip(self.fiber + self._copies[1],
                                     self._copies[1] + self._copies[2]))},
@@ -635,11 +630,6 @@ class GeneratorTable:
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        for gen in ordered:
-            if gen.degree == 0:
-                raise AlgebraError(
-                    "cannot enumerate a basis over the degree-0 generator 't'"
-                )
         suffixes = self._suffix_cache.setdefault(ids, {})
         basis = tuple(_suffix_monomials(
             ordered, 0, degree, min_word_length, max_word_length, suffixes))

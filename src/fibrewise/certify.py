@@ -1,21 +1,33 @@
-"""Certificates of equivalence and their independent verifier.
+"""Certificates of equivalence in normal form, and their independent verifier.
 
-A certificate is a chain of steps, each either a change of generators
-(a unipotent automorphism fixing the base, conjugating the differential and
-the comultiplication) or a DG homotopy through the interval algebra
-Lambda(t, dt).  Every step records the full generator images of its result,
-so the verifier checks each step against the recorded states alone: a
-change of generators phi by its shape, the degrees of the recorded images
-(before anything is substituted into them) and the intertwining identities
-phi D' = D phi and (phi (x) phi) C' = C phi, which need neither phi^-1 nor
-a recomputed state; a homotopy by its maps, its projection condition and
-its ends: at t = 0 the current comultiplication, at t = 1 the step's
-recorded one.  A certificate holds no truncation degree: the identities
-are checked on generators, and its source model takes `RelativeModel`'s
-default.  What the verifier shares with the engine is the algebra
-itself: `Polynomial`, `apply_images` (which also evaluates t and dt at an
-endpoint), `FreeCDGA.d`, `GeneratorTable.on_copy` and the validators of
-`model`.  It calls no conjugation helper: not `conjugate`, not `invert`.
+A certificate states the paper's conclusion for its model: over B the
+model is isomorphic to (B (x) Lambda(W), D = 0), and under that
+isomorphism C is homotopic to the target comultiplication.  It records one
+unipotent change of generators Phi, fixing the base (the composite
+phi_1 ... phi_n of a run's changes of generators), the target (D_T = 0,
+C_T) and, for each fiber generator w, a mixed element eta(w) of the tensor
+square of degree |w| - 1, such that
+
+    D(Phi(w)) = 0                                  in B (x) Lambda(W), and
+    (Phi (x) Phi)(C_T(w) + d eta(w)) = C(Phi(w))   in the tensor square,
+
+d being the target square's differential (D_T = 0, so d acts on the base
+coefficients).  The first makes Phi an isomorphism from the target's
+algebra onto the source's; the second says that C carried back by Phi
+differs from C_T by the boundary of eta, the dt-part of a DG homotopy
+between them, which respects both counits since eta is mixed.  A generator
+that `phi` or `eta` omits is fixed by Phi or has eta = 0.  The trail
+`steps` names what the run did, stage and note, and is not checked.
+
+`verify_equivalence` validates the source, then checks the shape of
+everything it substitutes into before it substitutes: Phi's tails, D_T = 0,
+the degrees of C_T(w) and eta(w), and that eta is mixed; then the two
+identities.  A certificate holds no truncation degree: the identities are
+checked on generators, and its source model takes `RelativeModel`'s
+default.  What the verifier shares with the engine is the algebra itself:
+`Polynomial`, `apply_images`, `FreeCDGA.d`, `GeneratorTable.on_copy` and
+the validators of `model`.  It calls no conjugation helper and solves
+nothing: not `conjugate`, not `invert`, not `FreeCDGA.split`.
 """
 
 from __future__ import annotations
@@ -29,15 +41,17 @@ from .algebra import (
     GeneratorTable,
     Polynomial,
     apply_images,
+    is_mixed_square_monomial,
 )
 from .dga import EngineError, Verdict
 from .model import (
     Comultiplication,
     RelativeModel,
     tail_shape_verdict,
-    validate_comultiplication,
     validate_input,
-    validate_relative_model,  # unused here, kept bound: perfbench/layertrace.py wraps it
+    # unused here, kept bound: perfbench/layertrace.py wraps them
+    validate_comultiplication,
+    validate_relative_model,
 )
 
 
@@ -120,104 +134,28 @@ def conjugate(
     return new_model, new_comul
 
 
-def evaluate_interval(table: GeneratorTable, p: Polynomial, value: int) -> Polynomial:
-    """Evaluate t at 0 or 1 and dt at 0."""
-    return apply_images(
-        {table.t.id: Polynomial.constant(value), table.dt.id: Polynomial.zero()}, p
-    )
-
-
-@dataclass
-class DGHomotopy:
-    """Generator images in the tensor square extended by Lambda(t, dt); its
-    ends are the comultiplications before and after its step."""
-
-    images: dict[int, Polynomial]
-
-
-def verify_homotopy(
-    model: RelativeModel, homotopy: DGHomotopy,
-    start: Mapping[str, Polynomial], end: Mapping[str, Polynomial],
-) -> Verdict:
-    """A DG map to the interval-extended tensor square, fixing the base,
-    equal to `start` at t = 0 and to `end` at t = 1, and compatible with the
-    projections: no image has a component over the base and the interval
-    alone (a condition of its own, not the tail shape of
-    `model.tail_shape_verdict`)."""
-    table = model.table
-    target = model.homotopy_cdga()
-    allowed = {"base", "w0", "w1", "interval"}
-    for gen in table.fiber:
-        image = homotopy.images.get(gen.id)
-        if image is None:
-            return Verdict.failed(f"homotopy image missing for {gen.display()}")
-        if not image.is_homogeneous_of_degree(gen.degree):
-            return Verdict.failed(
-                f"homotopy image of {gen.display()} is not degree-preserving", image
-            )
-        if not image.spaces() <= allowed:
-            return Verdict.failed(
-                f"homotopy image of {gen.display()} leaves the target algebra", image
-            )
-        pure = Polynomial(
-            {m: c for m, c in image.terms.items()
-             if all(g.space in ("base", "interval") for g, _ in m)}
-        )
-        if pure:
-            return Verdict.failed(
-                f"homotopy image of {gen.display()} has a component over the base "
-                "(projection compatibility fails)", pure
-            )
-        for value, state, label in ((0, start, "current"), (1, end, "recorded")):
-            expected = state.get(gen.name)
-            if expected is None:
-                return Verdict.failed(
-                    f"{label} comultiplication image missing for {gen.display()}"
-                )
-            actual = evaluate_interval(table, image, value)
-            if actual != expected:
-                return Verdict.failed(
-                    f"homotopy at t={value} differs from the {label} comultiplication "
-                    f"at {gen.display()}", actual - expected
-                )
-    for gen in table.fiber:
-        lhs = apply_images(homotopy.images, model.D(gen))
-        rhs = target.d(homotopy.images[gen.id])
-        if lhs != rhs:
-            return Verdict.failed(
-                f"homotopy does not commute with the differentials at "
-                f"{gen.display()}", lhs - rhs
-            )
-    return Verdict.passed()
-
-
 @dataclass
 class CertificateStep:
-    """One link of the chain, with the full resulting generator images."""
+    """One entry of a certificate's trail: the pipeline pass that made a
+    step (`stage`) and what it did (`note`)."""
 
-    action: ChangeOfGenerators | DGHomotopy
-    d_after: dict[str, Polynomial]
-    c_after: dict[str, Polynomial]
-    note: str = ""
-    stage: str = ""  # which pipeline pass produced the step (metadata)
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.action, ChangeOfGenerators):
-            return "change_of_generators"
-        return "homotopy"
+    stage: str
+    note: str
 
 
 @dataclass
 class EquivalenceCertificate:
-    """Everything needed to replay a chain of equivalences from scratch."""
+    """A source model pair, Phi, the target and eta (see the module
+    docstring); images are keyed by fiber generator name, Phi's by id."""
 
     table: GeneratorTable
     d_base: dict[str, Polynomial]
     source_d: dict[str, Polynomial]
     source_c: dict[str, Polynomial]
-    target_d: dict[str, Polynomial]
+    phi: ChangeOfGenerators
     target_c: dict[str, Polynomial]
+    target_d: dict[str, Polynomial] = field(default_factory=dict)
+    eta: dict[str, Polynomial] = field(default_factory=dict)
     steps: list[CertificateStep] = field(default_factory=list)
 
     def source_model(self) -> tuple[RelativeModel, Comultiplication]:
@@ -225,107 +163,85 @@ class EquivalenceCertificate:
         return model, Comultiplication(self.table, self.source_c)
 
 
-def snapshot(model: RelativeModel, comul: Comultiplication) -> tuple[dict, dict]:
-    return dict(model.d_fiber), dict(comul.images)
-
-
-def new_certificate(
-    model: RelativeModel, comul: Comultiplication
-) -> EquivalenceCertificate:
-    d_images, c_images = snapshot(model, comul)
-    return EquivalenceCertificate(
-        table=model.table,
-        d_base=dict(model.d_base),
-        source_d=d_images,
-        source_c=c_images,
-        target_d=d_images,
-        target_c=c_images,
-    )
-
-
-def _verify_change(
-    model: RelativeModel, comul: Comultiplication, phi: ChangeOfGenerators,
-    d_after: Mapping[str, Polynomial], c_after: Mapping[str, Polynomial],
-) -> Verdict:
-    """phi is unipotent and fixes the base, phi(D'(w)) = D(phi(w)) in the
-    total algebra and (phi (x) phi)(C'(w)) = C(phi(w)) in the tensor square.
-
-    Since phi is then an automorphism, the identities force D' and C' to be
-    the conjugates of a valid state, so neither needs re-validation.  They
-    also force the degrees of D'(w) and C'(w), which are checked first: a
-    substitution into an image of unchecked degree has no bound."""
-    verdict = phi.shape_verdict(model)
+def _shape_verdict(model: RelativeModel, cert: EquivalenceCertificate) -> Verdict:
+    """The shape of everything the identities substitute into: Phi's
+    tails, D_T = 0, C_T(w) homogeneous of degree |w| and eta(w) mixed and
+    homogeneous of degree |w| - 1.  A substitution into an image of
+    unchecked degree has no bound."""
+    verdict = cert.phi.shape_verdict(model)
     if not verdict.ok:
         return verdict
     for gen in model.table.fiber:
-        for label, recorded, degree in (("D", d_after, gen.degree + 1),
-                                        ("C", c_after, gen.degree)):
-            image = recorded.get(gen.name, Polynomial.zero())
-            if not image.is_homogeneous_of_degree(degree):
-                return Verdict.failed(f"recorded {label}({gen.display()}) is not "
-                                      f"homogeneous of degree {degree}", image)
-    total = model.total_cdga()
-    square = {**phi.images, **model.table.on_copy(phi.images, 1)}
-    for gen in model.table.fiber:
-        lhs = phi.apply(d_after.get(gen.name, Polynomial.zero()))
-        rhs = total.d(phi.image(gen))
-        if lhs != rhs:
-            return Verdict.failed(
-                f"change of generators does not intertwine the differentials at "
-                f"{gen.display()}", lhs - rhs
-            )
-        image = c_after.get(gen.name)
+        name = gen.display()
+        image = cert.target_d.get(gen.name)
+        if image:
+            return Verdict.failed(f"target D({name}) is not zero", image)
+        image = cert.target_c.get(gen.name)
         if image is None:
-            return Verdict.failed(f"recorded comultiplication image missing for "
-                                  f"{gen.display()}")
-        lhs = apply_images(square, image)
-        rhs = comul.apply(phi.image(gen))
-        if lhs != rhs:
+            return Verdict.failed(f"target comultiplication image missing for {name}")
+        if not image.is_homogeneous_of_degree(gen.degree):
             return Verdict.failed(
-                f"change of generators does not intertwine the comultiplications "
-                f"at {gen.display()}", lhs - rhs
-            )
+                f"target C({name}) is not homogeneous of degree {gen.degree}", image)
+        eta = cert.eta.get(gen.name)
+        if eta is None:
+            continue
+        if not eta.is_homogeneous_of_degree(gen.degree - 1):
+            return Verdict.failed(
+                f"eta({name}) is not homogeneous of degree {gen.degree - 1}", eta)
+        if not all(is_mixed_square_monomial(mono) for mono in eta.terms):
+            return Verdict.failed(
+                f"eta({name}) is not mixed: a term lacks a factor in one of the two "
+                "fiber copies", eta)
     return Verdict.passed()
 
 
-def _verify_homotopy_step(
-    model: RelativeModel, comul: Comultiplication, homotopy: DGHomotopy,
-    d_after: Mapping[str, Polynomial], c_after: Mapping[str, Polynomial],
+def verify_homotopy(
+    model: RelativeModel, comul: Comultiplication, phi: ChangeOfGenerators,
+    target_c: Mapping[str, Polynomial], eta: Mapping[str, Polynomial],
 ) -> Verdict:
-    """A valid homotopy from the current comultiplication to the recorded
-    one, which is valid, with the differential unchanged."""
-    verdict = verify_homotopy(model, homotopy, comul.images, c_after)
-    if not verdict.ok:
-        return verdict
-    check = validate_comultiplication(model, Comultiplication(model.table, c_after))
-    if not check.ok:
-        return Verdict.failed("homotopy endpoint is invalid: " + check.failures[0])
-    if d_after != model.d_fiber:
-        return Verdict.failed("recorded differential differs from the current one")
+    """(Phi (x) Phi)(C_T(w) + d eta(w)) = C(Phi(w)) for every fiber
+    generator w, with d the target square's differential (D_T = 0).  The
+    shapes of `_shape_verdict` must hold.  For w fixed by Phi the right side
+    is C(w) itself, and a left side none of whose factors Phi moves is
+    compared as it stands (`apply_images` returns it)."""
+    table = model.table
+    square = {**phi.images, **table.on_copy(phi.images, 1)}
+    d_target = model.with_fiber_differential({}).tensor_cdga(2).d if eta else None
+    c_images = comul.as_images()
+    for gen in table.fiber:
+        lhs = target_c[gen.name]
+        if gen.name in eta:
+            lhs = lhs + d_target(eta[gen.name])
+        if square:
+            lhs = apply_images(square, lhs)
+        image = phi.images.get(gen.id)
+        rhs = comul.images[gen.name] if image is None else apply_images(c_images, image)
+        if lhs != rhs:
+            return Verdict.failed(
+                f"phi does not intertwine the comultiplications at {gen.display()}: "
+                "(phi (x) phi)(C_T + d eta) != C phi", lhs - rhs)
     return Verdict.passed()
 
 
 def verify_equivalence(cert: EquivalenceCertificate) -> Verdict:
-    """Validate the source, check every step against its recorded result,
-    and compare the last recorded state with the declared target."""
+    """Validate the source, check the shapes (`_shape_verdict`), then
+    D(Phi(w)) = 0 in the source total algebra (for w fixed by Phi: D(w)
+    absent) and the comultiplication identity (`verify_homotopy`)."""
     model, comul = cert.source_model()
-    check = validate_input(model, comul)
-    if not check.ok:
-        return check
-    for index, step in enumerate(cert.steps):
-        check_step = (_verify_change if isinstance(step.action, ChangeOfGenerators)
-                      else _verify_homotopy_step)
-        verdict = check_step(model, comul, step.action, step.d_after, step.c_after)
-        if not verdict.ok:
+    verdict = validate_input(model, comul)
+    if verdict.ok:
+        verdict = _shape_verdict(model, cert)
+    if not verdict.ok:
+        return verdict
+    total = model.total_cdga()
+    for gen in model.table.fiber:
+        image = cert.phi.images.get(gen.id)
+        boundary = model.D(gen) if image is None else total.d(image)
+        if boundary:
             return Verdict.failed(
-                f"step {index}: " + verdict.failures[0], verdict.witness, index
-            )
-        if step.d_after != model.d_fiber:
-            model = model.with_fiber_differential(step.d_after)
-        comul = Comultiplication(cert.table, step.c_after)
-    if snapshot(model, comul) != (cert.target_d, cert.target_c):
-        return Verdict.failed("the chain does not reach the declared target")
-    return Verdict.passed()
+                f"phi does not intertwine the differentials at {gen.display()}: "
+                "D(phi(w)) != 0", boundary)
+    return verify_homotopy(model, comul, cert.phi, cert.target_c, cert.eta)
 
 
 def emit_triviality_report(result, pipeline: str) -> str:

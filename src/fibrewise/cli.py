@@ -143,14 +143,11 @@ def _cmd_verify(args) -> int:
     verdict = verify_equivalence(cert)
     if not verdict.ok:
         print("FAIL:", verdict.failures[0])
-        if verdict.failed_step is not None:
-            step = cert.steps[verdict.failed_step]
-            print(f"failed step: {verdict.failed_step} ({step.kind})")
         if verdict.witness is not None:
             print("witness:", repr(verdict.witness))
         return INVALID_INPUT
-    print(f"certificate verified: {len(cert.steps)} steps replayed (checked on the "
-          "generators; Leibniz extends the identities to every degree)")
+    print("certificate verified: phi, the target and eta satisfy both identities "
+          "(checked on the generators; Leibniz extends the identities to every degree)")
     return OK
 
 
@@ -195,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "check fails, reporting the first obstruction")
         p.set_defaults(func=lambda args, _name=name: _run_pipeline(args, _name))
 
-    p = sub.add_parser("verify", help="replay a certificate against a model")
+    p = sub.add_parser("verify", help="check a certificate against a model")
     p.add_argument("model")
     p.add_argument("certificate")
     p.set_defaults(func=_cmd_verify)

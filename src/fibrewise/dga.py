@@ -69,7 +69,6 @@ class Verdict:
     ok: bool
     failures: list[str] = field(default_factory=list)
     witness: Polynomial | None = None
-    failed_step: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -79,9 +78,8 @@ class Verdict:
         return cls(True)
 
     @classmethod
-    def failed(cls, message: str, witness: Polynomial | None = None,
-               step: int | None = None) -> Verdict:
-        return cls(False, [message], witness, step)
+    def failed(cls, message: str, witness: Polynomial | None = None) -> Verdict:
+        return cls(False, [message], witness)
 
     def or_raise(self, error: type[Exception], prefix: str = "") -> None:
         """Raise `error` with the first failure, after `prefix`, unless ok."""

@@ -32,7 +32,6 @@ from .algebra import (
 from .certify import (
     CertificateStep,
     ChangeOfGenerators,
-    DGHomotopy,
     EquivalenceCertificate,
 )
 from .model import (
@@ -44,7 +43,7 @@ from .model import (
 )
 
 MODEL_FORMAT = "fibrewise-model/1"
-CERTIFICATE_FORMAT = "fibrewise-certificate/1"
+CERTIFICATE_FORMAT = "fibrewise-certificate/2"
 RESULT_FORMAT = "fibrewise-result/1"
 # the top-level keys `model_to_document` writes, the only ones a model may have
 MODEL_KEYS = ("format", "truncation_degree", "base", "fiber", "differential",
@@ -273,32 +272,26 @@ def model_to_document(model: RelativeModel, comul: Comultiplication) -> dict:
 
 
 def certificate_to_document(cert: EquivalenceCertificate) -> dict:
-    steps = []
-    for step in cert.steps:
-        entry: dict[str, Any] = {"kind": step.kind, "stage": step.stage,
-                                 "note": step.note}
-        entry["images"] = _images_to_doc({
-            gen.name: step.action.images[gen.id]
-            for gen in cert.table.fiber if gen.id in step.action.images
-        })
-        entry["result"] = _state_to_doc(step.d_after, step.c_after)
-        steps.append(entry)
+    table = cert.table
     return {
         "format": CERTIFICATE_FORMAT,
-        "model": _spaces_to_doc(cert.table, cert.d_base),
+        "model": _spaces_to_doc(table, cert.d_base),
         "source": _state_to_doc(cert.source_d, cert.source_c),
         "target": _state_to_doc(cert.target_d, cert.target_c),
-        "steps": steps,
+        "phi": _images_to_doc({gen.name: cert.phi.images[gen.id]
+                               for gen in table.fiber if gen.id in cert.phi.images}),
+        "eta": _images_to_doc(cert.eta),
+        "steps": [{"stage": step.stage, "note": step.note} for step in cert.steps],
     }
 
 
 def _state_to_doc(d: Mapping[str, Polynomial], c: Mapping[str, Polynomial]) -> dict:
-    """A recorded state: its differential and comultiplication images."""
+    """A differential and comultiplication, as images by generator name."""
     return {"differential": _images_to_doc(d), "comultiplication": _images_to_doc(c)}
 
 
 def _state_from_doc(table, doc: Mapping, key: str, location: str):
-    """The (differential, comultiplication) images of a recorded state."""
+    """The (differential, comultiplication) images of a source or target."""
     state = _object(doc, key, location)
     return (
         _images_from_doc(table, "w0", state.get("differential"), location + ".differential"),
@@ -309,11 +302,12 @@ def _state_from_doc(table, doc: Mapping, key: str, location: str):
 
 def certificate_from_document(doc: Any, table: GeneratorTable | None = None
                               ) -> EquivalenceCertificate:
-    """A certificate, or the one a result wraps, of no other `format`.  It is
+    """A certificate, or the one a result wraps, of no other `format`: a
+    certificate of an earlier format is refused at its `format`.  It is
     read against `table` when its base and fiber generators are that table's,
     so that its polynomials compare with the model's; else against its own.
-    Keys it does not read are ignored, such as the `truncation_degree` and
-    the homotopy `start` and `end` that earlier versions wrote."""
+    Keys it does not read are ignored, such as a `truncation_degree`, or a
+    trail entry's keys other than `stage` and `note`."""
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
     if doc.get("format") == RESULT_FORMAT or "certificate" in doc:  # a result wrapper
@@ -335,7 +329,9 @@ def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> Equivalence
     table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
     source_d, source_c = _state_from_doc(table, doc, "source", "source")
     target_d, target_c = _state_from_doc(table, doc, "target", "target")
-    cert = EquivalenceCertificate(table, d_base, source_d, source_c, target_d, target_c)
+    phi = _images_from_doc(table, "w0", doc.get("phi"), "phi")
+    eta = _images_from_doc(table, "w0", doc.get("eta"), "eta")
+    steps = []
     for i, entry in enumerate(_list(doc, "steps", "steps")):
         where = f"steps[{i}]"
         if not isinstance(entry, dict):
@@ -343,19 +339,12 @@ def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> Equivalence
         for key in ("note", "stage"):
             if not isinstance(entry.get(key, ""), str):
                 raise ParseError(f"{where}.{key}", "expected a string")
-        d_after, c_after = _state_from_doc(table, entry, "result", where + ".result")
-        named = _images_from_doc(table, "w0", entry.get("images"), where + ".images")
-        images = {table.generator("w0", name).id: image for name, image in named.items()}
-        kind = entry.get("kind")
-        if kind == "change_of_generators":
-            action = ChangeOfGenerators(images)
-        elif kind == "homotopy":
-            action = DGHomotopy(images)
-        else:
-            raise ParseError(where + ".kind", f"unknown step kind {kind!r}")
-        cert.steps.append(CertificateStep(action, d_after, c_after,
-                                          entry.get("note", ""), entry.get("stage", "")))
-    return cert
+        steps.append(CertificateStep(entry.get("stage", ""), entry.get("note", "")))
+    return EquivalenceCertificate(
+        table=table, d_base=d_base, source_d=source_d, source_c=source_c,
+        phi=ChangeOfGenerators({table.generator("w0", name).id: image
+                                for name, image in phi.items()}),
+        target_c=target_c, target_d=target_d, eta=eta, steps=steps)
 
 
 # -- results -----------------------------------------------------------------------

@@ -13,9 +13,9 @@ gate of a model pair: the differential first, then the comultiplication.
 Every algebra here is a tensor power over B of one model, built over one
 generator table by `RelativeModel.tensor_cdga(n)`: B for n = 0, B (x)
 Lambda(W) for 1, the square (the target of C) for 2, the cube (where
-associativity is decided) for 3; homotopies land in the square (x)
-Lambda(t, dt).  `GeneratorTable.on_copy` places a map given on W on a
-tensor copy by shifting copy tags.
+associativity is decided) for 3.  A certificate's eta lives in the
+square too, under the target's differential D = 0.  `GeneratorTable.on_copy`
+places a map given on W on a tensor copy by shifting copy tags.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class RelativeModel:
         for name in self.d_fiber:
             table.generator("w0", name)
         self._powers: dict[int, FreeCDGA] = {}
-        self._homotopy_cdga: FreeCDGA | None = None
 
     # -- differentials -----------------------------------------------------
 
@@ -89,16 +88,6 @@ class RelativeModel:
                 diff.update(table.on_copy(d_fiber, copy))
             cdga = self._powers[copies] = FreeCDGA(table, gens, diff, self.truncation)
         return cdga
-
-    def homotopy_cdga(self) -> FreeCDGA:
-        """Tensor square extended by the interval algebra (t, dt)."""
-        if self._homotopy_cdga is None:
-            square, table = self.tensor_cdga(2), self.table
-            diff = {**square.diff, table.t.id: Polynomial.from_generator(table.dt)}
-            self._homotopy_cdga = FreeCDGA(
-                table, square.gens + (table.t, table.dt), diff, self.truncation
-            )
-        return self._homotopy_cdga
 
     def with_fiber_differential(self, d_fiber: Mapping[str, Polynomial]) -> RelativeModel:
         new = RelativeModel(self.table, self.d_base, d_fiber, self.truncation)

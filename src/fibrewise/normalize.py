@@ -11,9 +11,12 @@ same stages and then the induction on the excess C(w_k) - w_k - w'_k,
 one step (`_ls_step`) for every word length: the excess splits along the
 cycle decomposition Z = E + N, a nonzero class part is forced into the
 shape sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators,
-and the exact part is removed by a DG homotopy whose coefficients are
-solved base boundaries.  `_run_stages` runs a pipeline's stages into one
-certificate.
+and the exact part is subtracted from C.  `_run_stages` runs a pipeline's
+stages into one certificate in normal form (`certify`): it composes the
+changes of generators into Phi as it steps, and eta is the sum of the
+subtracted parts' preimages, unless a change of generators follows a
+subtraction; only then does it conjugate the source by Phi, once, at the
+end, and split C^Phi(w) - C_T(w) into the boundary of eta(w).
 
 The ls theorem needs a homotopy-associative comultiplication.  An ls run
 that normalizes proves it, since its target C0 is strictly coassociative
@@ -32,22 +35,20 @@ since they solve in all degrees up to the largest one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraError,
     Generator,
     Polynomial,
+    apply_images,
     monomial_key,
 )
 from .certify import (
     CertificateStep,
     ChangeOfGenerators,
-    DGHomotopy,
     EquivalenceCertificate,
     conjugate,
-    new_certificate,
-    snapshot,
 )
 from .dga import EngineError
 from .model import (
@@ -104,10 +105,16 @@ def _processing_order(model: RelativeModel) -> list[Generator]:
     return sorted(model.table.fiber, key=lambda gen: gen.degree)
 
 
-def _step(action, model, comul, note: str, stage: str) -> CertificateStep:
-    """The certificate step of `action` (a change of generators or a DG
-    homotopy), recording the state it leads to."""
-    return CertificateStep(action, *snapshot(model, comul), note, stage)
+@dataclass
+class Step:
+    """What one step did: `phi`, its change of generators, or None when it
+    subtracted an exact part P of C(w), with `eta` = {w: eta}, d(eta) = P;
+    `stage` and `note` make its trail entry."""
+
+    phi: ChangeOfGenerators | None
+    stage: str
+    note: str
+    eta: dict[str, Polynomial] = field(default_factory=dict)
 
 
 def _split_coefficients(base, poly: Polynomial, label: str, guess=None):
@@ -146,7 +153,7 @@ def _induct(model, comul, parts_of, step, last=None):
     Each step must raise r; the first obstruction ends the induction.
     Returns (model, comul, steps, obstruction).
     """
-    steps: list[CertificateStep] = []
+    steps: list[Step] = []
     for gen in _processing_order(model):
         done = 0
         while parts := parts_of(model, comul, gen):
@@ -203,7 +210,7 @@ def _hopf_step(model, comul, gen, r):
             f"degree {witness.homogeneous_degree()}")
     phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - tail})
     model, comul = conjugate(model, comul, phi)
-    return model, comul, [_step(phi, model, comul, note, stage)], None
+    return model, comul, [Step(phi, stage, note)], None
 
 
 def hopf_stage_linear(model, comul):
@@ -251,17 +258,65 @@ def _screen(model, comul) -> HypothesisReport:
     return check_hypotheses(model, max(degrees) + 2 - min(degrees) if degrees else 1)
 
 
+def _eta(model, comul, phi, target) -> dict[str, Polynomial]:
+    """eta(w) with d(eta(w)) = C^Phi(w) - C_T(w), for the conjugate C^Phi of
+    the source (model, comul) by Phi and the target comultiplication C_T,
+    under D_T = 0, where d acts on the base coefficients: each difference
+    is split coefficientwise (`_split_coefficients`), and a part that is
+    not exact is an error."""
+    model, comul = conjugate(model, comul, phi)
+    if model.d_fiber:
+        raise EngineError("the source conjugated by Phi keeps a differential")
+    base, eta = model.base_cdga(), {}
+    for gen in model.table.fiber:
+        name = gen.display()
+        difference = comul.image(gen) - target.image(gen)
+        if not difference:
+            continue
+        eta[gen.name], rest = _split_coefficients(
+            base, difference, f"C^Phi({name}) - C_T({name})")
+        if rest:
+            raise EngineError(f"C^Phi({name}) - C_T({name}) is not exact")
+    return eta
+
+
 def _run_stages(model, comul, report: HypothesisReport, stages) -> NormalizationResult:
     """Run `stages` in turn, each (model, comul) -> (model, comul, steps,
-    obstruction), collecting their steps into one certificate; the first
-    obstruction ends the run."""
-    cert = new_certificate(model, comul)
+    obstruction), into one certificate; the first obstruction ends the run.
+
+    Phi is composed as the steps come, Phi(w_k) <- Phi(phi(w_k)) for each
+    w_k a step's phi moves, so the source conjugated by Phi is the state
+    the changes of generators reach.  Only a run that subtracted an exact
+    part ends elsewhere.  When no change of generators follows its first
+    subtraction, C^Phi - C_T is the sum of the parts it subtracted, and eta
+    the sum of their preimages; otherwise it conjugates the source by Phi,
+    once, to take eta (`_eta`)."""
+    source, source_comul = model, comul
+    phi: dict[int, Polynomial] = {}
+    eta: dict[str, Polynomial] = {}
+    trail: list[CertificateStep] = []
+    moved_after_subtraction = False
     for stage in stages:
         model, comul, steps, obstruction = stage(model, comul)
         if obstruction is not None:
             return NormalizationResult("obstructed", report, obstruction=obstruction)
-        cert.steps.extend(steps)
-    cert.target_d, cert.target_c = snapshot(model, comul)
+        for step in steps:
+            if step.phi is None:
+                for name, part in step.eta.items():
+                    eta[name] = eta.get(name, Polynomial.zero()) + part
+            else:
+                moved_after_subtraction = moved_after_subtraction or bool(eta)
+                phi.update({gid: apply_images(phi, image)
+                            for gid, image in step.phi.images.items()})
+            trail.append(CertificateStep(step.stage, step.note))
+    composite = ChangeOfGenerators({
+        gen.id: phi[gen.id] for gen in model.table.fiber
+        if gen.id in phi and phi[gen.id] != Polynomial.from_generator(gen)})
+    cert = EquivalenceCertificate(
+        table=source.table, d_base=dict(source.d_base), source_d=dict(source.d_fiber),
+        source_c=dict(source_comul.images), phi=composite, target_c=dict(comul.images),
+        target_d=dict(model.d_fiber), steps=trail,
+        eta=_eta(source, source_comul, composite, comul) if moved_after_subtraction else eta)
     return NormalizationResult("normalized", report, certificate=cert)
 
 
@@ -282,20 +337,6 @@ def _excess_parts(model, comul, gen) -> dict[int, Polynomial]:
     return comul.excess(gen).word_length_parts()
 
 
-def _remove_by_homotopy(model, comul, gen, part, eta, note, stage):
-    """Remove the exact `part` P from C(w_k) by one DG homotopy
-
-        H(w_k) = C(w_k) - P t - eta dt,  constant on the other generators,
-
-    where d(eta) = P.  Returns (comul, step)."""
-    table = model.table
-    images = {other.id: comul.image(other) for other in table.fiber}
-    images[gen.id] = (comul.image(gen) - part * Polynomial.from_generator(table.t)
-                      - eta * Polynomial.from_generator(table.dt))
-    new_comul = Comultiplication(table, {**comul.images, gen.name: comul.image(gen) - part})
-    return new_comul, _step(DGHomotopy(images), model, new_comul, note, stage)
-
-
 def _require_associative(model, comul) -> None:
     """Raise unless C is homotopy associative, naming the reduced non-exact
     defect classes; an exact check in the tensor cube."""
@@ -313,14 +354,15 @@ def _require_associative(model, comul) -> None:
 def _ls_step(model, comul, gen, r):
     """Remove the word-length-r excess P_r of C(w_k), for every r.
 
-    Its coefficients split (`split`) into a preimage eta of their exact
-    part and their reduced classes, the class part.  A nonzero class part
-    must take the shape sum b_I (S_I - w_I - w'_I); the change of generators
-    w_k -> w_k - sum b_I w_I absorbs it.  The exact part is removed by one
-    DG homotopy with dt-coefficient eta.  Stage labels, notes and
-    obstruction details follow r's parity; under the hypotheses an even-r
-    coefficient has odd degree, so its class part is zero.  Returns
-    (model, comul, steps, obstruction).
+    Its coefficients split (`split`) into their exact part and their
+    reduced classes, the class part.  A nonzero class part must take the
+    shape sum b_I (S_I - w_I - w'_I); the change of generators
+    w_k -> w_k - sum b_I w_I absorbs it.  The exact part is subtracted from
+    C(w_k), and the step keeps the preimage eta of its coefficients for the
+    certificate's eta (`_run_stages`).  Stage labels, notes and obstruction
+    details follow r's parity; under the hypotheses an even-r coefficient
+    has odd degree, so its class part is zero.  Returns (model, comul,
+    steps, obstruction).
     """
     part = _excess_parts(model, comul, gen).get(r)
     if not part:
@@ -329,7 +371,7 @@ def _ls_step(model, comul, gen, r):
     even = r % 2 == 0
     stage = "ls-even" if even else "ls-odd"
     eta, class_part = _split_coefficients(base, part, f"the excess of C({name})")
-    steps: list[CertificateStep] = []
+    steps: list[Step] = []
     if class_part:
         try:
             coefficients = propsolver.solve_basic_form(table, class_part)
@@ -352,14 +394,14 @@ def _ls_step(model, comul, gen, r):
             raise EngineError("excess-step change of generators did not absorb the "
                               "class part")
         comul = comul2
-        steps.append(_step(phi, model, comul,
-                           f"absorb complement part of length {r} into {name}", stage))
+        steps.append(Step(phi, stage, f"absorb complement part of length {r} into {name}"))
     exact_part = part - class_part
     if exact_part:
-        note = (f"remove even excess of length {r} from C({name})" if even
-                else f"remove exact part of length {r} from C({name})")
-        comul, step = _remove_by_homotopy(model, comul, gen, exact_part, eta, note, stage)
-        steps.append(step)
+        comul = Comultiplication(table, {**comul.images,
+                                         gen.name: comul.image(gen) - exact_part})
+        steps.append(Step(None, stage, f"remove even excess of length {r} from C({name})"
+                          if even else f"remove exact part of length {r} from C({name})",
+                          {gen.name: eta}))
     return model, comul, steps, None
 
 
@@ -385,11 +427,12 @@ def ls_normalize(
     Hypothesis check, differential removal, then the excess steps until
     every image is standard.  The theorem needs C homotopy associative.  A
     run that normalizes proves it: the target C0 is strictly coassociative,
-    and changes of generators and DG homotopies preserve homotopy
-    associativity.  So the exact check in the tensor cube runs only on a
-    run that does not normalize (an obstruction or an error), on the
-    source model and before anything is returned or raised, where
-    "not homotopy associative" (InvalidModelError) outranks the rest.
+    and changes of generators and the subtraction of exact parts (a DG
+    homotopy) preserve homotopy associativity.  So the exact check in the
+    tensor cube runs only on a run that does not normalize (an obstruction
+    or an error), on the source model and before anything is returned or
+    raised, where "not homotopy associative" (InvalidModelError) outranks
+    the rest.
     """
     report = _screen(model, comul)
     if not report.satisfied and not force:

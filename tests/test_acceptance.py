@@ -23,9 +23,9 @@ Criteria (tolerances are exact equality unless stated):
   6. closed-form lemma kernels match brute-force null spaces for all
      strictly increasing sequences of length at most 4;
   7. at least 10^4 randomized algebra-law cases with zero failures;
-  8. at least 100 single-step certificate mutations, each caught at the
-     mutated step, four of them on the homotopy steps of two golden
-     certificates.
+  8. at least 100 certificate mutations, each of one image of Phi, of eta
+     or of the target, all caught, among them every image of eta in the two
+     golden certificates whose eta is nonzero.
 """
 
 import itertools
@@ -58,7 +58,6 @@ from fibrewise import (
 from fibrewise import io as fio
 from fibrewise.certify import invert
 from fibrewise.cli import run_command
-from fibrewise.certify import snapshot
 from fibrewise.propsolver import _same_polynomial_span, polynomial_span_contains
 
 import util
@@ -151,7 +150,7 @@ def test_criterion_3_leray_samelson_counterexample(tmp_path):
 
 
 def _round_trip(tmp, name, std, seed, mode):
-    """perturb, then hopf and ls, each certificate replayed by verify, all
+    """perturb, then hopf and ls, each certificate checked by verify, all
     through the CLI; ls must reach D = 0 and the standard comultiplication.
     Returns the perturbed model document and the ls certificate document."""
     std_doc = json.loads(std.read_text())
@@ -197,7 +196,7 @@ def round_trip_artifacts(tmp_path_factory):
             for mode in ("change-of-generators", "both"):
                 _, cert_doc = _round_trip(tmp, f"{base_idx}_{seed}_{mode}", std, seed, mode)
                 runs += 1
-                if cert_doc["steps"]:
+                if cert_doc["phi"] or cert_doc["eta"]:
                     certificates.append(cert_doc)
     elapsed = time.perf_counter() - start
     return {"runs": runs, "certificates": certificates, "elapsed": elapsed}
@@ -224,7 +223,7 @@ def test_exact_homotopy_round_trips(tmp_path):
             pert_doc, cert_doc = _round_trip(tmp_path, f"{seed}_{mode}", std, seed, mode)
             assert pert_doc["comultiplication"] != standard
             if mode == "exact-homotopy":
-                assert any(step["kind"] == "homotopy" for step in cert_doc["steps"])
+                assert cert_doc["eta"]
 
 
 # -- criterion 5 --------------------------------------------------------------
@@ -328,7 +327,7 @@ def test_criterion_7_randomized_algebra_laws():
         phi = util.seeded_unipotent(model, rng)
         m2, c2 = conjugate(model, comul, phi)
         m3, c3 = conjugate(m2, c2, invert(model, phi))
-        assert snapshot(m3, c3) == snapshot(model, comul)
+        assert util.state(m3, c3) == util.state(model, comul)
         cases += 1
 
     elapsed = time.perf_counter() - start
@@ -350,19 +349,28 @@ def _mutate_polynomial_doc(poly_doc):
     return poly_doc
 
 
+def _mutation_sites(cert_doc):
+    """Where criterion 8 mutates a certificate: each image of Phi and of
+    eta, and the target's first comultiplication image."""
+    sites = [("phi", name) for name in sorted(cert_doc["phi"])]
+    sites += [("eta", name) for name in sorted(cert_doc["eta"])]
+    return sites + [("target", sorted(cert_doc["target"]["comultiplication"])[0])]
+
+
 def test_criterion_8_certificate_mutations(round_trip_artifacts):
     start = time.perf_counter()
     certificates = list(round_trip_artifacts["certificates"])
-    # the round-trip family yields changes of generators only; each of these
-    # golden certificates holds one homotopy step
-    for name in ("exact_odd_excess", "full_ladder"):
-        result = json.loads((GOLDEN / f"{name}.ls.json").read_text(encoding="utf-8"))
-        certificates.append(result["certificate"])
+    # the round-trip family yields changes of generators only; these golden
+    # certificates have a nonzero eta
+    goldens = [json.loads((GOLDEN / f"{name}.ls.json").read_text(encoding="utf-8"))
+               ["certificate"] for name in ("exact_odd_excess", "full_ladder")]
+    golden_eta = sum(len(cert["eta"]) for cert in goldens)
+    assert golden_eta >= 2
+    certificates += goldens
     # extend the pool with guaranteed non-trivial round-trip certificates
     # from the same model family until enough mutation sites exist
     seed = 100
-    # every step yields two mutation sites: its images and its recorded result
-    while sum(2 * len(c["steps"]) for c in certificates) < 110:
+    while sum(len(_mutation_sites(c)) for c in certificates) < 110:
         model = util.rt_tables()[seed % 3]
         table = model.table
         comul = Comultiplication.standard(table)
@@ -373,44 +381,22 @@ def test_criterion_8_certificate_mutations(round_trip_artifacts):
         )
         m2, c2 = conjugate(model, comul, phi)
         result = ls_normalize(m2, c2)
-        assert result.outcome == "normalized" and result.certificate.steps
+        assert result.outcome == "normalized" and result.certificate.phi.images
         certificates.append(fio.certificate_to_document(result.certificate))
         seed += 1
-    mutations = 0
-    detected = 0
-    homotopy_mutations = 0
+    mutations = {"phi": 0, "eta": 0, "target": 0}
     for cert_doc in certificates:
-        for index, step in enumerate(cert_doc["steps"]):
-            victims = []
-            # recorded result
-            name = sorted(step["result"]["comultiplication"])[0]
-            victims.append(("result", "comultiplication", name))
-            # the step payload itself
-            if step["images"]:
-                victims.append(("images", sorted(step["images"])[0], None))
-            for victim in victims:
-                mutated = json.loads(json.dumps(cert_doc))
-                target = mutated["steps"][index]
-                if victim[0] == "result":
-                    _mutate_polynomial_doc(target["result"]["comultiplication"][victim[2]])
-                else:
-                    _mutate_polynomial_doc(target[victim[0]][victim[1]])
-                cert = fio.certificate_from_document(mutated)
-                verdict = verify_equivalence(cert)
-                mutations += 1
-                homotopy_mutations += step["kind"] == "homotopy"
-                assert not verdict.ok, (victim, index)
-                if verdict.failed_step == index:
-                    detected += 1
-                else:
-                    raise AssertionError(
-                        f"mutation at step {index} detected at {verdict.failed_step}"
-                    )
+        for kind, name in _mutation_sites(cert_doc):
+            mutated = json.loads(json.dumps(cert_doc))
+            node = mutated["target"]["comultiplication"] if kind == "target" else mutated[kind]
+            _mutate_polynomial_doc(node[name])
+            verdict = verify_equivalence(fio.certificate_from_document(mutated))
+            assert not verdict.ok, (kind, name)
+            mutations[kind] += 1
     elapsed = time.perf_counter() - start
-    assert mutations >= 100
-    assert detected == mutations
-    # a homotopy step's images and its recorded result, in both golden
-    # certificates
-    assert homotopy_mutations == 4
-    _report(8, f"{mutations} mutations ({homotopy_mutations} on homotopy steps), "
-               f"all caught at the mutated step, {elapsed:.1f}s")
+    assert sum(mutations.values()) >= 100
+    # every image of eta in the golden certificates is mutated
+    assert mutations["eta"] >= golden_eta
+    _report(8, f"{sum(mutations.values())} mutations ({mutations['phi']} of Phi, "
+               f"{mutations['eta']} of eta, {mutations['target']} of the target), "
+               f"all caught, {elapsed:.1f}s")

@@ -1,4 +1,5 @@
-"""Change-of-generators inversion, conjugation, homotopies, verification."""
+"""Change-of-generators inversion, conjugation, and the verifier of
+certificates in normal form (Phi, the target and eta)."""
 
 import importlib
 import json
@@ -14,21 +15,21 @@ from fibrewise import (
     AlgebraError,
     ChangeOfGenerators,
     Comultiplication,
-    DGHomotopy,
     GeneratorTable,
+    PerturbationSpec,
     Polynomial,
     RelativeModel,
     conjugate,
     emit_triviality_report,
-    evaluate_interval,
+    hopf_normalize,
     ls_normalize,
+    perturb,
     verify_equivalence,
-    verify_homotopy,
 )
-from fibrewise import certify
+from fibrewise import certify, dga, linalg
 from fibrewise import io as fio
 from fibrewise.algebra import is_mixed_square_monomial
-from fibrewise.certify import invert, new_certificate, snapshot
+from fibrewise.certify import invert, verify_homotopy
 from fibrewise.model import validate_comultiplication
 
 import util
@@ -84,7 +85,7 @@ def test_invert_rejects_bad_shape():
 def test_conjugate_identity_fixes_everything():
     model, comul = util.fixture_a()
     new_model, new_comul = conjugate(model, comul, ChangeOfGenerators({}))
-    assert snapshot(new_model, new_comul) == snapshot(model, comul)
+    assert util.state(new_model, new_comul) == util.state(model, comul)
 
 
 def test_conjugate_round_trip_randomized():
@@ -95,7 +96,7 @@ def test_conjugate_round_trip_randomized():
             phi = util.seeded_unipotent(model, rng)
             m2, c2 = conjugate(model, comul, phi)
             m3, c3 = conjugate(m2, c2, invert(model, phi))
-            assert snapshot(m3, c3) == snapshot(model, comul)
+            assert util.state(m3, c3) == util.state(model, comul)
 
 
 def test_conjugation_raises_word_length():
@@ -112,105 +113,58 @@ def test_conjugation_raises_word_length():
     assert parts[2] == x ** 3 * table.poly("u") * table.poly("v")
 
 
-def test_evaluate_interval():
-    table = GeneratorTable(base=[("x", 2)], fiber=[("w", 3)])
-    t = Polynomial.from_generator(table.t)
-    dt = Polynomial.from_generator(table.dt)
-    w = table.poly("w")
-    p = w + table.poly("x") * w * t - table.poly("x", 0) * w * t * t + w * dt
-    assert evaluate_interval(table, p, 0) == w
-    assert evaluate_interval(table, p, 1) == w
-
-
-def test_evaluate_interval_against_the_term_loop():
-    # tensor-square polynomials times t^k (k <= 3), with or without dt; a
-    # piece -q next to q t^k cancels at t = 1, so sums that cancel are met
-    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
-                                         truncation=20)
-    table = model.table
-    gens = model.tensor_cdga(2).gens
-    t = Polynomial.from_generator(table.t)
-    dt = Polynomial.from_generator(table.dt)
-    rng = random.Random(22)
-    cancelled = 0
-    for _ in range(150):
-        p = Polynomial.zero()
-        for _ in range(rng.randint(1, 4)):
-            q = util.random_homogeneous(rng, table, gens, rng.choice([3, 6, 9]))
-            piece = q * t ** rng.randint(0, 3)
-            p = p + (piece * dt if rng.random() < 0.4 else piece)
-            if rng.random() < 0.3:
-                p = p - q
-        # the monomials of the terms without dt, with their t factors removed
-        keys = {tuple(f for f in m if f[0].space != "interval")
-                for m in p.terms if all(g.name != "dt" for g, _ in m)}
-        for value in (0, 1):
-            got = evaluate_interval(table, p, value)
-            assert got == util.evaluate_interval_by_terms(p, value)
-            assert got.spaces() <= {"base", "w0", "w1"}
-            cancelled += value == 1 and len(got.terms) < len(keys)
-    assert cancelled
-
-
 def test_verify_homotopy_constant():
     model, comul = util.fixture_a()
-    images = {g.id: comul.image(g) for g in model.table.fiber}
-    h = DGHomotopy(images)
-    assert verify_homotopy(model, h, comul.images, comul.images).ok
+    assert verify_homotopy(model, comul, ChangeOfGenerators({}), comul.images, {}).ok
 
 
 def test_verify_homotopy_even_step_shape():
-    # H(w) = C(w) - P t - eta dt with P = q u v', eta = p u v'
+    # C(w) = C0(w) + q u v' is C0 up to the boundary of eta(w) = p u v'
+    # (dp = q, and D = 0 in the target square)
     model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
                                          truncation=20)
     table = model.table
     p, q = table.poly("p"), table.poly("q")
     u, vp = table.poly("u"), table.poly("v", copy=1)
-    images = dict(Comultiplication.standard(table).images)
-    images["w"] = images["w"] + q * u * vp
-    comul = Comultiplication(table, images)
-    t = Polynomial.from_generator(table.t)
-    dt = Polynomial.from_generator(table.dt)
-    h_images = {g.id: comul.image(g) for g in table.fiber}
-    wid = table.generator("w0", "w").id
-    h_images[wid] = comul.image(table.generator("w0", "w")) - (q * u * vp) * t - (p * u * vp) * dt
-    end = dict(comul.images)
-    end["w"] = end["w"] - q * u * vp
-    h = DGHomotopy(h_images)
-    assert verify_homotopy(model, h, comul.images, end).ok
-    # the ends are the states before and after the step: an edit of either
-    # is located at its end of the interval, with the difference as witness
-    edited = {**comul.images, "w": comul.images["w"] + q * u * vp}
-    for start, stop, message, witness in (
-        (edited, end, "homotopy at t=0 differs from the current comultiplication at w",
-         -(q * u * vp)),
-        (comul.images, edited, "homotopy at t=1 differs from the recorded "
-                               "comultiplication at w", -2 * (q * u * vp)),
+    standard = Comultiplication.standard(table).images
+    comul = Comultiplication(table, {**standard, "w": standard["w"] + q * u * vp})
+    identity = ChangeOfGenerators({})
+    eta = {"w": p * u * vp}
+    assert verify_homotopy(model, comul, identity, standard, eta).ok
+    # an edit of the source, the target or eta is located at w, with the
+    # difference (Phi (x) Phi)(C_T + d eta) - C Phi as witness
+    edited_source = Comultiplication(table, {**comul.images, "w": comul.images["w"] + q * u * vp})
+    for source, target, edited_eta, witness in (
+        (edited_source, standard, eta, -(q * u * vp)),
+        (comul, {**standard, "w": standard["w"] + q * u * vp}, eta, q * u * vp),
+        (comul, standard, {"w": 2 * p * u * vp}, q * u * vp),
+        (comul, standard, {}, -(q * u * vp)),
     ):
-        verdict = verify_homotopy(model, h, start, stop)
-        assert (verdict.failures, verdict.witness) == ([message], witness)
-    without_w = {name: image for name, image in comul.images.items() if name != "w"}
-    assert verify_homotopy(model, h, without_w, end).failures == [
-        "current comultiplication image missing for w"]
-    # perturbing the dt-part by a non-cycle breaks differential compatibility
-    h_bad = dict(h_images)
-    h_bad[wid] = h_bad[wid] + (p * u * vp) * dt
-    verdict = verify_homotopy(model, DGHomotopy(h_bad), comul.images, end)
-    assert not verdict.ok
-    assert verdict.failures[0].startswith("homotopy does not commute with the differentials")
+        verdict = verify_homotopy(model, source, identity, target, edited_eta)
+        assert verdict.failures == [
+            "phi does not intertwine the comultiplications at w: "
+            "(phi (x) phi)(C_T + d eta) != C phi"]
+        assert verdict.witness == witness
+    # a cycle added to eta changes nothing: eta is fixed up to cycles
+    assert verify_homotopy(model, comul, identity, standard,
+                           {"w": p * u * vp + q * u * vp}).ok
 
 
 def test_verify_equivalence_empty_certificate():
-    model, comul = util.fixture_a()
-    cert = new_certificate(model, comul)
+    # Phi the identity, eta zero: the certificate of a pair that is its own
+    # target, which needs D = 0; fixture a's D(w5) = b3 w3 is refused
+    model = util.rt_tables()[0]
+    cert = util.identity_certificate(model, Comultiplication.standard(model.table))
     assert verify_equivalence(cert).ok
+    fixture, fixture_comul = util.fixture_a()
+    verdict = verify_equivalence(util.identity_certificate(fixture, fixture_comul))
+    assert (verdict.failures, verdict.witness) == (
+        ["target D(w5) is not zero"], fixture.d_fiber["w5"])
 
 
 def test_verify_equivalence_accepts_pipeline_output():
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
-    from fibrewise import PerturbationSpec, perturb
-
     m2, c2 = perturb(model, comul, PerturbationSpec(seed=3, mode="change-of-generators"))
     result = ls_normalize(m2, c2)
     assert result.outcome == "normalized"
@@ -218,32 +172,50 @@ def test_verify_equivalence_accepts_pipeline_output():
 
 
 def test_verify_equivalence_rejects_tampered_step():
+    # the composite Phi with one tail doubled: still of valid shape, but no
+    # longer the run's change of generators
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
-    from fibrewise import PerturbationSpec, perturb
-
     cert = None
     for seed in range(30):  # not every seed perturbs observably
         m2, c2 = perturb(model, comul,
                          PerturbationSpec(seed=seed, mode="change-of-generators"))
         result = ls_normalize(m2, c2)
-        if result.certificate.steps:
+        if result.certificate.phi.images:
             cert = result.certificate
             break
     assert cert is not None and cert.steps
-    step = cert.steps[0]
-    victim = sorted(step.c_after)[0]
-    step.c_after[victim] = step.c_after[victim] + model.table.poly("w")
+    gid, image = next(iter(cert.phi.images.items()))
+    gen = next(g for g in model.table.fiber if g.id == gid)
+    cert.phi.images[gid] = 2 * image - Polynomial.from_generator(gen)
     verdict = verify_equivalence(cert)
     assert not verdict.ok
-    assert verdict.failed_step == 0
+    assert verdict.failures[0].startswith("phi does not intertwine the ")
+
+
+def test_a_generator_phi_fixes_is_compared_through_phi():
+    # C(w) = w + w' + q u s' conjugated by s -> s + p u: hopf moves s back
+    # and fixes w, but C_T(w) = w + w' + q u s' is not the source's
+    # C(w) = w + w' + q u s' - p q u u'; only (Phi (x) Phi)(C_T(w)) is
+    table = GeneratorTable(base=[("p", 2), ("q", 3)], fiber=[("u", 3), ("s", 5), ("w", 11)])
+    model = RelativeModel(table, d_base={"p": table.poly("q")}, truncation=24)
+    p, q, u = table.poly("p"), table.poly("q"), table.poly("u")
+    standard = Comultiplication.standard(table).images
+    comul = Comultiplication(table, {**standard,
+                                     "w": standard["w"] + q * u * table.poly("s", copy=1)})
+    sid = table.generator("w0", "s").id
+    source = conjugate(model, comul, ChangeOfGenerators({sid: table.poly("s") + p * u}))
+    cert = hopf_normalize(*source).certificate
+    assert list(cert.phi.images) == [sid]
+    assert cert.target_c["w"] == comul.images["w"] != source[1].images["w"]
+    assert verify_equivalence(cert).ok
 
 
 def test_verify_equivalence_rejects_wrong_target():
-    model, comul = util.fixture_a()
-    cert = new_certificate(model, comul)
+    model = util.rt_tables()[0]
+    cert = util.identity_certificate(model, Comultiplication.standard(model.table))
     cert.target_c = dict(cert.target_c)
-    cert.target_c["w3"] = cert.target_c["w3"] + model.table.poly("w3")
+    cert.target_c["u"] = cert.target_c["u"] + model.table.poly("u")
     verdict = verify_equivalence(cert)
     assert not verdict.ok
 
@@ -251,7 +223,6 @@ def test_verify_equivalence_rejects_wrong_target():
 def test_triviality_report_wording():
     model = util.rt_tables()[0]
     comul = Comultiplication.standard(model.table)
-    from fibrewise import hopf_normalize
 
     res = hopf_normalize(model, comul)
     text = emit_triviality_report(res, "hopf")
@@ -265,18 +236,20 @@ def test_triviality_report_wording():
     assert "obstruction" in text3 and "ls-even" in text3
 
 
-# -- the verifier checks identities, it does not replay --------------------------
+# -- the verifier checks identities: it neither conjugates nor solves -------------
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the verifier must not conjugate or invert")
+    raise AssertionError("the verifier must not conjugate, invert or solve")
 
 
 def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
     monkeypatch.setattr(certify, "conjugate", _refuse)
     monkeypatch.setattr(certify, "invert", _refuse)
+    monkeypatch.setattr(dga.FreeCDGA, "split", _refuse)
+    monkeypatch.setattr(linalg, "eliminate", _refuse)
     names = []
     for path in sorted(GOLDEN.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -287,6 +260,33 @@ def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
         names.append(path.name)
     assert "full_ladder.hopf.json" in names and "full_ladder.ls.json" in names
     assert sum(name.startswith("rt") for name in names) == 20
+
+
+def test_an_ls_run_without_an_exact_part_conjugates_once_per_change(monkeypatch):
+    # Phi is composed as the run steps; only a run that subtracts an exact
+    # part conjugates the source by Phi once more, at the end
+    calls = []
+    real = certify.conjugate
+
+    def spy(model, comul, phi):
+        calls.append(phi)
+        return real(model, comul, phi)
+
+    monkeypatch.setattr(importlib.import_module("fibrewise.normalize"), "conjugate", spy)
+    wide = util.wide_base_model(fiber=[("u", 3), ("v", 5), ("z", 7), ("w", 9)])
+    perturbed = perturb(wide, Comultiplication.standard(wide.table),
+                        PerturbationSpec(0, mode="change-of-generators"))
+    for (model, comul), subtracts in ((util.full_ladder_model(), True), (perturbed, False)):
+        calls.clear()
+        result = ls_normalize(model, comul)
+        trail = result.certificate.steps
+        changes = len(trail) - sum(
+            step.note.startswith(("remove even excess", "remove exact part")) for step in trail)
+        assert changes >= 2 and len(result.certificate.phi.images) >= 2
+        assert bool(result.certificate.eta) == subtracts
+        assert len(calls) == changes + subtracts
+        if subtracts:
+            assert calls[-1] is result.certificate.phi
 
 
 def _conjugate_adding_exact_term(real, mutated):
@@ -315,20 +315,20 @@ def _conjugate_adding_exact_term(real, mutated):
 
 
 def test_verify_catches_a_conjugation_bug_the_pipeline_lets_through(monkeypatch):
+    # hopf's target C is the state its conjugations reach, so an exact term
+    # a faulty conjugation adds there is not C carried back by Phi
     model, comul = util.full_ladder_model()
     mutated = []
     mutant = _conjugate_adding_exact_term(certify.conjugate, mutated)
     for namespace in ("fibrewise", "fibrewise.certify", "fibrewise.normalize",
                       "fibrewise.perturb"):
         monkeypatch.setattr(importlib.import_module(namespace), "conjugate", mutant)
-    result = ls_normalize(model, comul)
+    result = hopf_normalize(model, comul)
     assert result.outcome == "normalized" and mutated
-    actions = [step.action for step in result.certificate.steps]
-    first = next(i for i, action in enumerate(actions) if action is mutated[0])
     verdict = verify_equivalence(result.certificate)
     assert not verdict.ok
-    assert verdict.failed_step == first
-    assert "does not intertwine the comultiplications" in verdict.failures[0]
+    assert verdict.failures[0].startswith(
+        "phi does not intertwine the comultiplications at w")
 
 
 def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
@@ -336,20 +336,19 @@ def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
 
     model, comul = util.full_ladder_model()
     cert = ls_normalize(model, comul).certificate
-    index = next(i for i, step in enumerate(cert.steps)
-                 if isinstance(step.action, ChangeOfGenerators))
-    step = cert.steps[index]
     table = model.table
-    # p^2 u v' is fixed by the step (it moves s), so the witness is d of it
-    after = RelativeModel(table, cert.d_base, step.d_after, model.truncation)
-    exact = after.tensor_cdga(2).d(
+    # the target with an exact term added to C(w) is still a valid
+    # comultiplication of (B (x) Lambda(W), 0), but not the run's target;
+    # Phi fixes u and v, so the witness is the term itself
+    target = model.with_fiber_differential({})
+    exact = target.tensor_cdga(2).d(
         table.poly("p") ** 2 * table.poly("u") * table.poly("v", copy=1))
     assert exact
-    images = dict(step.c_after)
+    images = dict(cert.target_c)
     images["w"] = images["w"] + exact
-    assert validate_comultiplication(after, Comultiplication(table, images)).ok
+    assert validate_comultiplication(target, Comultiplication(table, images)).ok
     doc = fio.certificate_to_document(cert)
-    doc["steps"][index]["result"]["comultiplication"]["w"] = fio.polynomial_to_doc(images["w"])
+    doc["target"]["comultiplication"]["w"] = fio.polynomial_to_doc(images["w"])
     model_path = tmp_path / "model.json"
     model_path.write_text(fio.dumps(fio.model_to_document(model, comul)), encoding="utf-8")
     cert_path = tmp_path / "cert.json"
@@ -357,9 +356,8 @@ def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):
     capsys.readouterr()
     assert run_command(["verify", str(model_path), str(cert_path)]) == 4
     assert capsys.readouterr().out.splitlines() == [
-        f"FAIL: step {index}: change of generators does not intertwine the "
-        "comultiplications at w",
-        f"failed step: {index} (change_of_generators)",
+        "FAIL: phi does not intertwine the comultiplications at w: "
+        "(phi (x) phi)(C_T + d eta) != C phi",
         f"witness: {exact!r}",
     ]
 
@@ -373,81 +371,82 @@ def _term(coeff, *factors):
 
 def _edit(doc, op, path, value=None):
     """Apply one edit to a document: "add" appends a term to the polynomial
-    at `path`, "set" replaces the node there, "del" removes it."""
+    at `path` (an absent one is zero), "set" replaces the node there, "del"
+    removes it."""
     node = doc
     for key in path[:-1]:
         node = node[key]
     if op == "add":
-        node[path[-1]].append(value)
+        node.setdefault(path[-1], []).append(value)
     elif op == "set":
         node[path[-1]] = value
     else:
         del node[path[-1]]
 
 
-# X' = u' s' is a second-copy monomial with d(X') = 0 once D vanishes, so over
-# dp = q the term t q X' + dt p X' is a cycle; at t = 1 it leaves q X', which
-# breaks the counit shape of the recorded comultiplication
+# X' = u' s' is a second-copy monomial and a cycle once D vanishes, so with
+# dp = q adding q X' to C_T(w) and -p X' to eta(w) keeps the identity; only
+# the mixed condition on eta, which guards the counit of C_T, refuses it
 _X = (("w1", "u", 1), ("w1", "s", 1))
 
-# name: (edits of full_ladder.ls.json's certificate, whose steps are change,
-# change, homotopy, change; failed step; the verifier's message)
+# name: (edits of full_ladder.ls.json's certificate, the verifier's message).
+# Over Lambda(p2, q3; dp = q) it has Phi(s) = s - p u, Phi(w) = w - p u v z
+# - u v s, eta(w) = p u s' - p s u' and the standard target.  The names are
+# those of the checks of the chain of steps certificates held before: a
+# "change" is now Phi, a "recorded" state or a "result" the target, and a
+# "homotopy" eta.
 LADDER_MUTATIONS = {
     "change shape": (
-        [("add", ["steps", 0, "images", "s"], _term("1", ("base", "p", 1), ("base", "q", 1)))],
-        0, "tail of s has a pure-base component"),
+        [("add", ["phi", "s"], _term("1", ("base", "p", 1), ("base", "q", 1)))],
+        "tail of s has a pure-base component"),
     "recorded D degree": (
-        [("add", ["steps", 0, "result", "differential", "w"],
+        [("add", ["target", "differential", "w"],
           _term("1", ("base", "p", 1), ("base", "q", 1), ("w0", "u", 1), ("w0", "v", 1),
                 ("w0", "z", 1)))],
-        0, "recorded D(w) is not homogeneous of degree 12"),
+        "target D(w) is not zero"),
     "recorded C degree": (
-        [("add", ["steps", 0, "result", "comultiplication", "u"],
+        [("add", ["target", "comultiplication", "u"],
           _term("1", ("w0", "u", 1), ("w1", "v", 1)))],
-        0, "recorded C(u) is not homogeneous of degree 3"),
+        "target C(u) is not homogeneous of degree 3"),
     "change differential": (
-        [("set", ["steps", 0, "result", "differential", "w", 0, "coeff"], "2")],
-        0, "change of generators does not intertwine the differentials at w"),
+        [("set", ["phi", "w", 0, "coeff"], "2")],
+        "phi does not intertwine the differentials at w: D(phi(w)) != 0"),
     "change missing C": (
-        [("del", ["steps", 0, "result", "comultiplication", "u"])],
-        0, "recorded comultiplication image missing for u"),
-    "homotopy start": (  # the image of u has no t: it starts at 2u + u'
-        [("set", ["steps", 2, "images", "u", 0, "coeff"], "2")],
-        2, "homotopy at t=0 differs from the current comultiplication at u"),
+        [("del", ["target", "comultiplication", "u"])],
+        "target comultiplication image missing for u"),
+    "homotopy start": (  # a non-cycle of eta's degree: d(p^2 u v') = 2 p q u v'
+        [("add", ["eta", "w"], _term("1", ("base", "p", 2), ("w0", "u", 1), ("w1", "v", 1)))],
+        "phi does not intertwine the comultiplications at w: "
+        "(phi (x) phi)(C_T + d eta) != C phi"),
     "homotopy endpoint invalid": (
-        [("add", ["steps", 2, "images", "w"], _term("1", ("base", "q", 1), *_X,
-                                                   ("interval", "t", 1))),
-         ("add", ["steps", 2, "images", "w"], _term("1", ("base", "p", 1), *_X,
-                                                   ("interval", "dt", 1))),
-         ("add", ["steps", 2, "result", "comultiplication", "w"],
-          _term("1", ("base", "q", 1), *_X))],
-        2, "homotopy endpoint is invalid: C(w) - w - w' has a term outside the "
-           "mixed tensor part (counit shape violation)"),
+        [("add", ["eta", "w"], _term("-1", ("base", "p", 1), *_X)),
+         ("add", ["target", "comultiplication", "w"], _term("1", ("base", "q", 1), *_X))],
+        "eta(w) is not mixed: a term lacks a factor in one of the two fiber copies"),
     "homotopy result": (
-        [("set", ["steps", 2, "result", "comultiplication", "u", 0, "coeff"], "2")],
-        2, "homotopy at t=1 differs from the recorded comultiplication at u"),
+        [("set", ["target", "comultiplication", "u", 0, "coeff"], "2")],
+        "phi does not intertwine the comultiplications at u: "
+        "(phi (x) phi)(C_T + d eta) != C phi"),
     "homotopy differential": (
-        [("set", ["steps", 2, "result", "differential"],
+        [("set", ["target", "differential"],
           {"w": [_term("1", ("base", "q", 1), ("w0", "u", 1), ("w0", "v", 1),
                        ("w0", "z", 1))]})],
-        2, "recorded differential differs from the current one"),
+        "target D(w) is not zero"),
     "homotopy image missing": (
-        [("del", ["steps", 2, "images", "u"])],
-        2, "homotopy image missing for u"),
+        [("del", ["eta", "w"])],
+        "phi does not intertwine the comultiplications at w: "
+        "(phi (x) phi)(C_T + d eta) != C phi"),
     "homotopy degree": (
-        [("add", ["steps", 2, "images", "u"], _term("1", ("w0", "u", 1), ("w1", "v", 1)))],
-        2, "homotopy image of u is not degree-preserving"),
-    "homotopy target": (
-        [("add", ["steps", 2, "images", "u"], _term("1", ("w2", "u", 1)))],
-        2, "homotopy image of u leaves the target algebra"),
-    "homotopy projection": (
-        [("add", ["steps", 2, "images", "u"], _term("1", ("base", "p", 1),
-                                                   ("interval", "dt", 1)))],
-        2, "homotopy image of u has a component over the base (projection "
-           "compatibility fails)"),
+        [("add", ["eta", "u"], _term("1", ("w0", "u", 1), ("w1", "v", 1)))],
+        "eta(u) is not homogeneous of degree 2"),
+    "homotopy target": (  # a factor outside the tensor square
+        [("add", ["eta", "w"], _term("1", ("base", "p", 1), ("w0", "u", 1), ("w2", "s", 1)))],
+        "eta(w) is not mixed: a term lacks a factor in one of the two fiber copies"),
+    "homotopy projection": (  # a component over the base alone
+        [("add", ["eta", "u"], _term("1", ("base", "p", 1)))],
+        "eta(u) is not mixed: a term lacks a factor in one of the two fiber copies"),
     "homotopy endpoint missing": (
-        [("del", ["steps", 2, "result", "comultiplication", "u"])],
-        2, "recorded comultiplication image missing for u"),
+        [("del", ["target", "comultiplication", "w"])],
+        "target comultiplication image missing for w"),
 }
 
 
@@ -455,7 +454,7 @@ LADDER_MUTATIONS = {
 def test_cli_verify_reports_each_failure_branch(tmp_path, capsys, name):
     from fibrewise.cli import run_command
 
-    edits, index, message = LADDER_MUTATIONS[name]
+    edits, message = LADDER_MUTATIONS[name]
     doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
     cert = doc["certificate"]
     for edit in edits:
@@ -466,15 +465,15 @@ def test_cli_verify_reports_each_failure_branch(tmp_path, capsys, name):
     code = run_command(["verify", str(GOLDEN / "full_ladder.model.json"), str(cert_path)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 4
-    assert lines[:2] == [f"FAIL: step {index}: {message}",
-                         f"failed step: {index} ({cert['steps'][index]['kind']})"]
+    assert lines[0] == f"FAIL: {message}"
 
 
 def test_cli_verify_locates_a_homotopy_that_does_not_start_at_the_previous_state(
         tmp_path, capsys):
-    # exact_odd_excess's only step is a homotopy, so its previous state is the
+    # exact_odd_excess's Phi is the identity and its eta accounts for the
     # source; x^2 u v' z' is a mixed cycle of degree 13 (D = 0, dx = 0), so
-    # the model and source with it added to C(w) stay valid and agree
+    # the model and source with it added to C(w) stay valid and agree, but
+    # C_T + d eta no longer reaches the source
     from fibrewise.cli import run_command
 
     cycle = _term("1", ("base", "x", 2), ("w0", "u", 1), ("w1", "v", 1), ("w1", "z", 1))
@@ -488,14 +487,14 @@ def test_cli_verify_locates_a_homotopy_that_does_not_start_at_the_previous_state
     capsys.readouterr()
     assert run_command(["verify", str(model_path), str(cert_path)]) == 4
     assert capsys.readouterr().out.splitlines() == [
-        "FAIL: step 0: homotopy at t=0 differs from the current comultiplication at w",
-        "failed step: 0 (homotopy)",
+        "FAIL: phi does not intertwine the comultiplications at w: "
+        "(phi (x) phi)(C_T + d eta) != C phi",
         "witness: -x^2*u*v'*z'",
     ]
 
 
 def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
-    # C'(u) = u + u' + u^(10^9): substituting phi (x) phi into it would take
+    # C_T(u) = u + u' + u^(10^9): substituting Phi (x) Phi into it would take
     # 10^9 - 1 products, so the degree check must come first
     generators = [{"name": "a", "degree": 2}, {"name": "u", "degree": 2}]
     model = {"base": {"generators": []}, "fiber": {"generators": generators}}
@@ -505,13 +504,12 @@ def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
 
     source = {"differential": {}, "comultiplication": {"a": standard("a"),
                                                        "u": standard("u")}}
-    result = {"differential": {}, "comultiplication": {
+    target = {"differential": {}, "comultiplication": {
         "a": standard("a"), "u": standard("u") + [_term("1", ("w0", "u", 10**9))]}}
     cert = {
-        "truncation_degree": 6, "model": model, "source": source, "target": result,
-        "steps": [{"kind": "change_of_generators", "stage": "", "note": "",
-                   "images": {"u": [_term("1", ("w0", "u", 1)), _term("1", ("w0", "a", 1))]},
-                   "result": result}],
+        "truncation_degree": 6, "model": model, "source": source, "target": target,
+        "phi": {"u": [_term("1", ("w0", "u", 1)), _term("1", ("w0", "a", 1))]},
+        "steps": [{"stage": "", "note": ""}],
     }
     model_path, cert_path = tmp_path / "model.json", tmp_path / "cert.json"
     model_path.write_text(json.dumps(model), encoding="utf-8")
@@ -521,19 +519,14 @@ def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 4
-    assert proc.stdout.splitlines()[:2] == [
-        "FAIL: step 0: recorded C(u) is not homogeneous of degree 2",
-        "failed step: 0 (change_of_generators)",
-    ]
+    assert proc.stdout.splitlines()[0] == "FAIL: target C(u) is not homogeneous of degree 2"
 
 
 def test_a_large_power_of_t_in_a_homotopy_is_replayed_at_once(tmp_path):
-    # t has degree 0, so t^(10^9) * m passes every shape check and is
-    # evaluated at the endpoints as a power of a constant
+    # eta(w) with a factor x^(10^9): d of it would build a polynomial of
+    # that degree, so the degree check refuses it first, at once
     doc = json.loads((GOLDEN / "exact_odd_excess.ls.json").read_text(encoding="utf-8"))
-    image = doc["certificate"]["steps"][0]["images"]["w"]
-    factors = [f for term in image for f in term["factors"] if f[:2] == ["interval", "t"]]
-    factors[0][2] = 10**9
+    doc["certificate"]["eta"]["w"][0]["factors"].insert(0, ["base", "x", 10**9])
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(doc), encoding="utf-8")
     proc = subprocess.run(
@@ -542,7 +535,4 @@ def test_a_large_power_of_t_in_a_homotopy_is_replayed_at_once(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 4
-    assert proc.stdout.splitlines()[:2] == [
-        "FAIL: step 0: homotopy does not commute with the differentials at w",
-        "failed step: 0 (homotopy)",
-    ]
+    assert proc.stdout.splitlines()[0] == "FAIL: eta(w) is not homogeneous of degree 12"

@@ -335,17 +335,24 @@ def test_d_monomial_matches_oracle_on_tensor_square_and_cube():
 
 
 def test_d_monomial_matches_oracle_on_powers_of_t():
+    # square monomials times powers p^k of the even base generator, with or
+    # without the odd q = dp, in the square and in the target square
+    # (D = 0), where a certificate's eta lives
     model = perturbed_contractible_model()
     table = model.table
-    square, homotopy = model.tensor_cdga(2), model.homotopy_cdga()
+    p, q = table.generator("base", "p"), table.generator("base", "q")
+    square = model.tensor_cdga(2)
+    target = model.with_fiber_differential({}).tensor_cdga(2)
     for degree in range(9):
         for mono in square.basis(degree):
             for power in (1, 2, 3):
-                for extra in ([(table.t, power)], [(table.t, power), (table.dt, 1)]):
+                for extra in ([(p, power)], [(p, power), (q, 1)]):
                     full, sign = normalize_monomial(list(mono) + extra)
-                    assert sign
-                    expected = util.leibniz_by_factors(homotopy, full)
-                    assert homotopy._d_monomial(full) == expected
+                    if not sign:  # q was already a factor
+                        continue
+                    for cdga in (square, target):
+                        expected = util.leibniz_by_factors(cdga, full)
+                        assert cdga._d_monomial(full) == expected
 
 
 # -- free-column read-off against exact solves ------------------------------------

@@ -78,20 +78,6 @@ def test_cycle_splitting_has_full_rank():
             assert total.solve_preimage(poly) is None
 
 
-def test_interval_algebra_differential():
-    table = GeneratorTable(base=[("x", 2)], fiber=[("w", 3)])
-    model = RelativeModel(table)
-    homotopy_cdga = model.homotopy_cdga()
-    for gen in homotopy_cdga.gens:
-        assert not homotopy_cdga.d(homotopy_cdga.d(Polynomial.from_generator(gen)))
-    t = Polynomial.from_generator(table.t)
-    dt = Polynomial.from_generator(table.dt)
-    assert homotopy_cdga.d(t) == dt
-    assert homotopy_cdga.d(dt) == Polynomial.zero()
-    assert homotopy_cdga.d(t * t * t) == 3 * t * t * dt
-    assert homotopy_cdga.d(t * dt) == Polynomial.zero()
-
-
 def test_perturb_empty_fiber_is_identity():
     table = GeneratorTable(base=[("x", 2)], fiber=[])
     model = RelativeModel(table)

@@ -10,7 +10,6 @@ import pytest
 
 from fibrewise import Comultiplication
 from fibrewise import io as fio
-from fibrewise.certify import new_certificate
 from fibrewise.cli import run_command
 from fibrewise.model import validate_input
 
@@ -343,13 +342,13 @@ def test_cli_round_trip_with_verify(tmp_path):
     assert run_command(["verify", other, cert]) == 4
     # a tampered certificate fails
     mangled = json.loads(Path(cert).read_text())
-    if mangled["steps"]:
-        mangled["steps"][0]["result"]["comultiplication"]["w"].append(
-            {"coeff": "1", "factors": [["w0", "u", 1], ["w0", "v", 1], ["w0", "z", 1]]}
-        )
-        bad = str(tmp_path / "bad.json")
-        Path(bad).write_text(json.dumps(mangled))
-        assert run_command(["verify", pert, bad]) == 4
+    assert mangled["phi"]
+    mangled["target"]["comultiplication"]["w"].append(
+        {"coeff": "1", "factors": [["w0", "u", 1], ["w0", "v", 1], ["w0", "z", 1]]}
+    )
+    bad = str(tmp_path / "bad.json")
+    Path(bad).write_text(json.dumps(mangled))
+    assert run_command(["verify", pert, bad]) == 4
 
 
 @pytest.mark.parametrize("mode", ["change-of-generators", "both"])
@@ -414,7 +413,7 @@ def test_certificate_document_round_trip(tmp_path):
     for seed in range(30):
         m2, c2 = perturb(model, comul, PerturbationSpec(seed=seed, mode="both"))
         result = ls_normalize(m2, c2)
-        if result.certificate.steps:
+        if result.certificate.phi.images:
             cert = result.certificate
             break
     assert cert is not None
@@ -426,15 +425,15 @@ def test_certificate_document_round_trip(tmp_path):
 
 
 def test_certificates_with_homotopy_steps_round_trip():
-    # the contractible base produces homotopy steps (interval polynomials in
-    # the serialized document) on every seed
+    # the contractible base has exact parts to subtract, so a nonzero eta in
+    # the serialized document, on some seed
     from fibrewise import PerturbationSpec, ls_normalize, perturb, verify_equivalence
 
     model = util.contractible_base_model(
         fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 9)], truncation=20
     )
     comul = Comultiplication.standard(model.table)
-    homotopy_seen = False
+    eta_seen = False
     for seed in range(6):
         m2, c2 = perturb(model, comul, PerturbationSpec(seed=seed, mode="both"))
         result = ls_normalize(m2, c2)
@@ -444,9 +443,8 @@ def test_certificates_with_homotopy_steps_round_trip():
         parsed = fio.certificate_from_document(json.loads(text))
         assert verify_equivalence(parsed).ok
         assert fio.dumps(fio.certificate_to_document(parsed)) == text
-        kinds = {step.kind for step in parsed.steps}
-        homotopy_seen = homotopy_seen or "homotopy" in kinds
-    assert homotopy_seen
+        eta_seen = eta_seen or bool(doc["eta"])
+    assert eta_seen
 
 
 def test_cli_verify_prints_the_failing_step_and_its_witness(tmp_path, capsys):
@@ -459,24 +457,21 @@ def test_cli_verify_prints_the_failing_step_and_its_witness(tmp_path, capsys):
     for seed in range(6):
         m2, c2 = perturb(model, comul, PerturbationSpec(seed=seed, mode="both"))
         doc = fio.certificate_to_document(ls_normalize(m2, c2).certificate)
-        kinds = [step["kind"] for step in doc["steps"]]
-        if "homotopy" in kinds:
+        if "w" in doc["eta"]:
             break
-    index = kinds.index("homotopy")
-    # t*u*v*z vanishes at t = 0 and moves the image of w at t = 1 only
-    doc["steps"][index]["images"]["w"].append(
-        {"coeff": "1", "factors": [["interval", "t", 1], ["w0", "u", 1],
-                                   ["w0", "v", 1], ["w0", "z", 1]]}
+    # p*u*v' is mixed, of eta's degree 8, and d(p*u*v') = q*u*v' under
+    # D_T = 0; Phi fixes u and v, so that is the witness
+    doc["eta"]["w"].append(
+        {"coeff": "1", "factors": [["base", "p", 1], ["w0", "u", 1], ["w1", "v", 1]]}
     )
     model_path = write(tmp_path, "model.json", fio.model_to_document(m2, c2))
     cert_path = write(tmp_path, "cert.json", doc)
     capsys.readouterr()
     assert run_command(["verify", model_path, cert_path]) == 4
     assert capsys.readouterr().out.splitlines() == [
-        f"FAIL: step {index}: homotopy at t=1 differs from the recorded "
-        "comultiplication at w",
-        f"failed step: {index} (homotopy)",
-        "witness: u*v*z",
+        "FAIL: phi does not intertwine the comultiplications at w: "
+        "(phi (x) phi)(C_T + d eta) != C phi",
+        "witness: q*u*v'",
     ]
 
 
@@ -551,34 +546,37 @@ def test_cli_malformed_model_node_exits_4(tmp_path, capsys, location):
 MALFORMED_CERTIFICATES = {
     "$": ([], 5),
     "certificate": (["certificate"], 5),
-    "steps[0].note": (["steps"], [{"kind": "homotopy", "note": 5}]),
-    "steps[0].kind": (["steps"], [{"kind": "nope"}]),
+    "steps[0].note": (["steps"], [{"stage": "ls-odd", "note": 5}]),
+    "steps[0].stage": (["steps"], [{"stage": ["ls-odd"]}]),
     "model": (["model"], 5),
     "model.base": (["model", "base"], []),
     "source": (["source"], "x"),
     "steps": (["steps"], 5),
     "steps[0]": (["steps"], [5]),
-    "steps[0].result": (["steps"], [{"kind": "homotopy", "result": 5}]),
-    "steps[0].images.nope": (
-        ["steps"], [{"kind": "homotopy", "images": {"nope": []}}]),
     "model.base.differential.nope": (["model", "base", "differential"], {"nope": []}),
     "source.differential.nope": (["source"], {"differential": {"nope": []}}),
     "source.comultiplication.nope": (["source"], {"comultiplication": {"nope": []}}),
     "target.differential.nope": (["target"], {"differential": {"nope": []}}),
     "target.comultiplication.b3": (["target"], {"comultiplication": {"b3": []}}),
-    "steps[0].result.differential.nope": (
-        ["steps"], [{"kind": "homotopy", "result": {"differential": {"nope": []}}}]),
-    "steps[0].result.comultiplication.nope": (
-        ["steps"],
-        [{"kind": "change_of_generators", "result": {"comultiplication": {"nope": []}}}]),
+    "phi": (["phi"], [5]),
+    "phi.nope": (["phi"], {"nope": []}),
+    "phi.b3": (["phi"], {"b3": []}),
+    "eta.nope": (["eta"], {"nope": []}),
+    "eta.w3[0].coeff": (["eta"], {"w3": [{"coeff": 1, "factors": []}]}),
 }
 
 
-# keys that earlier versions wrote and that are now read as absent: a
+# keys that earlier formats wrote and that are now read as absent: a
 # malformed node there is ignored, so exact_odd_excess's certificate (one
-# homotopy step) holding it still verifies
+# trail entry) holding it still verifies
 FORMER_CERTIFICATE_NODES = {
     "truncation_degree": (["truncation_degree"], True),
+    "steps[0].kind": (["steps", 0, "kind"], "nope"),
+    "steps[0].result": (["steps", 0, "result"], 5),
+    "steps[0].images.nope": (["steps", 0, "images"], {"nope": []}),
+    "steps[0].result.differential.nope": (["steps", 0, "result"], {"differential": {"nope": []}}),
+    "steps[0].result.comultiplication.nope": (
+        ["steps", 0, "result"], {"comultiplication": {"nope": []}}),
     "steps[0].start.nope": (["steps", 0, "start"], {"nope": []}),
     "steps[0].end.nope": (["steps", 0, "end"], {"nope": []}),
 }
@@ -593,7 +591,7 @@ def test_cli_malformed_certificate_node_exits_4(tmp_path, capsys, location):
         cert = write(tmp_path, "cert.json", _with(result["certificate"], path, value))
         capsys.readouterr()
         assert run_command(["verify", str(GOLDEN / "exact_odd_excess.model.json"), cert]) == 0
-        assert capsys.readouterr().out.startswith("certificate verified: 1 steps replayed")
+        assert capsys.readouterr().out.startswith("certificate verified: ")
         return
     path, value = MALFORMED_CERTIFICATES[location]
     doc = _with(fixture_a_certificate_doc(), path, value)
@@ -690,33 +688,37 @@ def test_cli_verify_ignores_a_certificate_truncation(tmp_path, capsys, truncatio
     capsys.readouterr()
     assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert_path]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "certificate verified: 4 steps replayed " + VERIFIED.rstrip()]
+        "certificate verified: phi, the target and eta satisfy both identities "
+        + VERIFIED.rstrip()]
 
 
 def test_a_result_written_with_truncation_and_homotopy_ends_still_verifies(capsys):
-    # tests/legacy holds full_ladder.ls.json as it was written while results
-    # and certificates still carried `truncation_degree` and each homotopy
-    # step its `start` and `end`; it reads as today's certificate
+    # tests/legacy holds full_ladder.ls.json as it was written while
+    # certificates were a chain of steps (fibrewise-certificate/1), each with
+    # its images and recorded result, and results and certificates carried
+    # `truncation_degree`: it is refused at its format, not half-read
     legacy_path = Path(__file__).parent / "legacy" / "full_ladder.ls.json"
     legacy = json.loads(legacy_path.read_text(encoding="utf-8"))
     golden = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
-    homotopy = legacy["certificate"]["steps"][2]
-    assert (legacy["truncation_degree"], legacy["certificate"]["truncation_degree"]) == (24, 24)
-    assert homotopy["kind"] == "homotopy" and "start" in homotopy and "end" in homotopy
-    assert set(golden["certificate"]["steps"][2]) == {"kind", "stage", "note", "images",
-                                                      "result"}
-    parsed = fio.certificate_from_document(legacy)
-    assert fio.certificate_to_document(parsed) == golden["certificate"]
+    assert legacy["certificate"]["format"] == "fibrewise-certificate/1"
+    assert golden["certificate"]["format"] == "fibrewise-certificate/2"
+    assert set(golden["certificate"]["steps"][2]) == {"stage", "note"}
+    message = ("certificate.format: expected 'fibrewise-certificate/2', "
+               "got 'fibrewise-certificate/1'")
+    with pytest.raises(fio.ParseError) as err:
+        fio.certificate_from_document(legacy)
+    assert str(err.value) == message
     capsys.readouterr()
     assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
-                        str(legacy_path)]) == 0
-    assert capsys.readouterr().out.startswith("certificate verified: 4 steps replayed")
+                        str(legacy_path)]) == 4
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
 
 
 @pytest.mark.parametrize("path, value, message", [
     (["source"], 5, "source: expected an object"),
-    (["steps", 0, "kind"], "nope", "steps[0].kind: unknown step kind 'nope'"),
+    (["steps", 0, "stage"], 5, "steps[0].stage: expected a string"),
     (["model", "base"], 5, "model.base: expected an object"),
+    (["steps", 0, "note"], 5, "steps[0].note: expected a string"),
 ])
 def test_errors_in_a_wrapped_certificate_are_located_under_it(tmp_path, capsys, path,
                                                                value, message):
@@ -742,10 +744,10 @@ def test_a_document_of_another_kind_is_refused_at_format(tmp_path, capsys):
     result["certificate"]["format"] = "fibrewise-model/1"
     wrapped = write(tmp_path, "wrapped.json", result)
     model_format = "format: expected 'fibrewise-model/1'"
-    cert_format = "format: expected 'fibrewise-certificate/1'"
+    cert_format = "format: expected 'fibrewise-certificate/2'"
     for argv, message in (
         (["hopf", ladder_result], f"{model_format}, got 'fibrewise-result/1'"),
-        (["check", cert], f"{model_format}, got 'fibrewise-certificate/1'"),
+        (["check", cert], f"{model_format}, got 'fibrewise-certificate/2'"),
         (["verify", ladder_model, ladder_model], f"{cert_format}, got 'fibrewise-model/1'"),
         (["verify", ladder_model, wrapped],
          f"certificate.{cert_format}, got 'fibrewise-model/1'"),
@@ -854,7 +856,7 @@ def write_with_certificate(tmp_path, doc):
     model, comul = fio.parse_model(doc)
     return (write(tmp_path, "bad.json", doc),
             write(tmp_path, "cert.json",
-                  fio.certificate_to_document(new_certificate(model, comul))))
+                  fio.certificate_to_document(util.identity_certificate(model, comul))))
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_MODELS))

@@ -23,7 +23,6 @@ from fibrewise import (
 )
 from fibrewise import io as fio
 from fibrewise.algebra import apply_images, monomial_degree
-from fibrewise.certify import new_certificate
 
 import util
 
@@ -61,20 +60,13 @@ def test_merge_product_matches_oracle_on_the_tensor_cube():
 
 
 def test_merge_product_matches_oracle_with_t_and_dt():
-    model = util.rt_tables()[1]
-    table = model.table
-    # basis monomials of the tensor square times powers of t and dt, the
-    # monomials of homotopy_cdga
+    # the monomials of the tensor square, where the verifier forms
+    # C_T + d eta, up to eta's top degree 10 on the ladder's table (which
+    # has odd and even base generators), and their products up to degree 16
+    model, _ = util.full_ladder_model()
     square = model.tensor_cdga(2)
-    monos = []
-    for degree in range(8):
-        for mono in square.basis(degree):
-            for power in (0, 1, 2):
-                for dt in (0, 1):
-                    extra = ((table.t, power),) if power else ()
-                    extra += ((table.dt, 1),) if dt else ()
-                    monos.append(mono + extra)
-    assert _assert_products(_pairs_within(monos, 14)) > 10000
+    monos = [mono for degree in range(11) for mono in square.basis(degree)]
+    assert _assert_products(_pairs_within(monos, 16)) > 10000
 
 
 def test_sums_of_polynomials_match_the_oracle():
@@ -190,22 +182,19 @@ def test_apply_images_returns_its_argument_when_nothing_moves():
 
 def test_on_copy_renames_as_the_substitution_did():
     # the maps the engine places on copies (the differential, a change of
-    # generators, the comultiplication) and random maps over the base, t or
-    # dt and the fiber copies that can move to the copy the map is placed
-    # on: renaming gives the substituted images term for term, in order
+    # generators, the comultiplication) and random maps over the base and
+    # the fiber copies that can move to the copy the map is placed on:
+    # renaming gives the substituted images term for term, in order
     rng = random.Random(29)
     model = util.rt_tables()[1]
     table = model.table
-    # t has degree 0, so the random images use dt; t is placed below
-    movable = {1: model.tensor_cdga(2).gens + (table.dt,),
-               2: model.tensor_cdga(1).gens + (table.dt,)}
+    movable = {1: model.tensor_cdga(2).gens, 2: model.tensor_cdga(1).gens}
     perturbed, comul = perturb(model, Comultiplication.standard(table),
                                PerturbationSpec(seed=1, mode="both"))
     assert perturbed.table is table and not comul.is_standard()
     on_total = [util.seeded_unipotent(model, rng).images,
                 {table.generator("w0", "w").id: table.poly("x") ** 3 * table.poly("u")}]
-    t = Polynomial.from_generator(table.t)
-    on_total.append({gen.id: t * table.poly(gen.name) for gen in table.fiber})
+    on_total.append({gen.id: table.poly("x") * table.poly(gen.name) for gen in table.fiber})
     maps = {1: on_total + [comul.as_images()], 2: list(on_total)}
     for copy, gens in movable.items():
         for _ in range(30):
@@ -279,7 +268,7 @@ def test_two_parses_of_a_document_give_distinct_generators():
 
 def test_a_certificate_is_read_against_a_table_with_its_generators():
     model, comul = fio.parse_model(fio.model_to_document(*util.fixture_b()))
-    doc = fio.certificate_to_document(new_certificate(model, comul))
+    doc = fio.certificate_to_document(util.identity_certificate(model, comul))
     cert = fio.certificate_from_document(doc, model.table)
     assert cert.table is model.table
     assert (cert.d_base, cert.source_d, cert.source_c) == (

@@ -20,7 +20,7 @@ from fibrewise import (
     verify_equivalence,
 )
 from fibrewise import io, normalize
-from fibrewise.certify import snapshot
+from fibrewise.certify import verify_homotopy
 from fibrewise.dga import EngineError, FreeCDGA
 from fibrewise.model import check_homotopy_associative
 from fibrewise.normalize import hopf_stage_higher, hopf_stage_linear
@@ -48,7 +48,7 @@ def test_linear_stage_identity_when_already_high():
     )
     m3, c3, steps, obstruction = hopf_stage_linear(model2, comul2)
     assert obstruction is None and steps == []
-    assert snapshot(m3, c3) == snapshot(model2, comul2)
+    assert util.state(m3, c3) == util.state(model2, comul2)
 
 
 def test_linear_stage_round_trip_recovers_seeded_change():
@@ -65,7 +65,7 @@ def test_linear_stage_round_trip_recovers_seeded_change():
     assert obstruction is None
     assert len(steps) == 1
     # the recovered change undoes the seeded one exactly
-    assert steps[0].action.images[wid] == table.poly("w") + table.poly("p") * table.poly("u")
+    assert steps[0].phi.images[wid] == table.poly("w") + table.poly("p") * table.poly("u")
     assert m3.d_fiber == {}
     assert c3.images == comul.images
 
@@ -138,7 +138,7 @@ def test_higher_stage_round_trip(monkeypatch, wrong):
     assert obstruction is None
     assert m3.d_fiber == {}
     assert len(steps) == 1
-    assert steps[0].action.images[wid] == table.poly("w") - y * table.poly("u") * table.poly("v")
+    assert steps[0].phi.images[wid] == table.poly("w") - y * table.poly("u") * table.poly("v")
     assert c3.images == comul.images
     result = hopf_normalize(m2, c2)
     assert result.normalized and result.certificate.target_d == {}
@@ -162,7 +162,7 @@ def test_higher_stage_repeated_leading_index():
     m3, c3, steps, obstruction = hopf_stage_higher(m2, c2)
     assert obstruction is None
     assert m3.d_fiber == {}
-    assert steps[0].action.images[wid] == w - y * e * e
+    assert steps[0].phi.images[wid] == w - y * e * e
     assert c3.images == comul.images
 
 
@@ -232,10 +232,11 @@ def test_ls_even_step_removes_seeded_exact_excess():
     gen = table.generator("w0", "w")
     m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 2)
     assert obstruction is None
-    assert len(steps) == 1 and steps[0].kind == "homotopy"
+    assert len(steps) == 1 and steps[0].phi is None
     assert c2.images == Comultiplication.standard(table).images
-    from fibrewise import verify_homotopy
-    assert verify_homotopy(model, steps[0].action, comul.images, c2.images).ok
+    # the part subtracted is the boundary of eta(w) = p u v'
+    eta = {"w": table.poly("p") * u * vp}
+    assert verify_homotopy(model, comul, ChangeOfGenerators({}), c2.images, eta).ok
 
 
 def test_ls_even_step_obstruction_fixture_c():
@@ -275,10 +276,10 @@ def test_ls_odd_step_absorbs_complement_part():
     gen = table.generator("w0", "w")
     m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 3)
     assert obstruction is None
-    assert [s.kind for s in steps] == ["change_of_generators"]
+    assert len(steps) == 1 and steps[0].phi is not None
     wid = gen.id
     expected = table.poly("w") - 2 * table.poly("u") * table.poly("v") * table.poly("z")
-    assert steps[0].action.images[wid] == expected
+    assert steps[0].phi.images[wid] == expected
     assert c2.images == comul0.images
 
 
@@ -294,7 +295,7 @@ def test_ls_odd_step_pure_homotopy_when_exact():
     gen = table.generator("w0", "w")
     m2, c2, steps, obstruction = normalize._ls_step(model, comul, gen, 3)
     assert obstruction is None
-    assert [s.kind for s in steps] == ["homotopy"]
+    assert [s.phi for s in steps] == [None]
     assert c2.images == Comultiplication.standard(table).images
 
 
@@ -312,7 +313,8 @@ def test_ls_odd_step_mixed_exact_and_complement():
     gen = table.generator("w0", "w")
     m3, c3, steps, obstruction = normalize._ls_step(m2, c2, gen, 3)
     assert obstruction is None
-    assert [s.kind for s in steps] == ["change_of_generators", "homotopy"]
+    # a change of generators absorbs the class part, the exact part is subtracted
+    assert [s.phi is None for s in steps] == [False, True]
     assert c3.images == comul0.images
 
 
@@ -358,7 +360,7 @@ def test_forced_pipelines_normalize_models_standard_by_construction():
                 assert result.normalized, (label, seed, pipeline.__name__)
                 assert verify_equivalence(result.certificate).ok, (label, seed)
             absorbed.extend((label, seed) for step in result.certificate.steps
-                            if (step.stage, step.kind) == ("ls-even", "change_of_generators"))
+                            if step.stage == "ls-even" and step.note.startswith("absorb"))
     assert {("b3c5", 0), ("b1x2", 1)} <= set(absorbed)
 
 
@@ -422,32 +424,39 @@ def test_ls_pipeline_homotopy_associative_but_not_strict_input():
     assert verify_equivalence(result.certificate).ok
 
 
-def test_pipeline_stability_earlier_generators_never_move():
+def test_pipeline_stability_earlier_generators_never_move(monkeypatch):
     # within each pipeline pass, a step for w_k may only change images of
-    # w_k and later generators, so the first changed position never drops
-    from fibrewise import PerturbationSpec, perturb
-
-    model = util.rt_tables()[1]
-    comul = Comultiplication.standard(model.table)
-    m2, c2 = perturb(model, comul, PerturbationSpec(seed=11, mode="both"))
-    result = ls_normalize(m2, c2)
+    # w_k and later generators, so the first changed position never drops;
+    # the states before and after each step are taken by a spy on the steps
+    states = []
+    for name in ("_hopf_step", "_ls_step"):
+        def spy(model, comul, gen, r, _real=getattr(normalize, name)):
+            out = _real(model, comul, gen, r)
+            states.append((model, comul, *out))
+            return out
+        monkeypatch.setattr(normalize, name, spy)
+    model, comul = util.full_ladder_model()
+    result = ls_normalize(model, comul)
     assert result.outcome == "normalized"
     order = {g.name: i for i, g in
              enumerate(sorted(model.table.fiber, key=lambda g: g.degree))}
-    prev_d, prev_c = dict(result.certificate.source_d), dict(result.certificate.source_c)
     position: dict[str, int] = {}
-    for step in result.certificate.steps:
+    made = 0
+    for before_m, before_c, after_m, after_c, steps, _ in states:
+        if not steps:
+            continue
+        made += len(steps)
         changed = {n for n in order
-                   if step.c_after[n] != prev_c.get(n)
-                   or step.d_after.get(n) != prev_d.get(n)}
+                   if after_c.images[n] != before_c.images.get(n)
+                   or after_m.d_fiber.get(n) != before_m.d_fiber.get(n)}
         assert changed, "every step must change something"
         first = min(order[n] for n in changed)
-        stage = step.stage
+        stage = steps[0].stage
         assert first >= position.get(stage, 0), (
             f"{stage} step touched an earlier, settled generator")
         position[stage] = first
-        prev_d, prev_c = step.d_after, step.c_after
-    assert result.certificate.target_c == comul.images
+    assert made == len(result.certificate.steps) == 4
+    assert result.certificate.target_c == Comultiplication.standard(model.table).images
 
 
 def test_ls_pipeline_mixes_even_and_odd_steps():

@@ -10,6 +10,7 @@ from fibrewise import (
     ChangeOfGenerators,
     Comultiplication,
     EngineError,
+    EquivalenceCertificate,
     FreeCDGA,
     GeneratorTable,
     Polynomial,
@@ -447,32 +448,19 @@ def on_copy_by_substitution(table, images, copy):
             for gid, image in images.items()}
 
 
-def evaluate_interval_by_terms(p, value):
-    """t set to `value` and dt to 0, term by term: a term with dt is
-    dropped, a power of t becomes a scalar, and the rest of the term is
-    kept as it stands (oracle for certify.evaluate_interval)."""
-    out = {}
-    for mono, coeff in p.terms.items():
-        scale = Fraction(1)
-        kept = []
-        dead = False
-        for gen, exp in mono:
-            if gen.space != "interval":
-                kept.append((gen, exp))
-            elif gen.name == "dt":
-                dead = True
-                break
-            else:
-                scale *= Fraction(value) ** exp
-        if dead or not scale:
-            continue
-        key = tuple(kept)
-        total = out.get(key, 0) + coeff * scale
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return Polynomial(out)
+def state(model, comul):
+    """The fiber differential and comultiplication images of a model pair,
+    for comparing two pairs."""
+    return dict(model.d_fiber), dict(comul.images)
+
+
+def identity_certificate(model, comul):
+    """The certificate of a model pair that is its own target: Phi the
+    identity, eta zero and no trail."""
+    return EquivalenceCertificate(
+        table=model.table, d_base=dict(model.d_base), source_d=dict(model.d_fiber),
+        source_c=dict(comul.images), phi=ChangeOfGenerators({}),
+        target_c=dict(comul.images), target_d=dict(model.d_fiber))
 
 
 def assert_same_terms(got, expected):
