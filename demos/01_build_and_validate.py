@@ -24,10 +24,13 @@ x, y = table.poly("x"), table.poly("y")
 model = RelativeModel(table, d_base={"y": x**3}, truncation=14)
 comul = Comultiplication.standard(table)
 
-print("validating the relative model:")
-print(" ", validate_relative_model(model))
-print("validating the standard comultiplication:")
-print(" ", validate_comultiplication(model, comul))
+for what, verdict in (
+    ("the relative model", validate_relative_model(model)),
+    ("the standard comultiplication", validate_comultiplication(model, comul)),
+):
+    print(f"validating {what}: ok = {verdict.ok}")
+    if not verdict.ok:
+        print("  first failure:", verdict.failures[0])
 
 print("\nbase cohomology, degree by degree (dim Z / dim E / dim H):")
 base = model.base_cdga()

@@ -388,9 +388,6 @@ class Polynomial:
             grouped.setdefault(rest, {})[base] = coeff
         return {rest: Polynomial._of(terms) for rest, terms in grouped.items()}
 
-    def spaces(self) -> set[str]:
-        return {gen.space for mono in self.terms for gen, _ in mono}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -19,7 +19,7 @@ from . import io
 from .algebra import AlgebraError
 from .certify import emit_triviality_report, verify_equivalence
 from .dga import EngineError, cohomology_in_degree
-from .model import validate_input
+from .model import Comultiplication, validate_input
 from .normalize import InvalidModelError, hopf_normalize, ls_normalize
 from .perturb import MODES, PerturbationSpec, perturb
 
@@ -148,6 +148,14 @@ def _cmd_verify(args) -> int:
         return INVALID_INPUT
     print("certificate verified: phi, the target and eta satisfy both identities "
           "(checked on the generators; Leibniz extends the identities to every degree)")
+    standard = Comultiplication.standard(model.table).images
+    differs = next((gen.display() for gen in model.table.fiber
+                    if cert.target_c.get(gen.name) != standard[gen.name]), None)
+    if differs is None:
+        print("target C_T is the standard C0(w) = w + w': the model is fibrewise "
+              "H-trivial (algebraic criterion met)")
+    else:
+        print(f"target C_T is not the standard C0: C_T({differs}) != {differs} + {differs}'")
     return OK
 
 

@@ -97,9 +97,11 @@ class CohomologySlice:
     its free columns (`Elimination.coordinates`), so placing a boundary or
     splitting a cycle costs a read-off and a sparse sum, not a solve.
     `boundaries` is the basis of E whose cycle coordinates are the rows of
-    the reduced row echelon form (`linalg.rref`) of E; N is spanned by the
-    cycle basis vectors at the non-pivot coordinates of that form.  Both
-    choices are deterministic; `FreeCDGA.split` decomposes by it.
+    the reduced row echelon form of E (`linalg.rref`, one elimination of the
+    boundary coordinates); N is spanned by the cycle basis vectors at the
+    non-pivot coordinates of that form.  Both choices are deterministic, the
+    form being unique; `decompose` clears a cycle's coordinates at its
+    pivots (`linalg.clear_pivots`) and `FreeCDGA.split` decomposes by it.
     """
 
     degree: int
@@ -118,10 +120,7 @@ class CohomologySlice:
         if coords is None:
             raise AlgebraError("polynomial is not a cycle in this degree")
         # clearing the boundary pivots leaves the complement coordinates
-        for pivot, row in zip(self._boundary_pivots, self._boundary_coords):
-            val = coords.get(pivot)
-            if val:
-                linalg.add_into(coords, row, -val)
+        linalg.clear_pivots(coords, self._boundary_pivots, self._boundary_coords)
         rest = _from_vector(linalg.combine(record.elimination.kernel, coords), record.basis)
         return cycle - rest, rest
 

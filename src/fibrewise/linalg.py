@@ -10,7 +10,9 @@ is eliminated in int arithmetic alone.
 left to right, against the pivot columns met so far by their smallest row
 index.  That gives the rank, the kernel basis on the free columns and the
 preimage with the free variables zero, each unique given the free columns.
-`rref` reduces equation rows; `solve` is the row-wise reference solver.
+`rref` and `solve` are views of it: `rref` eliminates the rows as vectors
+and clears each pivot row at the later pivots (`clear_pivots`); `solve`
+takes the preimage in the elimination of the transposed rows.
 """
 
 from __future__ import annotations
@@ -48,35 +50,6 @@ def vec_scale(a: Vector, scale: Coefficient) -> Vector:
         val *= scale
         out[col] = val if type(val) is int else coefficient(val)
     return out
-
-
-def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
-    """Reduced row echelon form.
-
-    Returns (pivot columns ascending, reduced nonzero rows); row i has its
-    leading 1 in pivot column i and zeros in every other pivot column.
-    """
-    work = [dict(r) for r in rows if r]
-    pivots: list[int] = []
-    reduced: list[Vector] = []
-    for col in range(ncols):
-        pivot_row = None
-        for i, row in enumerate(work):
-            if row.get(col):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        row = work.pop(pivot_row)
-        row = vec_scale(row, _inverse(row[col]))
-        for other in work + reduced:
-            val = other.get(col)
-            if val:
-                add_into(other, row, -val)
-        work = [r for r in work if r]
-        pivots.append(col)
-        reduced.append(row)
-    return pivots, reduced
 
 
 @dataclass
@@ -151,23 +124,38 @@ def combine(basis: list[Vector], coords: Vector) -> Vector:
             for col, val in out.items() if val}
 
 
+def clear_pivots(vec: Vector, pivots: Iterable[int], rows: Iterable[Vector]) -> None:
+    """Subtract from `vec` in place each reduced row (row i is 1 at pivot i
+    and 0 at the other pivots) times its entry at that pivot, leaving `vec`
+    0 at every pivot."""
+    for pivot, row in zip(pivots, rows):
+        val = vec.get(pivot)
+        if val:
+            add_into(vec, row, -val)
+
+
+def rref(rows: Iterable[Vector], ncols: int) -> tuple[list[int], list[Vector]]:
+    """Reduced row echelon form of rows with entries in columns 0..ncols-1.
+
+    Returns (pivot columns ascending, reduced nonzero rows); row i has its
+    leading 1 in pivot column i and zeros in every other pivot column.  The
+    rows are eliminated as vectors led by their smallest column, then each
+    pivot row is cleared at the later pivots.
+    """
+    pivots = eliminate([row for row in rows if row]).pivots
+    leads = sorted(pivots)
+    reduced = [pivots[lead][0] for lead in leads]
+    for i in range(len(leads) - 2, -1, -1):
+        clear_pivots(reduced[i], leads[i + 1:], reduced[i + 1:])
+    return leads, reduced
+
+
+# unused in the package, kept bound: perfbench/layertrace.py wraps it
 def solve(rows: list[Vector], rhs: Vector, ncols: int) -> Vector | None:
     """One solution of the equation system `rows . x = rhs`, free variables
     set to zero; None when the system is inconsistent."""
-    augmented = []
+    columns: list[Vector] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        aug = dict(row)
-        val = rhs.get(i)
-        if val:
-            aug[ncols] = val
-        if aug:
-            augmented.append(aug)
-    pivots, reduced = rref(augmented, ncols + 1)
-    solution: Vector = {}
-    for pivot, row in zip(pivots, reduced):
-        if pivot == ncols:
-            return None
-        val = row.get(ncols)
-        if val:
-            solution[pivot] = val
-    return solution
+        for j, val in row.items():
+            columns[j][i] = val
+    return eliminate(columns).preimage(rhs)

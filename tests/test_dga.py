@@ -382,7 +382,7 @@ def test_cycle_coordinates_read_off_equal_solve(name):
         for bvec in d_columns(cdga, degree - 1):
             coords = elimination.coordinates(bvec)
             assert coords is not None
-            assert coords == linalg.solve(matrix, bvec, len(kernel))
+            assert coords == util.solve_by_rows(matrix, bvec, len(kernel))
         slice_ = cdga.cohomology_slice(degree)
         assert len(slice_.cycles) == len(kernel)
         for cycle, vec in zip(slice_.cycles, kernel):
@@ -424,7 +424,7 @@ def test_preimages_and_boundaries_match_the_assembled_matrix(name):
                     target = target + cycle.scale(Fraction(rng.randint(-3, 3)))
             rhs = {index[m]: c for m, c in target.terms.items()}
             exact = util.dense_rank(columns + [rhs], len(target_basis)) == image_rank
-            solution = linalg.solve(rows, rhs, len(source))
+            solution = util.solve_by_rows(rows, rhs, len(source))
             assert (solution is not None) == exact
             expected = None if solution is None else Polynomial(
                 {source[j]: val for j, val in solution.items()}
@@ -455,7 +455,7 @@ def test_preimages_match_solve_on_the_ladder_cube():
         eta = Polynomial({mono: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2)))
                           for mono in rng.sample(moving, 4)})
         target = cube.d(eta) + classes[n % 2].scale(n % 3)
-        solution = linalg.solve(rows, {index[m]: c for m, c in target.terms.items()},
+        solution = util.solve_by_rows(rows, {index[m]: c for m, c in target.terms.items()},
                                 len(source))
         got = cube.solve_preimage(target)
         outcomes.append(solution is not None)
@@ -467,20 +467,11 @@ def test_preimages_match_solve_on_the_ladder_cube():
     assert True in outcomes and False in outcomes
 
 
-def _spy_eliminations(monkeypatch):
-    """The column lists handed to `linalg.eliminate`, in call order."""
-    calls = []
-    real = linalg.eliminate
-    monkeypatch.setattr(linalg, "eliminate",
-                        lambda columns: calls.append(columns) or real(columns))
-    return calls
-
-
 def test_preimages_and_the_slice_below_share_one_elimination(monkeypatch):
     model = util.ladder_model(3)
     cdga, poly = model.tensor_cdga(2), model.table.poly
     degree = 10
-    calls = _spy_eliminations(monkeypatch)
+    calls = util.spy_eliminations(monkeypatch)
     targets = [cdga.d(Polynomial({mono: Fraction(1)})) for mono in cdga.basis(degree - 1)]
     targets = [target for target in targets if target]
     # cycles whose class is nonzero: x^2 is not exact in the base
@@ -490,10 +481,12 @@ def test_preimages_and_the_slice_below_share_one_elimination(monkeypatch):
     assert solved[-2:] == [None, None]
     for target, eta in zip(targets, solved):
         assert eta is None or cdga.d(eta) == target
-    assert len(calls) == 1 and calls[0] is cdga._d_columns(degree - 1)
-    # the slice one degree down has its cycles from that same elimination
+    assert util.d_matrix_degrees(cdga, calls) == [[degree - 1]]
+    # the slice one degree down has its cycles from that same elimination,
+    # and reduces its boundaries in at most one more, of no matrix of d
     slice_ = cdga.cohomology_slice(degree - 1)
-    assert len(calls) == 1 and len(slice_.cycles) == len(calls[0]) - util.dense_rank(
+    assert util.d_matrix_degrees(cdga, calls) in ([[degree - 1]], [[degree - 1], []])
+    assert len(slice_.cycles) == len(calls[0]) - util.dense_rank(
         calls[0], len(cdga.basis(degree)))
 
 
@@ -511,12 +504,55 @@ def test_associativity_check_eliminates_each_cube_degree_once(monkeypatch):
                         ("r", x ** 3 * u * z * vp)):
         images[name] = table.poly(name) + table.poly(name, copy=1) + extra
     comul = Comultiplication(table, images)
-    calls = _spy_eliminations(monkeypatch)
+    calls = util.spy_eliminations(monkeypatch)
     assert list(check_homotopy_associative(model, comul)) == ["w"]
     cube = model.tensor_cdga(3)
-    degrees = [[k for k in range(model.truncation) if cube._d_columns(k) is columns]
-               for columns in calls]
-    assert degrees == [[8], [9], [14]]
+    degrees = util.d_matrix_degrees(cube, calls)
+    assert [k for k in degrees if k] == [[8], [9], [14]]
+    # the one slice reduces its boundaries in at most one elimination
+    assert [k for k, record in cube._degrees.items() if record.slice] == [9]
+    assert degrees.count([]) <= 1
+
+
+def _slices_equal_the_row_oracle(monkeypatch, cdga, degrees):
+    """In each degree, the slice equals one built with the row-pivoting
+    `util.rref_by_rows` in place of `linalg.rref`, on the same elimination
+    of d: boundaries, complement and the decomposition of two generic
+    cycles and of the first boundary and complement vectors, term by term
+    in the same order."""
+    for degree in degrees:
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", util.rref_by_rows)
+            oracle = cdga.cohomology_slice(degree)
+        cdga._degrees[degree].slice = None
+        slice_ = cdga.cohomology_slice(degree)
+        assert slice_ is not oracle
+        assert len(slice_.boundaries) == len(oracle.boundaries)
+        got = slice_.boundaries + slice_.complement
+        expected = oracle.boundaries + oracle.complement
+        assert len(got) == len(expected)
+        generics = [Polynomial.sum(cycle.scale(weight(j)) for j, cycle in enumerate(slice_.cycles))
+                    for weight in (lambda j: j + 1, lambda j: Fraction((-1) ** j, j % 5 + 1))]
+        for cycle in generics + slice_.boundaries[:3] + slice_.complement[:3]:
+            got += slice_.decompose(cycle)
+            expected += oracle.decompose(cycle)
+        for poly, oracle_poly in zip(got, expected):
+            util.assert_same_terms(poly, oracle_poly)
+
+
+def test_slices_equal_the_row_oracle_on_the_golden_bases(monkeypatch):
+    for model in golden_models():
+        base = model.base_cdga()
+        _slices_equal_the_row_oracle(monkeypatch, base, range(base.truncation))
+
+
+def test_slices_equal_the_row_oracle_on_the_ladder_cube(monkeypatch):
+    # L(5)'s tensor cube below degree 15, up to 6,762 monomials and rank
+    # 1,572 of E (degree 14); the slices of degrees 15 to 17 alone take
+    # about 18 s more
+    cube = util.ladder_model(5).tensor_cdga(3)
+    _slices_equal_the_row_oracle(monkeypatch, cube, range(15))
+    assert len(cube.cohomology_slice(14).boundaries) == 1572
 
 
 def test_transpose_swaps_rows_and_columns():

@@ -17,6 +17,10 @@ import util
 
 # what `check` and `verify` say they checked, after their first words
 VERIFIED = "(checked on the generators; Leibniz extends the identities to every degree)\n"
+# `verify`'s whole stdout on success: the identities, then whether C_T = C0
+VERIFIED_LINE = "certificate verified: phi, the target and eta satisfy both identities " + VERIFIED
+STANDARD_TARGET = ("target C_T is the standard C0(w) = w + w': the model is fibrewise "
+                   "H-trivial (algebraic criterion met)\n")
 
 
 def fixture_a_doc():
@@ -181,8 +185,7 @@ def test_default_truncation_and_env_override(tmp_path, monkeypatch, capsys):
         # a certificate written with the variable set verifies without it
         monkeypatch.delenv("FIBREWISE_TRUNCATION")
         assert run_command(["verify", model_path, str(tmp_path / f"{i}.json")]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("certificate verified: ") and out.endswith(VERIFIED)
+        assert capsys.readouterr().out == VERIFIED_LINE + STANDARD_TARGET
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
@@ -687,9 +690,21 @@ def test_cli_verify_ignores_a_certificate_truncation(tmp_path, capsys, truncatio
     cert_path = write(tmp_path, "cert.json", cert)
     capsys.readouterr()
     assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), cert_path]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "certificate verified: phi, the target and eta satisfy both identities "
-        + VERIFIED.rstrip()]
+    assert capsys.readouterr().out == VERIFIED_LINE + STANDARD_TARGET
+
+
+@pytest.mark.parametrize("pipeline, target", [
+    ("hopf", "target C_T is not the standard C0: C_T(w) != w + w'\n"),
+    ("ls", STANDARD_TARGET),
+], ids=["hopf", "ls"])
+def test_cli_verify_says_whether_the_target_is_standard(capsys, pipeline, target):
+    # hopf leaves the ladder's C_T(w) with ten terms; ls brings it to C0
+    result = GOLDEN / f"full_ladder.{pipeline}.json"
+    c_t = json.loads(result.read_text(encoding="utf-8"))["certificate"]["target"]
+    assert len(c_t["comultiplication"]["w"]) == {"hopf": 10, "ls": 2}[pipeline]
+    capsys.readouterr()
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), str(result)]) == 0
+    assert capsys.readouterr().out == VERIFIED_LINE + target
 
 
 def test_a_result_written_with_truncation_and_homotopy_ends_still_verifies(capsys):

@@ -1,5 +1,6 @@
-"""The exact column elimination against dense oracles on seeded sparse
-rational matrices, with zero, duplicate and empty columns."""
+"""The exact column elimination, and `rref` and `solve` as views of it,
+against dense and row-pivoting oracles on seeded sparse rational matrices,
+with zero, duplicate and empty columns and rows."""
 
 import random
 from fractions import Fraction
@@ -19,8 +20,8 @@ def _entry(rng):
 
 
 def _random_matrix(rng):
-    """(number of rows, sparse columns); some columns are empty, some repeat
-    or scale an earlier one, and a few entries are P or 1/P."""
+    """(number of rows, sparse columns); some columns and rows are empty,
+    some repeat or scale an earlier one, and a few entries are P or 1/P."""
     nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
     density = rng.choice((0.0, 0.2, 0.4, 0.8))
     columns = []
@@ -34,7 +35,12 @@ def _random_matrix(rng):
         else:
             columns.append({row: _entry(rng) for row in range(nrows)
                             if rng.random() < density})
-    return nrows, columns
+    rows = util.transpose(columns, nrows)
+    for _ in range(rng.randint(0, 3)):
+        extra = {} if rng.random() < 0.4 or not rows else linalg.vec_scale(
+            rng.choice(rows), rng.choice((1, -1, Fraction(2, 3))))
+        rows.insert(rng.randint(0, len(rows)), extra)
+    return len(rows), util.transpose(rows, ncols)
 
 
 def _targets(rng, nrows, columns):
@@ -44,6 +50,10 @@ def _targets(rng, nrows, columns):
     other = {row: Fraction(rng.randint(-2, 2), rng.choice((1, 5)))
              for row in range(nrows) if rng.random() < 0.5}
     return [image, {row: val for row, val in other.items() if val}, {}]
+
+
+def _typed(vec):
+    return {key: (val, type(val)) for key, val in vec.items()}
 
 
 def test_elimination_equals_the_dense_oracles():
@@ -65,11 +75,21 @@ def test_elimination_equals_the_dense_oracles():
             keys = list(vec)
             assert keys[0] == free[j] and keys[1:] == sorted(keys[1:])
         assert (free, elimination.kernel) == util.kernel_by_rref(columns, nrows)
+        # rref and solve, views of the elimination, equal the row oracles
+        # coefficient for coefficient, int or Fraction alike
+        rows = util.transpose(columns, nrows)
+        pivots, reduced = linalg.rref(rows, len(columns))
+        oracle_pivots, oracle_reduced = util.rref_by_rows(rows, len(columns))
+        assert pivots == oracle_pivots == sorted(pivots) and len(pivots) == rank
+        assert list(map(_typed, reduced)) == list(map(_typed, oracle_reduced))
         for target in _targets(rng, nrows, columns):
             solvable = util.dense_rank(columns + [target], nrows) == rank
             x = elimination.preimage(target)
             assert (x is not None) == solvable
-            assert x == linalg.solve(util.transpose(columns, nrows), target, len(columns))
+            solved = linalg.solve(rows, target, len(columns))
+            expected = util.solve_by_rows(rows, target, len(columns))
+            assert x == solved == expected
+            assert x is None or _typed(x) == _typed(solved) == _typed(expected)
             if x is not None:
                 assert linalg.combine(columns, x) == target
                 assert not set(x) & set(free) and list(x) == sorted(x)

@@ -19,6 +19,7 @@ from fibrewise import (
 )
 from fibrewise.algebra import (
     apply_images,
+    coefficient,
     is_mixed_square_monomial,
     monomial_key,
     monomial_word_length,
@@ -274,12 +275,51 @@ def transpose(columns, nrows):
     return rows
 
 
+def rref_by_rows(rows, ncols):
+    """(pivot columns ascending, reduced nonzero rows) by row pivoting: for
+    each column left to right, the first remaining row nonzero there is
+    scaled to 1 and cleared from every other row (oracle for `linalg.rref`;
+    coefficients under the rule of `algebra.coefficient`)."""
+    work = [dict(r) for r in rows if r]
+    pivots, reduced = [], []
+    for col in range(ncols):
+        pivot_row = next((i for i, row in enumerate(work) if row.get(col)), None)
+        if pivot_row is None:
+            continue
+        row = work.pop(pivot_row)
+        row = linalg.vec_scale(row, coefficient(Fraction(1) / row[col]))
+        for other in work + reduced:
+            val = other.get(col)
+            if val:
+                linalg.add_into(other, row, -val)
+        work = [r for r in work if r]
+        pivots.append(col)
+        reduced.append(row)
+    return pivots, reduced
+
+
+def solve_by_rows(rows, rhs, ncols):
+    """One solution of `rows . x = rhs` with the free variables zero, or
+    None, read off the row-pivoted form of the augmented rows (oracle for
+    `linalg.solve` and `Elimination.preimage`)."""
+    augmented = []
+    for i, row in enumerate(rows):
+        aug = dict(row)
+        if rhs.get(i):
+            aug[ncols] = rhs[i]
+        augmented.append(aug)
+    pivots, reduced = rref_by_rows(augmented, ncols + 1)
+    if ncols in pivots:
+        return None
+    return {pivot: row[ncols] for pivot, row in zip(pivots, reduced) if row.get(ncols)}
+
+
 def kernel_by_rref(columns, nrows):
     """(free columns, kernel basis) of the matrix with these columns, read
     off the reduced row echelon form of its rows: vector j is 1 at free
     column j, 0 at the other free columns, and lists its free column first,
     then its pivots ascending (oracle for `linalg.eliminate`)."""
-    pivots, reduced = linalg.rref(transpose(columns, nrows), len(columns))
+    pivots, reduced = rref_by_rows(transpose(columns, nrows), len(columns))
     pivot_set, free, kernel = set(pivots), [], []
     for col in range(len(columns)):
         if col in pivot_set:
@@ -463,6 +503,23 @@ def identity_certificate(model, comul):
         target_c=dict(comul.images), target_d=dict(model.d_fiber))
 
 
+def spy_eliminations(monkeypatch):
+    """The column lists handed to `linalg.eliminate`, in call order."""
+    calls = []
+    real = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda columns: calls.append(columns) or real(columns))
+    return calls
+
+
+def d_matrix_degrees(cdga, calls):
+    """For each recorded elimination, the degrees k whose matrix of d_k (the
+    list `cdga._d_columns(k)` itself) it was handed: [] for any other, such
+    as a cohomology slice's reduction of its boundaries."""
+    return [[k for k, record in sorted(cdga._degrees.items()) if record.columns is columns]
+            for columns in calls]
+
+
 def assert_same_terms(got, expected):
     """Equal polynomials whose term dicts also list their monomials in the
     same order, so that nothing iterating the terms can tell them apart."""
@@ -477,7 +534,7 @@ def decompose_by_solve(slice_, cycle):
     parts = slice_.boundaries + slice_.complement
     columns = [{index[m]: c for m, c in p.terms.items()} for p in parts]
     rhs = {index[m]: c for m, c in cycle.terms.items()}
-    solution = linalg.solve(transpose(columns, len(index)), rhs, len(columns))
+    solution = solve_by_rows(transpose(columns, len(index)), rhs, len(columns))
     assert solution is not None
     exact, rest = Polynomial.zero(), Polynomial.zero()
     for j, val in solution.items():
