@@ -17,6 +17,7 @@ takes the preimage in the elimination of the transposed rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -81,8 +82,13 @@ class Elimination:
 
     def coordinates(self, vec: Vector) -> Vector | None:
         """The coordinates of `vec` in the kernel basis, its entries at the
-        free columns; None when their sparse sum is not `vec`."""
-        coords = {j: vec[free] for j, free in enumerate(self.free) if vec.get(free)}
+        free columns, j ascending; None when their sparse sum is not `vec`.
+        Each of `vec`'s own keys is looked up in the ascending free list."""
+        free, coords = self.free, {}
+        for col in sorted(vec):
+            j = bisect_left(free, col)
+            if j < len(free) and free[j] == col and vec[col]:
+                coords[j] = vec[col]
         return coords if combine(self.kernel, coords) == vec else None
 
     def preimage(self, target: Vector) -> Vector | None:

@@ -13,10 +13,11 @@ cycle decomposition Z = E + N, a nonzero class part is forced into the
 shape sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators,
 and the exact part is subtracted from C.  `_run_stages` runs a pipeline's
 stages into one certificate in normal form (`certify`): it composes the
-changes of generators into Phi as it steps, and eta is the sum of the
-subtracted parts' preimages, unless a change of generators follows a
-subtraction; only then does it conjugate the source by Phi, once, at the
-end, and split C^Phi(w) - C_T(w) into the boundary of eta(w).
+changes of generators into Phi as it steps, and eta is always the sum of
+the subtracted parts' preimages.  A subtracted part is mixed of degree
+|w_k|, so no later change of generators moves it (it moves one generator
+of degree at least |w_k| by products of lower ones), and C^Phi - C_T is
+exactly the sum of the parts.
 
 The ls theorem needs a homotopy-associative comultiplication.  An ls run
 that normalizes proves it, since its target C0 is strictly coassociative
@@ -258,44 +259,24 @@ def _screen(model, comul) -> HypothesisReport:
     return check_hypotheses(model, max(degrees) + 2 - min(degrees) if degrees else 1)
 
 
-def _eta(model, comul, phi, target) -> dict[str, Polynomial]:
-    """eta(w) with d(eta(w)) = C^Phi(w) - C_T(w), for the conjugate C^Phi of
-    the source (model, comul) by Phi and the target comultiplication C_T,
-    under D_T = 0, where d acts on the base coefficients: each difference
-    is split coefficientwise (`_split_coefficients`), and a part that is
-    not exact is an error."""
-    model, comul = conjugate(model, comul, phi)
-    if model.d_fiber:
-        raise EngineError("the source conjugated by Phi keeps a differential")
-    base, eta = model.base_cdga(), {}
-    for gen in model.table.fiber:
-        name = gen.display()
-        difference = comul.image(gen) - target.image(gen)
-        if not difference:
-            continue
-        eta[gen.name], rest = _split_coefficients(
-            base, difference, f"C^Phi({name}) - C_T({name})")
-        if rest:
-            raise EngineError(f"C^Phi({name}) - C_T({name}) is not exact")
-    return eta
-
-
 def _run_stages(model, comul, report: HypothesisReport, stages) -> NormalizationResult:
     """Run `stages` in turn, each (model, comul) -> (model, comul, steps,
     obstruction), into one certificate; the first obstruction ends the run.
 
     Phi is composed as the steps come, Phi(w_k) <- Phi(phi(w_k)) for each
     w_k a step's phi moves, so the source conjugated by Phi is the state
-    the changes of generators reach.  Only a run that subtracted an exact
-    part ends elsewhere.  When no change of generators follows its first
-    subtraction, C^Phi - C_T is the sum of the parts it subtracted, and eta
-    the sum of their preimages; otherwise it conjugates the source by Phi,
-    once, to take eta (`_eta`)."""
+    the changes of generators reach, less the exact parts subtracted from
+    C.  eta is the sum of those parts' preimages, also when a change of
+    generators follows a subtraction: an ls change moves one generator w to
+    w - sum b_I w_I, each w_I a product of generators of lower degree, and
+    a part P subtracted from C(v), v at or before w, is mixed of degree
+    |v| <= |w|, so it holds neither w nor a later generator.  The change
+    fixes P, conjugating C - P gives its conjugate less P, and C^Phi - C_T
+    is exactly the sum of the subtracted parts."""
     source, source_comul = model, comul
     phi: dict[int, Polynomial] = {}
     eta: dict[str, Polynomial] = {}
     trail: list[CertificateStep] = []
-    moved_after_subtraction = False
     for stage in stages:
         model, comul, steps, obstruction = stage(model, comul)
         if obstruction is not None:
@@ -305,7 +286,6 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
                 for name, part in step.eta.items():
                     eta[name] = eta.get(name, Polynomial.zero()) + part
             else:
-                moved_after_subtraction = moved_after_subtraction or bool(eta)
                 phi.update({gid: apply_images(phi, image)
                             for gid, image in step.phi.images.items()})
             trail.append(CertificateStep(step.stage, step.note))
@@ -315,8 +295,7 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     cert = EquivalenceCertificate(
         table=source.table, d_base=dict(source.d_base), source_d=dict(source.d_fiber),
         source_c=dict(source_comul.images), phi=composite, target_c=dict(comul.images),
-        target_d=dict(model.d_fiber), steps=trail,
-        eta=_eta(source, source_comul, composite, comul) if moved_after_subtraction else eta)
+        target_d=dict(model.d_fiber), steps=trail, eta=eta)
     return NormalizationResult("normalized", report, certificate=cert)
 
 
@@ -390,6 +369,9 @@ def _ls_step(model, comul, gen, r):
         moved, comul2 = conjugate(model, comul, phi)
         if moved.d_fiber != model.d_fiber:
             raise EngineError("excess-step change of generators moved the differential")
+        # the change moves C(w_k) by its class part alone: inside the
+        # pipeline, this guards the degree argument that lets `_run_stages`
+        # sum eta
         if comul2.image(gen) != comul.image(gen) - class_part:
             raise EngineError("excess-step change of generators did not absorb the "
                               "class part")

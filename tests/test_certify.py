@@ -262,31 +262,64 @@ def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
     assert sum(name.startswith("rt") for name in names) == 20
 
 
-def test_an_ls_run_without_an_exact_part_conjugates_once_per_change(monkeypatch):
-    # Phi is composed as the run steps; only a run that subtracts an exact
-    # part conjugates the source by Phi once more, at the end
-    calls = []
-    real = certify.conjugate
+def test_an_ls_run_conjugates_once_per_change_and_solves_each_exact_coefficient_once(
+        monkeypatch):
+    # Phi is composed as the run steps and eta is the sum of the subtracted
+    # parts' preimages: no run conjugates the source by Phi at the end or
+    # solves an exact coefficient again, also when a change of generators
+    # follows a subtraction (full_ladder)
+    normalize = importlib.import_module("fibrewise.normalize")
+    conjugations, solves, in_step = [], [], []
+    real_conjugate, real_solve = certify.conjugate, dga.FreeCDGA.solve_preimage
 
-    def spy(model, comul, phi):
-        calls.append(phi)
-        return real(model, comul, phi)
+    def spy_conjugate(model, comul, phi):
+        conjugations.append(phi)
+        return real_conjugate(model, comul, phi)
 
-    monkeypatch.setattr(importlib.import_module("fibrewise.normalize"), "conjugate", spy)
+    def spy_solve(self, target):
+        eta = real_solve(self, target)
+        solves.append((in_step[-1] if in_step else None, target, eta))
+        return eta
+
+    def within(step):
+        def wrapped(*args):
+            in_step.append(step)
+            try:
+                return step(*args)
+            finally:
+                in_step.pop()
+        return wrapped
+
+    ls_step = normalize._ls_step
+    monkeypatch.setattr(normalize, "conjugate", spy_conjugate)
+    monkeypatch.setattr(dga.FreeCDGA, "solve_preimage", spy_solve)
+    monkeypatch.setattr(normalize, "_hopf_step", within(normalize._hopf_step))
+    monkeypatch.setattr(normalize, "_ls_step", within(ls_step))
     wide = util.wide_base_model(fiber=[("u", 3), ("v", 5), ("z", 7), ("w", 9)])
     perturbed = perturb(wide, Comultiplication.standard(wide.table),
                         PerturbationSpec(0, mode="change-of-generators"))
     for (model, comul), subtracts in ((util.full_ladder_model(), True), (perturbed, False)):
-        calls.clear()
+        conjugations.clear()
+        solves.clear()
         result = ls_normalize(model, comul)
         trail = result.certificate.steps
-        changes = len(trail) - sum(
-            step.note.startswith(("remove even excess", "remove exact part")) for step in trail)
+        removed = [step.note.startswith(("remove even excess", "remove exact part"))
+                   for step in trail]
+        changes = len(trail) - sum(removed)
         assert changes >= 2 and len(result.certificate.phi.images) >= 2
         assert bool(result.certificate.eta) == subtracts
-        assert len(calls) == changes + subtracts
+        assert len(conjugations) == changes
+        assert all(step is not None for step, _, _ in solves)
         if subtracts:
-            assert calls[-1] is result.certificate.phi
+            # a change of generators follows the first subtraction
+            assert not all(removed[removed.index(True):])
+            base = model.base_cdga()
+            exact = [base.d(coeff) for eta in result.certificate.eta.values()
+                     for coeff in eta.group_by_fiber_part().values()]
+            solved = [target for step, target, eta in solves
+                      if step is ls_step and target and eta is not None]
+            assert len(exact) >= 2 and len(solved) == len(exact)
+            assert all(solved.count(target) == exact.count(target) == 1 for target in exact)
 
 
 def _conjugate_adding_exact_term(real, mutated):

@@ -548,8 +548,8 @@ def test_slices_equal_the_row_oracle_on_the_golden_bases(monkeypatch):
 
 def test_slices_equal_the_row_oracle_on_the_ladder_cube(monkeypatch):
     # L(5)'s tensor cube below degree 15, up to 6,762 monomials and rank
-    # 1,572 of E (degree 14); the slices of degrees 15 to 17 alone take
-    # about 18 s more
+    # 1,572 of E (degree 14); degrees 15 to 17 would add about 6 s, mostly
+    # the row oracle's
     cube = util.ladder_model(5).tensor_cdga(3)
     _slices_equal_the_row_oracle(monkeypatch, cube, range(15))
     assert len(cube.cohomology_slice(14).boundaries) == 1572

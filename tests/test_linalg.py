@@ -99,6 +99,39 @@ def test_elimination_equals_the_dense_oracles():
     assert exact_targets > 100 and inexact_targets > 30
 
 
+def test_coordinates_equal_the_scan_oracle():
+    # each of the vector's keys looked up in the free list, against a scan
+    # of every free column; the keys come in shuffled, the coordinates leave
+    # j ascending
+    rng = random.Random(2025)
+    placed = refused = 0
+    for _ in range(200):
+        nrows, columns = _random_matrix(rng)
+        elimination = linalg.eliminate(columns)
+        kernel = elimination.kernel
+        combination = {j: Fraction(rng.randint(-2, 2), rng.choice((1, 3)))
+                       for j in range(len(kernel)) if rng.random() < 0.6}
+        inside = linalg.combine(kernel, {j: c for j, c in combination.items() if c})
+        outside = dict(inside)
+        if columns:
+            linalg.add_into(outside, {rng.randrange(len(columns)): Fraction(1)}, 1)
+        for vec in [*kernel, inside, outside, *_targets(rng, nrows, columns)]:
+            keys = list(vec)
+            rng.shuffle(keys)
+            vec = {key: vec[key] for key in keys}
+            coords = elimination.coordinates(vec)
+            expected = util.coordinates_by_scan(elimination, vec)
+            assert coords == expected
+            if coords is None:
+                refused += 1
+            else:
+                assert _typed(coords) == _typed(expected) and list(coords) == sorted(coords)
+                placed += bool(coords)
+        assert [elimination.coordinates(vec) for vec in kernel] == [
+            {j: 1} for j in range(len(kernel))]
+    assert placed > 600 and refused > 250
+
+
 def test_elimination_of_edge_cases():
     empty = linalg.eliminate([])
     assert (empty.pivots, empty.free, empty.kernel) == ({}, [], [])

@@ -417,6 +417,35 @@ def test_round_trips_that_move_the_differential(mode):
     assert stages == {"hopf-linear", "hopf-higher", "ls-even", "ls-odd"}
 
 
+def test_summed_eta_equals_eta_taken_by_conjugation():
+    # eta is the sum of the subtracted parts' preimages; conjugating the
+    # source by Phi and splitting C^Phi - C_T takes the same eta, also on the
+    # runs where a change of generators follows a subtraction
+    from fibrewise import PerturbationSpec, perturb
+
+    runs = change_after_subtraction = 0
+    for fiber in ([("u", 3), ("v", 3), ("z", 3), ("w", 9)],
+                  [("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)]):
+        model = util.contractible_base_model(fiber=fiber)
+        comul = Comultiplication.standard(model.table)
+        for mode in ("both", "change-of-generators"):
+            for word_length in (3, 4):
+                for seed in range(25):
+                    m2, c2 = perturb(model, comul, PerturbationSpec(
+                        seed, max_word_length=word_length, mode=mode))
+                    cert = ls_normalize(m2, c2).certificate
+                    target = Comultiplication(m2.table, cert.target_c)
+                    assert cert.eta == util.eta_by_conjugation(m2, c2, cert.phi, target), (
+                        fiber, mode, word_length, seed)
+                    assert verify_equivalence(cert).ok
+                    removed = [step.note.startswith(("remove even excess", "remove exact part"))
+                               for step in cert.steps]
+                    runs += 1
+                    change_after_subtraction += (
+                        True in removed and not all(removed[removed.index(True):]))
+    assert runs == 200 and change_after_subtraction >= 30
+
+
 def test_ls_pipeline_homotopy_associative_but_not_strict_input():
     model, comul = util.exact_defect_model()
     result = ls_normalize(model, comul)

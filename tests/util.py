@@ -15,6 +15,7 @@ from fibrewise import (
     GeneratorTable,
     Polynomial,
     RelativeModel,
+    conjugate,
     normalize_monomial,
 )
 from fibrewise.algebra import (
@@ -314,6 +315,14 @@ def solve_by_rows(rows, rhs, ncols):
     return {pivot: row[ncols] for pivot, row in zip(pivots, reduced) if row.get(ncols)}
 
 
+def coordinates_by_scan(elimination, vec):
+    """`Elimination.coordinates` by a scan of every free column: the entries
+    of `vec` at the free columns, j ascending, or None when their sparse sum
+    over the kernel basis is not `vec`."""
+    coords = {j: vec[free] for j, free in enumerate(elimination.free) if vec.get(free)}
+    return coords if linalg.combine(elimination.kernel, coords) == vec else None
+
+
 def kernel_by_rref(columns, nrows):
     """(free columns, kernel basis) of the matrix with these columns, read
     off the reduced row echelon form of its rows: vector j is 1 at free
@@ -501,6 +510,27 @@ def identity_certificate(model, comul):
         table=model.table, d_base=dict(model.d_base), source_d=dict(model.d_fiber),
         source_c=dict(comul.images), phi=ChangeOfGenerators({}),
         target_c=dict(comul.images), target_d=dict(model.d_fiber))
+
+
+def eta_by_conjugation(model, comul, phi, target):
+    """eta(w) with d(eta(w)) = C^Phi(w) - C_T(w), taken by conjugating the
+    source (model, comul) by Phi once and splitting each difference from the
+    target C_T coefficientwise (`FreeCDGA.split`), under D_T = 0: the
+    pipeline's eta by another road, for comparing with its sum of the
+    subtracted parts' preimages."""
+    model, comul = conjugate(model, comul, phi)
+    assert not model.d_fiber, "the source conjugated by Phi keeps a differential"
+    base, eta = model.base_cdga(), {}
+    for gen in model.table.fiber:
+        difference = comul.image(gen) - target.image(gen)
+        if not difference:
+            continue
+        eta[gen.name] = Polynomial.zero()
+        for fiber_mono, coeff in difference.group_by_fiber_part().items():
+            preimage, rest = base.split(coeff)
+            assert not rest, f"C^Phi({gen.display()}) - C_T({gen.display()}) is not exact"
+            eta[gen.name] = eta[gen.name] + preimage * Polynomial({fiber_mono: 1})
+    return eta
 
 
 def spy_eliminations(monkeypatch):
