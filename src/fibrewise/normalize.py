@@ -13,11 +13,9 @@ cycle decomposition Z = E + N, a nonzero class part is forced into the
 shape sum b_I (S_I - w_I - w'_I) and absorbed by a change of generators,
 and the exact part is subtracted from C.  `_run_stages` runs a pipeline's
 stages into one certificate in normal form (`certify`): it composes the
-changes of generators into Phi as it steps, and eta is always the sum of
-the subtracted parts' preimages.  A subtracted part is mixed of degree
-|w_k|, so no later change of generators moves it (it moves one generator
-of degree at least |w_k| by products of lower ones), and C^Phi - C_T is
-exactly the sum of the parts.
+changes of generators into Phi, and eta from the subtracted parts'
+preimages, carried through each later change whose tail has a factor with
+an eta (`_carry_through`).
 
 The ls theorem needs a homotopy-associative comultiplication.  An ls run
 that normalizes proves it, since its target C0 is strictly coassociative
@@ -259,20 +257,35 @@ def _screen(model, comul) -> HypothesisReport:
     return check_hypotheses(model, max(degrees) + 2 - min(degrees) if degrees else 1)
 
 
+def _carry_through(model, comul, change, eta) -> None:
+    """Carry eta through an ls change w -> w - T in place: the source
+    conjugated by Phi applies C + d(eta) to T's factors where the pipeline
+    applies C, so eta(w) gains the preimage of C(T) - (C + d(eta))(T).  A
+    factor v of T has degree below |w|, so its steps came first: eta(v) is
+    whole, and C(v) is final in the stage's `comul`."""
+    images, d = comul.as_images(), model.tensor_cdga(2).d  # D = 0 here
+    for gen in model.table.fiber:
+        tail = Polynomial.from_generator(gen) - change.image(gen)
+        through = {g.id: images[g.id] + d(eta[g.name])
+                   for mono in tail.terms for g, _ in mono if g.name in eta}
+        if through:
+            gain = apply_images(images, tail) - apply_images({**images, **through}, tail)
+            part, rest = _split_coefficients(model.base_cdga(), gain, f"eta({gen.display()})")
+            if rest:
+                raise EngineError(f"the eta carried into {gen.display()} is not exact")
+            eta[gen.name] = eta.get(gen.name, Polynomial.zero()) + part
+
+
 def _run_stages(model, comul, report: HypothesisReport, stages) -> NormalizationResult:
     """Run `stages` in turn, each (model, comul) -> (model, comul, steps,
     obstruction), into one certificate; the first obstruction ends the run.
 
     Phi is composed as the steps come, Phi(w_k) <- Phi(phi(w_k)) for each
-    w_k a step's phi moves, so the source conjugated by Phi is the state
-    the changes of generators reach, less the exact parts subtracted from
-    C.  eta is the sum of those parts' preimages, also when a change of
-    generators follows a subtraction: an ls change moves one generator w to
-    w - sum b_I w_I, each w_I a product of generators of lower degree, and
-    a part P subtracted from C(v), v at or before w, is mixed of degree
-    |v| <= |w|, so it holds neither w nor a later generator.  The change
-    fixes P, conjugating C - P gives its conjugate less P, and C^Phi - C_T
-    is exactly the sum of the subtracted parts."""
+    w_k a step's phi moves, and eta with it (`_carry_through`), so C^Phi - C_T
+    is d(eta).  eta(v) and d(eta(v)) are mixed of degree at most |v|, so
+    their factors have degree below |v|, and no later change moves them.
+    Word lengths keep fiber monomials apart and a preimage is linear in its
+    coefficient, so eta is the coefficientwise split of C^Phi - C_T."""
     source, source_comul = model, comul
     phi: dict[int, Polynomial] = {}
     eta: dict[str, Polynomial] = {}
@@ -282,12 +295,13 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
         if obstruction is not None:
             return NormalizationResult("obstructed", report, obstruction=obstruction)
         for step in steps:
-            if step.phi is None:
-                for name, part in step.eta.items():
-                    eta[name] = eta.get(name, Polynomial.zero()) + part
-            else:
+            if step.phi is not None:
+                if eta:
+                    _carry_through(model, comul, step.phi, eta)
                 phi.update({gid: apply_images(phi, image)
                             for gid, image in step.phi.images.items()})
+            for name, part in step.eta.items():
+                eta[name] = eta.get(name, Polynomial.zero()) + part
             trail.append(CertificateStep(step.stage, step.note))
     composite = ChangeOfGenerators({
         gen.id: phi[gen.id] for gen in model.table.fiber
@@ -295,7 +309,7 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     cert = EquivalenceCertificate(
         table=source.table, d_base=dict(source.d_base), source_d=dict(source.d_fiber),
         source_c=dict(source_comul.images), phi=composite, target_c=dict(comul.images),
-        target_d=dict(model.d_fiber), steps=trail, eta=eta)
+        target_d=dict(model.d_fiber), steps=trail, eta={n: e for n, e in eta.items() if e})
     return NormalizationResult("normalized", report, certificate=cert)
 
 
@@ -369,9 +383,6 @@ def _ls_step(model, comul, gen, r):
         moved, comul2 = conjugate(model, comul, phi)
         if moved.d_fiber != model.d_fiber:
             raise EngineError("excess-step change of generators moved the differential")
-        # the change moves C(w_k) by its class part alone: inside the
-        # pipeline, this guards the degree argument that lets `_run_stages`
-        # sum eta
         if comul2.image(gen) != comul.image(gen) - class_part:
             raise EngineError("excess-step change of generators did not absorb the "
                               "class part")

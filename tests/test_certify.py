@@ -264,10 +264,10 @@ def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
 
 def test_an_ls_run_conjugates_once_per_change_and_solves_each_exact_coefficient_once(
         monkeypatch):
-    # Phi is composed as the run steps and eta is the sum of the subtracted
-    # parts' preimages: no run conjugates the source by Phi at the end or
-    # solves an exact coefficient again, also when a change of generators
-    # follows a subtraction (full_ladder)
+    # Phi and eta are built as the run steps: no run conjugates the source
+    # by Phi at the end or solves an exact coefficient again, also when a
+    # change of generators follows a subtraction (full_ladder, where eta
+    # sits at w alone and no tail carries it)
     normalize = importlib.import_module("fibrewise.normalize")
     conjugations, solves, in_step = [], [], []
     real_conjugate, real_solve = certify.conjugate, dga.FreeCDGA.solve_preimage

@@ -417,15 +417,31 @@ def test_round_trips_that_move_the_differential(mode):
     assert stages == {"hopf-linear", "hopf-higher", "ls-even", "ls-odd"}
 
 
-def test_summed_eta_equals_eta_taken_by_conjugation():
-    # eta is the sum of the subtracted parts' preimages; conjugating the
-    # source by Phi and splitting C^Phi - C_T takes the same eta, also on the
-    # runs where a change of generators follows a subtraction
-    from fibrewise import PerturbationSpec, perturb
+def _carrying_spy(monkeypatch):
+    """A list that gets one entry for each change of generators through
+    which `_carry_through` moved eta."""
+    carried, real = [], normalize._carry_through
 
-    runs = change_after_subtraction = 0
+    def spy(model, comul, change, eta):
+        before = dict(eta)
+        real(model, comul, change, eta)
+        if eta != before:
+            carried.append(change)
+
+    monkeypatch.setattr(normalize, "_carry_through", spy)
+    return carried
+
+
+def test_eta_equals_eta_taken_by_conjugation(monkeypatch):
+    # eta is built as the steps come: the preimages of the subtracted parts,
+    # carried through each later change whose tail has a factor with an eta;
+    # conjugating the source by Phi and splitting C^Phi - C_T takes the same
+    # eta.  Over (u3, v3, s11, w17) a change of w by s u v meets eta(s)
+    carried = _carrying_spy(monkeypatch)
+    runs = change_after_subtraction = carrying_runs = 0
     for fiber in ([("u", 3), ("v", 3), ("z", 3), ("w", 9)],
-                  [("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)]):
+                  [("u", 3), ("v", 3), ("z", 3), ("s", 5), ("w", 11)],
+                  [("u", 3), ("v", 3), ("s", 11), ("w", 17)]):
         model = util.contractible_base_model(fiber=fiber)
         comul = Comultiplication.standard(model.table)
         for mode in ("both", "change-of-generators"):
@@ -433,6 +449,7 @@ def test_summed_eta_equals_eta_taken_by_conjugation():
                 for seed in range(25):
                     m2, c2 = perturb(model, comul, PerturbationSpec(
                         seed, max_word_length=word_length, mode=mode))
+                    carried.clear()
                     cert = ls_normalize(m2, c2).certificate
                     target = Comultiplication(m2.table, cert.target_c)
                     assert cert.eta == util.eta_by_conjugation(m2, c2, cert.phi, target), (
@@ -443,7 +460,31 @@ def test_summed_eta_equals_eta_taken_by_conjugation():
                     runs += 1
                     change_after_subtraction += (
                         True in removed and not all(removed[removed.index(True):]))
-    assert runs == 200 and change_after_subtraction >= 30
+                    carrying_runs += bool(carried)
+    assert runs == 300 and change_after_subtraction >= 45 and carrying_runs >= 12
+
+
+def test_eta_is_carried_through_a_change_whose_tail_has_an_eta(monkeypatch):
+    # C conjugated by s -> s + pq uv, w -> w + s u v: ls subtracts the exact
+    # part pq (u v' + u' v) of C(s), then absorbs w -> w - s u v, whose
+    # factor s has an eta.  Summing the subtracted parts alone misses
+    # -2 pq u v' u' v in C^Phi(w) - C_T(w)
+    carried = _carrying_spy(monkeypatch)
+    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("s", 11), ("w", 17)])
+    poly, gen = model.table.poly, model.table.generator
+    chi = ChangeOfGenerators({
+        gen("w0", "s").id: poly("s") + poly("p") * poly("q") * poly("u") * poly("v"),
+        gen("w0", "w").id: poly("w") + poly("s") * poly("u") * poly("v")})
+    source, source_comul = conjugate(model, Comultiplication.standard(model.table), chi)
+    cert = ls_normalize(source, source_comul).certificate
+    assert [step.note for step in cert.steps] == [
+        "remove even excess of length 2 from C(s)",
+        "absorb complement part of length 3 into w",
+        "remove even excess of length 4 from C(w)"]
+    assert len(carried) == 1 and verify_equivalence(cert).ok
+    target = Comultiplication(source.table, cert.target_c)
+    assert cert.eta == util.eta_by_conjugation(source, source_comul, cert.phi, target)
+    assert set(cert.eta) == {"s"}  # the carried gain cancels C(w)'s subtracted part
 
 
 def test_ls_pipeline_homotopy_associative_but_not_strict_input():

@@ -516,8 +516,8 @@ def eta_by_conjugation(model, comul, phi, target):
     """eta(w) with d(eta(w)) = C^Phi(w) - C_T(w), taken by conjugating the
     source (model, comul) by Phi once and splitting each difference from the
     target C_T coefficientwise (`FreeCDGA.split`), under D_T = 0: the
-    pipeline's eta by another road, for comparing with its sum of the
-    subtracted parts' preimages."""
+    pipeline's eta by another road, for comparing with the eta it builds
+    step by step."""
     model, comul = conjugate(model, comul, phi)
     assert not model.d_fiber, "the source conjugated by Phi keeps a differential"
     base, eta = model.base_cdga(), {}
