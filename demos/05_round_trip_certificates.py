@@ -4,8 +4,12 @@ The perturbation conjugates the standard pair (D = 0, C0) by a seeded
 unipotent change of generators, so the result is equivalent to standard by
 construction.  The normalization must recover that, and the emitted
 certificate (one change of generators Phi, the target and eta) must pass
-the independent verifier from scratch.
+the independent verifier from scratch.  The certificate holds no copy of
+the model it proves: it is verified against the perturbed pair, and its
+serialized copy is read against that pair's generator table.
 """
+
+import json
 
 from fibrewise import (
     Comultiplication,
@@ -34,11 +38,11 @@ print("\nnormalization outcome:", result.outcome)
 for step in result.certificate.steps:
     print(f"  [{step.stage}] -- {step.note}")
 
-verdict = verify_equivalence(result.certificate)
+verdict = verify_equivalence(result.certificate, perturbed, twisted)
 print("\nindependent verification:", "PASS" if verdict.ok else verdict.failures)
 
 doc = fio.certificate_to_document(result.certificate)
 text = fio.dumps(doc)
 print(f"\nserialized certificate: {len(text)} bytes; verifying the parsed copy:")
-parsed = fio.certificate_from_document(__import__("json").loads(text))
-print("  ", "PASS" if verify_equivalence(parsed).ok else "FAIL")
+parsed = fio.certificate_from_document(json.loads(text), perturbed.table)
+print("  ", "PASS" if verify_equivalence(parsed, perturbed, twisted).ok else "FAIL")

@@ -1,12 +1,12 @@
 """Certificates of equivalence in normal form, and their independent verifier.
 
-A certificate states the paper's conclusion for its model: over B the
-model is isomorphic to (B (x) Lambda(W), D = 0), and under that
-isomorphism C is homotopic to the target comultiplication.  It records one
-unipotent change of generators Phi, fixing the base (the composite
-phi_1 ... phi_n of a run's changes of generators), the target (D_T = 0,
-C_T) and, for each fiber generator w, a mixed element eta(w) of the tensor
-square of degree |w| - 1, such that
+A certificate states the paper's conclusion for the model it is checked
+against: over B the model is isomorphic to (B (x) Lambda(W), D = 0), and
+under that isomorphism C is homotopic to the target comultiplication.  It
+records one unipotent change of generators Phi, fixing the base (the
+composite phi_1 ... phi_n of a run's changes of generators), the target
+(D_T = 0, C_T) and, for each fiber generator w, a mixed element eta(w) of
+the tensor square of degree |w| - 1, such that
 
     D(Phi(w)) = 0                                  in B (x) Lambda(W), and
     (Phi (x) Phi)(C_T(w) + d eta(w)) = C(Phi(w))   in the tensor square,
@@ -17,17 +17,33 @@ algebra onto the source's; the second says that C carried back by Phi
 differs from C_T by the boundary of eta, the dt-part of a DG homotopy
 between them, which respects both counits since eta is mixed.  A generator
 that `phi` or `eta` omits is fixed by Phi or has eta = 0.  The trail
-`steps` names what the run did, stage and note, and is not checked.
+`steps` names what the run did, stage and note, and is not checked.  A
+certificate holds no copy of its model: the model pair (D, C) is given to
+`verify_equivalence` beside it.
 
-`verify_equivalence` validates the source, then checks the shape of
-everything it substitutes into before it substitutes: Phi's tails, D_T = 0,
-the degrees of C_T(w) and eta(w), and that eta is mixed; then the two
-identities.  A certificate holds no truncation degree: the identities are
-checked on generators, and its source model takes `RelativeModel`'s
-default.  What the verifier shares with the engine is the algebra itself:
-`Polynomial`, `apply_images`, `FreeCDGA.d`, `GeneratorTable.on_copy` and
-the validators of `model`.  It calls no conjugation helper and solves
-nothing: not `conjugate`, not `invert`, not `FreeCDGA.split`.
+`verify_equivalence` checks the claim and nothing it implies, each part
+before anything is substituted into it: d_B (`validate_base_differential`:
+each d(y) in B, of degree |y| + 1, and d_B^2 = 0 on generators); the
+shapes (Phi's tails, D_T = 0, the degrees of C_T(w) and eta(w), eta
+mixed); C_T(w) = w + w' + (mixed terms) and d(C_T(w)) = 0 in the target
+square; then the two identities.  These make the model pair valid without
+validating it:
+
+- Phi is unipotent and D(Phi(w)) = 0, so D o Phi and Phi o D_T are
+  Phi-derivations that agree on generators: D = Phi D_T Phi^-1.  Hence
+  D^2 = 0, and D has the relative Sullivan shape (degree |w| + 1, earlier
+  generators only, no pure-base term) since Phi and D_T keep it.
+- C_T has the counit shape and commutes with D_T, and d eta(w) is mixed,
+  so C_T + d eta is a DG map with the counit shape.  The second identity
+  gives C = (Phi (x) Phi)(C_T + d eta) Phi^-1: a DG map of degree 0, with
+  the counit shape since the counit commutes with Phi.
+
+A certificate holds no truncation degree: the identities are checked on
+generators.  What the verifier shares with the engine is the algebra
+itself: `Polynomial`, `apply_images`, `FreeCDGA.d`, `GeneratorTable.on_copy`
+and the shape checks of `model`.  It calls no conjugation helper, no
+validator of a model pair and solves nothing: not `conjugate`, not
+`invert`, not `validate_input`, not `FreeCDGA.split`.
 """
 
 from __future__ import annotations
@@ -47,7 +63,9 @@ from .dga import EngineError, Verdict
 from .model import (
     Comultiplication,
     RelativeModel,
+    _has_counit_shape,
     tail_shape_verdict,
+    validate_base_differential,
     validate_input,
     # unused here, kept bound: perfbench/layertrace.py wraps them
     validate_comultiplication,
@@ -145,22 +163,15 @@ class CertificateStep:
 
 @dataclass
 class EquivalenceCertificate:
-    """A source model pair, Phi, the target and eta (see the module
+    """Phi, the target and eta over a generator table (see the module
     docstring); images are keyed by fiber generator name, Phi's by id."""
 
     table: GeneratorTable
-    d_base: dict[str, Polynomial]
-    source_d: dict[str, Polynomial]
-    source_c: dict[str, Polynomial]
     phi: ChangeOfGenerators
     target_c: dict[str, Polynomial]
     target_d: dict[str, Polynomial] = field(default_factory=dict)
     eta: dict[str, Polynomial] = field(default_factory=dict)
     steps: list[CertificateStep] = field(default_factory=list)
-
-    def source_model(self) -> tuple[RelativeModel, Comultiplication]:
-        model = RelativeModel(self.table, self.d_base, self.source_d)
-        return model, Comultiplication(self.table, self.source_c)
 
 
 def _shape_verdict(model: RelativeModel, cert: EquivalenceCertificate) -> Verdict:
@@ -195,6 +206,26 @@ def _shape_verdict(model: RelativeModel, cert: EquivalenceCertificate) -> Verdic
     return Verdict.passed()
 
 
+def _target_verdict(model: RelativeModel, cert: EquivalenceCertificate) -> Verdict:
+    """C_T(w) = w + w' + (mixed terms) and d(C_T(w)) = 0 in the target
+    square, for every fiber generator w: C_T is then a comultiplication of
+    (B (x) Lambda(W), D_T = 0).  The degrees of `_shape_verdict` must hold."""
+    table = model.table
+    d_target = model.with_fiber_differential({}).tensor_cdga(2).d
+    for gen in table.fiber:
+        name, image, copy = gen.display(), cert.target_c[gen.name], table.copy(gen, 1)
+        if not _has_counit_shape(image, gen, copy):
+            return Verdict.failed(
+                f"target C({name}) - {name} - {name}' has a term outside the mixed "
+                "tensor part (counit shape violation)",
+                image - Polynomial.from_generator(gen) - Polynomial.from_generator(copy))
+        boundary = d_target(image)
+        if boundary:
+            return Verdict.failed(f"target C({name}) is not a cycle: d(C_T({name})) != 0",
+                                  boundary)
+    return Verdict.passed()
+
+
 def verify_homotopy(
     model: RelativeModel, comul: Comultiplication, phi: ChangeOfGenerators,
     target_c: Mapping[str, Polynomial], eta: Mapping[str, Polynomial],
@@ -215,7 +246,7 @@ def verify_homotopy(
         if square:
             lhs = apply_images(square, lhs)
         image = phi.images.get(gen.id)
-        rhs = comul.images[gen.name] if image is None else apply_images(c_images, image)
+        rhs = comul.image(gen) if image is None else apply_images(c_images, image)
         if lhs != rhs:
             return Verdict.failed(
                 f"phi does not intertwine the comultiplications at {gen.display()}: "
@@ -223,14 +254,23 @@ def verify_homotopy(
     return Verdict.passed()
 
 
-def verify_equivalence(cert: EquivalenceCertificate) -> Verdict:
-    """Validate the source, check the shapes (`_shape_verdict`), then
-    D(Phi(w)) = 0 in the source total algebra (for w fixed by Phi: D(w)
-    absent) and the comultiplication identity (`verify_homotopy`)."""
-    model, comul = cert.source_model()
-    verdict = validate_input(model, comul)
+def verify_equivalence(cert: EquivalenceCertificate, model: RelativeModel,
+                       comul: Comultiplication) -> Verdict:
+    """Check `cert` against the model pair (D, C) it is for: the certificate
+    must have been read against the model's generator table, since
+    polynomials compare only within one table.  Then d_B
+    (`validate_base_differential`), the shapes (`_shape_verdict`), C_T
+    (`_target_verdict`), D(Phi(w)) = 0 in the model's total algebra (for w
+    fixed by Phi: D(w) absent) and the comultiplication identity
+    (`verify_homotopy`).  The module docstring says why these make the pair
+    valid."""
+    if cert.table is not model.table:
+        return Verdict.failed("certificate is for a different generator table")
+    verdict = validate_base_differential(model)
     if verdict.ok:
         verdict = _shape_verdict(model, cert)
+    if verdict.ok:
+        verdict = _target_verdict(model, cert)
     if not verdict.ok:
         return verdict
     total = model.total_cdga()

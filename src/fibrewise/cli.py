@@ -128,19 +128,9 @@ def _run_pipeline(args, pipeline) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model_doc = _load_json(args.model)
-    model, comul = io.parse_model(model_doc)
+    model, comul = io.parse_model(_load_json(args.model))
     cert = io.certificate_from_document(_load_json(args.certificate), model.table)
-    if cert.table is not model.table:
-        print("FAIL: certificate is for a different generator table")
-        return INVALID_INPUT
-    if cert.d_base != model.d_base:
-        print("FAIL: certificate base differential differs from the model")
-        return INVALID_INPUT
-    if cert.source_d != model.d_fiber or cert.source_c != comul.images:
-        print("FAIL: certificate source does not match the model")
-        return INVALID_INPUT
-    verdict = verify_equivalence(cert)
+    verdict = verify_equivalence(cert, model, comul)
     if not verdict.ok:
         print("FAIL:", verdict.failures[0])
         if verdict.witness is not None:

@@ -43,7 +43,7 @@ from .model import (
 )
 
 MODEL_FORMAT = "fibrewise-model/1"
-CERTIFICATE_FORMAT = "fibrewise-certificate/2"
+CERTIFICATE_FORMAT = "fibrewise-certificate/3"
 RESULT_FORMAT = "fibrewise-result/1"
 # the top-level keys `model_to_document` writes, the only ones a model may have
 MODEL_KEYS = ("format", "truncation_degree", "base", "fiber", "differential",
@@ -206,23 +206,14 @@ def _generator_spec(doc: Any, location: str) -> list[tuple[str, int]]:
     return spec
 
 
-def _spaces_to_doc(table: GeneratorTable, d_base: Mapping[str, Polynomial]) -> dict:
-    """The base/fiber section that model and certificate documents share."""
-    return {
-        "base": {
-            "generators": [{"name": g.name, "degree": g.degree} for g in table.base],
-            "differential": _images_to_doc(d_base),
-        },
-        "fiber": {
-            "generators": [{"name": g.name, "degree": g.degree} for g in table.fiber],
-        },
-    }
+def _generators_to_doc(gens) -> list[dict]:
+    return [{"name": g.name, "degree": g.degree} for g in gens]
 
 
-def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str, table=None):
-    """(table, base differential) of the shared base/fiber section, with
-    locations under `prefix`; a given `table` is kept if it has the same
-    (name, degree) lists."""
+def _table_from_doc(doc: Mapping, prefix: str, table_location: str, table=None):
+    """The generator table of the `base` and `fiber` generator lists that
+    model and certificate documents share, with locations under `prefix`;
+    a given `table` is kept if it has the same (name, degree) lists."""
     base_doc = _object(doc, "base", prefix + "base")
     fiber_doc = _object(doc, "fiber", prefix + "fiber")
     base_spec = _generator_spec(base_doc.get("generators", []), prefix + "base.generators")
@@ -233,9 +224,7 @@ def _spaces_from_doc(doc: Mapping, prefix: str, table_location: str, table=None)
             table = GeneratorTable(base_spec, fiber_spec)
         except AlgebraError as exc:
             raise ParseError(table_location, str(exc))
-    d_base = _images_from_doc(table, "base", base_doc.get("differential"),
-                              prefix + "base.differential")
-    return table, d_base
+    return table
 
 
 def parse_model(doc: Any) -> tuple[RelativeModel, Comultiplication]:
@@ -247,7 +236,9 @@ def parse_model(doc: Any) -> tuple[RelativeModel, Comultiplication]:
     for key in doc:
         if key not in MODEL_KEYS:
             raise ParseError(key, "unknown key in a model document")
-    table, d_base = _spaces_from_doc(doc, "", "generators")
+    table = _table_from_doc(doc, "", "generators")
+    d_base = _images_from_doc(table, "base", _object(doc, "base", "base").get("differential"),
+                              "base.differential")
     truncation = doc.get("truncation_degree")
     if truncation is not None and not _is_positive_int(truncation):
         raise ParseError("truncation_degree", "must be a positive integer")
@@ -263,7 +254,9 @@ def model_to_document(model: RelativeModel, comul: Comultiplication) -> dict:
     return {
         "format": MODEL_FORMAT,
         "truncation_degree": model.truncation,
-        **_spaces_to_doc(model.table, model.d_base),
+        "base": {"generators": _generators_to_doc(model.table.base),
+                 "differential": _images_to_doc(model.d_base)},
+        "fiber": {"generators": _generators_to_doc(model.table.fiber)},
         **_state_to_doc(model.d_fiber, comul.images),
     }
 
@@ -275,8 +268,8 @@ def certificate_to_document(cert: EquivalenceCertificate) -> dict:
     table = cert.table
     return {
         "format": CERTIFICATE_FORMAT,
-        "model": _spaces_to_doc(table, cert.d_base),
-        "source": _state_to_doc(cert.source_d, cert.source_c),
+        "model": {"base": {"generators": _generators_to_doc(table.base)},
+                  "fiber": {"generators": _generators_to_doc(table.fiber)}},
         "target": _state_to_doc(cert.target_d, cert.target_c),
         "phi": _images_to_doc({gen.name: cert.phi.images[gen.id]
                                for gen in table.fiber if gen.id in cert.phi.images}),
@@ -291,7 +284,7 @@ def _state_to_doc(d: Mapping[str, Polynomial], c: Mapping[str, Polynomial]) -> d
 
 
 def _state_from_doc(table, doc: Mapping, key: str, location: str):
-    """The (differential, comultiplication) images of a source or target."""
+    """The (differential, comultiplication) images of a target."""
     state = _object(doc, key, location)
     return (
         _images_from_doc(table, "w0", state.get("differential"), location + ".differential"),
@@ -306,8 +299,9 @@ def certificate_from_document(doc: Any, table: GeneratorTable | None = None
     certificate of an earlier format is refused at its `format`.  It is
     read against `table` when its base and fiber generators are that table's,
     so that its polynomials compare with the model's; else against its own.
-    Keys it does not read are ignored, such as a `truncation_degree`, or a
-    trail entry's keys other than `stage` and `note`."""
+    Keys it does not read are ignored, such as a `truncation_degree`, a
+    `source`, a base differential under `model`, or a trail entry's keys
+    other than `stage` and `note`."""
     if not isinstance(doc, dict):
         raise ParseError("$", "certificate document must be an object")
     if doc.get("format") == RESULT_FORMAT or "certificate" in doc:  # a result wrapper
@@ -326,8 +320,7 @@ def certificate_from_document(doc: Any, table: GeneratorTable | None = None
 
 def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> EquivalenceCertificate:
     _require_format(doc, CERTIFICATE_FORMAT)
-    table, d_base = _spaces_from_doc(_object(doc, "model", "model"), "model.", "model", table)
-    source_d, source_c = _state_from_doc(table, doc, "source", "source")
+    table = _table_from_doc(_object(doc, "model", "model"), "model.", "model", table)
     target_d, target_c = _state_from_doc(table, doc, "target", "target")
     phi = _images_from_doc(table, "w0", doc.get("phi"), "phi")
     eta = _images_from_doc(table, "w0", doc.get("eta"), "eta")
@@ -341,7 +334,7 @@ def _read_certificate(doc: Mapping, table: GeneratorTable | None) -> Equivalence
                 raise ParseError(f"{where}.{key}", "expected a string")
         steps.append(CertificateStep(entry.get("stage", ""), entry.get("note", "")))
     return EquivalenceCertificate(
-        table=table, d_base=d_base, source_d=source_d, source_c=source_c,
+        table=table,
         phi=ChangeOfGenerators({table.generator("w0", name).id: image
                                 for name, image in phi.items()}),
         target_c=target_c, target_d=target_d, eta=eta, steps=steps)

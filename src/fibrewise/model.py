@@ -213,13 +213,32 @@ def tail_shape_verdict(
     return Verdict.passed()
 
 
+def validate_base_differential(model: RelativeModel) -> Verdict:
+    """d_B, generator by generator in order: each image d(y) homogeneous of
+    degree |y| + 1 and in the base algebra B, and d(d(y)) = 0, which the
+    first two make a computation in B alone."""
+    base = model.base_cdga()
+    for gen in base.gens:
+        image = base.diff.get(gen.id)
+        if image is None:
+            continue
+        if not image.is_homogeneous_of_degree(gen.degree + 1):
+            return Verdict.failed(
+                f"d({gen.display()}) is not homogeneous of degree {gen.degree + 1}", image)
+        if any(g.space != "base" for mono in image.terms for g, _ in mono):
+            return Verdict.failed(f"d({gen.display()}) leaves the base algebra", image)
+        square = base.d(image)
+        if square:
+            return Verdict.failed(f"d*d != 0 at generator {gen.display()}", square)
+    return Verdict.passed()
+
+
 def validate_relative_model(model: RelativeModel) -> Verdict:
     """The one validity check of a model's differential, first failure
-    first: the shape of each fiber tail D(w) (`tail_shape_verdict`), then,
-    for each generator of the total algebra in order, a base image d(y)
-    homogeneous of degree |y| + 1 and in the base algebra B, and
-    d(d(g)) = 0.  A fiber tail's shape already places it in the total
-    algebra in the right degree.  Leibniz extends d*d = 0 from the
+    first: the shape of each fiber tail D(w) (`tail_shape_verdict`), then
+    d_B (`validate_base_differential`), then d(D(w)) = 0 for each fiber
+    generator in order.  A fiber tail's shape already places it in the
+    total algebra in the right degree.  Leibniz extends d*d = 0 from the
     generators to the whole algebra."""
     for position, gen in enumerate(model.table.fiber):
         verdict = tail_shape_verdict(
@@ -227,19 +246,14 @@ def validate_relative_model(model: RelativeModel) -> Verdict:
         )
         if not verdict.ok:
             return verdict
+    verdict = validate_base_differential(model)
+    if not verdict.ok:
+        return verdict
     total = model.total_cdga()
-    for gen in total.gens:
-        image = total.diff.get(gen.id)
+    for gen in model.table.fiber:
+        image = model.d_fiber.get(gen.name)
         if image is None:
             continue
-        if gen.space == "base":
-            if not image.is_homogeneous_of_degree(gen.degree + 1):
-                return Verdict.failed(
-                    f"d({gen.display()}) is not homogeneous of degree {gen.degree + 1}",
-                    image,
-                )
-            if any(g.space != "base" for mono in image.terms for g, _ in mono):
-                return Verdict.failed(f"d({gen.display()}) leaves the base algebra", image)
         square = total.d(image)
         if square:
             return Verdict.failed(f"d*d != 0 at generator {gen.display()}", square)

@@ -286,7 +286,6 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     their factors have degree below |v|, and no later change moves them.
     Word lengths keep fiber monomials apart and a preimage is linear in its
     coefficient, so eta is the coefficientwise split of C^Phi - C_T."""
-    source, source_comul = model, comul
     phi: dict[int, Polynomial] = {}
     eta: dict[str, Polynomial] = {}
     trail: list[CertificateStep] = []
@@ -307,8 +306,7 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
         gen.id: phi[gen.id] for gen in model.table.fiber
         if gen.id in phi and phi[gen.id] != Polynomial.from_generator(gen)})
     cert = EquivalenceCertificate(
-        table=source.table, d_base=dict(source.d_base), source_d=dict(source.d_fiber),
-        source_c=dict(source_comul.images), phi=composite, target_c=dict(comul.images),
+        table=model.table, phi=composite, target_c=dict(comul.images),
         target_d=dict(model.d_fiber), steps=trail, eta={n: e for n, e in eta.items() if e})
     return NormalizationResult("normalized", report, certificate=cert)
 

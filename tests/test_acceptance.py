@@ -194,10 +194,11 @@ def round_trip_artifacts(tmp_path_factory):
         std = _standard_document(tmp, str(base_idx), model)
         for seed in range(9):
             for mode in ("change-of-generators", "both"):
-                _, cert_doc = _round_trip(tmp, f"{base_idx}_{seed}_{mode}", std, seed, mode)
+                pert_doc, cert_doc = _round_trip(tmp, f"{base_idx}_{seed}_{mode}", std,
+                                                  seed, mode)
                 runs += 1
                 if cert_doc["phi"] or cert_doc["eta"]:
-                    certificates.append(cert_doc)
+                    certificates.append((pert_doc, cert_doc))
     elapsed = time.perf_counter() - start
     return {"runs": runs, "certificates": certificates, "elapsed": elapsed}
 
@@ -359,18 +360,23 @@ def _mutation_sites(cert_doc):
 
 def test_criterion_8_certificate_mutations(round_trip_artifacts):
     start = time.perf_counter()
+    # (model document, certificate document) pairs: a certificate is
+    # checked against the model it is for
     certificates = list(round_trip_artifacts["certificates"])
     # the round-trip family yields changes of generators only; these golden
     # certificates have a nonzero eta
-    goldens = [json.loads((GOLDEN / f"{name}.ls.json").read_text(encoding="utf-8"))
-               ["certificate"] for name in ("exact_odd_excess", "full_ladder")]
-    golden_eta = sum(len(cert["eta"]) for cert in goldens)
+    goldens = []
+    for name in ("exact_odd_excess", "full_ladder"):
+        model_doc, result = (json.loads((GOLDEN / f"{name}.{kind}.json").read_text(
+            encoding="utf-8")) for kind in ("model", "ls"))
+        goldens.append((model_doc, result["certificate"]))
+    golden_eta = sum(len(cert["eta"]) for _, cert in goldens)
     assert golden_eta >= 2
     certificates += goldens
     # extend the pool with guaranteed non-trivial round-trip certificates
     # from the same model family until enough mutation sites exist
     seed = 100
-    while sum(len(_mutation_sites(c)) for c in certificates) < 110:
+    while sum(len(_mutation_sites(c)) for _, c in certificates) < 110:
         model = util.rt_tables()[seed % 3]
         table = model.table
         comul = Comultiplication.standard(table)
@@ -382,15 +388,18 @@ def test_criterion_8_certificate_mutations(round_trip_artifacts):
         m2, c2 = conjugate(model, comul, phi)
         result = ls_normalize(m2, c2)
         assert result.outcome == "normalized" and result.certificate.phi.images
-        certificates.append(fio.certificate_to_document(result.certificate))
+        certificates.append((fio.model_to_document(m2, c2),
+                             fio.certificate_to_document(result.certificate)))
         seed += 1
     mutations = {"phi": 0, "eta": 0, "target": 0}
-    for cert_doc in certificates:
+    for model_doc, cert_doc in certificates:
+        model, comul = fio.parse_model(model_doc)
         for kind, name in _mutation_sites(cert_doc):
             mutated = json.loads(json.dumps(cert_doc))
             node = mutated["target"]["comultiplication"] if kind == "target" else mutated[kind]
             _mutate_polynomial_doc(node[name])
-            verdict = verify_equivalence(fio.certificate_from_document(mutated))
+            verdict = verify_equivalence(fio.certificate_from_document(mutated, model.table),
+                                         model, comul)
             assert not verdict.ok, (kind, name)
             mutations[kind] += 1
     elapsed = time.perf_counter() - start

@@ -30,7 +30,7 @@ from fibrewise import certify, dga, linalg
 from fibrewise import io as fio
 from fibrewise.algebra import is_mixed_square_monomial
 from fibrewise.certify import invert, verify_homotopy
-from fibrewise.model import validate_comultiplication
+from fibrewise.model import validate_comultiplication, validate_input
 
 import util
 
@@ -154,12 +154,32 @@ def test_verify_equivalence_empty_certificate():
     # Phi the identity, eta zero: the certificate of a pair that is its own
     # target, which needs D = 0; fixture a's D(w5) = b3 w3 is refused
     model = util.rt_tables()[0]
-    cert = util.identity_certificate(model, Comultiplication.standard(model.table))
-    assert verify_equivalence(cert).ok
+    comul = Comultiplication.standard(model.table)
+    assert verify_equivalence(util.identity_certificate(model, comul), model, comul).ok
     fixture, fixture_comul = util.fixture_a()
-    verdict = verify_equivalence(util.identity_certificate(fixture, fixture_comul))
+    verdict = verify_equivalence(util.identity_certificate(fixture, fixture_comul),
+                                 fixture, fixture_comul)
     assert (verdict.failures, verdict.witness) == (
         ["target D(w5) is not zero"], fixture.d_fiber["w5"])
+
+
+@pytest.mark.parametrize("extra, message", [
+    (lambda poly: poly("p") * poly("u") * poly("v") * poly("z"),
+     "target C(w) - w - w' has a term outside the mixed tensor part (counit shape violation)"),
+    (lambda poly: poly("p") * poly("u") * poly("v", copy=1) * poly("z", copy=1),
+     "target C(w) is not a cycle: d(C_T(w)) != 0"),
+], ids=["one-copy term", "mixed non-cycle"])
+def test_verify_equivalence_refuses_an_invalid_pair_that_is_its_own_target(extra, message):
+    # Phi the identity, eta zero and C_T = C satisfy both identities for any
+    # C over D = 0; only the checks of C_T refuse a C without the counit
+    # shape, or one that is no DG map (d(p u v' z') = q u v' z')
+    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("z", 3), ("w", 11)])
+    standard = Comultiplication.standard(model.table).images
+    comul = Comultiplication(model.table,
+                             {**standard, "w": standard["w"] + extra(model.table.poly)})
+    assert not validate_input(model, comul).ok
+    verdict = verify_equivalence(util.identity_certificate(model, comul), model, comul)
+    assert verdict.failures == [message]
 
 
 def test_verify_equivalence_accepts_pipeline_output():
@@ -168,7 +188,7 @@ def test_verify_equivalence_accepts_pipeline_output():
     m2, c2 = perturb(model, comul, PerturbationSpec(seed=3, mode="change-of-generators"))
     result = ls_normalize(m2, c2)
     assert result.outcome == "normalized"
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_verify_equivalence_rejects_tampered_step():
@@ -188,7 +208,7 @@ def test_verify_equivalence_rejects_tampered_step():
     gid, image = next(iter(cert.phi.images.items()))
     gen = next(g for g in model.table.fiber if g.id == gid)
     cert.phi.images[gid] = 2 * image - Polynomial.from_generator(gen)
-    verdict = verify_equivalence(cert)
+    verdict = verify_equivalence(cert, m2, c2)
     assert not verdict.ok
     assert verdict.failures[0].startswith("phi does not intertwine the ")
 
@@ -208,15 +228,16 @@ def test_a_generator_phi_fixes_is_compared_through_phi():
     cert = hopf_normalize(*source).certificate
     assert list(cert.phi.images) == [sid]
     assert cert.target_c["w"] == comul.images["w"] != source[1].images["w"]
-    assert verify_equivalence(cert).ok
+    assert verify_equivalence(cert, *source).ok
 
 
 def test_verify_equivalence_rejects_wrong_target():
     model = util.rt_tables()[0]
-    cert = util.identity_certificate(model, Comultiplication.standard(model.table))
+    comul = Comultiplication.standard(model.table)
+    cert = util.identity_certificate(model, comul)
     cert.target_c = dict(cert.target_c)
     cert.target_c["u"] = cert.target_c["u"] + model.table.poly("u")
-    verdict = verify_equivalence(cert)
+    verdict = verify_equivalence(cert, model, comul)
     assert not verdict.ok
 
 
@@ -255,11 +276,25 @@ def test_golden_certificates_verify_without_conjugate_or_invert(monkeypatch):
         doc = json.loads(path.read_text(encoding="utf-8"))
         if "certificate" not in doc:
             continue
-        verdict = verify_equivalence(fio.certificate_from_document(doc))
+        model_path = GOLDEN / f"{path.name.split('.')[0]}.model.json"
+        model, comul = fio.parse_model(json.loads(model_path.read_text(encoding="utf-8")))
+        verdict = verify_equivalence(fio.certificate_from_document(doc, model.table),
+                                     model, comul)
         assert verdict.ok, (path.name, verdict.failures)
         names.append(path.name)
     assert "full_ladder.hopf.json" in names and "full_ladder.ls.json" in names
     assert sum(name.startswith("rt") for name in names) == 20
+
+
+def test_verify_equivalence_refuses_a_certificate_read_against_another_table():
+    # polynomials compare only within one table: a certificate read against
+    # a table of its own is refused as such, not as a failed shape check
+    model, comul = fio.parse_model(
+        json.loads((GOLDEN / "full_ladder.model.json").read_text(encoding="utf-8")))
+    doc = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    assert verify_equivalence(fio.certificate_from_document(doc, model.table), model, comul).ok
+    verdict = verify_equivalence(fio.certificate_from_document(doc), model, comul)
+    assert verdict.failures == ["certificate is for a different generator table"]
 
 
 def test_an_ls_run_conjugates_once_per_change_and_solves_each_exact_coefficient_once(
@@ -358,7 +393,7 @@ def test_verify_catches_a_conjugation_bug_the_pipeline_lets_through(monkeypatch)
         monkeypatch.setattr(importlib.import_module(namespace), "conjugate", mutant)
     result = hopf_normalize(model, comul)
     assert result.outcome == "normalized" and mutated
-    verdict = verify_equivalence(result.certificate)
+    verdict = verify_equivalence(result.certificate, model, comul)
     assert not verdict.ok
     assert verdict.failures[0].startswith(
         "phi does not intertwine the comultiplications at w")
@@ -455,10 +490,19 @@ LADDER_MUTATIONS = {
         [("add", ["eta", "w"], _term("-1", ("base", "p", 1), *_X)),
          ("add", ["target", "comultiplication", "w"], _term("1", ("base", "q", 1), *_X))],
         "eta(w) is not mixed: a term lacks a factor in one of the two fiber copies"),
-    "homotopy result": (
+    "homotopy result": (  # C_T(u) = 2u + u' has no counit
         [("set", ["target", "comultiplication", "u", 0, "coeff"], "2")],
-        "phi does not intertwine the comultiplications at u: "
-        "(phi (x) phi)(C_T + d eta) != C phi"),
+        "target C(u) - u - u' has a term outside the mixed tensor part "
+        "(counit shape violation)"),
+    "target one-copy term": (
+        [("add", ["target", "comultiplication", "w"],
+          _term("1", ("w0", "u", 1), ("w0", "v", 1), ("w0", "s", 1)))],
+        "target C(w) - w - w' has a term outside the mixed tensor part "
+        "(counit shape violation)"),
+    "target not a cycle": (  # mixed, of degree 11, but d(p u v' z') = q u v' z'
+        [("add", ["target", "comultiplication", "w"],
+          _term("1", ("base", "p", 1), ("w0", "u", 1), ("w1", "v", 1), ("w1", "z", 1)))],
+        "target C(w) is not a cycle: d(C_T(w)) != 0"),
     "homotopy differential": (
         [("set", ["target", "differential"],
           {"w": [_term("1", ("base", "q", 1), ("w0", "u", 1), ("w0", "v", 1),
@@ -504,16 +548,15 @@ def test_cli_verify_reports_each_failure_branch(tmp_path, capsys, name):
 def test_cli_verify_locates_a_homotopy_that_does_not_start_at_the_previous_state(
         tmp_path, capsys):
     # exact_odd_excess's Phi is the identity and its eta accounts for the
-    # source; x^2 u v' z' is a mixed cycle of degree 13 (D = 0, dx = 0), so
-    # the model and source with it added to C(w) stay valid and agree, but
-    # C_T + d eta no longer reaches the source
+    # model; x^2 u v' z' is a mixed cycle of degree 13 (D = 0, dx = 0), so
+    # the model with it added to C(w) stays valid, but C_T + d eta no
+    # longer reaches it
     from fibrewise.cli import run_command
 
     cycle = _term("1", ("base", "x", 2), ("w0", "u", 1), ("w1", "v", 1), ("w1", "z", 1))
     model = json.loads((GOLDEN / "exact_odd_excess.model.json").read_text(encoding="utf-8"))
     doc = json.loads((GOLDEN / "exact_odd_excess.ls.json").read_text(encoding="utf-8"))
     _edit(model, "add", ["comultiplication", "w"], cycle)
-    _edit(doc["certificate"], "add", ["source", "comultiplication", "w"], cycle)
     model_path, cert_path = tmp_path / "model.json", tmp_path / "cert.json"
     model_path.write_text(json.dumps(model), encoding="utf-8")
     cert_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -535,12 +578,10 @@ def test_cli_verify_checks_recorded_degrees_before_substituting(tmp_path):
     def standard(name):
         return [_term("1", ("w0", name, 1)), _term("1", ("w1", name, 1))]
 
-    source = {"differential": {}, "comultiplication": {"a": standard("a"),
-                                                       "u": standard("u")}}
     target = {"differential": {}, "comultiplication": {
         "a": standard("a"), "u": standard("u") + [_term("1", ("w0", "u", 10**9))]}}
     cert = {
-        "truncation_degree": 6, "model": model, "source": source, "target": target,
+        "truncation_degree": 6, "model": model, "target": target,
         "phi": {"u": [_term("1", ("w0", "u", 1)), _term("1", ("w0", "a", 1))]},
         "steps": [{"stage": "", "note": ""}],
     }

@@ -149,7 +149,7 @@ def test_perturb_exact_homotopy_mode_with_real_candidates():
     assert not c2.is_standard()
     result = ls_normalize(m2, c2)
     assert result.outcome == "normalized"
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_ls_forced_on_free_loop_space_stops_at_hopf_stage():

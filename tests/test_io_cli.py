@@ -422,8 +422,8 @@ def test_certificate_document_round_trip(tmp_path):
     assert cert is not None
     doc = fio.certificate_to_document(cert)
     text = fio.dumps(doc)
-    parsed = fio.certificate_from_document(json.loads(text))
-    assert verify_equivalence(parsed).ok
+    parsed = fio.certificate_from_document(json.loads(text), m2.table)
+    assert verify_equivalence(parsed, m2, c2).ok
     assert fio.dumps(fio.certificate_to_document(parsed)) == text
 
 
@@ -443,8 +443,8 @@ def test_certificates_with_homotopy_steps_round_trip():
         assert result.outcome == "normalized"
         doc = fio.certificate_to_document(result.certificate)
         text = fio.dumps(doc)
-        parsed = fio.certificate_from_document(json.loads(text))
-        assert verify_equivalence(parsed).ok
+        parsed = fio.certificate_from_document(json.loads(text), m2.table)
+        assert verify_equivalence(parsed, m2, c2).ok
         assert fio.dumps(fio.certificate_to_document(parsed)) == text
         eta_seen = eta_seen or bool(doc["eta"])
     assert eta_seen
@@ -553,12 +553,8 @@ MALFORMED_CERTIFICATES = {
     "steps[0].stage": (["steps"], [{"stage": ["ls-odd"]}]),
     "model": (["model"], 5),
     "model.base": (["model", "base"], []),
-    "source": (["source"], "x"),
     "steps": (["steps"], 5),
     "steps[0]": (["steps"], [5]),
-    "model.base.differential.nope": (["model", "base", "differential"], {"nope": []}),
-    "source.differential.nope": (["source"], {"differential": {"nope": []}}),
-    "source.comultiplication.nope": (["source"], {"comultiplication": {"nope": []}}),
     "target.differential.nope": (["target"], {"differential": {"nope": []}}),
     "target.comultiplication.b3": (["target"], {"comultiplication": {"b3": []}}),
     "phi": (["phi"], [5]),
@@ -574,6 +570,10 @@ MALFORMED_CERTIFICATES = {
 # trail entry) holding it still verifies
 FORMER_CERTIFICATE_NODES = {
     "truncation_degree": (["truncation_degree"], True),
+    "source": (["source"], "x"),
+    "source.differential.nope": (["source"], {"differential": {"nope": []}}),
+    "source.comultiplication.nope": (["source"], {"comultiplication": {"nope": []}}),
+    "model.base.differential.nope": (["model", "base", "differential"], {"nope": []}),
     "steps[0].kind": (["steps", 0, "kind"], "nope"),
     "steps[0].result": (["steps", 0, "result"], 5),
     "steps[0].images.nope": (["steps", 0, "images"], {"nope": []}),
@@ -644,27 +644,21 @@ def test_non_integer_truncation_override_exits_4(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-BASE_COEFF = ["model", "base", "differential", "p", 0, "coeff"]
+TARGET_COEFF = ["target", "comultiplication", "u", 0, "coeff"]
 
 
 @pytest.mark.parametrize("model, path, value, out, err", [
-    pytest.param("full_ladder", BASE_COEFF, "2",
-                 ["FAIL: certificate base differential differs from the model"], [],
-                 id="path0-certificate base differential differs from the model"),
-    pytest.param("full_ladder", ["source", "differential", "s", 0, "coeff"], "2",
-                 ["FAIL: certificate source does not match the model"], [],
-                 id="path1-certificate source does not match the model"),
     # fixture a's model has other generators than the ladder's certificate
     pytest.param("fixture_a", None, None,
                  ["FAIL: certificate is for a different generator table"], [],
                  id="other-table"),
     # a malformed field fails at its location before the table check, read
     # against the model's table or against the certificate's own
-    pytest.param("fixture_a", BASE_COEFF, "2/x", [],
-                 ["ERROR: model.base.differential.p[0].coeff: malformed rational '2/x'"],
+    pytest.param("fixture_a", TARGET_COEFF, "2/x", [],
+                 ["ERROR: target.comultiplication.u[0].coeff: malformed rational '2/x'"],
                  id="other-table-malformed-coeff"),
-    pytest.param("full_ladder", BASE_COEFF, "2/x", [],
-                 ["ERROR: model.base.differential.p[0].coeff: malformed rational '2/x'"],
+    pytest.param("full_ladder", TARGET_COEFF, "2/x", [],
+                 ["ERROR: target.comultiplication.u[0].coeff: malformed rational '2/x'"],
                  id="same-table-malformed-coeff"),
 ])
 def test_cli_verify_rejects_a_certificate_for_another_model(tmp_path, capsys, model, path,
@@ -711,26 +705,84 @@ def test_a_result_written_with_truncation_and_homotopy_ends_still_verifies(capsy
     # tests/legacy holds full_ladder.ls.json as it was written while
     # certificates were a chain of steps (fibrewise-certificate/1), each with
     # its images and recorded result, and results and certificates carried
-    # `truncation_degree`: it is refused at its format, not half-read
-    legacy_path = Path(__file__).parent / "legacy" / "full_ladder.ls.json"
-    legacy = json.loads(legacy_path.read_text(encoding="utf-8"))
+    # `truncation_degree`; and full_ladder.v2.ls.json as it was written while
+    # certificates carried a copy of their source (fibrewise-certificate/2).
+    # Each is refused at its format, not half-read
     golden = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
-    assert legacy["certificate"]["format"] == "fibrewise-certificate/1"
-    assert golden["certificate"]["format"] == "fibrewise-certificate/2"
+    assert golden["certificate"]["format"] == "fibrewise-certificate/3"
+    assert set(golden["certificate"]) == {"format", "model", "target", "phi", "eta", "steps"}
     assert set(golden["certificate"]["steps"][2]) == {"stage", "note"}
-    message = ("certificate.format: expected 'fibrewise-certificate/2', "
-               "got 'fibrewise-certificate/1'")
-    with pytest.raises(fio.ParseError) as err:
-        fio.certificate_from_document(legacy)
-    assert str(err.value) == message
+    for name, version in (("full_ladder.ls.json", 1), ("full_ladder.v2.ls.json", 2)):
+        legacy_path = Path(__file__).parent / "legacy" / name
+        legacy = json.loads(legacy_path.read_text(encoding="utf-8"))
+        assert legacy["certificate"]["format"] == f"fibrewise-certificate/{version}"
+        message = ("certificate.format: expected 'fibrewise-certificate/3', "
+                   f"got 'fibrewise-certificate/{version}'")
+        with pytest.raises(fio.ParseError) as err:
+            fio.certificate_from_document(legacy)
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
+                            str(legacy_path)]) == 4
+        assert capsys.readouterr().err == f"ERROR: {message}\n"
+
+
+class _RecordingDocument(dict):
+    """A document node that records each key read from it."""
+
+    def __init__(self, node, reads):
+        super().__init__(node)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+def _refuse_validation(*args, **kwargs):
+    raise AssertionError("verify must not validate the model pair")
+
+
+def test_verify_reads_the_model_once_and_checks_only_the_claim(monkeypatch, capsys):
+    # the certificate cites its model: verify parses the model document once,
+    # reads no `source` (planted here as /2 certificates wrote it), and
+    # validates no model pair, since the checks of the claim imply the
+    # pair's validity
+    from fibrewise import certify, cli, model
+
+    legacy = json.loads((Path(__file__).parent / "legacy" / "full_ladder.v2.ls.json")
+                        .read_text(encoding="utf-8"))
+    result = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    reads = []
+    result["certificate"] = _RecordingDocument(
+        {**result["certificate"], "source": legacy["certificate"]["source"]}, reads)
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json",
+                        lambda path: result if path == "ls.json" else load(path))
+    parses = []
+    parse = fio.parse_model
+    monkeypatch.setattr(fio, "parse_model", lambda doc: parses.append(doc) or parse(doc))
+    for namespace in (certify, cli, fio, model):
+        for name in ("validate_input", "validate_relative_model", "validate_comultiplication"):
+            if hasattr(namespace, name):
+                monkeypatch.setattr(namespace, name, _refuse_validation)
     capsys.readouterr()
-    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
-                        str(legacy_path)]) == 4
-    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"), "ls.json"]) == 0
+    assert capsys.readouterr().out == VERIFIED_LINE + STANDARD_TARGET
+    assert len(parses) == 1
+    assert "target" in reads and "source" not in reads
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (["source"], 5, "source: expected an object"),
+    (["target"], 5, "target: expected an object"),
     (["steps", 0, "stage"], 5, "steps[0].stage: expected a string"),
     (["model", "base"], 5, "model.base: expected an object"),
     (["steps", 0, "note"], 5, "steps[0].note: expected a string"),
@@ -759,10 +811,10 @@ def test_a_document_of_another_kind_is_refused_at_format(tmp_path, capsys):
     result["certificate"]["format"] = "fibrewise-model/1"
     wrapped = write(tmp_path, "wrapped.json", result)
     model_format = "format: expected 'fibrewise-model/1'"
-    cert_format = "format: expected 'fibrewise-certificate/2'"
+    cert_format = "format: expected 'fibrewise-certificate/3'"
     for argv, message in (
         (["hopf", ladder_result], f"{model_format}, got 'fibrewise-result/1'"),
-        (["check", cert], f"{model_format}, got 'fibrewise-certificate/2'"),
+        (["check", cert], f"{model_format}, got 'fibrewise-certificate/3'"),
         (["verify", ladder_model, ladder_model], f"{cert_format}, got 'fibrewise-model/1'"),
         (["verify", ladder_model, wrapped],
          f"certificate.{cert_format}, got 'fibrewise-model/1'"),
@@ -842,17 +894,27 @@ COUNIT_VIOLATION = {"w3": [  # C(w3) has a term in one fiber copy only
     {"coeff": "1", "factors": [["w1", "w3", 1]]},
     {"coeff": "1", "factors": [["base", "b3", 1]]}]}
 
+# case: (model document, the message of the validity gate, verify's message).
+# verify checks the claim of `write_with_certificate`'s certificate, not the
+# model: an invalid pair fails one of the checks that imply its validity
 INVALID_MODELS = {
     "differential": (_with(fixture_a_doc(), ["differential"], ORDERED_BASIS_VIOLATION),
-                     "differential: D(w3) "),
+                     "differential: D(w3) ",
+                     "phi does not intertwine the differentials at w3: D(phi(w)) != 0"),
     "comultiplication": (_with(fixture_a_doc(), ["comultiplication"], COUNIT_VIOLATION),
-                         "comultiplication: C(w3) - w3 - w3' "),
-    # both parts invalid: the differential is checked first, and alone
+                         "comultiplication: C(w3) - w3 - w3' ",
+                         "target C(w3) - w3 - w3' has a term outside the mixed tensor part "
+                         "(counit shape violation)"),
+    # both parts invalid: the gate checks the differential first, and alone;
+    # verify checks C_T, here C itself, before the identities
     "both": (_with(_with(fixture_a_doc(), ["differential"], ORDERED_BASIS_VIOLATION),
                    ["comultiplication"], COUNIT_VIOLATION),
-             "differential: D(w3) "),
+             "differential: D(w3) ",
+             "target C(w3) - w3 - w3' has a term outside the mixed tensor part "
+             "(counit shape violation)"),
     # d_B sends the base generator y into the fiber
-    "base-image": (base_image_doc(), "differential: d(y) leaves the base algebra"),
+    "base-image": (base_image_doc(), "differential: d(y) leaves the base algebra",
+                   "d(y) leaves the base algebra"),
 }
 
 # where each command reports an invalid model pair, and its command line
@@ -867,16 +929,18 @@ REPORTS = {
 
 
 def write_with_certificate(tmp_path, doc):
-    """The model document and its empty certificate, both written."""
+    """The model document and the certificate that claims it has D = 0 (Phi
+    the identity, C_T its own C, eta zero), both written."""
     model, comul = fio.parse_model(doc)
+    cert = util.identity_certificate(model, comul)
+    cert.target_d = {}
     return (write(tmp_path, "bad.json", doc),
-            write(tmp_path, "cert.json",
-                  fio.certificate_to_document(util.identity_certificate(model, comul))))
+            write(tmp_path, "cert.json", fio.certificate_to_document(cert)))
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_MODELS))
 def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys, case):
-    doc, message = INVALID_MODELS[case]
+    doc, message, verify_message = INVALID_MODELS[case]
     # parsing alone accepts the document; the consuming command rejects it
     model_path, cert_path = write_with_certificate(tmp_path, doc)
     capsys.readouterr()
@@ -885,6 +949,11 @@ def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys,
         captured = capsys.readouterr()
         assert "Generator(" not in captured.out + captured.err, command
         lines = {"out": captured.out, "err": captured.err}[stream].splitlines()
+        if command == "verify":
+            # one failure only, then its witness
+            assert lines[0] == prefix + verify_message, lines
+            assert len(lines) == 2 and lines[1].startswith("witness: "), lines
+            continue
         located = [line for line in lines if line.startswith(prefix + message)]
         assert len(located) == 1, (command, lines)
         # one failure only: the part checked later is not reported
@@ -894,7 +963,8 @@ def test_semantically_invalid_model_exits_4_from_every_command(tmp_path, capsys,
 
 def test_an_unbounded_differential_is_refused_before_the_comultiplication(tmp_path):
     # D(w) = x^1000000000 has the wrong degree; substituting C into it first
-    # never returned from check or verify
+    # never returned from check or verify.  verify substitutes nothing into
+    # D(w): D(Phi(w)) = D(w) is not zero
     doc = {
         "base": {"generators": [{"name": "b", "degree": 3}]},
         "fiber": {"generators": [{"name": "x", "degree": 2}, {"name": "w", "degree": 5}]},
@@ -908,5 +978,7 @@ def test_an_unbounded_differential_is_refused_before_the_comultiplication(tmp_pa
         )
         assert proc.returncode == 4, command
         lines = {"out": proc.stdout, "err": proc.stderr}[stream].splitlines()
-        assert prefix + "differential: D(w) is not homogeneous of degree 6" in lines, (
-            command, lines)
+        message = ("phi does not intertwine the differentials at w: D(phi(w)) != 0"
+                   if command == "verify" else
+                   "differential: D(w) is not homogeneous of degree 6")
+        assert prefix + message in lines, (command, lines)

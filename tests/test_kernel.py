@@ -271,8 +271,7 @@ def test_a_certificate_is_read_against_a_table_with_its_generators():
     doc = fio.certificate_to_document(util.identity_certificate(model, comul))
     cert = fio.certificate_from_document(doc, model.table)
     assert cert.table is model.table
-    assert (cert.d_base, cert.source_d, cert.source_c) == (
-        model.d_base, model.d_fiber, comul.images)
+    assert (cert.target_d, cert.target_c) == (model.d_fiber, comul.images)
     assert fio.certificate_from_document(doc).table is not model.table
     # another degree, another fiber order or another base: a table of its own
     for edit in (

@@ -142,7 +142,7 @@ def test_higher_stage_round_trip(monkeypatch, wrong):
     assert c3.images == comul.images
     result = hopf_normalize(m2, c2)
     assert result.normalized and result.certificate.target_d == {}
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_higher_stage_repeated_leading_index():
@@ -214,7 +214,7 @@ def test_hopf_pipeline_trivial_input():
     result = hopf_normalize(model, comul)
     assert result.outcome == "normalized"
     assert result.certificate.steps == []
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, model, comul).ok
 
 
 # -- ls steps ------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_forced_pipelines_normalize_models_standard_by_construction():
                 assert pipeline(*source).outcome == "hypothesis-violation"
                 result = pipeline(*source, force=True)
                 assert result.normalized, (label, seed, pipeline.__name__)
-                assert verify_equivalence(result.certificate).ok, (label, seed)
+                assert verify_equivalence(result.certificate, *source).ok, (label, seed)
             absorbed.extend((label, seed) for step in result.certificate.steps
                             if step.stage == "ls-even" and step.note.startswith("absorb"))
     assert {("b3c5", 0), ("b1x2", 1)} <= set(absorbed)
@@ -387,7 +387,7 @@ def test_ls_pipeline_seeded_round_trips():
             assert result.outcome == "normalized"
             assert result.certificate.target_d == {}
             assert result.certificate.target_c == comul.images
-            assert verify_equivalence(result.certificate).ok
+            assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 @pytest.mark.parametrize("mode", ["change-of-generators", "both"])
@@ -407,12 +407,12 @@ def test_round_trips_that_move_the_differential(mode):
         hopf = hopf_normalize(m2, c2)
         assert hopf.normalized and hopf.certificate.steps
         assert hopf.certificate.target_d == {}
-        assert verify_equivalence(hopf.certificate).ok
+        assert verify_equivalence(hopf.certificate, m2, c2).ok
         ls = ls_normalize(m2, c2)
         assert ls.normalized
         assert ls.certificate.target_d == {}
         assert ls.certificate.target_c == comul.images
-        assert verify_equivalence(ls.certificate).ok
+        assert verify_equivalence(ls.certificate, m2, c2).ok
         stages.update(step.stage for step in ls.certificate.steps)
     assert stages == {"hopf-linear", "hopf-higher", "ls-even", "ls-odd"}
 
@@ -454,7 +454,7 @@ def test_eta_equals_eta_taken_by_conjugation(monkeypatch):
                     target = Comultiplication(m2.table, cert.target_c)
                     assert cert.eta == util.eta_by_conjugation(m2, c2, cert.phi, target), (
                         fiber, mode, word_length, seed)
-                    assert verify_equivalence(cert).ok
+                    assert verify_equivalence(cert, m2, c2).ok
                     removed = [step.note.startswith(("remove even excess", "remove exact part"))
                                for step in cert.steps]
                     runs += 1
@@ -481,7 +481,7 @@ def test_eta_is_carried_through_a_change_whose_tail_has_an_eta(monkeypatch):
         "remove even excess of length 2 from C(s)",
         "absorb complement part of length 3 into w",
         "remove even excess of length 4 from C(w)"]
-    assert len(carried) == 1 and verify_equivalence(cert).ok
+    assert len(carried) == 1 and verify_equivalence(cert, source, source_comul).ok
     target = Comultiplication(source.table, cert.target_c)
     assert cert.eta == util.eta_by_conjugation(source, source_comul, cert.phi, target)
     assert set(cert.eta) == {"s"}  # the carried gain cancels C(w)'s subtracted part
@@ -491,7 +491,7 @@ def test_ls_pipeline_homotopy_associative_but_not_strict_input():
     model, comul = util.exact_defect_model()
     result = ls_normalize(model, comul)
     assert result.outcome == "normalized"
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, model, comul).ok
 
 
 def test_pipeline_stability_earlier_generators_never_move(monkeypatch):
@@ -550,7 +550,7 @@ def test_ls_pipeline_mixes_even_and_odd_steps():
     assert result.outcome == "normalized"
     stages = [s.stage for s in result.certificate.steps]
     assert "ls-even" in stages and "ls-odd" in stages
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_multi_generator_compound_round_trip():
@@ -573,7 +573,7 @@ def test_multi_generator_compound_round_trip():
     assert result.outcome == "normalized"
     assert result.certificate.target_d == {}
     assert result.certificate.target_c == comul.images
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_full_ladder_every_stage_in_one_run():
@@ -588,7 +588,7 @@ def test_full_ladder_every_stage_in_one_run():
     assert stages == ["hopf-linear", "hopf-higher", "ls-even", "ls-odd"]
     assert result.certificate.target_d == {}
     assert result.certificate.target_c == Comultiplication.standard(table).images
-    assert verify_equivalence(result.certificate).ok
+    assert verify_equivalence(result.certificate, m2, c2).ok
 
 
 def test_pipeline_idempotent_on_normalized_output():
@@ -608,7 +608,7 @@ def test_pipelines_on_empty_fiber():
         result = runner(model, comul)
         assert result.outcome == "normalized"
         assert result.certificate.steps == []
-        assert verify_equivalence(result.certificate).ok
+        assert verify_equivalence(result.certificate, model, comul).ok
 
 
 def test_classical_hopf_over_a_point():
@@ -755,5 +755,5 @@ def test_ls_on_the_ladder_l7_takes_under_a_second():
     start = time.perf_counter()
     result = ls_normalize(model, comul)
     elapsed = time.perf_counter() - start
-    assert result.normalized and verify_equivalence(result.certificate).ok
+    assert result.normalized and verify_equivalence(result.certificate, model, comul).ok
     assert elapsed < 1.0

@@ -507,8 +507,7 @@ def identity_certificate(model, comul):
     """The certificate of a model pair that is its own target: Phi the
     identity, eta zero and no trail."""
     return EquivalenceCertificate(
-        table=model.table, d_base=dict(model.d_base), source_d=dict(model.d_fiber),
-        source_c=dict(comul.images), phi=ChangeOfGenerators({}),
+        table=model.table, phi=ChangeOfGenerators({}),
         target_c=dict(comul.images), target_d=dict(model.d_fiber))
 
 
