@@ -43,7 +43,11 @@ generators.  What the verifier shares with the engine is the algebra
 itself: `Polynomial`, `apply_images`, `FreeCDGA.d`, `GeneratorTable.on_copy`
 and the shape checks of `model`.  It calls no conjugation helper, no
 validator of a model pair and solves nothing: not `conjugate`, not
-`invert`, not `validate_input`, not `FreeCDGA.split`.
+`invert`, not `model`'s validity gate, not `FreeCDGA.split`.
+
+The pipelines run this checker on a certificate before returning it
+(`normalize._run_stages`), so `invert` and `conjugate`, which build what
+it checks, check nothing of their own but Phi's shape.
 """
 
 from __future__ import annotations
@@ -59,14 +63,13 @@ from .algebra import (
     apply_images,
     is_mixed_square_monomial,
 )
-from .dga import EngineError, Verdict
+from .dga import Verdict
 from .model import (
     Comultiplication,
     RelativeModel,
     _has_counit_shape,
     tail_shape_verdict,
     validate_base_differential,
-    validate_input,
     # unused here, kept bound: perfbench/layertrace.py wraps them
     validate_comultiplication,
     validate_relative_model,
@@ -104,26 +107,17 @@ class ChangeOfGenerators:
 
 
 def invert(model: RelativeModel, phi: ChangeOfGenerators) -> ChangeOfGenerators:
-    """Inverse by back-substitution along the ordered fiber basis; both
-    compositions are verified to be the identity."""
+    """Inverse by back-substitution along the ordered fiber basis."""
     phi.shape_verdict(model).or_raise(AlgebraError, "not a valid change of generators: ")
-    table = model.table
     inverse_images: dict[int, Polynomial] = {}
-    for gen in table.fiber:
+    for gen in model.table.fiber:
         image = phi.images.get(gen.id)
         gen_poly = Polynomial.from_generator(gen)
         if image is None or image == gen_poly:
             continue
         tail = image - gen_poly
         inverse_images[gen.id] = gen_poly - apply_images(inverse_images, tail)
-    inverse = ChangeOfGenerators(inverse_images)
-    for gen in table.fiber:
-        gen_poly = Polynomial.from_generator(gen)
-        if inverse.apply(phi.image(gen)) != gen_poly or phi.apply(
-            inverse.image(gen)
-        ) != gen_poly:
-            raise EngineError(f"inversion failed at generator {gen.display()}")
-    return inverse
+    return ChangeOfGenerators(inverse_images)
 
 
 def conjugate(
@@ -131,25 +125,18 @@ def conjugate(
     comul: Comultiplication,
     phi: ChangeOfGenerators,
 ) -> tuple[RelativeModel, Comultiplication]:
-    """D' = phi^-1 D phi and C' = (phi^-1 (x) phi^-1) C phi, revalidated."""
+    """D' = phi^-1 D phi and C' = (phi^-1 (x) phi^-1) C phi; only phi's
+    shape is checked, since conjugation keeps validity both ways."""
     table = model.table
     phi_inv = invert(model, phi)
     total = model.total_cdga()
-    new_d: dict[str, Polynomial] = {}
-    for gen in table.fiber:
-        image = phi_inv.apply(total.d(phi.image(gen)))
-        if image:
-            new_d[gen.name] = image
-    new_model = model.with_fiber_differential(new_d)
+    new_model = model.with_fiber_differential(
+        {gen.name: phi_inv.apply(total.d(phi.image(gen))) for gen in table.fiber})
     square_inv = {**phi_inv.images, **table.on_copy(phi_inv.images, 1)}
     c_images = comul.as_images()
-    new_c: dict[str, Polynomial] = {}
-    for gen in table.fiber:
-        through = apply_images(c_images, phi.image(gen))
-        new_c[gen.name] = apply_images(square_inv, through)
-    new_comul = Comultiplication(table, new_c)
-    validate_input(new_model, new_comul).or_raise(EngineError, "conjugation broke the ")
-    return new_model, new_comul
+    return new_model, Comultiplication(table, {
+        gen.name: apply_images(square_inv, apply_images(c_images, phi.image(gen)))
+        for gen in table.fiber})
 
 
 @dataclass

@@ -26,10 +26,11 @@ Every step makes one move, the base's `split`, on each fiber-monomial
 coefficient (`_split_coefficients`): it is solved as a boundary first,
 and only a coefficient with no preimage is decomposed into a preimage of
 its exact part and its class reduced against the boundaries.  Both
-pipelines emit certificates that the independent verifier checks, or stop
-with an obstruction: a reduced class, so equal classes always report equal
-witnesses.  They require a truncation degree above every fiber degree,
-since they solve in all degrees up to the largest one.
+pipelines run the independent verifier on a certificate before returning
+it (`_run_stages`), or stop with an obstruction: a reduced class, so equal
+classes always report equal witnesses.  They require a truncation degree
+above every fiber degree, since they solve in all degrees up to the
+largest one.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .certify import (
     ChangeOfGenerators,
     EquivalenceCertificate,
     conjugate,
+    verify_equivalence,
 )
 from .dga import EngineError
 from .model import (
@@ -280,6 +282,11 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     """Run `stages` in turn, each (model, comul) -> (model, comul, steps,
     obstruction), into one certificate; the first obstruction ends the run.
 
+    A run that took a step checks what it returns, once: its certificate
+    (`verify_equivalence`), or the state its obstruction is read in
+    (`validate_input`), which a faulty earlier step leaves invalid since
+    every step keeps validity both ways.  No step returns `_screen`'s input.
+
     Phi is composed as the steps come, Phi(w_k) <- Phi(phi(w_k)) for each
     w_k a step's phi moves, and eta with it (`_carry_through`), so C^Phi - C_T
     is d(eta).  eta(v) and d(eta(v)) are mixed of degree at most |v|, so
@@ -289,9 +296,13 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     phi: dict[int, Polynomial] = {}
     eta: dict[str, Polynomial] = {}
     trail: list[CertificateStep] = []
+    source, source_comul = model, comul
     for stage in stages:
         model, comul, steps, obstruction = stage(model, comul)
         if obstruction is not None:
+            if trail or steps:
+                validate_input(model, comul).or_raise(
+                    EngineError, "the state the obstruction was found in is invalid: ")
             return NormalizationResult("obstructed", report, obstruction=obstruction)
         for step in steps:
             if step.phi is not None:
@@ -308,6 +319,9 @@ def _run_stages(model, comul, report: HypothesisReport, stages) -> Normalization
     cert = EquivalenceCertificate(
         table=model.table, phi=composite, target_c=dict(comul.images),
         target_d=dict(model.d_fiber), steps=trail, eta={n: e for n, e in eta.items() if e})
+    if trail:
+        verify_equivalence(cert, source, source_comul).or_raise(
+            EngineError, "the run's certificate fails verification: ")
     return NormalizationResult("normalized", report, certificate=cert)
 
 
@@ -378,13 +392,7 @@ def _ls_step(model, comul, gen, r):
             gens = [table.generator("w0", n) for n in names]
             absorb = absorb + b * propsolver.copy_product(table, gens, 0)
         phi = ChangeOfGenerators({gen.id: Polynomial.from_generator(gen) - absorb})
-        moved, comul2 = conjugate(model, comul, phi)
-        if moved.d_fiber != model.d_fiber:
-            raise EngineError("excess-step change of generators moved the differential")
-        if comul2.image(gen) != comul.image(gen) - class_part:
-            raise EngineError("excess-step change of generators did not absorb the "
-                              "class part")
-        comul = comul2
+        model, comul = conjugate(model, comul, phi)
         steps.append(Step(phi, stage, f"absorb complement part of length {r} into {name}"))
     exact_part = part - class_part
     if exact_part:

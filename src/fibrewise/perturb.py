@@ -24,6 +24,7 @@ from .algebra import (
     split_monomial,
 )
 from .certify import ChangeOfGenerators, conjugate
+from .dga import EngineError
 from .model import (
     Comultiplication,
     RelativeModel,
@@ -138,7 +139,8 @@ def perturb(
     rng = random.Random(spec.seed)
     # exact additions first, on the pristine model (where D vanishes they
     # always preserve the DG condition); conjugation preserves validity of
-    # whatever it is given, so it goes second
+    # whatever it is given, so it goes second.  The input is valid and both
+    # moves keep validity, so an invalid output is an internal fault
     if spec.mode in ("exact-homotopy", "both"):
         additions = _exact_additions(model, rng, spec.max_word_length)
         if additions:
@@ -154,7 +156,7 @@ def perturb(
     if spec.mode in ("change-of-generators", "both"):
         phi = _change_of_generators(model, rng, spec.max_word_length)
         if phi is not None:
-            return conjugate(model, comul, phi)  # which validates its result
+            model, comul = conjugate(model, comul, phi)
     validate_input(model, comul).or_raise(
-        PerturbationError, "perturbation produced an invalid model: ")
+        EngineError, "perturbation produced an invalid model: ")
     return model, comul

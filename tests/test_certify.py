@@ -382,21 +382,44 @@ def _conjugate_adding_exact_term(real, mutated):
     return mutant
 
 
-def test_verify_catches_a_conjugation_bug_the_pipeline_lets_through(monkeypatch):
-    # hopf's target C is the state its conjugations reach, so an exact term
-    # a faulty conjugation adds there is not C carried back by Phi
-    model, comul = util.full_ladder_model()
-    mutated = []
-    mutant = _conjugate_adding_exact_term(certify.conjugate, mutated)
+def _install_conjugate(monkeypatch, mutant):
     for namespace in ("fibrewise", "fibrewise.certify", "fibrewise.normalize",
                       "fibrewise.perturb"):
         monkeypatch.setattr(importlib.import_module(namespace), "conjugate", mutant)
-    result = hopf_normalize(model, comul)
-    assert result.outcome == "normalized" and mutated
-    verdict = verify_equivalence(result.certificate, model, comul)
-    assert not verdict.ok
-    assert verdict.failures[0].startswith(
+
+
+def test_hopf_raises_the_verifiers_message_on_a_conjugation_bug(monkeypatch):
+    # hopf's target C is the state its conjugations reach, so an exact term
+    # a faulty conjugation adds there is not C carried back by Phi; every
+    # state stays valid, and the run's own check of its certificate refuses
+    model, comul = util.full_ladder_model()
+    mutated = []
+    _install_conjugate(monkeypatch, _conjugate_adding_exact_term(certify.conjugate, mutated))
+    with pytest.raises(dga.EngineError) as err:
+        hopf_normalize(model, comul)
+    assert mutated
+    assert str(err.value).startswith(
+        "the run's certificate fails verification: "
         "phi does not intertwine the comultiplications at w")
+
+
+@pytest.mark.parametrize("pipeline", ["hopf", "ls"])
+def test_cli_exits_1_on_a_conjugation_bug_and_writes_nothing(monkeypatch, tmp_path,
+                                                             capsys, pipeline):
+    from fibrewise.cli import run_command
+
+    model, comul = util.full_ladder_model()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(fio.dumps(fio.model_to_document(model, comul)), encoding="utf-8")
+    mutated = []
+    _install_conjugate(monkeypatch, _conjugate_adding_exact_term(certify.conjugate, mutated))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run_command([pipeline, str(model_path), "-o", str(out)]) == 1
+    assert mutated and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("INTERNAL ERROR: the run's certificate fails verification: "
+                          "phi does not intertwine the comultiplications at w")
 
 
 def test_cli_verify_rejects_a_valid_but_wrong_recorded_state(tmp_path, capsys):

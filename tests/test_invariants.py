@@ -2,11 +2,13 @@
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from fibrewise import (
     Comultiplication,
+    EngineError,
     GeneratorTable,
     PerturbationError,
     PerturbationSpec,
@@ -113,9 +115,8 @@ def test_perturb_refuses_an_invalid_differential(mode):
 
 @pytest.mark.parametrize("mode", ["change-of-generators", "exact-homotopy", "both"])
 def test_perturb_validates_its_output_once(monkeypatch, mode):
-    # perturb checks its input's differential; conjugate validates the state
-    # it returns through the gate, and perturb gates only the states
-    # conjugate did not produce
+    # perturb checks its input's differential, and then its output once
+    # through the gate, in every mode; conjugate checks nothing
     calls = []
     for namespace, names in (
         ("fibrewise.model", ("validate_relative_model", "validate_comultiplication")),
@@ -137,6 +138,33 @@ def test_perturb_validates_its_output_once(monkeypatch, mode):
     assert calls == [("fibrewise.perturb", "validate_relative_model"),
                      ("fibrewise.model", "validate_relative_model"),
                      ("fibrewise.model", "validate_comultiplication")]
+
+
+def _exact_image_returning_eta(model, mono):
+    """eta where `perturb._exact_image` gives D(eta): one degree too low."""
+    return Polynomial({mono: Fraction(1)})
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("change-of-generators", "conjugate"),
+    ("exact-homotopy", "_exact_image"),
+    ("both", "conjugate"),
+    ("both", "_exact_image"),
+])
+def test_perturb_raises_an_internal_error_on_an_invalid_output(monkeypatch, mode, name):
+    # the input is valid and both moves keep validity, so an invalid output
+    # is the engine's fault: EngineError (exit 1), not PerturbationError
+    mutated = []
+    mutant = (util.conjugate_dropping_counit_terms(mutated) if name == "conjugate"
+              else lambda *args: mutated.append(name) or _exact_image_returning_eta(*args))
+    monkeypatch.setattr(importlib.import_module("fibrewise.perturb"), name, mutant)
+    model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
+                                         truncation=20)
+    with pytest.raises(EngineError, match="^perturbation produced an invalid model: "
+                                          "comultiplication: "):
+        perturb(model, Comultiplication.standard(model.table),
+                PerturbationSpec(seed=4, mode=mode))
+    assert mutated
 
 
 def test_perturb_exact_homotopy_mode_with_real_candidates():

@@ -1,5 +1,6 @@
 """Stage-level and pipeline-level normalization behavior."""
 
+import importlib
 import random
 import time
 
@@ -757,3 +758,60 @@ def test_ls_on_the_ladder_l7_takes_under_a_second():
     elapsed = time.perf_counter() - start
     assert result.normalized and verify_equivalence(result.certificate, model, comul).ok
     assert elapsed < 1.0
+
+
+def test_a_normalized_run_validates_once_however_many_steps_it_takes(monkeypatch):
+    # the screen validates the input; the run's one post-condition is the
+    # verifier on its certificate, and no step validates what it builds
+    calls = []
+    model_module = importlib.import_module("fibrewise.model")
+    for module, name in ((normalize, "conjugate"), (normalize, "validate_input"),
+                         (normalize, "verify_equivalence"),
+                         (model_module, "validate_relative_model"),
+                         (model_module, "validate_comultiplication")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    result = ls_normalize(*util.full_ladder_model())
+    assert result.normalized and len(result.certificate.steps) == 4
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "conjugate": 3, "validate_input": 1, "verify_equivalence": 1,
+        "validate_relative_model": 1, "validate_comultiplication": 1}
+    assert calls.index("validate_input") == 0 and calls[-1] == "verify_equivalence"
+
+
+def _step_then_obstruction_model():
+    """D(v) = q u removed by one linear step, then D(w) = b u obstructs at
+    the odd class b (so only a forced run gets there)."""
+    table = GeneratorTable(base=[("b", 3), ("p", 2), ("q", 3)],
+                           fiber=[("u", 3), ("v", 5), ("w", 5)])
+    u = table.poly("u")
+    model = RelativeModel(table, d_base={"p": table.poly("q")},
+                          d_fiber={"v": table.poly("q") * u, "w": table.poly("b") * u})
+    return model, Comultiplication.standard(table)
+
+
+@pytest.mark.parametrize("pipeline", ["hopf", "ls"])
+def test_an_invalid_state_before_an_obstruction_exits_1(monkeypatch, tmp_path, capsys,
+                                                        pipeline):
+    # an obstruction is read in the state the run reached; a conjugation
+    # that left it invalid (w' dropped from C(v)) makes a forced run exit 1
+    # with the gate's message, where the faithful run exits 3
+    from fibrewise.cli import run_command
+
+    model, comul = _step_then_obstruction_model()
+    path = tmp_path / "model.json"
+    path.write_text(io.dumps(io.model_to_document(model, comul)), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert run_command([pipeline, str(path), "--force", "-o", str(out)]) == 3
+    assert "hopf-linear" in capsys.readouterr().err
+    out.unlink()
+    moved = []
+    monkeypatch.setattr(normalize, "conjugate", util.conjugate_dropping_counit_terms(moved))
+    assert run_command([pipeline, str(path), "--force", "-o", str(out)]) == 1
+    assert moved == ["v"] and not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "INTERNAL ERROR: the state the obstruction was found in is invalid: "
+        "comultiplication: ")

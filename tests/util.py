@@ -532,6 +532,23 @@ def eta_by_conjugation(model, comul, phi, target):
     return eta
 
 
+def conjugate_dropping_counit_terms(moved):
+    """A faulty `conjugate`: w' dropped from C(w) for each w that phi moves,
+    named in `moved`.  C(w) loses the counit shape, so the pair it returns
+    is invalid."""
+
+    def mutant(model, comul, phi):
+        new_model, new_comul = conjugate(model, comul, phi)
+        table, images = model.table, dict(new_comul.images)
+        for gen in table.fiber:
+            if gen.id in phi.images:
+                moved.append(gen.name)
+                images[gen.name] = images[gen.name] - table.poly(gen.name, copy=1)
+        return new_model, Comultiplication(table, images)
+
+    return mutant
+
+
 def spy_eliminations(monkeypatch):
     """The column lists handed to `linalg.eliminate`, in call order."""
     calls = []
