@@ -643,24 +643,31 @@ def _suffix_monomials(
     `monomial_key` order, memoized by (index, degree, least, most).  Their
     first factors decide the order: the monomials with gens[index], by
     ascending exponent, come before those without it, whose first generator
-    sorts later.  A fiber-copy factor g^e spends e of both bounds."""
+    sorts later.  A fiber-copy factor g^e spends e of both bounds.
+
+    The lists over gens[i:] for i from `index` on are filled back from the
+    first one memoized, each from the next, so only a factor taken
+    recurses: the depth is the number of factors, not of generators."""
     if degree == 0:
         return [] if least else [()]
     if degree < 0 or index == len(gens):
         return []
-    found = memo.get((index, degree, least, most))
-    if found is None:
-        gen = gens[index]
-        found = []
+    start = index
+    while start < len(gens) and (start, degree, least, most) not in memo:
+        start += 1
+    found = memo.get((start, degree, least, most), [])
+    for position in range(start - 1, index - 1, -1):
+        gen = gens[position]
+        with_gen = []
         max_exp = 1 if gen.is_odd else degree // gen.degree
         length = 1 if gen.space in W_SPACES else 0
         if length and most is not None:
             max_exp = min(max_exp, most)
         for exp in range(1, max_exp + 1):
             head = ((gen, exp),)
-            found.extend(head + rest for rest in _suffix_monomials(
-                gens, index + 1, degree - exp * gen.degree, max(least - exp * length, 0),
+            with_gen.extend(head + rest for rest in _suffix_monomials(
+                gens, position + 1, degree - exp * gen.degree, max(least - exp * length, 0),
                 None if most is None else most - exp * length, memo))
-        found.extend(_suffix_monomials(gens, index + 1, degree, least, most, memo))
-        memo[(index, degree, least, most)] = found
+        with_gen.extend(found)
+        found = memo[(position, degree, least, most)] = with_gen
     return found

@@ -44,6 +44,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise io.ParseError(path, f"not valid JSON: {exc}")
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise io.ParseError(path, "not valid JSON: nested too deeply") from None
     except ValueError:  # an integer past int's digit limit; parse again to size it
         return json.loads(text, parse_int=lambda digits: _parse_int(path, digits))
 

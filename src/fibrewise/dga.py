@@ -180,30 +180,43 @@ class FreeCDGA:
 
     def _d_monomial(self, mono: Monomial) -> Polynomial:
         """d(g^e rest) = (-1)^(e|g|) g^e d(rest) + e g^(e-1) dg rest, cached
-        per monomial.  Odd generators have e = 1 and even powers g^(e-1)
-        commute with dg.  The head g^e is merged into each term of d(rest),
-        then each term of dg into the lowered monomial g^(e-1) rest, all in
-        one term dict."""
-        cached = self._d_mono_cache.get(mono)
+        per monomial and per suffix.  Odd generators have e = 1 and even
+        powers g^(e-1) commute with dg.  The head g^e is merged into each
+        term of d(rest), then each term of dg into the lowered monomial
+        g^(e-1) rest, all in one term dict.  The suffixes not yet cached are
+        filled shortest first from the longest one cached, so a long
+        monomial costs no recursion."""
+        cache = self._d_mono_cache
+        cached = cache.get(mono)
         if cached is not None:
             return cached
         if not mono:
             return Polynomial.zero()
-        (gen, exp), rest = mono[0], mono[1:]
-        terms: dict[Monomial, Coefficient] = {}
-        if rest:
-            head, sign = mono[:1], -1 if gen.is_odd else 1
+        d_rest, start = None, 1
+        while start < len(mono):
+            d_rest = cache.get(mono[start:])
+            if d_rest is not None:
+                break
+            start += 1
+        if d_rest is None:
+            d_rest = Polynomial.zero()
+        for position in range(start - 1, -1, -1):
+            factor = mono[position]
+            gen, exp = factor
+            head, sign = (factor,), -1 if gen.is_odd else 1
+            terms: dict[Monomial, Coefficient] = {}
             # a product with a fixed monomial is injective: no two collide
-            for tail, coeff in self._d_monomial(rest).terms.items():
+            for tail, coeff in d_rest.terms.items():
                 merged, merge_sign = _merge_monomials(head, tail)
                 if merge_sign:
                     terms[merged] = coeff if merge_sign == sign else -coeff
-        dg = self.diff.get(gen.id)
-        if dg:
-            lowered = ((gen, exp - 1),) + rest if exp > 1 else rest
-            _add_terms(terms, _products(dg.terms, {lowered: exp}))
-        result = self._d_mono_cache[mono] = Polynomial._of(terms)
-        return result
+            dg = self.diff.get(gen.id)
+            if dg:
+                rest = mono[position + 1:]
+                lowered = ((gen, exp - 1),) + rest if exp > 1 else rest
+                _add_terms(terms, _products(dg.terms, {lowered: exp}))
+            d_rest = cache[mono[position:]] = Polynomial._of(terms)
+        return d_rest
 
     # -- bases and vectors -----------------------------------------------------
 

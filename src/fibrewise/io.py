@@ -45,9 +45,11 @@ from .model import (
 MODEL_FORMAT = "fibrewise-model/1"
 CERTIFICATE_FORMAT = "fibrewise-certificate/3"
 RESULT_FORMAT = "fibrewise-result/1"
-# the top-level keys `model_to_document` writes, the only ones a model may have
+# the keys `model_to_document` writes, the only ones a model may have: at the
+# top level, and under `base` and `fiber`
 MODEL_KEYS = ("format", "truncation_degree", "base", "fiber", "differential",
               "comultiplication")
+MODEL_NODE_KEYS = {"base": ("generators", "differential"), "fiber": ("generators",)}
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")  # ASCII digits, whole string
 
@@ -236,6 +238,10 @@ def parse_model(doc: Any) -> tuple[RelativeModel, Comultiplication]:
     for key in doc:
         if key not in MODEL_KEYS:
             raise ParseError(key, "unknown key in a model document")
+    for node, keys in MODEL_NODE_KEYS.items():
+        for key in _object(doc, node, node):
+            if key not in keys:
+                raise ParseError(f"{node}.{key}", "unknown key in a model document")
     table = _table_from_doc(doc, "", "generators")
     d_base = _images_from_doc(table, "base", _object(doc, "base", "base").get("differential"),
                               "base.differential")

@@ -215,30 +215,29 @@ def _hopf_step(model, comul, gen, r):
 
 
 def hopf_stage_linear(model, comul):
-    """Remove the word-length-one part of every D(w_k).
+    """Remove the word-length-one part of every D(w_k): the induction
+    stopped after r = 1.
 
     Each linear coefficient is an odd-degree cycle whenever the model is
     valid; solving it as a boundary feeds the change of generators
-    w_k -> w_k - sum eta_i w_i.  Returns (model, comul, steps, obstruction).
+    w_k -> w_k - sum eta_i w_i.  `_induct` leaves w_k only when D(w_k) has
+    no length-one part, and a later step changes D(w_k) only through the
+    generators D(w_k) contains.  Those come first in processing order (one
+    of higher degree would be a linear term with a constant coefficient,
+    which is no boundary and obstructs), so no length-one part is left.
+    Returns (model, comul, steps, obstruction).
     """
-    model, comul, steps, obstruction = _induct(
-        model, comul, _differential_parts, _hopf_step, last=1)
-    if obstruction is None and any(
-            1 in _differential_parts(model, comul, gen) for gen in model.table.fiber):
-        raise EngineError("linear stage left a length-one differential term")
-    return model, comul, steps, obstruction
+    return _induct(model, comul, _differential_parts, _hopf_step, last=1)
 
 
 def hopf_stage_higher(model, comul):
     """Raise the lowest word length of each D(w_k) until it vanishes.
 
-    Requires every D(w) to lie in word length two or more.  Returns
-    (model, comul, steps, obstruction).
+    After the linear stage every D(w) lies in word length two or more.  On
+    any other input a length-one part is removed here too, as the step
+    `_hopf_step` labels hopf-linear; the pipelines still run both stages, in
+    that order.  Returns (model, comul, steps, obstruction).
     """
-    for gen in model.table.fiber:
-        if min(_differential_parts(model, comul, gen), default=2) < 2:
-            raise InvalidModelError(f"D({gen.display()}) has word length below two; "
-                                    "run the linear stage first")
     return _induct(model, comul, _differential_parts, _hopf_step)
 
 

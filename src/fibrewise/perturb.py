@@ -2,13 +2,13 @@
 
 Starting from D(W) = 0 and the standard comultiplication, a perturbation
 conjugates by a pseudo-random unipotent change of generators and/or adds
-exact coefficients (images of the differential) to the comultiplication.
-The result is a valid model that is equivalent to the standard one by
-construction, so the normalization pipelines must recover it exactly; this
-is the oracle behind the round-trip tests.  The base may lie outside the
-normalization hypotheses: both modes stay valid on any base, and such a
-result is recovered by the forced pipelines.  The same seed on the same
-model always produces the same output.
+d(eta) to the comultiplication, for a drawn mixed eta of the tensor square
+(a DG homotopy from C0).  The result is a valid model that is equivalent
+to the standard one by construction, so the normalization pipelines must
+recover it exactly; this is the oracle behind the round-trip tests.  The
+base may lie outside the normalization hypotheses: both modes stay valid
+on any base, and such a result is recovered by the forced pipelines.  The
+same seed on the same model always produces the same output.
 """
 
 from __future__ import annotations
@@ -56,18 +56,15 @@ class PerturbationSpec:
 _COEFFICIENTS = (1, -1, 2, -2, Fraction(1, 2), 3)
 
 
-def _draw(rng, candidates, term):
-    """The sum of one or two distinct candidates, each as `term(candidate)`
-    times a random coefficient; zero when there are no candidates.  The
-    random calls come in one order: `randint`, `sample`, then one `choice`
-    per drawn candidate, so a seed keeps its output."""
+def _draw(rng, candidates):
+    """The sum of one or two distinct candidate monomials, each times a
+    random coefficient; zero when there are no candidates.  The random
+    calls come in one order: `randint`, `sample`, then one `choice` per
+    drawn candidate, so a seed keeps its output."""
     if not candidates:
         return Polynomial.zero()
     count = rng.randint(1, min(2, len(candidates)))
-    total = Polynomial.zero()
-    for candidate in rng.sample(candidates, count):
-        total = total + term(candidate).scale(rng.choice(_COEFFICIENTS))
-    return total
+    return Polynomial({mono: rng.choice(_COEFFICIENTS) for mono in rng.sample(candidates, count)})
 
 
 def _change_of_generators(model, rng, max_word_length):
@@ -78,7 +75,7 @@ def _change_of_generators(model, rng, max_word_length):
         candidates = table.monomial_basis(
             gen.degree, model.fiber_prefix_gens(position), max_word_length,
             min_word_length=1)
-        tail = _draw(rng, candidates, lambda mono: Polynomial._of({mono: 1}))
+        tail = _draw(rng, candidates)
         if tail:
             images[gen.id] = Polynomial.from_generator(gen) + tail
     return ChangeOfGenerators(images) if images else None
@@ -108,22 +105,15 @@ def _exact_candidates(model, degree, max_word_length):
     return live
 
 
-def _exact_image(model, mono):
-    """D(b m) = d_B(b) m for a candidate of `_exact_candidates`."""
-    base_part, fiber_part = split_monomial(mono)
-    return model.base_cdga().d(Polynomial._of({base_part: 1})) * Polynomial._of({fiber_part: 1})
-
-
 def _exact_additions(model, rng, max_word_length):
-    """Per generator, D(eta) for a random live eta of one lower degree;
-    only the drawn candidates are differentiated."""
-    additions = {}
+    """Per generator, a random eta of one lower degree drawn from the live
+    candidates; `perturb` adds d(eta) to its image."""
+    etas = {}
     for gen in model.table.fiber:
-        candidates = _exact_candidates(model, gen.degree - 1, max_word_length)
-        total = _draw(rng, candidates, lambda mono: _exact_image(model, mono))
-        if total:
-            additions[gen.name] = total
-    return additions
+        eta = _draw(rng, _exact_candidates(model, gen.degree - 1, max_word_length))
+        if eta:
+            etas[gen.name] = eta
+    return etas
 
 
 def perturb(
@@ -137,16 +127,17 @@ def perturb(
     if not comul.is_standard():
         raise PerturbationError("perturbation requires the standard comultiplication")
     rng = random.Random(spec.seed)
-    # exact additions first, on the pristine model (where D vanishes they
-    # always preserve the DG condition); conjugation preserves validity of
-    # whatever it is given, so it goes second.  The input is valid and both
-    # moves keep validity, so an invalid output is an internal fault
+    # d(eta) first, on the pristine model: D(W) = 0 there, so d(b m) =
+    # d_B(b) m, and a boundary keeps the DG condition; conjugation
+    # preserves validity of whatever it is given, so it goes second.  The
+    # input is valid and both moves keep validity, so an invalid output is
+    # an internal fault
     if spec.mode in ("exact-homotopy", "both"):
-        additions = _exact_additions(model, rng, spec.max_word_length)
-        if additions:
-            images = dict(comul.images)
-            for name, extra in additions.items():
-                images[name] = images[name] + extra
+        etas = _exact_additions(model, rng, spec.max_word_length)
+        if etas:
+            d, images = model.tensor_cdga(2).d, dict(comul.images)
+            for name, eta in etas.items():
+                images[name] = images[name] + d(eta)
             comul = Comultiplication(model.table, images)
         elif spec.mode == "exact-homotopy" and model.table.fiber:
             raise PerturbationError(

@@ -2,7 +2,6 @@
 
 import importlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -140,23 +139,30 @@ def test_perturb_validates_its_output_once(monkeypatch, mode):
                      ("fibrewise.model", "validate_comultiplication")]
 
 
-def _exact_image_returning_eta(model, mono):
-    """eta where `perturb._exact_image` gives D(eta): one degree too low."""
-    return Polynomial({mono: Fraction(1)})
+def _exact_additions_times_their_generator(mutated):
+    """A mutant of `perturb._exact_additions` whose eta(w) is multiplied by
+    w, so that perturb adds d(eta w) = d(eta) w: |w| degrees too high."""
+    real = importlib.import_module("fibrewise.perturb")._exact_additions
+
+    def mutant(model, *args):
+        mutated.append("_exact_additions")
+        return {name: eta * model.table.poly(name) for name, eta in real(model, *args).items()}
+
+    return mutant
 
 
 @pytest.mark.parametrize("mode, name", [
     ("change-of-generators", "conjugate"),
-    ("exact-homotopy", "_exact_image"),
+    ("exact-homotopy", "_exact_additions"),
     ("both", "conjugate"),
-    ("both", "_exact_image"),
+    ("both", "_exact_additions"),
 ])
 def test_perturb_raises_an_internal_error_on_an_invalid_output(monkeypatch, mode, name):
     # the input is valid and both moves keep validity, so an invalid output
     # is the engine's fault: EngineError (exit 1), not PerturbationError
     mutated = []
     mutant = (util.conjugate_dropping_counit_terms(mutated) if name == "conjugate"
-              else lambda *args: mutated.append(name) or _exact_image_returning_eta(*args))
+              else _exact_additions_times_their_generator(mutated))
     monkeypatch.setattr(importlib.import_module("fibrewise.perturb"), name, mutant)
     model = util.contractible_base_model(fiber=[("u", 3), ("v", 3), ("w", 9)],
                                          truncation=20)

@@ -844,6 +844,47 @@ def test_documents_without_a_format_are_still_read(tmp_path, capsys):
         "ERROR: exact_odd_excess.hopf.json: unknown key in a model document\n"
 
 
+@pytest.mark.parametrize("key", ["base.diferential", "fiber.differential"])
+def test_unknown_keys_under_base_and_fiber_are_refused(tmp_path, capsys, key):
+    # fixture a with D(w5) = b3 w3 written under `fiber`, and for
+    # base.diferential the base's empty differential misspelled too: both
+    # keys were once ignored, so `check` said valid and a forced hopf called
+    # the model fibrewise trivial; every command now exits 4 at the first
+    doc = fixture_a_doc()
+    doc["fiber"]["differential"] = doc.pop("differential")
+    if key == "base.diferential":
+        doc["base"]["diferential"] = doc["base"].pop("differential")
+    path = write(tmp_path, "m.json", doc)
+    for argv in (["check", path], ["cohomology", path, "-n", "3"], ["hopf", path, "--force"],
+                 ["ls", path, "--force"], ["verify", path, str(GOLDEN / "fixture_a.hopf.json")],
+                 ["perturb", path, "--seed", "0"]):
+        capsys.readouterr()
+        assert run_command(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"ERROR: {key}: unknown key in a model document\n"), argv
+    # a certificate still ignores keys it does not read, under its model too
+    result = json.loads((GOLDEN / "full_ladder.ls.json").read_text(encoding="utf-8"))
+    result["certificate"]["model"]["base"]["differential"] = {}
+    result["certificate"]["model"]["fiber"]["note"] = "not read"
+    assert run_command(["verify", str(GOLDEN / "full_ladder.model.json"),
+                        write(tmp_path, "cert.json", result)]) == 0
+
+
+@pytest.mark.parametrize("role", ["model", "certificate"])
+def test_json_nested_too_deeply_exits_4_without_a_traceback(tmp_path, role):
+    # 200,000 nested arrays exhaust the JSON reader's recursion: once an
+    # uncaught RecursionError (a traceback and exit 1), now invalid input
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    argv = (["check", str(deep)] if role == "model"
+            else ["verify", str(GOLDEN / "full_ladder.model.json"), str(deep)])
+    proc = subprocess.run([sys.executable, "-m", "fibrewise", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == f"ERROR: {deep}: not valid JSON: nested too deeply\n"
+
+
 @pytest.mark.parametrize("pipeline", ["hopf", "ls"])
 def test_pipeline_truncation_must_exceed_fiber_degrees(tmp_path, capsys, pipeline):
     # fixture a's largest fiber degree is 5: at truncation 2 or 5 the

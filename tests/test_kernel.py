@@ -8,6 +8,8 @@ must agree term by term and in the order of their term dicts.
 
 import copy
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,14 +17,18 @@ import pytest
 from fibrewise import (
     AlgebraError,
     Comultiplication,
+    FreeCDGA,
     Generator,
+    GeneratorTable,
     PerturbationSpec,
     Polynomial,
+    RelativeModel,
     normalize_monomial,
     perturb,
 )
 from fibrewise import io as fio
-from fibrewise.algebra import apply_images, monomial_degree
+from fibrewise.algebra import _suffix_monomials, apply_images, monomial_degree
+from fibrewise.certify import ChangeOfGenerators, EquivalenceCertificate
 
 import util
 
@@ -290,3 +296,82 @@ def test_generators_compare_and_hash_by_identity():
     assert u == u and u != twin and len({u, twin}) == 2
     assert hash(u) == object.__hash__(u)
     assert "__eq__" not in vars(Generator) and "__hash__" not in vars(Generator)
+
+
+def test_suffix_enumeration_fills_the_memo_of_the_recursion():
+    # the loop over skipped generators returns what the recursion into
+    # every suffix returned, in order, and leaves the same memo keys
+    # behind; degrees and bounds asked in a shuffled order
+    rng = random.Random(5)
+    models = [util.ladder_model(5), util.exact_odd_excess_model(), *util.rt_tables()]
+    for model in models:
+        for copies in range(3):
+            gens = tuple(sorted(model.tensor_cdga(copies).gens, key=lambda g: g.sort_key))
+            asks = [(degree, least, most) for degree in range(model.truncation + 1)
+                    for least in (0, 1, 2) for most in (1, 3, None)]
+            rng.shuffle(asks)
+            memo, oracle_memo = {}, {}
+            for degree, least, most in asks:
+                got = _suffix_monomials(gens, 0, degree, least, most, memo)
+                expected = util.suffix_monomials_by_recursion(
+                    gens, 0, degree, least, most, oracle_memo)
+                assert got == expected, (copies, degree, least, most)
+            assert memo.keys() == oracle_memo.keys()
+
+
+def test_d_monomial_caches_every_suffix_once():
+    # with the suffix mono[2:] cached, d of the monomial adds mono and
+    # mono[1:]: every nonempty suffix is a key, as the recursion left them
+    model = util.ladder_model(5)
+    cdga = model.tensor_cdga(2)
+    for mono in cdga.table.monomial_basis(9, cdga.gens):
+        if len(mono) < 3:
+            continue
+        fresh = FreeCDGA(cdga.table, cdga.gens, cdga.diff, cdga.truncation)
+        fresh._d_monomial(mono[2:])
+        assert set(fresh._d_mono_cache) == {mono[k:] for k in range(2, len(mono))}
+        assert fresh._d_monomial(mono) == util.leibniz_by_factors(fresh, mono)
+        assert set(fresh._d_mono_cache) == {mono[k:] for k in range(len(mono))}
+
+
+def _long_product_certificate(count):
+    """The standard model over `count` base generators x_i of degree 2 with
+    fiber (u3, w), |w| = 2 count + 3, and the certificate Phi(w) = w +
+    x_0 ... x_{count-1} u with target C0: one monomial of count + 1 factors."""
+    table = GeneratorTable(base=[(f"x{i}", 2) for i in range(count)],
+                           fiber=[("u", 3), ("w", 2 * count + 3)])
+    model = RelativeModel(table, truncation=2 * count + 4)
+    comul = Comultiplication.standard(table)
+    product = Polynomial.one()
+    for i in range(count):
+        product = product * table.poly(f"x{i}")
+    phi = ChangeOfGenerators(
+        {table.generator("w0", "w").id: table.poly("w") + product * table.poly("u")})
+    return model, comul, EquivalenceCertificate(table=table, phi=phi,
+                                                target_c=dict(comul.images))
+
+
+@pytest.mark.parametrize("command", ["hopf", "ls", "verify"])
+def test_wide_bases_and_long_monomials_run_at_the_default_recursion_limit(tmp_path, command):
+    # a fresh interpreter keeps the default limit of 1000 frames: the suffix
+    # enumeration over 1,100 base generators (hopf, ls) and d of a monomial
+    # of 1,201 factors (verify) once recursed once per generator and per
+    # factor and died with RecursionError
+    if command == "verify":
+        model, comul, cert = _long_product_certificate(1200)
+        extra = [str(tmp_path / "cert.json")]
+        (tmp_path / "cert.json").write_text(fio.dumps(fio.certificate_to_document(cert)),
+                                            encoding="utf-8")
+    else:
+        table = GeneratorTable(base=[(f"x{i}", 2) for i in range(1100)], fiber=[("u", 3)])
+        model, comul = RelativeModel(table, truncation=6), Comultiplication.standard(table)
+        extra = ["-o", str(tmp_path / "out.json")]
+    path = tmp_path / "model.json"
+    path.write_text(fio.dumps(fio.model_to_document(model, comul)), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "fibrewise", command, str(path), *extra],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if command == "verify":
+        assert (proc.stdout.startswith("certificate verified: "), proc.stderr) == (True, "")
+    else:  # the run's summary
+        assert proc.stderr.splitlines()[1] == "outcome: normalized"

@@ -112,9 +112,16 @@ def test_higher_stage_identity_on_zero_differential():
 
 
 def test_higher_stage_rejects_linear_terms():
+    # the higher stage is the same induction without its stop after r = 1:
+    # fixture_a's D(w5) = b3 u3 has a linear coefficient that is a class,
+    # and it obstructs there as the linear stage does
     model, comul = util.fixture_a()
-    with pytest.raises(InvalidModelError):
-        hopf_stage_higher(model, comul)
+    _, _, steps, obstruction = hopf_stage_higher(model, comul)
+    assert steps == []
+    assert (obstruction.stage, obstruction.generator.name, obstruction.word_length) == (
+        "hopf-linear", "w5", 1)
+    assert obstruction.class_witness == model.table.poly("b3")
+    assert obstruction == hopf_stage_linear(model, comul)[3]
 
 
 @pytest.mark.parametrize("wrong", [

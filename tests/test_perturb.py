@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fibrewise import Comultiplication, PerturbationSpec, perturb
+from fibrewise import Comultiplication, PerturbationSpec, Polynomial, perturb
 from fibrewise import io as fio
 
 import util
@@ -28,30 +28,37 @@ def _exact_models():
 
 @pytest.mark.parametrize("name", ["contractible", "rt0", "rt1", "rt2", "s2", "ladder5"])
 def test_exact_candidates_equal_the_filtered_square_basis(name):
-    # the live candidates b m and their images d_B(b) m, in order and term
-    # for term, against the whole square basis filtered and differentiated;
-    # then the same additions for seeds 0-39
+    # the live candidates b m, in order, and their differentials in the
+    # square term for term, against the whole square basis filtered and
+    # differentiated; then for seeds 0-39 the drawn eta and d(eta) against
+    # the same random calls made on the oracle's pairs
     model = _exact_models()[name]
+    d = model.tensor_cdga(2).d
     for length in (1, 2, 3, 4):
         expected = {gen.name: util.exact_candidates_by_filter(model, gen.degree - 1, length)
                     for gen in model.table.fiber}
         for gen in model.table.fiber:
-            got = [perturb_module._exact_image(model, mono) for mono
-                   in perturb_module._exact_candidates(model, gen.degree - 1, length)]
-            assert len(got) == len(expected[gen.name]), (gen.name, length)
-            for image, oracle in zip(got, expected[gen.name]):
-                util.assert_same_terms(image, oracle)
+            got = perturb_module._exact_candidates(model, gen.degree - 1, length)
+            assert got == [mono for mono, _ in expected[gen.name]], (gen.name, length)
+            for mono, (_, oracle) in zip(got, expected[gen.name]):
+                util.assert_same_terms(d(Polynomial({mono: 1})), oracle)
         for seed in range(40):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
-            additions = perturb_module._exact_additions(model, rng, length)
+            etas = perturb_module._exact_additions(model, rng, length)
             oracle = {}
             for gen in model.table.fiber:
-                total = perturb_module._draw(oracle_rng, expected[gen.name], lambda image: image)
-                if total:
-                    oracle[gen.name] = total
-            assert list(additions) == list(oracle)
-            for key in additions:
-                util.assert_same_terms(additions[key], oracle[key])
+                pairs = expected[gen.name]
+                if not pairs:
+                    continue
+                drawn = oracle_rng.sample(pairs, oracle_rng.randint(1, min(2, len(pairs))))
+                oracle[gen.name] = [(mono, image, oracle_rng.choice(perturb_module._COEFFICIENTS))
+                                    for mono, image in drawn]
+            assert list(etas) == list(oracle)
+            for key, eta in etas.items():
+                util.assert_same_terms(
+                    eta, Polynomial({mono: coeff for mono, _, coeff in oracle[key]}))
+                util.assert_same_terms(
+                    d(eta), Polynomial.sum(image.scale(coeff) for _, image, coeff in oracle[key]))
             assert rng.getstate() == oracle_rng.getstate()
 
 

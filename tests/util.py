@@ -19,6 +19,7 @@ from fibrewise import (
     normalize_monomial,
 )
 from fibrewise.algebra import (
+    W_SPACES,
     apply_images,
     coefficient,
     is_mixed_square_monomial,
@@ -417,12 +418,38 @@ def bounded_bases_by_products(gens, top, max_word_length):
     return {degree: tuple(sorted(monos, key=monomial_key)) for degree, monos in found.items()}
 
 
+def suffix_monomials_by_recursion(gens, index, degree, least, most, memo):
+    """The suffix enumeration as it first recursed, once into gens[index +
+    1:] for every generator it skips (oracle for the order and the memo
+    keys of algebra._suffix_monomials, which loops over the skipped ones)."""
+    if degree == 0:
+        return [] if least else [()]
+    if degree < 0 or index == len(gens):
+        return []
+    found = memo.get((index, degree, least, most))
+    if found is None:
+        gen = gens[index]
+        found = []
+        max_exp = 1 if gen.is_odd else degree // gen.degree
+        length = 1 if gen.space in W_SPACES else 0
+        if length and most is not None:
+            max_exp = min(max_exp, most)
+        for exp in range(1, max_exp + 1):
+            found.extend(((gen, exp),) + rest for rest in suffix_monomials_by_recursion(
+                gens, index + 1, degree - exp * gen.degree, max(least - exp * length, 0),
+                None if most is None else most - exp * length, memo))
+        found.extend(suffix_monomials_by_recursion(gens, index + 1, degree, least, most, memo))
+        memo[(index, degree, least, most)] = found
+    return found
+
+
 def exact_candidates_by_filter(model, degree, max_word_length):
     """The exact-addition candidates of `perturb` as they were first built:
     the whole degree-`degree` basis of the tensor square, each mixed
     monomial of word length at most `max_word_length` differentiated in the
-    square, the nonzero images kept in basis order (oracle for
-    perturb._exact_candidates and the images perturb._exact_image forms)."""
+    square, the (monomial, image) pairs with a nonzero image kept in basis
+    order (oracle for perturb._exact_candidates, whose drawn eta perturb
+    adds as d(eta))."""
     square = model.tensor_cdga(2)
     candidates = []
     for mono in model.table.monomial_basis(degree, square.gens):
@@ -431,7 +458,7 @@ def exact_candidates_by_filter(model, degree, max_word_length):
             continue
         image = square.d(Polynomial({mono: 1}))
         if image:
-            candidates.append(image)
+            candidates.append((mono, image))
     return candidates
 
 
