@@ -217,11 +217,12 @@ def monomial_display(mono: Monomial) -> str:
 
 
 def split_monomial(mono: Monomial) -> tuple[Monomial, Monomial]:
-    """Split into (base factors, everything else); their ordered product
-    is the original monomial with sign +1 because base factors come first."""
-    base = tuple((g, e) for g, e in mono if g.space == "base")
-    rest = tuple((g, e) for g, e in mono if g.space != "base")
-    return base, rest
+    """(base factors, everything else) of a canonical monomial, cut at its
+    first factor outside the base: base factors come first, with sign +1."""
+    for index, (gen, _) in enumerate(mono):
+        if gen.space != "base":
+            return mono[:index], mono[index:]
+    return mono, ()
 
 
 class Polynomial:
@@ -268,14 +269,6 @@ class Polynomial:
     @classmethod
     def from_generator(cls, gen: Generator) -> Polynomial:
         return cls._of({((gen, 1),): ONE})
-
-    @classmethod
-    def sum(cls, polys: Iterable[Polynomial]) -> Polynomial:
-        """The sum of many polynomials, accumulated in one term dict."""
-        terms: dict[Monomial, Coefficient] = {}
-        for poly in polys:
-            _add_terms(terms, poly.terms.items())
-        return cls._of(terms)
 
     # -- ring structure ----------------------------------------------------
 
@@ -538,8 +531,8 @@ class GeneratorTable:
         }
         self._basis_cache: dict[tuple, tuple[Monomial, ...]] = {}
         # generator ids -> {(suffix start, degree, least, most word length):
-        # monomials in monomial_key order}
-        self._suffix_cache: dict[tuple[int, ...], dict[tuple, list]] = {}
+        # the chain of blocks of `_suffix_monomials`}
+        self._suffix_cache: dict[tuple[int, ...], dict[tuple, tuple]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -636,38 +629,48 @@ class GeneratorTable:
 
 def _suffix_monomials(
     gens: tuple[Generator, ...], index: int, degree: int,
-    least: int, most: int | None, memo: dict[tuple, list[Monomial]],
+    least: int, most: int | None, memo: dict[tuple, tuple],
 ) -> list[Monomial]:
     """The degree-`degree` monomials over gens[index:] with at least `least`
     and at most `most` fiber-copy factors (no upper bound for None), in
-    `monomial_key` order, memoized by (index, degree, least, most).  Their
-    first factors decide the order: the monomials with gens[index], by
-    ascending exponent, come before those without it, whose first generator
-    sorts later.  A fiber-copy factor g^e spends e of both bounds.
+    `monomial_key` order.  The block of gens[position], the monomials whose
+    first factor is a power of it by ascending exponent, comes before the
+    blocks of the later generators.  A fiber-copy factor g^e spends e of
+    both bounds.  memo[(position, degree, least, most)] is the chain (block,
+    chain) of the nonempty blocks from `position` on, () when there are
+    none, sharing the chain of the next position: each monomial is stored
+    once.  The chains from `index` on are filled back from the first one
+    memoized, each from the next, so only a factor taken recurses: the
+    depth is the number of factors, not of generators."""
 
-    The lists over gens[i:] for i from `index` on are filled back from the
-    first one memoized, each from the next, so only a factor taken
-    recurses: the depth is the number of factors, not of generators."""
-    if degree == 0:
-        return [] if least else [()]
-    if degree < 0 or index == len(gens):
-        return []
-    start = index
-    while start < len(gens) and (start, degree, least, most) not in memo:
-        start += 1
-    found = memo.get((start, degree, least, most), [])
-    for position in range(start - 1, index - 1, -1):
-        gen = gens[position]
-        with_gen = []
-        max_exp = 1 if gen.is_odd else degree // gen.degree
-        length = 1 if gen.space in W_SPACES else 0
-        if length and most is not None:
-            max_exp = min(max_exp, most)
-        for exp in range(1, max_exp + 1):
-            head = ((gen, exp),)
-            with_gen.extend(head + rest for rest in _suffix_monomials(
-                gens, position + 1, degree - exp * gen.degree, max(least - exp * length, 0),
-                None if most is None else most - exp * length, memo))
-        with_gen.extend(found)
-        found = memo[(position, degree, least, most)] = with_gen
-    return found
+    def chain(index: int, degree: int, least: int, most: int | None) -> tuple:
+        if degree == 0:
+            return () if least else ([()], ())
+        if degree < 0 or index == len(gens):
+            return ()
+        start = index
+        while start < len(gens) and (start, degree, least, most) not in memo:
+            start += 1
+        found = memo.get((start, degree, least, most), ())
+        for position in range(start - 1, index - 1, -1):
+            gen = gens[position]
+            block: list[Monomial] = []
+            max_exp = 1 if gen.is_odd else degree // gen.degree
+            length = 1 if gen.space in W_SPACES else 0
+            if length and most is not None:
+                max_exp = min(max_exp, most)
+            for exp in range(1, max_exp + 1):
+                head, rest = ((gen, exp),), chain(
+                    position + 1, degree - exp * gen.degree, max(least - exp * length, 0),
+                    None if most is None else most - exp * length)
+                while rest:
+                    tails, rest = rest
+                    block.extend(head + tail for tail in tails)
+            found = memo[(position, degree, least, most)] = (block, found) if block else found
+        return found
+
+    monomials, rest = [], chain(index, degree, least, most)
+    while rest:
+        block, rest = rest
+        monomials.extend(block)
+    return monomials

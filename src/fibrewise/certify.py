@@ -89,9 +89,6 @@ class ChangeOfGenerators:
     def image(self, gen: Generator) -> Polynomial:
         return self.images.get(gen.id, Polynomial.from_generator(gen))
 
-    def apply(self, p: Polynomial) -> Polynomial:
-        return apply_images(self.images, p)
-
     def shape_verdict(self, model: RelativeModel) -> Verdict:
         for position, gen in enumerate(model.table.fiber):
             image = self.images.get(gen.id)
@@ -126,17 +123,18 @@ def conjugate(
     phi: ChangeOfGenerators,
 ) -> tuple[RelativeModel, Comultiplication]:
     """D' = phi^-1 D phi and C' = (phi^-1 (x) phi^-1) C phi; only phi's
-    shape is checked, since conjugation keeps validity both ways."""
+    shape is checked, since conjugation keeps validity both ways.
+    (phi^-1 (x) phi^-1) o C is an algebra map that fixes B, so its values on
+    the fiber generators determine it: composed once, it is applied to phi(w)."""
     table = model.table
     phi_inv = invert(model, phi)
     total = model.total_cdga()
-    new_model = model.with_fiber_differential(
-        {gen.name: phi_inv.apply(total.d(phi.image(gen))) for gen in table.fiber})
+    new_model = model.with_fiber_differential({
+        gen.name: apply_images(phi_inv.images, total.d(phi.image(gen))) for gen in table.fiber})
     square_inv = {**phi_inv.images, **table.on_copy(phi_inv.images, 1)}
-    c_images = comul.as_images()
+    composite = {gen.id: apply_images(square_inv, comul.image(gen)) for gen in table.fiber}
     return new_model, Comultiplication(table, {
-        gen.name: apply_images(square_inv, apply_images(c_images, phi.image(gen)))
-        for gen in table.fiber})
+        gen.name: apply_images(composite, phi.image(gen)) for gen in table.fiber})
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success / normalized, 2 hypothesis violation, 3 obstruction
-found, 4 invalid input, 1 internal error.  All outputs are deterministic
-for fixed inputs and flags.
+found, 4 invalid input, 1 internal error or stdout closed before the report
+was written.  All outputs are deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -224,7 +224,13 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early (`| head`): no traceback, no flush error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = INTERNAL_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -129,10 +129,6 @@ class Comultiplication:
             self.table.generator("w0", name).id: p for name, p in self.images.items()
         }
 
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Extend over the algebra (identity on base) and apply."""
-        return apply_images(self.as_images(), p)
-
     def left_extension_images(self) -> dict[int, Polynomial]:
         """(C (x) 1): first copy through C, second copy shifted to the third."""
         return {**self.as_images(), **self.table.shift_images({1: 2})}

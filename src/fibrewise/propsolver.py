@@ -24,6 +24,7 @@ off, and a failed check raises, it is never a warning.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from . import linalg
@@ -82,10 +83,8 @@ _IDENTITY_TERMS = (("alpha", 1), ("beta", 1), ("gamma", -1), ("delta", -1))
 
 def identity_residual(table: GeneratorTable, chi: Polynomial) -> Polynomial:
     """alpha(chi) + beta(chi) - gamma(chi) - delta(chi)."""
-    out = Polynomial.zero()
-    for which, factor in _IDENTITY_TERMS:
-        out = out + apply_map(table, which, chi).scale(factor)
-    return out
+    return sum((apply_map(table, which, chi).scale(factor) for which, factor in _IDENTITY_TERMS),
+               Polynomial.zero())
 
 
 def subscript_sequence(table: GeneratorTable, mono: Monomial) -> tuple[int, ...]:
@@ -101,16 +100,16 @@ def subscript_sequence(table: GeneratorTable, mono: Monomial) -> tuple[int, ...]
 
 
 def copy_product(table: GeneratorTable, fiber_gens: Sequence[Generator], copy: int) -> Polynomial:
-    out = Polynomial.one()
-    for gen in fiber_gens:
-        out = out * Polynomial.from_generator(table.copy(gen, copy))
-    return out
+    return prod((Polynomial.from_generator(table.copy(gen, copy)) for gen in fiber_gens),
+                start=Polynomial.one())
 
 
 def binomial_product(table: GeneratorTable, fiber_gens: Sequence[Generator]) -> Polynomial:
-    """S_I = C0(w_I): the ordered product of (w_i + w'_i) over the given
-    generators."""
-    return Comultiplication.standard(table).apply(copy_product(table, fiber_gens, 0))
+    """S_I = C0(w_I): the ordered product of the binomials (w_i + w'_i) over
+    the given generators."""
+    return prod((Polynomial.from_generator(table.copy(gen, 0))
+                 + Polynomial.from_generator(table.copy(gen, 1)) for gen in fiber_gens),
+                start=Polynomial.one())
 
 
 def basic_form_element(table: GeneratorTable, fiber_gens: Sequence[Generator]) -> Polynomial:
@@ -201,13 +200,8 @@ def _polynomial_kernel(
     """The kernel of the linear map sending span[j] to images[j], as
     combinations of `span`, by exact elimination in the coordinates of the
     monomials the images use."""
-    out = []
-    for vec in linalg.eliminate(_polynomial_span_matrix(images)).kernel:
-        combo = Polynomial.zero()
-        for j, val in vec.items():
-            combo = combo + span[j].scale(val)
-        out.append(combo)
-    return out
+    return [sum((span[j].scale(val) for j, val in vec.items()), Polynomial.zero())
+            for vec in linalg.eliminate(_polynomial_span_matrix(images)).kernel]
 
 
 def _polynomial_span_matrix(polys: Sequence[Polynomial]) -> list[linalg.Vector]:

@@ -27,6 +27,7 @@ from fibrewise.algebra import (
     monomial_display,
     monomial_key,
     monomial_word_length,
+    split_monomial,
 )
 
 import util
@@ -260,6 +261,21 @@ def test_basis_refuses_the_degree_zero_generator_t():
             GeneratorTable(base=[("c", degree)], fiber=[])
         with pytest.raises(AlgebraError, match="degree >= 1"):
             GeneratorTable(base=[], fiber=[("c", degree)])
+
+
+def test_split_monomial_cuts_where_the_two_scans_split():
+    # base factors come first in the canonical order, so the cut at the
+    # first factor outside the base keeps what the two scans kept
+    model = util.ladder_model(5)
+    gens = model.tensor_cdga(3).gens
+    split = 0
+    for degree in range(model.truncation + 1):
+        for mono in model.table.monomial_basis(degree, gens):
+            base = tuple((g, e) for g, e in mono if g.space == "base")
+            rest = tuple((g, e) for g, e in mono if g.space != "base")
+            assert split_monomial(mono) == (base, rest)
+            split += bool(base) and bool(rest)
+    assert split
 
 
 def test_mixed_minimum_counts():

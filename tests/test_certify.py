@@ -28,7 +28,7 @@ from fibrewise import (
 )
 from fibrewise import certify, dga, linalg
 from fibrewise import io as fio
-from fibrewise.algebra import is_mixed_square_monomial
+from fibrewise.algebra import apply_images, is_mixed_square_monomial
 from fibrewise.certify import invert, verify_homotopy
 from fibrewise.model import validate_comultiplication, validate_input
 
@@ -68,8 +68,8 @@ def test_invert_nested_by_back_substitution():
     assert inverse.images[id9] == w9 - s * w3 * w5
     for gen in table.fiber:
         gp = Polynomial.from_generator(gen)
-        assert inverse.apply(phi.image(gen)) == gp
-        assert phi.apply(inverse.image(gen)) == gp
+        assert apply_images(inverse.images, phi.image(gen)) == gp
+        assert apply_images(phi.images, inverse.image(gen)) == gp
 
 
 def test_invert_rejects_bad_shape():
@@ -97,6 +97,55 @@ def test_conjugate_round_trip_randomized():
             m2, c2 = conjugate(model, comul, phi)
             m3, c3 = conjugate(m2, c2, invert(model, phi))
             assert util.state(m3, c3) == util.state(model, comul)
+
+
+def _conjugate_checked_by_the_oracle(calls):
+    """`conjugate`, compared term for term with the nested substitution of
+    `util.conjugate_by_nested_substitution` (C' lists its terms in another
+    order, which no document shows); each phi is kept in `calls`."""
+
+    def checked(model, comul, phi):
+        new_model, new_comul = conjugate(model, comul, phi)
+        oracle_model, oracle_comul = util.conjugate_by_nested_substitution(model, comul, phi)
+        assert new_model.d_fiber.keys() == oracle_model.d_fiber.keys()
+        for name, image in oracle_model.d_fiber.items():
+            util.assert_same_terms(new_model.d_fiber[name], image)
+        assert new_comul.images.keys() == oracle_comul.images.keys()
+        for name, image in oracle_comul.images.items():
+            assert new_comul.images[name].terms == image.terms
+        calls.append(phi)
+        return new_model, new_comul
+
+    return checked
+
+
+def test_conjugate_equals_the_nested_substitution(monkeypatch):
+    # seeded perturbations in every mode (a non-standard C from the exact
+    # modes, a moved D from the change of generators), each conjugated once
+    # more, and every change of generators of an ls run on full_ladder; the
+    # round-trip bases have no exact perturbation to draw
+    calls = []
+    checked = _conjugate_checked_by_the_oracle(calls)
+    for namespace in ("fibrewise.perturb", "fibrewise.normalize"):
+        monkeypatch.setattr(importlib.import_module(namespace), "conjugate", checked)
+    rng = random.Random(23)
+    nonstandard = moved = 0
+    modes = ("change-of-generators", "both", "exact-homotopy")
+    cases = [(model, modes[:2]) for model in util.rt_tables()]
+    for model, model_modes in [*cases, (util.ladder_model(6), modes)]:
+        for mode in model_modes:
+            for seed in range(3):
+                spec = PerturbationSpec(seed, mode=mode)
+                pair = perturb(model, Comultiplication.standard(model.table), spec)
+                nonstandard += not pair[1].is_standard()
+                moved += bool(pair[0].d_fiber)
+                checked(*pair, util.seeded_unipotent(pair[0], rng))
+    assert nonstandard and moved
+    perturbed = len(calls)
+    assert perturbed > len(cases) * 2 * 3 + 3 * 3
+    result = ls_normalize(*util.full_ladder_model())
+    assert result.outcome == "normalized"
+    assert len(calls) - perturbed >= 2
 
 
 def test_conjugation_raises_word_length():

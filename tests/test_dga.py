@@ -215,7 +215,7 @@ def test_split_equals_decompose_on_seeded_cycles_of_the_golden_bases():
                        for c in rng.sample(slice_.cycles, min(3, len(slice_.cycles)))]
                       for _ in range(3)]
             for draw in draws:
-                cycle = Polynomial.sum(c.scale(k) for c, k in draw)
+                cycle = sum((c.scale(k) for c, k in draw), Polynomial.zero())
                 eta, rest = base.split(cycle)
                 assert base.d(eta) == cycle - rest
                 assert rest == slice_.decompose(cycle)[1]
@@ -531,7 +531,8 @@ def _slices_equal_the_row_oracle(monkeypatch, cdga, degrees):
         got = slice_.boundaries + slice_.complement
         expected = oracle.boundaries + oracle.complement
         assert len(got) == len(expected)
-        generics = [Polynomial.sum(cycle.scale(weight(j)) for j, cycle in enumerate(slice_.cycles))
+        generics = [sum((cycle.scale(weight(j)) for j, cycle in enumerate(slice_.cycles)),
+                     Polynomial.zero())
                     for weight in (lambda j: j + 1, lambda j: Fraction((-1) ** j, j % 5 + 1))]
         for cycle in generics + slice_.boundaries[:3] + slice_.complement[:3]:
             got += slice_.decompose(cycle)

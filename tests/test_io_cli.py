@@ -1,6 +1,7 @@
 """Document round-trips, structured parse errors, CLI exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -405,6 +406,30 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_a_closed_stdout_exits_1_without_a_traceback(command, buffered):
+    # `fibrewise check m.json | head -0`: the reader is gone before the
+    # report is written, whether it goes out line by line (unbuffered) or
+    # in one flush at exit.  Once a BrokenPipeError traceback and exit 1;
+    # now exit 1 with nothing on stderr.  Closing the pipe before the first
+    # write keeps the test free of a race with the writer
+    argv = [command, str(GOLDEN / "full_ladder.model.json")]
+    if command == "verify":
+        argv.append(str(GOLDEN / "full_ladder.ls.json"))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fibrewise", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_certificate_document_round_trip(tmp_path):

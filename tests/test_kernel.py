@@ -145,8 +145,8 @@ def test_apply_images_passes_the_fixed_terms_through():
     table = model.table
     gens = model.tensor_cdga(3).gens
     for trial in range(80):
-        p = Polynomial.sum(util.random_homogeneous(rng, table, gens, degree, max_terms=5)
-                           for degree in (0, 3, 6, 9, 12))
+        p = sum((util.random_homogeneous(rng, table, gens, degree, max_terms=5)
+                 for degree in (0, 3, 6, 9, 12)), Polynomial.zero())
         present = list(dict.fromkeys(gen for mono in p.terms for gen, _ in mono))
         moved = rng.sample(present, (0, 1, len(present) // 2, len(present))[trial % 4])
         images = {}
@@ -317,6 +317,27 @@ def test_suffix_enumeration_fills_the_memo_of_the_recursion():
                     gens, 0, degree, least, most, oracle_memo)
                 assert got == expected, (copies, degree, least, most)
             assert memo.keys() == oracle_memo.keys()
+
+
+def test_suffix_enumeration_stores_each_monomial_once():
+    # one block per (position, degree, least, most), each chain sharing
+    # the next one's blocks: on 200 degree-2 generators the degree-4 memo
+    # holds its 20,100 monomials once (and the 199 of degree 2), where a
+    # full list per suffix held 1,373,300.  Slots are the entries of the
+    # lists the memo reaches, each list counted once
+    table = GeneratorTable(base=[(f"x{i}", 2) for i in range(200)], fiber=[])
+    memo = {}
+    assert len(_suffix_monomials(table.base, 0, 4, 0, None, memo)) == 20_100
+    lists, slots, stack = set(), 0, list(memo.values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            if id(item) not in lists:
+                lists.add(id(item))
+                slots += len(item)
+        else:  # a chain (block, rest), or () at its end
+            stack.extend(item)
+    assert slots <= 2 * 20_100
 
 
 def test_d_monomial_caches_every_suffix_once():

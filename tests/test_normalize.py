@@ -1,7 +1,11 @@
 """Stage-level and pipeline-level normalization behavior."""
 
+import hashlib
 import importlib
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -765,6 +769,48 @@ def test_ls_on_the_ladder_l7_takes_under_a_second():
     elapsed = time.perf_counter() - start
     assert result.normalized and verify_equivalence(result.certificate, model, comul).ok
     assert elapsed < 1.0
+
+
+# sha256 of the result documents of `ls` and `hopf` on L(12) perturbed in
+# mode `both` (seed 3, word length 3; test_perturb pins the model): the ls
+# certificate takes a hopf-higher, an ls-even and an ls-odd step and has an
+# eta of 15 terms
+L12_BOTH_RESULT_SHA256 = {
+    "ls": "02e57a1396e3a4e0904c6609da96c2ae836f4f933a8e95d00378c9869cac5bfc",
+    "hopf": "a3529a71e2bbd318c59e233107ed172b542a6772fb0a5f174d0339d22576d22c",
+}
+
+
+def _l12_both():
+    model = util.ladder_model(12)
+    return perturb(model, Comultiplication.standard(model.table),
+                   PerturbationSpec(3, max_word_length=3, mode="both"))
+
+
+@pytest.mark.parametrize("pipeline", sorted(L12_BOTH_RESULT_SHA256))
+def test_l12_both_results_keep_their_bytes_and_verify(pipeline):
+    model, comul = _l12_both()
+    result = (ls_normalize if pipeline == "ls" else hopf_normalize)(model, comul)
+    text = io.dumps(io.result_to_document(result, pipeline))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == L12_BOTH_RESULT_SHA256[pipeline]
+    assert verify_equivalence(result.certificate, model, comul).ok
+    stages = [step.stage for step in result.certificate.steps]
+    if pipeline == "ls":
+        assert stages == ["hopf-higher", "ls-even", "ls-odd"]
+        assert {name: len(eta.terms) for name, eta in result.certificate.eta.items()} == {"w": 15}
+    else:
+        assert stages == ["hopf-higher"] and not result.certificate.eta
+
+
+def test_l12_both_results_keep_their_bytes_under_another_hash_seed(tmp_path):
+    path = tmp_path / "l12.json"
+    path.write_text(io.dumps(io.model_to_document(*_l12_both())), encoding="utf-8")
+    env = {**os.environ, "PYTHONHASHSEED": "3"}
+    for pipeline, expected in L12_BOTH_RESULT_SHA256.items():
+        out = tmp_path / f"{pipeline}.json"
+        subprocess.run([sys.executable, "-m", "fibrewise", pipeline, str(path), "-o", str(out)],
+                       check=True, capture_output=True, env=env, timeout=120)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, pipeline
 
 
 def test_a_normalized_run_validates_once_however_many_steps_it_takes(monkeypatch):

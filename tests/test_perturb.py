@@ -58,7 +58,8 @@ def test_exact_candidates_equal_the_filtered_square_basis(name):
                 util.assert_same_terms(
                     eta, Polynomial({mono: coeff for mono, _, coeff in oracle[key]}))
                 util.assert_same_terms(
-                    d(eta), Polynomial.sum(image.scale(coeff) for _, image, coeff in oracle[key]))
+                    d(eta), sum((image.scale(coeff) for _, image, coeff in oracle[key]),
+                                 Polynomial.zero()))
             assert rng.getstate() == oracle_rng.getstate()
 
 

@@ -420,8 +420,10 @@ def bounded_bases_by_products(gens, top, max_word_length):
 
 def suffix_monomials_by_recursion(gens, index, degree, least, most, memo):
     """The suffix enumeration as it first recursed, once into gens[index +
-    1:] for every generator it skips (oracle for the order and the memo
-    keys of algebra._suffix_monomials, which loops over the skipped ones)."""
+    1:] for every generator it skips, memoizing the full list over each
+    suffix (oracle for the order and the memo keys of
+    algebra._suffix_monomials, which loops over the skipped ones and
+    memoizes chains of blocks that store each monomial once)."""
     if degree == 0:
         return [] if least else [()]
     if degree < 0 or index == len(gens):
@@ -559,6 +561,26 @@ def eta_by_conjugation(model, comul, phi, target):
     return eta
 
 
+def conjugate_by_nested_substitution(model, comul, phi):
+    """D' = phi^-1 D phi and C' = (phi^-1 (x) phi^-1) C phi by two nested
+    substitutions: C into phi(w), then phi^-1 on both tensor copies into
+    the multiplied-out C(phi(w)) (oracle for certify.conjugate, which
+    composes (phi^-1 (x) phi^-1) o C on the generators first)."""
+    from fibrewise.certify import invert
+
+    table = model.table
+    phi_inv = invert(model, phi)
+    total = model.total_cdga()
+    new_model = model.with_fiber_differential({
+        gen.name: apply_images(phi_inv.images, total.d(phi.image(gen)))
+        for gen in table.fiber})
+    square_inv = {**phi_inv.images, **table.on_copy(phi_inv.images, 1)}
+    c_images = comul.as_images()
+    return new_model, Comultiplication(table, {
+        gen.name: apply_images(square_inv, apply_images(c_images, phi.image(gen)))
+        for gen in table.fiber})
+
+
 def conjugate_dropping_counit_terms(moved):
     """A faulty `conjugate`: w' dropped from C(w) for each w that phi moves,
     named in `moved`.  C(w) loses the counit shape, so the pair it returns
@@ -659,8 +681,8 @@ def lemma_kernel(table, condition, fiber_gens):
         "beta=gamma+delta": [binomial - propsolver.copy_product(table, fiber_gens, 1)],
     }[condition]
     span = sequence_span(table, fiber_gens)
-    images = [Polynomial.sum(propsolver.apply_map(table, which, p).scale(factor)
-                             for which, factor in CONDITION_TERMS[condition])
+    images = [sum((propsolver.apply_map(table, which, p).scale(factor)
+                    for which, factor in CONDITION_TERMS[condition]), Polynomial.zero())
               for p in span]
     brute = propsolver._polynomial_kernel(images, span)
     if not propsolver._same_polynomial_span(closed, brute):
